@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .mlp import ACTIVATION_KINDS
+from .physics import PHYSICS_KINDS, n_param_slots
 
 
 def _parse_bool(text):
@@ -199,9 +201,26 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    if cfg["grid"]["d"] != 1:
+        raise ConfigError("only d = 1 is supported")
     gt = cfg["ground_truth"]
-    if gt["kind"] not in ("none", "convection", "diffusion_reaction", "burgers1d"):
+    if gt["kind"] not in PHYSICS_KINDS:
         raise ConfigError(f"unknown physics kind {gt['kind']!r}")
+    if not 0 <= gt["kappa"] <= 2:
+        raise ConfigError("kappa must be 0, 1 or 2 (stencils go up to order 2)")
+    n_exp = gt["n_experiments"]
+    if n_exp < 1:
+        raise ConfigError("n_experiments must be >= 1")
+    slots = n_param_slots(gt["kind"])
+    for key in ["u0_profiles"] + ["phi1_profiles", "phi2_profiles"][:slots]:
+        if len(gt[key]) != n_exp:
+            raise ConfigError(f"{key} has {len(gt[key])} entries for "
+                              f"n_experiments = {n_exp}")
+    w = cfg["weights"]
+    for key in ("q", "r", "rho"):
+        if w[key] < 2:
+            raise ConfigError(f"weights key {key!r} must be >= 2 "
+                              "(the objective gradient needs it)")
     meas = cfg["measurement"]
     if meas["family"] not in ("full", "subsample", "smooth"):
         raise ConfigError(f"unknown measurement family {meas['family']!r}")
@@ -217,5 +236,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     net = cfg["network"]
     if net["depth"] < 2:
         raise ConfigError("network depth must be >= 2")
+    if net["activation"] not in ACTIVATION_KINDS:
+        raise ConfigError(f"unknown activation {net['activation']!r}")
+    widths = cfg["probe"]["widths"]
+    if not widths or min(widths) < 1:
+        raise ConfigError("probe widths must be a nonempty list of positive ints")
     if cfg["weights"]["box_margin"] < 1.1:
         raise ConfigError("box_margin must be >= 1.1")

@@ -14,12 +14,17 @@ and warm-starts each scale from the previous solution, widening the
 networks without changing the represented function.  Reported per scale:
 the final objective breakdown, the sup error of the learned term on the
 jet points visited by the ground truth, its gradient-sup mismatch, and
-discrete state/parameter errors.  All CSV output uses 17 significant
-digits so identical configurations reproduce byte-identical files.
+discrete state/parameter errors.  stops.csv records how every start of
+every scale ended: the optimizer's stop reason, or `diverged: <message>`,
+with the iterations taken and the value reached.  All CSV output uses 17
+significant digits so identical configurations reproduce byte-identical
+files.
 """
 
 from __future__ import annotations
 
+import csv
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -227,6 +232,24 @@ def initial_phi_estimate(grid: Grid, kind: str, u_init: np.ndarray) -> np.ndarra
     return phi
 
 
+def _lsq_closure(net, Z, y):
+    """Closure over flat parameters shaped like net: the mean squared error
+    of the network at the inputs Z against y, its gradient, and the error
+    again as aux."""
+
+    def fg(flat):
+        params = mlp.unflatten_params(flat, net)
+        tape = mlp.Tape(params, Z)
+        diff = tape.values - y
+        loss = float(np.mean(diff**2))
+        bw, bb, _ = tape.param_vjp(val_seeds=2.0 * diff / diff.size)
+        grad = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
+                               for w, b in zip(bw, bb)])
+        return loss, grad, loss
+
+    return fg
+
+
 def prefit_net_to_residual(net, grid: Grid, kappa: int, kind: str,
                            u_init: np.ndarray, phi_init, n: int,
                            iters: int = 800) -> "mlp.MlpParams":
@@ -256,17 +279,7 @@ def prefit_net_to_residual(net, grid: Grid, kappa: int, kind: str,
     y = np.concatenate(targets)
     stride = max(1, Z.shape[0] // 1500)
     Z, y = Z[::stride], y[::stride]
-
-    def fg(flat):
-        params = mlp.unflatten_params(flat, net)
-        tape = mlp.Tape(params, Z)
-        diff = tape.values - y
-        loss = float(np.mean(diff**2))
-        bw, bb, _ = tape.param_vjp(val_seeds=2.0 * diff / diff.size)
-        grad = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                               for w, b in zip(bw, bb)])
-        return loss, grad, loss
-
+    fg = _lsq_closure(net, Z, y)
     x = mlp.flatten_params(net)
     for rate, frac in ((1e-2, 0.6), (3e-3, 0.4)):
         res = minimize(x, fg, OptimConfig(max_iters=max(1, int(iters * frac)),
@@ -278,8 +291,9 @@ def prefit_net_to_residual(net, grid: Grid, kappa: int, kind: str,
 def _staged_minimize(x0, fg, base: OptimConfig):
     """Minimize one scale: an adaptive stage, then an Armijo descent.
 
-    The budget is max_iters + 1 closure calls.  It is counted in calls, not
-    iterations, because a descent iteration costs a varying number of them.
+    The budget is max(max_iters, 2) closure calls; the adaptive stage takes
+    at least one step.  It is counted in calls, not iterations, because a
+    descent iteration costs a varying number of them.
 
     The adaptive stage runs at 3 * base.rate for 30% of max_iters and moves
     fast from the warm start, but it cannot settle: its steps are normalized
@@ -288,8 +302,10 @@ def _staged_minimize(x0, fg, base: OptimConfig):
     (param_norm_p = 2, not squared) its iterates circle theta = 0 at that
     distance, and a row would report where the last step happened to land.
 
-    The remaining calls, its starting evaluation included, go to steepest
-    descent with Armijo backtracking from the best adaptive iterate.  Its
+    The remaining calls go to steepest descent with Armijo backtracking
+    from the best adaptive iterate.  The descent's starting evaluation is
+    the one the adaptive stage already made at that iterate, so it costs
+    no closure call but still counts against the descent's budget.  Its
     value trace is monotone and its backtracked steps shrink onto a kink.
     Its first trial step is as long as one adaptive step at 0.3 * base.rate,
     0.3 * rate * sqrt(n) / |g|_2 for n unknowns; a unit step overshoots by
@@ -310,10 +326,18 @@ def _staged_minimize(x0, fg, base: OptimConfig):
     if first.converged or budget < 2 or gnorm == 0.0:
         return first
     step = 0.3 * base.rate * np.sqrt(first.x.size) / gnorm
-    res = minimize(first.x, fg, OptimConfig(max_iters=budget,
-                                            grad_tol=base.grad_tol, rate=step,
-                                            method="gd_linesearch",
-                                            max_calls=budget))
+    start = [(first.value, first.grad, first.aux)]
+
+    @functools.wraps(fg)   # keeps any attributes callers set on fg
+    def fg_from_best(x):
+        if start and np.array_equal(x, first.x):
+            return start.pop()
+        return fg(x)
+
+    res = minimize(first.x, fg_from_best,
+                   OptimConfig(max_iters=budget, grad_tol=base.grad_tol,
+                               rate=step, method="gd_linesearch",
+                               max_calls=budget))
     res.trace = first.trace + res.trace[1:]
     res.iterations += first.iterations
     return res
@@ -342,6 +366,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     tau0 = _initial_tau(cfg, box, input_dim)
 
     report = ConvergenceReport()
+    stops = []   # how each start of each scale ended
     prev_vars = None
     activation = mlp.Activation(cfg["network"]["activation"])
     for m in range(1, cfg["schedule"]["m_max"] + 1):
@@ -383,14 +408,17 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         status = "ok"
         iterations = 0
         trace = None
-        for vars0 in candidates:
+        for j, vars0 in enumerate(candidates):
             layout = VarLayout(vars0)
             fg = make_closure(problem, layout)
             try:
                 res = _staged_minimize(layout.pack(vars0), fg, opt_config)
             except (DivergedError, BoxViolationError) as exc:
                 status = f"diverged({exc})"
+                stops.append([m, j, f"diverged: {exc}", "", ""])
                 continue
+            stops.append([m, j, res.stop_reason, res.iterations,
+                          f"{res.value:.17g}"])
             if best is None or res.value < best[0]:
                 best = (res.value, layout.unpack(res.x), res.aux, res.trace,
                         res.iterations)
@@ -423,6 +451,10 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
              f"state_err={serr:.4g} param_err={perr:.4g} iters={iterations}")
 
     report.write_csv(os.path.join(out_dir, "report.csv"))
+    with open(os.path.join(out_dir, "stops.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["m", "start", "outcome", "iterations", "value"])
+        writer.writerows(stops)
     _write_schedule_check(cfg, report, os.path.join(out_dir, "schedule_check.csv"))
     _write_error_chart(report, os.path.join(out_dir, "f_error.svg"))
     _write_final_vars(grid, prev_vars, out_dir)
@@ -522,17 +554,7 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
         net = mlp.grow_params(init_net, sizes, seed)
     else:
         net = mlp.init_params(sizes, mlp.Activation(activation_kind), seed)
-
-    def fg(flat):
-        params = mlp.unflatten_params(flat, net)
-        tape = mlp.Tape(params, z_fit)
-        diff = tape.values - target
-        loss = float(np.mean(diff**2))
-        bw, bb, _ = tape.param_vjp(val_seeds=2.0 * diff / diff.size)
-        grad = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                               for w, b in zip(bw, bb)])
-        return loss, grad, loss
-
+    fg = _lsq_closure(net, z_fit, target)
     x = mlp.flatten_params(net)
     for rate, frac in ((1e-2, 0.35), (3e-3, 0.25), (1e-3, 0.2)):
         cfg = OptimConfig(max_iters=max(1, int(iters * frac)), grad_tol=0.0,

@@ -13,6 +13,14 @@ module provides
                        and sigma''; it is what makes the gradient-sup
                        regularizer differentiable in the weights.
 
+A tape computes sigma' of each hidden layer at most once, on the first
+input-gradient sweep or VJP that needs it, and sigma'' at most once, on
+the first gradient-seeded VJP; later sweeps and VJPs on the same tape
+reuse them.  Activation.slope and Activation.curvature take the stored
+activation a = sigma(z) along with z, so tanh needs no further tanh
+evaluation: sigma' = 1 - a*a and sigma'' = -2*a*sigma', the same
+expressions Activation.deriv and deriv2 evaluate.
+
 The theoretical Lipschitz constant  L_sigma^{depth-1} * prod_l |W_l|_inf
 (induced infinity norm, i.e. max row sum) is exposed as lipschitz_bound.
 """
@@ -52,9 +60,16 @@ class Activation:
         return np.where(z > 0, z, 0.0) ** 2  # requ
 
     def deriv(self, z):
+        return self.slope(z, self.value(z))
+
+    def deriv2(self, z):
+        a = self.value(z)
+        return self.curvature(z, a, self.slope(z, a))
+
+    def slope(self, z, a):
+        """sigma'(z), given a = sigma(z); tanh reads it off a."""
         if self.kind == "tanh":
-            t = np.tanh(z)
-            return 1.0 - t * t
+            return 1.0 - a * a
         if self.kind == "softplus":
             return 1.0 / (1.0 + np.exp(-z))
         if self.kind == "relu":
@@ -64,13 +79,12 @@ class Activation:
             return np.where(z > 0, 1.0, LEAKY_SLOPE)
         return 2.0 * np.maximum(z, 0.0)  # requ
 
-    def deriv2(self, z):
+    def curvature(self, z, a, slope):
+        """sigma''(z), given a = sigma(z) and slope = sigma'(z)."""
         if self.kind == "tanh":
-            t = np.tanh(z)
-            return -2.0 * t * (1.0 - t * t)
+            return -2.0 * a * slope
         if self.kind == "softplus":
-            s = 1.0 / (1.0 + np.exp(-z))
-            return s * (1.0 - s)
+            return slope * (1.0 - slope)
         if self.kind in ("relu", "leaky-relu"):
             return np.zeros_like(np.asarray(z, dtype=float))
         return np.where(z > 0, 2.0, 0.0)  # requ
@@ -206,20 +220,38 @@ class Tape:
         self.values = P[-1][:, 0].copy()
         self._cs = None
         self._ds = None
+        self._slopes = None
+        self._curvatures = None
+
+    def _hidden_slopes(self):
+        """sigma'(P[i]) of every hidden layer i."""
+        if self._slopes is None:
+            act = self.params.activation
+            self._slopes = [act.slope(p, a) for p, a in zip(self.P, self.A[1:])]
+        return self._slopes
+
+    def _hidden_curvatures(self):
+        """sigma''(P[i]) of every hidden layer i."""
+        if self._curvatures is None:
+            act = self.params.activation
+            self._curvatures = [act.curvature(p, a, s) for p, a, s in
+                                zip(self.P, self.A[1:], self._hidden_slopes())]
+        return self._curvatures
 
     def _input_grad_sweep(self):
         if self._cs is not None:
             return
-        params, act = self.params, self.params.activation
-        L = params.depth
+        weights = self.params.weights
+        sp = self._hidden_slopes()
+        L = len(weights)
         B = self.A[0].shape[0]
         ds = [None] * L
         cs = [None] * L
         ds[L - 1] = np.ones((B, 1))
         for i in range(L - 1, -1, -1):
-            cs[i] = ds[i] @ params.weights[i]
+            cs[i] = ds[i] @ weights[i]
             if i > 0:
-                ds[i - 1] = cs[i] * act.deriv(self.P[i - 1])
+                ds[i - 1] = cs[i] * sp[i - 1]
         self._cs, self._ds = cs, ds
 
     @property
@@ -230,40 +262,60 @@ class Tape:
     def param_vjp(self, val_seeds=None, grad_seeds=None, want_input_grad=False):
         """Parameter gradient of sum_b [val_seeds_b * f(z_b)
         + grad_seeds_b . grad_z f(z_b)]; either seed block may be None.
+
+        Each adjoint buffer takes its first contribution by assignment and
+        later ones by addition; a buffer no seed reaches is returned as
+        zeros.
         """
-        params, act = self.params, self.params.activation
-        L = params.depth
-        B = self.A[0].shape[0]
-        bar_W = [np.zeros_like(w) for w in params.weights]
-        bar_b = [np.zeros_like(b) for b in params.biases]
-        bar_P = [np.zeros_like(p) for p in self.P]
+        weights = self.params.weights
+        L = len(weights)
+        sp = self._hidden_slopes()
+        bar_W = [None] * L
+        bar_b = [None] * L
+        bar_P = [None] * L
 
         if grad_seeds is not None:
             self._input_grad_sweep()
+            spp = self._hidden_curvatures()
             bar_c = np.asarray(grad_seeds, dtype=float)
             for i in range(L):
                 # cs[i] = ds[i] @ W_i
-                bar_W[i] += self._ds[i].T @ bar_c
-                bar_d = bar_c @ params.weights[i].T
+                bar_W[i] = self._ds[i].T @ bar_c
                 if i < L - 1:
                     # ds[i] = cs[i+1] * sigma'(P[i])
-                    sp = act.deriv(self.P[i])
-                    bar_c = bar_d * sp
-                    bar_P[i] += bar_d * self._cs[i + 1] * act.deriv2(self.P[i])
+                    bar_d = bar_c @ weights[i].T
+                    bar_c = bar_d * sp[i]
+                    bar_P[i] = bar_d * self._cs[i + 1] * spp[i]
 
         if val_seeds is not None:
-            bar_P[L - 1][:, 0] += np.asarray(val_seeds, dtype=float)
+            bar_P[L - 1] = np.array(val_seeds, dtype=float).reshape(-1, 1)
 
         bar_Z = None
         for i in range(L - 1, -1, -1):
-            bar_W[i] += bar_P[i].T @ self.A[i]
-            bar_b[i] += bar_P[i].sum(axis=0)
+            if bar_P[i] is None:
+                continue
+            _accumulate(bar_W, i, bar_P[i].T @ self.A[i])
+            bar_b[i] = bar_P[i].sum(axis=0)
             if i > 0:
-                bar_A = bar_P[i] @ params.weights[i]
-                bar_P[i - 1] += bar_A * act.deriv(self.P[i - 1])
+                _accumulate(bar_P, i - 1, (bar_P[i] @ weights[i]) * sp[i - 1])
             elif want_input_grad:
-                bar_Z = bar_P[0] @ params.weights[0]
+                bar_Z = bar_P[0] @ weights[0]
+        for i in range(L):
+            if bar_W[i] is None:
+                bar_W[i] = np.zeros_like(weights[i])
+            if bar_b[i] is None:
+                bar_b[i] = np.zeros_like(self.params.biases[i])
+        if want_input_grad and bar_Z is None:
+            bar_Z = np.zeros_like(self.A[0])
         return bar_W, bar_b, bar_Z
+
+
+def _accumulate(buffers, i, x):
+    """buffers[i] += x, where a buffer that is still None takes x itself."""
+    if buffers[i] is None:
+        buffers[i] = x
+    else:
+        buffers[i] += x
 
 
 def forward(params: MlpParams, z) -> float:

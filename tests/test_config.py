@@ -1,5 +1,6 @@
 import pytest
 
+from smlpde.cli import main as cli_main
 from smlpde.config import (default_config, format_config, parse_config,
                            parse_config_text)
 from smlpde.errors import ConfigError
@@ -82,3 +83,18 @@ class TestValidation:
     def test_small_margin_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("[weights]\nbox_margin = 1.0\n")
+
+    @pytest.mark.parametrize("text", [
+        "[grid]\nd = 2\n",
+        "[weights]\nq = 1.5\n",
+        "[ground_truth]\nn_experiments = 4\n",
+        "[ground_truth]\nkappa = 3\n",
+        "[network]\nactivation = gelu\n",
+        "[probe]\nwidths = 0\n",
+    ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0"])
+    def test_cross_field_errors_exit_2(self, text, tmp_path, capsys):
+        # each of these used to pass parsing and fail later with a traceback
+        path = tmp_path / "bad.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")

@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -10,7 +11,7 @@ from smlpde.harness import (_staged_minimize, approximation_probe, build_grid,
                             gradcheck_from_config, run_convergence_study,
                             visited_jet_points)
 from smlpde.ground_truth import simulate
-from smlpde.optimizer import OptimConfig
+from smlpde.optimizer import OptimConfig, minimize
 
 
 def tiny_config(out_dir, m_max=2, iters=300):
@@ -63,6 +64,40 @@ class TestConvergenceStudySmall:
         e_fs = [r.e_f for r in report.rows[1:]]
         assert max(e_fs) - min(e_fs) < 0.05 * max(max(e_fs), 1e-9)
 
+    def test_stops_one_row_per_start(self, tmp_path):
+        # two restarts at m = 1, then one warm start at m = 2; the best
+        # start of a scale ends at the total its report row carries
+        cfg = tiny_config(tmp_path / "run", m_max=2, iters=40)
+        cfg.sections["optimizer"].update(restarts=2)
+        report = run_convergence_study(cfg, echo=lambda *_: None)
+        with open(tmp_path / "run" / "stops.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["m"], r["start"]) for r in rows] == \
+            [("1", "0"), ("1", "1"), ("2", "0")]
+        for r in rows:
+            assert r["outcome"] in ("call budget", "iteration cap",
+                                    "gradient tolerance reached",
+                                    "line search stalled")
+            assert int(r["iterations"]) > 0
+        for row in report.rows:
+            ends = [float(r["value"]) for r in rows if r["m"] == str(row.m)]
+            assert min(ends) == row.breakdown.total
+
+    def test_stops_record_diverged_starts(self, tmp_path):
+        # a rate this large throws the states out of the box at once, so
+        # every start diverges and every scale starts over from scratch
+        cfg = tiny_config(tmp_path / "run", m_max=2, iters=40)
+        cfg.sections["optimizer"].update(restarts=2, rate=1.0)
+        report = run_convergence_study(cfg, echo=lambda *_: None)
+        assert all(row.status.startswith("diverged(") for row in report.rows)
+        with open(tmp_path / "run" / "stops.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["m"], r["start"]) for r in rows] == \
+            [("1", "0"), ("1", "1"), ("2", "0"), ("2", "1")]
+        for r in rows:
+            assert r["outcome"].startswith("diverged: visited jet point left")
+            assert r["iterations"] == r["value"] == ""
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "a", m_max=2, iters=150)
         cfg2 = tiny_config(tmp_path / "b", m_max=2, iters=150)
@@ -73,24 +108,51 @@ class TestConvergenceStudySmall:
         assert a == b
 
 
+def kink_objective(calls):
+    """|x - c|^2/2 + |x|_2 with |c|_2 < 1; appends to calls on every call."""
+    c = np.array([0.3, -0.2, 0.1, 0.25])
+
+    def fg(x):
+        calls.append(1)
+        r = float(np.linalg.norm(x))
+        g = x - c + (x / r if r > 0 else 0.0)
+        return 0.5 * float((x - c) @ (x - c)) + r, g, None
+
+    return fg
+
+
 class TestStagedMinimize:
     def test_budget_in_closure_calls_and_kink_reached(self):
         # |x - c|^2/2 + |x|_2 with |c|_2 < 1 has its minimizer at the kink
-        # x = 0; a scale spends at most max_iters + 1 calls and lands there
-        c = np.array([0.3, -0.2, 0.1, 0.25])
+        # x = 0; a scale spends at most max(max_iters, 2) calls and lands there
         for max_iters in (1, 3, 40, 60):
             calls = []
+            res = _staged_minimize(np.ones(4), kink_objective(calls),
+                                   OptimConfig(max_iters=max_iters, rate=0.01))
+            assert len(calls) <= max(max_iters, 2)
+        assert np.linalg.norm(res.x) < 1e-3
 
-            def fg(x):
-                calls.append(1)
-                r = float(np.linalg.norm(x))
-                g = x - c + (x / r if r > 0 else 0.0)
-                return 0.5 * float((x - c) @ (x - c)) + r, g, None
-
+    def test_descent_start_reuses_adaptive_evaluation(self):
+        # the descent starts where the adaptive stage's best evaluation was
+        # made and takes it from there, so a scale spends exactly max_iters
+        # calls and lands where a descent that evaluates its start again does
+        for max_iters in (3, 40, 60):
+            calls = []
+            fg = kink_objective(calls)
             res = _staged_minimize(np.ones(4), fg,
                                    OptimConfig(max_iters=max_iters, rate=0.01))
-            assert len(calls) <= max_iters + 1
-        assert np.linalg.norm(res.x) < 1e-3
+            assert len(calls) == max_iters
+            n_adaptive = max(1, int(max_iters * 0.3))
+            first = minimize(np.ones(4), fg,
+                             OptimConfig(max_iters=n_adaptive, rate=0.03))
+            step = 0.3 * 0.01 * np.sqrt(4) / float(np.linalg.norm(first.grad))
+            budget = max_iters - n_adaptive
+            ref = minimize(first.x, fg, OptimConfig(
+                max_iters=budget, rate=step, method="gd_linesearch",
+                max_calls=budget))
+            assert ref.x.tobytes() == res.x.tobytes()
+            assert ref.value == res.value
+            assert ref.iterations + first.iterations == res.iterations
 
 
 class TestVisitedJets:

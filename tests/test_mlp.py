@@ -80,7 +80,8 @@ class TestGradInput:
                         [np.ones(3), np.array([1.0])], Activation("tanh"))
         assert np.array_equal(grad_input(net, [1.0, 2.0]), [0.0, 0.0])
 
-    @pytest.mark.parametrize("activation", ["tanh", "softplus", "requ"])
+    @pytest.mark.parametrize("activation", ["tanh", "softplus", "requ", "relu",
+                                            "leaky-relu"])
     def test_matches_finite_differences(self, activation):
         net = random_net([4, 6, 5, 1], 11, activation)
         rng = np.random.default_rng(5)
@@ -133,7 +134,8 @@ class TestBackprop:
 class TestSecondOrderVjp:
     """Parameter gradient of a linear functional of (value, input-gradient)."""
 
-    @pytest.mark.parametrize("activation", ["tanh", "softplus", "requ"])
+    @pytest.mark.parametrize("activation", ["tanh", "softplus", "requ", "relu",
+                                            "leaky-relu"])
     def test_matches_finite_differences(self, activation):
         net = random_net([3, 5, 4, 1], 13, activation)
         rng = np.random.default_rng(14)
@@ -152,7 +154,10 @@ class TestSecondOrderVjp:
                              for w, b in zip(bw, bb)])
         flat = flatten_params(net)
         fd = np.zeros_like(flat)
-        h = 1e-6
+        # piecewise-linear activations make the functional multilinear in
+        # the parameters between kinks, so central differences carry only
+        # roundoff, and a longer step (still far from every kink) cuts it
+        h = 1e-4 if activation in ("relu", "leaky-relu") else 1e-6
         for i in range(flat.size):
             xp, xm = flat.copy(), flat.copy()
             xp[i] += h
@@ -161,6 +166,25 @@ class TestSecondOrderVjp:
                      - functional(unflatten_params(xm, net))) / (2 * h)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), 1e-6)
         assert np.max(np.abs(fd - an) / denom) < 1e-6
+
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    def test_independent_of_tape_history(self, activation):
+        # the tape caches sigma' and sigma''; reading the input gradients
+        # first, or calling the VJP again, must not change a single bit
+        net = random_net([3, 6, 5, 1], 15, activation)
+        rng = np.random.default_rng(16)
+        Z = rng.uniform(-1, 1, (9, 3))
+        val_seeds = rng.standard_normal(9)
+        grad_seeds = rng.standard_normal((9, 3))
+        fresh = mlp.Tape(net, Z).param_vjp(val_seeds, grad_seeds, True)
+        tape = mlp.Tape(net, Z)
+        tape.input_grads
+        after_read = tape.param_vjp(val_seeds, grad_seeds, True)
+        repeated = tape.param_vjp(val_seeds, grad_seeds, True)
+        for other in (after_read, repeated):
+            for a, b in zip(fresh[0] + fresh[1] + [fresh[2]],
+                            other[0] + other[1] + [other[2]]):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestLipschitzBound:
