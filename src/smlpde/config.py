@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .grid import Grid
 from .mlp import ACTIVATION_KINDS
 from .physics import PHYSICS_KINDS, n_param_slots
 
@@ -201,8 +202,14 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg["grid"]["d"] != 1:
+    g = cfg["grid"]
+    if g["d"] != 1:
         raise ConfigError("only d = 1 is supported")
+    try:
+        Grid(nx=g["nx"], nt=g["nt"], x_lo=g["x_lo"], x_hi=g["x_hi"],
+             t_end=g["t_end"])
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}") from None
     gt = cfg["ground_truth"]
     if gt["kind"] not in PHYSICS_KINDS:
         raise ConfigError(f"unknown physics kind {gt['kind']!r}")
@@ -221,9 +228,17 @@ def _validate(cfg: ExperimentConfig) -> None:
         if w[key] < 2:
             raise ConfigError(f"weights key {key!r} must be >= 2 "
                               "(the objective gradient needs it)")
+    if w["param_norm_p"] < 1:
+        raise ConfigError("param_norm_p must be >= 1 (or inf)")
+    if w["box_points_per_axis"] < 2:
+        raise ConfigError("box_points_per_axis must be >= 2")
+    if w["box_sample_budget"] < 1:
+        raise ConfigError("box_sample_budget must be >= 1")
     meas = cfg["measurement"]
     if meas["family"] not in ("full", "subsample", "smooth"):
         raise ConfigError(f"unknown measurement family {meas['family']!r}")
+    if meas["noise0"] < 0:
+        raise ConfigError("noise0 must be >= 0")
     sched = cfg["schedule"]
     for key in ("lambda0", "mu0", "nu0", "growth", "nu_decay"):
         if sched[key] <= 0:
@@ -233,7 +248,13 @@ def _validate(cfg: ExperimentConfig) -> None:
     opt = cfg["optimizer"]
     if opt["method"] not in ("adaptive", "gd_linesearch"):
         raise ConfigError(f"unknown optimizer method {opt['method']!r}")
+    if not 1e-7 <= opt["gradcheck_step"] <= 1e-3:
+        raise ConfigError("gradcheck_step must lie in [1e-7, 1e-3]")
+    if opt["gradcheck_samples"] < 1:
+        raise ConfigError("gradcheck_samples must be >= 1")
     net = cfg["network"]
+    if net["width0"] < 1:
+        raise ConfigError("network width0 must be >= 1")
     if net["depth"] < 2:
         raise ConfigError("network depth must be >= 2")
     if net["activation"] not in ACTIVATION_KINDS:

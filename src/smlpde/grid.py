@@ -1,11 +1,15 @@
 """Uniform space-time grids, finite-difference jets, and discrete norms.
 
-The computational domain is the box (0, t_end) x (x_lo, x_hi)^d sampled on
-a uniform lattice.  Spatial and temporal derivatives are realized as dense
-stencil matrices: second-order central differences in the interior and
-second-order one-sided stencils at the boundary, so that first derivatives
-are exact on linears and second derivatives exact on quadratics, and every
-adjoint is a plain matrix transpose.
+The computational domain is the rectangle (0, t_end) x (x_lo, x_hi) sampled
+on a uniform lattice.  Spatial and temporal derivatives are realized as
+dense stencil matrices: second-order central differences in the interior
+and second-order one-sided stencils at the boundary, so that first
+derivatives are exact on linears and second derivatives exact on
+quadratics, and every adjoint is a plain matrix transpose.
+
+jet_features stacks the nodewise network inputs [t, jets of all states];
+the objective, the warm-start fit, the study's error metrics and the limit
+oracle all take their rows from it.
 
 Norms over space-time fields are nested trapezoidal quadrature: an
 L^{q_space} norm over each spatial slice inside an L^{q_time} norm over
@@ -16,40 +20,19 @@ rejected by the quadrature norm on purpose.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 
-def jet_dimension(d: int, kappa: int) -> int:
-    """Number of derivative components per state up to order kappa.
-
-    Order k contributes C(d+k-1, k) distinct multi-indices, so the total is
-    sum_{k=0..kappa} C(d+k-1, k).  The time coordinate is not counted.
-    """
-    if d < 1:
-        raise ValueError(f"spatial dimension must be >= 1, got {d}")
-    if kappa < 0:
-        raise ValueError(f"jet order must be >= 0, got {kappa}")
-    total = 0
-    for k in range(kappa + 1):
-        total += math.comb(d + k - 1, k)
-        if total > 2**40:
-            raise ValueError(f"jet dimension overflow for d={d}, kappa={kappa}")
-    return total
-
-
-def multi_indices(d: int, k: int) -> list[tuple[int, ...]]:
-    """All multi-indices beta in N_0^d with |beta| = k, lexicographic."""
-    if d == 1:
-        return [(k,)]
-    out = []
-    for first in range(k + 1):
-        for rest in multi_indices(d - 1, k - first):
-            out.append((first,) + rest)
-    return sorted(out)
+def jet_dimension(kappa: int) -> int:
+    """Number of derivative components per state up to order kappa: the
+    state and its spatial derivatives of orders 1..kappa (the second-order
+    stencils cap kappa at 2).  The time coordinate is not counted."""
+    if not 0 <= kappa <= 2:
+        raise ValueError(f"jet order must be 0, 1 or 2, got {kappa}")
+    return kappa + 1
 
 
 @lru_cache(maxsize=None)
@@ -94,12 +77,11 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform lattice over (0, t_end) x (x_lo, x_hi)^d.
+    """Uniform lattice over (0, t_end) x (x_lo, x_hi).
 
-    nx points per spatial axis, nt time levels, both endpoint-inclusive.
+    nx points in space, nt time levels, both endpoint-inclusive.
     """
 
-    d: int
     nx: int
     nt: int
     x_lo: float
@@ -107,8 +89,6 @@ class Grid:
     t_end: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
         if self.nx < 5:
             raise ValueError(f"nx must be >= 5, got {self.nx}")
         if self.nt < 3:
@@ -127,10 +107,6 @@ class Grid:
         return self.t_end / (self.nt - 1)
 
     @property
-    def spatial_shape(self) -> tuple[int, ...]:
-        return (self.nx,) * self.d
-
-    @property
     def t(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.nt)
 
@@ -141,13 +117,8 @@ class Grid:
     def time_weights(self) -> np.ndarray:
         return trapezoid_weights(self.nt, self.dt)
 
-    def space_weights_1d(self) -> np.ndarray:
-        return trapezoid_weights(self.nx, self.dx)
-
     def space_weights(self) -> np.ndarray:
-        """Tensor-product trapezoid weights over the spatial lattice."""
-        w1 = self.space_weights_1d()
-        return reduce(np.multiply.outer, [w1] * self.d)
+        return trapezoid_weights(self.nx, self.dx)
 
     def time_derivative_matrix(self) -> np.ndarray:
         return first_difference_matrix(self.nt, self.dt)
@@ -162,14 +133,14 @@ class Grid:
 
 @dataclass
 class Field:
-    """One scalar channel sampled on a grid, indexed (t, x_1, ..., x_d)."""
+    """One scalar channel sampled on a grid, indexed (t, x)."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        expected = (self.grid.nt,) + self.grid.spatial_shape
+        expected = (self.grid.nt, self.grid.nx)
         if self.values.shape != expected:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid {expected}"
@@ -181,87 +152,30 @@ class Field:
         return Field(self.grid, self.values.copy())
 
 
-@dataclass
-class JetField:
-    """A field together with its spatial derivatives up to a given order.
+def jet_features(grid: Grid, kappa: int, u_states: np.ndarray) -> np.ndarray:
+    """Nodewise network inputs [t, u_1, D u_1, .., D^kappa u_1, u_2, ..],
+    shape (nt*nx, 1 + N * jet_dimension(kappa)), rows time-major.
 
-    Components are ordered by derivative order, lexicographic in the
-    multi-index within each order; component 0 is the field itself.
+    u_states has shape (N, nt, nx).
     """
-
-    order: int
-    components: list = field(default_factory=list)
-    p_k: list = field(default_factory=list)
-
-    def __post_init__(self):
-        d = self.components[0].grid.d if self.components else 1
-        expected = sum(math.comb(d + k - 1, k) for k in range(self.order + 1))
-        if len(self.components) != expected:
-            raise ValueError(
-                f"jet has {len(self.components)} components, expected {expected}"
-            )
+    _, nt, nx = u_states.shape
+    cols = [np.broadcast_to(grid.t[:, None], (nt, nx)).reshape(-1)]
+    for u in u_states:
+        cols.append(u.reshape(-1))
+        for order in range(1, kappa + 1):
+            cols.append((u @ grid.space_derivative_matrix(order).T).reshape(-1))
+    return np.stack(cols, axis=1)
 
 
-def _derivative_array(grid: Grid, values: np.ndarray, beta: tuple[int, ...]) -> np.ndarray:
-    """Apply D^beta along the spatial axes of a (nt, nx, ..., nx) array."""
-    out = values
-    for axis_d, order in enumerate(beta):
-        if order == 0:
-            continue
-        axis = 1 + axis_d
-        if order == 2:
-            mats = [grid.space_derivative_matrix(2)]
-        elif order == 1:
-            mats = [grid.space_derivative_matrix(1)]
-        else:
-            raise ValueError(f"unsupported derivative order {order} on one axis")
-        for m in mats:
-            out = np.moveaxis(np.tensordot(m, out, axes=([1], [axis])), 0, axis)
-    if out is values:
-        out = values.copy()
-    return out
-
-
-def spatial_derivative(f: Field, beta: tuple[int, ...]) -> Field:
-    """D^beta f with |beta| <= 2; exact on polynomials up to stencil order."""
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != f.grid.d:
-        raise ValueError(f"multi-index length {len(beta)} != d={f.grid.d}")
-    if sum(beta) > 2:
-        raise ValueError(f"derivative order |beta|={sum(beta)} > 2 unsupported")
-    if any(b < 0 for b in beta):
-        raise ValueError("multi-index entries must be nonnegative")
-    if max(beta, default=0) == 2 and sum(beta) == 2:
-        # pure second derivative along one axis: dedicated stencil
-        return Field(f.grid, _derivative_array(f.grid, f.values, beta))
-    if sum(beta) == 2:
-        # mixed: compose the two first-derivative stencils
-        out = f.values
-        for axis_d, order in enumerate(beta):
-            if order == 1:
-                out = _derivative_array(f.grid, out, tuple(1 if i == axis_d else 0
-                                                           for i in range(f.grid.d)))
-        return Field(f.grid, out)
-    return Field(f.grid, _derivative_array(f.grid, f.values, beta))
+def spatial_derivative(f: Field, order: int) -> Field:
+    """d^order f / dx^order for order 1 or 2; exact on polynomials up to
+    stencil order."""
+    return Field(f.grid, f.values @ f.grid.space_derivative_matrix(order).T)
 
 
 def time_derivative(f: Field) -> Field:
     """d/dt via central differences, one-sided second order at t=0 and t=T."""
-    m = f.grid.time_derivative_matrix()
-    out = np.tensordot(m, f.values, axes=([1], [0]))
-    return Field(f.grid, out)
-
-
-def jet(f: Field, kappa: int) -> JetField:
-    """Collect (f, D^1 f, ..., D^kappa f) in canonical component order."""
-    comps = []
-    p_k = []
-    for k in range(kappa + 1):
-        betas = multi_indices(f.grid.d, k)
-        p_k.append(len(betas))
-        for beta in betas:
-            comps.append(spatial_derivative(f, beta) if k > 0 else f.copy())
-    return JetField(order=kappa, components=comps, p_k=p_k)
+    return Field(f.grid, f.grid.time_derivative_matrix() @ f.values)
 
 
 def bochner_norm(f: Field, q_time: float, q_space: float) -> float:
@@ -275,8 +189,7 @@ def bochner_norm(f: Field, q_time: float, q_space: float) -> float:
             raise ValueError(f"exponents must be finite and >= 1, got {q}")
     wt = f.grid.time_weights()
     ws = f.grid.space_weights()
-    axes = tuple(range(1, 1 + f.grid.d))
-    slice_int = np.sum(np.abs(f.values) ** q_space * ws, axis=axes)
+    slice_int = np.sum(np.abs(f.values) ** q_space * ws, axis=1)
     return float(np.sum(wt * slice_int ** (q_time / q_space)) ** (1.0 / q_time))
 
 
@@ -286,34 +199,25 @@ def sup_norm(f: Field) -> float:
 
 
 def write_field_csv(f: Field, path) -> None:
-    """Serialize as `t,x1..xd,value` rows, time-major, 17 significant digits."""
+    """Serialize as `t,x1,value` rows, time-major, 17 significant digits."""
     g = f.grid
-    header = ["t"] + [f"x{i+1}" for i in range(g.d)] + ["value"]
-    axes = [g.x] * g.d
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        flat = f.values.reshape(g.nt, -1)
-        coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g.d)
-        for it, tval in enumerate(g.t):
-            for ix in range(coords.shape[0]):
-                row = [f"{tval:.17g}"]
-                row += [f"{c:.17g}" for c in coords[ix]]
-                row.append(f"{flat[it, ix]:.17g}")
-                w.writerow(row)
+        w.writerow(["t", "x1", "value"])
+        for tval, row in zip(g.t, f.values):
+            for xval, v in zip(g.x, row):
+                w.writerow([f"{tval:.17g}", f"{xval:.17g}", f"{v:.17g}"])
 
 
 def read_field_csv(path) -> Field:
     """Inverse of write_field_csv; the grid is reconstructed from coordinates."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        d = len(header) - 2
+        next(r)
         rows = [[float(v) for v in row] for row in r]
     data = np.asarray(rows)
     ts = np.unique(data[:, 0])
     xs = np.unique(data[:, 1])
-    grid = Grid(d=d, nx=len(xs), nt=len(ts), x_lo=float(xs[0]),
+    grid = Grid(nx=len(xs), nt=len(ts), x_lo=float(xs[0]),
                 x_hi=float(xs[-1]), t_end=float(ts[-1]))
-    values = data[:, -1].reshape((grid.nt,) + grid.spatial_shape)
-    return Field(grid, values)
+    return Field(grid, data[:, -1].reshape(grid.nt, grid.nx))

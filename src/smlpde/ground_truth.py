@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedError, OracleInfeasibleError
-from .grid import Field, Grid, jet_dimension
+from .grid import Field, Grid, jet_features
 from .measurement import Dataset, MeasurementOp, add_noise, boundary_trace
-from .objective import smooth_max, smooth_max_weights
-from .optimizer import OptimConfig, minimize
-from .physics import PhysicalParams, apply_physics_array, n_param_slots
+from .objective import r0_value, smooth_max, smooth_max_weights
+from .physics import (PhysicalParams, apply_physics_array, n_param_slots,
+                      zero_params)
 
 F_TRUE_LIBRARY = {
     "zero": (lambda u: np.zeros_like(u), lambda u: np.zeros_like(u)),
@@ -131,8 +131,6 @@ def _stable_substeps(spec: GroundTruthSpec, grid: Grid,
 
 def simulate(spec: GroundTruthSpec, grid: Grid) -> np.ndarray:
     """Method-of-lines trajectory of shape (L, N, nt, nx)."""
-    if grid.d != 1:
-        raise NotImplementedError("simulation supports d=1")
     if spec.N != 1:
         raise NotImplementedError("forward simulation supports N=1")
     fvec = f_true(spec.f_name)
@@ -236,7 +234,8 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
     """Reduced-problem minimizer with the state pinned to the measured data.
 
     Requires a tiny grid (<= max_nodes space-time nodes), full noiseless
-    measurements, and kind `none` or `convection`.
+    measurements, and kind `none` or `convection`.  The state part of the
+    value is the objective's r0_value of the pinned state.
     """
     grid = dataset.grid
     if grid.nt * grid.nx > max_nodes:
@@ -252,8 +251,7 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
     u = dataset.y[:, 0]                      # (L, nt, nx), pinned state
     dtm = grid.time_derivative_matrix()
     d1 = grid.space_derivative_matrix(1)
-    wt = grid.time_weights()
-    wx = grid.space_weights_1d()
+    wx = grid.space_weights()
 
     # With a coupling physical term the boundary columns are prescribed by
     # the boundary data, not by the PDE, so the residual identity is only
@@ -266,28 +264,16 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
         .reshape(-1)[flat_keep]
 
     # visited jet points, stacked over experiments
-    feats = []
-    for l in range(L):
-        cols = [np.broadcast_to(grid.t[:, None], u[l].shape).reshape(-1),
-                u[l].reshape(-1)]
-        for order in range(1, kappa + 1):
-            cols.append((u[l] @ grid.space_derivative_matrix(order).T).reshape(-1))
-        feats.append(np.stack(cols, axis=1)[flat_keep])
-    z = np.concatenate(feats, axis=0)
+    z = np.concatenate([jet_features(grid, kappa, y_l)[flat_keep]
+                        for y_l in dataset.y])
     scale = max(1.0, float(np.max(np.abs(z))))
     sep_tol = 1e-9 * scale
     ii, jj, sep, ci, cj = _oracle_pairs(z, sep_tol)
 
     dt_u = np.stack([(dtm @ u[l]).reshape(-1)[flat_keep] for l in range(L)])
     ux = np.stack([(u[l] @ d1.T).reshape(-1)[flat_keep] for l in range(L)])
-    r0_state = 0.0
-    for l in range(L):
-        wtx = wt[:, None] * wx[None, :]
-        r0_state += float(np.sum(wtx * u[l] ** 2))
-        r0_state += float(np.sum(wtx * (dtm @ u[l]) ** 2))
-        for order in range(1, kappa + 1):
-            mat = grid.space_derivative_matrix(order)
-            r0_state += float(np.sum(wtx * (u[l] @ mat.T) ** 2))
+    # the objective's state norm of the pinned state (no parameter part)
+    r0_state = r0_value(grid, kappa, dataset.y, zero_params("none", grid, L, N))
 
     def check_coincident(v, tol=1e-6):
         if ci.size:

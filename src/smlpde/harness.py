@@ -33,21 +33,20 @@ import numpy as np
 from . import mlp
 from .config import ExperimentConfig
 from .errors import BoxViolationError, DivergedError
-from .grid import Field, Grid, jet_dimension, write_field_csv
-from .ground_truth import (GroundTruthSpec, f_true, f_true_deriv, make_dataset,
-                           trajectory_jet_sup)
+from .grid import Field, Grid, jet_features, write_field_csv
+from .ground_truth import GroundTruthSpec, f_true, f_true_deriv, make_dataset
 from .measurement import MeasurementOp, save_dataset
-from .objective import (Problem, UBox,VarLayout, Vars, Weights, build_box,
-                        make_closure)
+from .objective import (ObjectiveBreakdown, Problem, UBox, VarLayout, Vars,
+                        Weights, derive_ubox, make_closure)
 from .optimizer import OptimConfig, finite_diff_gradcheck, minimize
-from .physics import PhysicalParams, n_param_slots
+from .physics import PhysicalParams, n_param_slots, residual
 from .svg import line_chart
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
     g = cfg["grid"]
-    return Grid(d=g["d"], nx=g["nx"], nt=g["nt"], x_lo=g["x_lo"],
-                x_hi=g["x_hi"], t_end=g["t_end"])
+    return Grid(nx=g["nx"], nt=g["nt"], x_lo=g["x_lo"], x_hi=g["x_hi"],
+                t_end=g["t_end"])
 
 
 def build_gt_spec(cfg: ExperimentConfig) -> GroundTruthSpec:
@@ -96,21 +95,6 @@ def init_state_from_data(ds, op: MeasurementOp) -> np.ndarray:
     return sm
 
 
-def visited_jet_points(grid: Grid, kappa: int, u_true: np.ndarray) -> np.ndarray:
-    """All (t, jets) points of the reference trajectory, stacked over l."""
-    L, N = u_true.shape[0], u_true.shape[1]
-    blocks = []
-    for l in range(L):
-        cols = [np.broadcast_to(grid.t[:, None], (grid.nt, grid.nx)).reshape(-1)]
-        for n in range(N):
-            cols.append(u_true[l, n].reshape(-1))
-            for order in range(1, kappa + 1):
-                mat = grid.space_derivative_matrix(order)
-                cols.append((u_true[l, n] @ mat.T).reshape(-1))
-        blocks.append(np.stack(cols, axis=1))
-    return np.concatenate(blocks, axis=0)
-
-
 def f_sup_error(nets, z_visited: np.ndarray, f_name: str) -> float:
     """max over visited jet points of |f_theta - f_true| (f_true reads the
     state value, column 1 of the jet layout)."""
@@ -134,12 +118,12 @@ def grad_sup_error(nets, z_visited: np.ndarray, f_name: str) -> float:
 
 
 def state_error(grid: Grid, u: np.ndarray, u_true: np.ndarray) -> float:
-    wtx = grid.time_weights()[:, None] * grid.space_weights_1d()[None, :]
+    wtx = grid.time_weights()[:, None] * grid.space_weights()[None, :]
     return float(np.sqrt(np.sum(wtx * (u - u_true) ** 2)))
 
 
 def param_error(grid: Grid, phi: np.ndarray, phi_true: np.ndarray) -> float:
-    wx = grid.space_weights_1d()
+    wx = grid.space_weights()
     return float(np.sqrt(np.sum(wx * (phi - phi_true) ** 2)))
 
 
@@ -194,9 +178,9 @@ def _write_trace(path, m: int, trace) -> None:
             fh.write(f"{m},{it}," + bd.csv_row() + "\n")
 
 
-def _initial_tau(cfg: ExperimentConfig, box: UBox, input_dim: int) -> float:
+def _initial_tau(cfg: ExperimentConfig, box: UBox) -> float:
     """tau0 = factor * hard gradient-sup of the scale-1 initial network."""
-    sizes = network_sizes(cfg, input_dim, 1)
+    sizes = network_sizes(cfg, box.dim, 1)
     net = mlp.init_params(sizes, mlp.Activation(cfg["network"]["activation"]),
                           cfg["network"]["init_seed"])
     g = mlp.grad_input_batch(net, box.samples)
@@ -212,10 +196,7 @@ def initial_phi_estimate(grid: Grid, kind: str, u_init: np.ndarray) -> np.ndarra
     guess (the reaction part of the residual biases it, but the optimizer
     only needs a starting point on the right side of zero)."""
     L, N = u_init.shape[0], u_init.shape[1]
-    from .physics import n_param_slots
-
-    slots = n_param_slots(kind)
-    phi = np.zeros((L, N, slots, grid.nx))
+    phi = np.zeros((L, N, n_param_slots(kind), grid.nx))
     if kind != "convection":
         return phi
     dtm = grid.time_derivative_matrix()
@@ -243,9 +224,7 @@ def _lsq_closure(net, Z, y):
         diff = tape.values - y
         loss = float(np.mean(diff**2))
         bw, bb, _ = tape.param_vjp(val_seeds=2.0 * diff / diff.size)
-        grad = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                               for w, b in zip(bw, bb)])
-        return loss, grad, loss
+        return loss, mlp.flatten_layers(bw, bb), loss
 
     return fg
 
@@ -257,24 +236,15 @@ def prefit_net_to_residual(net, grid: Grid, kappa: int, kind: str,
     du/dt - physics of the initialized state, evaluated on its own jets.
     Gives the optimizer a starting function of the right scale instead of
     asking it to climb out of the zero-function well."""
-    from .physics import apply_physics_array
-
-    dtm = grid.time_derivative_matrix()
+    interior = slice(None) if kind == "none" else slice(1, -1)
     blocks = []
     targets = []
-    interior = slice(None) if kind == "none" else slice(1, -1)
     for l in range(u_init.shape[0]):
-        cols = [np.broadcast_to(grid.t[:, None], (grid.nt, grid.nx))]
-        for k in range(u_init.shape[1]):
-            cols.append(u_init[l, k])
-            for order in range(1, kappa + 1):
-                cols.append(u_init[l, k] @ grid.space_derivative_matrix(order).T)
-        feats = np.stack([c[:, interior].reshape(-1) for c in cols], axis=1)
-        resid = (dtm @ u_init[l, n]
-                 - apply_physics_array(grid, kind, u_init[l, n],
-                                       phi_init.values[l, n]))[:, interior]
-        blocks.append(feats)
-        targets.append(resid.reshape(-1))
+        feats = jet_features(grid, kappa, u_init[l])
+        blocks.append(feats.reshape(grid.nt, grid.nx, -1)[:, interior]
+                      .reshape(-1, feats.shape[1]))
+        resid = residual(grid, kind, u_init[l, n], phi_init.values[l, n])
+        targets.append(resid[:, interior].reshape(-1))
     Z = np.concatenate(blocks, axis=0)
     y = np.concatenate(targets)
     stride = max(1, Z.shape[0] // 1500)
@@ -352,18 +322,18 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     os.makedirs(out_dir, exist_ok=True)
 
     N = spec.N
-    input_dim = 1 + N * jet_dimension(grid.d, spec.kappa)
     phi_true = spec.phi_values(grid)
 
     # reference trajectory (simulated once through the first dataset build)
     op1 = MeasurementOp(cfg["measurement"]["family"], 1, grid)
-    _, u_true = make_dataset(spec, grid, op1, 0.0, cfg["measurement"]["data_seed"])
-    jet_sup = trajectory_jet_sup(grid, spec.kappa, u_true)
-    radius = grid.t_end + wcfg["box_margin"] * jet_sup
-    box = build_box(input_dim, radius, wcfg["box_points_per_axis"],
-                    wcfg["box_sample_budget"])
-    z_visited = visited_jet_points(grid, spec.kappa, u_true)
-    tau0 = _initial_tau(cfg, box, input_dim)
+    ds1, u_true = make_dataset(spec, grid, op1, 0.0, cfg["measurement"]["data_seed"])
+    box = derive_ubox(ds1, grid, spec.kappa, N, wcfg["box_margin"],
+                      points_per_axis=wcfg["box_points_per_axis"],
+                      sample_budget=wcfg["box_sample_budget"])
+    # all (t, jets) points of the reference trajectory, stacked over l
+    z_visited = np.concatenate([jet_features(grid, spec.kappa, u_l)
+                                for u_l in u_true])
+    tau0 = _initial_tau(cfg, box)
 
     report = ConvergenceReport()
     stops = []   # how each start of each scale ended
@@ -380,7 +350,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
                           rho=wcfg["rho"], param_norm_p=wcfg["param_norm_p"],
                           tau=tau_m)
         problem = Problem(grid, dataset, op, spec.kind, spec.kappa, weights, box)
-        sizes = network_sizes(cfg, input_dim, m)
+        sizes = network_sizes(cfg, box.dim, m)
         opt_config = OptimConfig(max_iters=ocfg["max_iters"],
                                  grad_tol=ocfg["grad_tol"], rate=ocfg["rate"],
                                  method=ocfg["method"])
@@ -425,10 +395,8 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         if best is None:
             # every start diverged: mark the row, keep the previous solution
             echo(f"[m={m}] optimization failed: {status}")
-            bd_stub = None
-            from .objective import ObjectiveBreakdown
-            bd_stub = ObjectiveBreakdown()
-            row = ScaleRow(m, lam, mu, nu, noise, tau_m, sizes[1], bd_stub,
+            row = ScaleRow(m, lam, mu, nu, noise, tau_m, sizes[1],
+                           ObjectiveBreakdown(),
                            float("nan"), float("nan"), float("nan"),
                            float("nan"), float("nan"), 0, status)
             report.rows.append(row)
@@ -437,9 +405,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         prev_vars = vars_best
         _write_trace(os.path.join(out_dir, f"trace_m{m}.csv"), m, trace)
 
-        flat = np.concatenate([mlp.flatten_params(n) for n in vars_best.nets])
-        psi_hat = float(np.linalg.norm(flat)) if wcfg["param_norm_p"] == 2.0 \
-            else mlp.param_norm(vars_best.nets[0], wcfg["param_norm_p"])
+        psi_hat = mlp.param_norm(vars_best.nets, wcfg["param_norm_p"])[0]
         e_f = f_sup_error(vars_best.nets, z_visited, spec.f_name)
         gse = grad_sup_error(vars_best.nets, z_visited, spec.f_name)
         serr = state_error(grid, vars_best.u, u_true)
@@ -578,7 +544,7 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
     sup_err = float(np.max(np.abs(mlp.forward_batch(fitted, z_eval)
                                   - fvec(z_eval[:, 0]))))
     grad_fit = float(np.max(np.abs(mlp.grad_input_batch(fitted, z_eval))))
-    return fitted, sup_err, grad_fit, mlp.param_norm(fitted, 2.0)
+    return fitted, sup_err, grad_fit, mlp.param_norm([fitted], 2.0)[0]
 
 
 def approximation_probe(cfg: ExperimentConfig, echo=print):
@@ -636,18 +602,16 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     wcfg = cfg["weights"]
     op = MeasurementOp(cfg["measurement"]["family"], 1, grid)
     lam, mu, nu, noise = schedule_values(cfg, 1)
-    dataset, u_true = make_dataset(spec, grid, op, noise,
-                                   cfg["measurement"]["data_seed"])
-    input_dim = 1 + spec.N * jet_dimension(grid.d, spec.kappa)
-    radius = grid.t_end + wcfg["box_margin"] * trajectory_jet_sup(
-        grid, spec.kappa, u_true)
-    box = build_box(input_dim, radius, wcfg["box_points_per_axis"],
-                    wcfg["box_sample_budget"])
+    dataset, _ = make_dataset(spec, grid, op, noise,
+                              cfg["measurement"]["data_seed"])
+    box = derive_ubox(dataset, grid, spec.kappa, spec.N, wcfg["box_margin"],
+                      points_per_axis=wcfg["box_points_per_axis"],
+                      sample_budget=wcfg["box_sample_budget"])
     weights = Weights(lam=lam, mu=mu, nu=nu, q=wcfg["q"], r=wcfg["r"],
                       rho=wcfg["rho"], param_norm_p=wcfg["param_norm_p"],
-                      tau=max(_initial_tau(cfg, box, input_dim), 1e-4))
+                      tau=max(_initial_tau(cfg, box), 1e-4))
     problem = Problem(grid, dataset, op, spec.kind, spec.kappa, weights, box)
-    nets = [mlp.init_params(network_sizes(cfg, input_dim, 1),
+    nets = [mlp.init_params(network_sizes(cfg, box.dim, 1),
                             mlp.Activation(cfg["network"]["activation"]),
                             cfg["network"]["init_seed"] + n)
             for n in range(spec.N)]

@@ -70,8 +70,6 @@ class MeasurementOp:
             raise ValueError(f"unknown measurement kind {self.kind!r}")
         if self.m < 1:
             raise ValueError(f"scale index must be >= 1, got {self.m}")
-        if self.grid.d != 1:
-            raise NotImplementedError("measurement operators support d=1")
         if self.kind == "subsample":
             stride = subsample_stride(self.grid.nx, self.m)
             mask = np.zeros(self.grid.nx)
@@ -131,9 +129,7 @@ def add_noise(y: Field, level: float, seed: int) -> Field:
 
 
 def boundary_trace(u: Field):
-    """Time series of the two boundary values (d=1 only)."""
-    if u.grid.d != 1:
-        raise NotImplementedError("boundary traces support d=1")
+    """Time series of the two boundary values."""
     return u.values[:, 0].copy(), u.values[:, -1].copy()
 
 

@@ -356,12 +356,13 @@ def lipschitz_bound(params: MlpParams, l_sigma: float) -> float:
     return l_sigma ** (params.depth - 1) * prod
 
 
+def flatten_layers(weights, biases) -> np.ndarray:
+    """Layer arrays (or their gradients) as one vector: W_1, b_1, W_2, ..."""
+    return np.concatenate([x.ravel() for pair in zip(weights, biases) for x in pair])
+
+
 def flatten_params(params: MlpParams) -> np.ndarray:
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    return flatten_layers(params.weights, params.biases)
 
 
 def unflatten_params(flat: np.ndarray, template: MlpParams) -> MlpParams:
@@ -377,14 +378,26 @@ def unflatten_params(flat: np.ndarray, template: MlpParams) -> MlpParams:
     return MlpParams(ws, bs, template.activation)
 
 
-def param_norm(params: MlpParams, p: float = 2.0) -> float:
-    """l^p norm of all weights and biases flattened into one vector."""
-    flat = flatten_params(params)
-    if p == math.inf:
-        return float(np.max(np.abs(flat))) if flat.size else 0.0
+def param_norm(nets, p: float = 2.0):
+    """l^p norm of all weights and biases of the networks, flattened into
+    one vector in pack order, and its gradient in the same layout.
+
+    Where the norm has a kink the gradient is one subgradient: zero at
+    theta = 0, and for p = inf a signed unit at the first largest entry.
+    """
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float(np.sum(np.abs(flat) ** p) ** (1.0 / p))
+    flat = np.concatenate([flatten_params(net) for net in nets])
+    mag = np.abs(flat)
+    grad = np.zeros_like(flat)
+    if p == math.inf:
+        top = int(np.argmax(mag))
+        grad[top] = np.sign(flat[top])
+        return float(mag[top]), grad
+    norm = float(np.sum(mag ** p) ** (1.0 / p))
+    if norm > 0.0:
+        grad = np.sign(flat) * mag ** (p - 1.0) / norm ** (p - 1.0)
+    return norm, grad
 
 
 def write_params_csv(params: MlpParams, csv_path, meta_path) -> None:

@@ -24,20 +24,25 @@ Gradients with respect to every state node, parameter node, and network
 weight are assembled in closed form (reverse mode through the stencil
 matrices, the measurement operator, and the networks - including the
 second-order sweep needed for the gradient-sup term).
+
+_evaluate_core is the one implementation of every term: the network inputs
+come from grid.jet_features, the residual from physics.residual, and the
+parameter norm with its gradient from mlp.param_norm, so the study's
+diagnostics and the limit oracle evaluate the same objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mlp
 from .errors import BoxViolationError
-from .grid import Grid, jet_dimension
+from .grid import Grid, jet_dimension, jet_features
 from .measurement import Dataset, MeasurementOp
-from .physics import PhysicalParams, apply_physics_array, n_param_slots
+from .physics import PhysicalParams, residual
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ def derive_ubox(dataset: Dataset, grid: Grid, kappa: int, n_states: int,
     bound = jet_sup if jet_sup is not None else dataset.ref_jet_sup
     if bound is None:
         raise ValueError("no jet sup-norm bound available for the box radius")
-    dim = 1 + n_states * jet_dimension(grid.d, kappa)
+    dim = 1 + n_states * jet_dimension(kappa)
     radius = grid.t_end + margin * float(bound)
     return build_box(dim, radius, points_per_axis, sample_budget)
 
@@ -144,28 +149,6 @@ def smooth_max_weights(values, tau: float) -> np.ndarray:
     return e / e.sum()
 
 
-def f_regularizer(nets, box: UBox, rho: float, tau: float, hard: bool):
-    """(power-norm term, gradient-sup term) summed over the networks.
-
-    power norm  : vol(U) * weighted mean over box samples of |f|^rho
-    gradient sup: max (hard) or smooth_max (optimization surrogate) over
-                  box samples of the sup-norm of grad f.
-    """
-    lrho = 0.0
-    gradsup = 0.0
-    for net in nets:
-        if net.input_dim != box.dim:
-            raise ValueError(
-                f"network input dim {net.input_dim} != box dim {box.dim}"
-            )
-        tape = mlp.Tape(net, box.samples)
-        vals = tape.values
-        lrho += box.volume * float(np.sum(box.quad_weights * np.abs(vals) ** rho))
-        gnorm = np.max(np.abs(tape.input_grads), axis=1)
-        gradsup += float(np.max(gnorm)) if hard else smooth_max(gnorm, tau)
-    return lrho, gradsup
-
-
 def state_norm_order(kappa: int) -> int:
     """Spatial derivative order of the quadratic state norm.
 
@@ -184,7 +167,7 @@ def r0_value(grid: Grid, kappa: int, u: np.ndarray, phi: PhysicalParams) -> floa
     discrete state norm (state, time derivative, spatial derivatives up to
     state_norm_order(kappa))."""
     wt = grid.time_weights()
-    wx = grid.space_weights_1d()
+    wx = grid.space_weights()
     wtx = wt[:, None] * wx[None, :]
     dtm = grid.time_derivative_matrix()
     total = float(np.sum(wx * phi.values**2)) if phi.values.size else 0.0
@@ -249,8 +232,7 @@ class Vars:
 class Grads:
     u: np.ndarray
     phi: np.ndarray
-    net_weights: list   # per network: list of weight gradients
-    net_biases: list    # per network: list of bias gradients
+    nets: np.ndarray    # all network parameters, flat in pack order
 
 
 @dataclass
@@ -297,6 +279,7 @@ def _norm_pow(wt, wx, fields, exponent):
 
 
 def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
+    """The objective breakdown at vars_, and with want_grad its Grads."""
     grid, ds, op = problem.grid, problem.dataset, problem.op
     w, box, kind, kappa = problem.weights, problem.box, problem.kind, problem.kappa
     u = vars_.u
@@ -310,7 +293,7 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
         raise ValueError("gradient path requires exponents q, r, rho >= 2")
 
     wt = grid.time_weights()
-    wx = grid.space_weights_1d()
+    wx = grid.space_weights()
     wtx = wt[:, None] * wx[None, :]
     # The PDE residual lives on the open spatial domain: with a coupling
     # physical term the boundary columns are governed by the boundary data
@@ -324,36 +307,24 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
     d1 = grid.space_derivative_matrix(1)
     d2 = grid.space_derivative_matrix(2)
     jet_mats = [None, d1, d2]
-    jet_dim = jet_dimension(grid.d, kappa)
-    slots = n_param_slots(kind)
 
     bd = ObjectiveBreakdown()
     g_u = np.zeros_like(u) if want_grad else None
     g_phi = np.zeros_like(vars_.phi.values) if want_grad else None
-    net_tapes_box = []
-    g_nets_w = [[np.zeros_like(wm) for wm in net.weights] for net in vars_.nets] \
-        if want_grad else None
-    g_nets_b = [[np.zeros_like(bv) for bv in net.biases] for net in vars_.nets] \
-        if want_grad else None
+    # flat parameter gradient per network; the first VJP sets its shape
+    g_nets = [0.0] * N if want_grad else None
 
     # --- per-experiment data-fit and residual terms -------------------------
     for l in range(L):
-        feats = np.stack(
-            [np.broadcast_to(grid.t[:, None], (grid.nt, grid.nx)).reshape(-1)]
-            + [col for n in range(N) for col in
-               ([u[l, n].reshape(-1)]
-                + [(u[l, n] @ jet_mats[o].T).reshape(-1) for o in range(1, kappa + 1)])],
-            axis=1)
+        feats = jet_features(grid, kappa, u[l])
         if problem.enforce_box:
             _check_box(box, feats)
 
         tapes = [mlp.Tape(net, feats) for net in vars_.nets]
-        resid = np.empty((N, grid.nt, grid.nx))
-        phys = np.empty_like(resid)
-        for n in range(N):
-            phys[n] = apply_physics_array(grid, kind, u[l, n], vars_.phi.values[l, n])
-            resid[n] = dtm @ u[l, n] - phys[n] \
-                - tapes[n].values.reshape(grid.nt, grid.nx)
+        resid = np.stack([
+            residual(grid, kind, u[l, n], vars_.phi.values[l, n],
+                     tapes[n].values.reshape(grid.nt, grid.nx))
+            for n in range(N)])
         res_val, res_s = _norm_pow(wt, wx_res, resid, w.q)
         bd.residual_term += w.lam * res_val
 
@@ -402,11 +373,8 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
                 g_u[l, n, :, 0] += 2.0 * w.lam * wt * dlo[n]
                 g_u[l, n, :, -1] += 2.0 * w.lam * wt * dhi[n]
                 # network blocks: residual depends on f through -f(feats)
-                seeds = (-rw).reshape(-1)
-                bw, bb, _ = tapes[n].param_vjp(val_seeds=seeds)
-                for k in range(len(bw)):
-                    g_nets_w[n][k] += bw[k]
-                    g_nets_b[n][k] += bb[k]
+                bw, bb, _ = tapes[n].param_vjp(val_seeds=(-rw).reshape(-1))
+                g_nets[n] = g_nets[n] + mlp.flatten_layers(bw, bb)
                 # chain rule into the jet features of every state
                 gin = tapes[n].input_grads   # (nodes, D)
                 col = 1
@@ -439,7 +407,6 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
         if net.input_dim != box.dim:
             raise ValueError(f"network input dim {net.input_dim} != box dim {box.dim}")
         tape = mlp.Tape(net, box.samples)
-        net_tapes_box.append(tape)
         vals = tape.values
         bd.f_lrho_term += box.volume * float(
             np.sum(box.quad_weights * np.abs(vals) ** w.rho))
@@ -457,71 +424,20 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
             grad_seeds = np.zeros_like(gin)
             grad_seeds[np.arange(gin.shape[0]), comp] = omega * sgn
             bw, bb, _ = tape.param_vjp(val_seeds=val_seeds, grad_seeds=grad_seeds)
-            for k in range(len(bw)):
-                g_nets_w[n][k] += bw[k]
-                g_nets_b[n][k] += bb[k]
+            g_nets[n] = g_nets[n] + mlp.flatten_layers(bw, bb)
     bd.hard_gradsup = hard_sup
 
     # --- parameter norm --------------------------------------------------------
-    flat = np.concatenate([mlp.flatten_params(net) for net in vars_.nets]) \
-        if vars_.nets else np.zeros(0)
-    p = w.param_norm_p
-    if flat.size:
-        if p == math.inf:
-            theta_norm = float(np.max(np.abs(flat)))
-        else:
-            theta_norm = float(np.sum(np.abs(flat) ** p) ** (1.0 / p))
-    else:
-        theta_norm = 0.0
+    theta_norm, g_theta = mlp.param_norm(vars_.nets, w.param_norm_p)
     bd.theta_norm_term = w.nu * theta_norm
-    if want_grad and w.nu > 0 and flat.size:
-        if p == math.inf:
-            g_flat = np.zeros_like(flat)
-            g_flat[int(np.argmax(np.abs(flat)))] = np.sign(flat[int(np.argmax(np.abs(flat)))])
-        elif theta_norm == 0.0:
-            g_flat = np.zeros_like(flat)
-        else:
-            g_flat = np.sign(flat) * np.abs(flat) ** (p - 1.0) / theta_norm ** (p - 1.0)
-        g_flat *= w.nu
-        pos = 0
-        for n, net in enumerate(vars_.nets):
-            size = mlp.flatten_params(net).size
-            chunk = g_flat[pos:pos + size]
-            pos += size
-            tmpl = net
-            off = 0
-            for k, (wm, bv) in enumerate(zip(tmpl.weights, tmpl.biases)):
-                g_nets_w[n][k] += chunk[off:off + wm.size].reshape(wm.shape)
-                off += wm.size
-                g_nets_b[n][k] += chunk[off:off + bv.size].reshape(bv.shape)
-                off += bv.size
 
     bd.total = float(sum(bd.parts()))
-    if want_grad:
-        return bd, Grads(g_u, g_phi, g_nets_w, g_nets_b)
-    return bd, None
-
-
-def evaluate(vars_: Vars, dataset: Dataset, op: MeasurementOp, kind: str,
-             weights: Weights, box: UBox, kappa: int = 0,
-             enforce_box: bool = True) -> ObjectiveBreakdown:
-    problem = Problem(dataset.grid, dataset, op, kind, kappa, weights, box,
-                      enforce_box)
-    bd, _ = _evaluate_core(vars_, problem, want_grad=False)
-    return bd
-
-
-def gradient(vars_: Vars, dataset: Dataset, op: MeasurementOp, kind: str,
-             weights: Weights, box: UBox, kappa: int = 0,
-             enforce_box: bool = True) -> Grads:
-    problem = Problem(dataset.grid, dataset, op, kind, kappa, weights, box,
-                      enforce_box)
-    _, grads = _evaluate_core(vars_, problem, want_grad=True)
-    return grads
-
-
-def evaluate_with_gradient(vars_: Vars, problem: Problem):
-    return _evaluate_core(vars_, problem, want_grad=True)
+    if not want_grad:
+        return bd, None
+    g_nets = np.concatenate(g_nets)
+    if w.nu > 0:
+        g_nets += w.nu * g_theta
+    return bd, Grads(g_u, g_phi, g_nets)
 
 
 # --- flat packing for the optimizer --------------------------------------------
@@ -560,14 +476,8 @@ class VarLayout:
         return Vars(u, PhysicalParams(self.phi_kind, self.grid, phi_vals), nets)
 
     def pack_grads(self, grads: Grads) -> np.ndarray:
-        parts = [grads.u.reshape(-1), grads.phi.reshape(-1)]
-        for ws, bs in zip(grads.net_weights, grads.net_biases):
-            chunk = []
-            for wm, bv in zip(ws, bs):
-                chunk.append(wm.reshape(-1))
-                chunk.append(bv.reshape(-1))
-            parts.append(np.concatenate(chunk))
-        return np.concatenate(parts)
+        return np.concatenate([grads.u.reshape(-1), grads.phi.reshape(-1),
+                               grads.nets])
 
 
 def make_closure(problem: Problem, layout: VarLayout):

@@ -8,9 +8,10 @@ Supported per-equation terms on 1D grids:
                        product rule as a*u_xx + a_x*u_x + c*u)
   burgers1d          : -u * du/dx                (no parameter field)
 
-The residual of one experiment stacks N equations: for equation n it is
-du_n/dt - term_n - net_n(t, jets of all states), where each network sees the
-input vector [t, jet(u_1), ..., jet(u_N)] nodewise.
+The residual of equation n is du_n/dt - term_n - f_n, where f_n holds the
+values of that equation's network at the nodewise jet features
+[t, jet(u_1), ..., jet(u_N)] (grid.jet_features).  Without f it is the
+apparent residual du_n/dt - term_n that the network has to explain.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mlp
-from .grid import Field, Grid, jet_dimension
+from .grid import Field, Grid
 
 PHYSICS_KINDS = ("none", "convection", "diffusion_reaction", "burgers1d")
 
@@ -72,8 +72,6 @@ def zero_params(kind: str, grid: Grid, L: int, N: int) -> PhysicalParams:
 def apply_physics_array(grid: Grid, kind: str, u: np.ndarray,
                         phi: np.ndarray) -> np.ndarray:
     """Evaluate one equation's physical term on a (nt, nx) state array."""
-    if grid.d != 1:
-        raise NotImplementedError("physical terms are implemented for d=1")
     if kind == "none":
         return np.zeros_like(u)
     d1 = grid.space_derivative_matrix(1)
@@ -89,66 +87,13 @@ def apply_physics_array(grid: Grid, kind: str, u: np.ndarray,
     raise ValueError(f"unknown physics kind {kind!r}")
 
 
-def apply_physics(kind: str, u: Field, phi_fields) -> Field:
-    """Field-level wrapper; phi_fields is a list of spatial arrays."""
-    phi = np.asarray(phi_fields, dtype=float).reshape(n_param_slots(kind), -1) \
-        if n_param_slots(kind) else np.zeros((0, u.grid.nx))
-    if phi.shape[1] != u.grid.nx and phi.size:
-        raise ValueError("parameter field length does not match grid")
-    return Field(u.grid, apply_physics_array(u.grid, kind, u.values, phi))
-
-
-def jet_feature_matrix(grid: Grid, kappa: int, u_states: np.ndarray) -> np.ndarray:
-    """Nodewise network inputs [t, jets of all states], shape (nt*nx, D).
-
-    u_states has shape (N, nt, nx); D = 1 + N * jet_dimension(1, kappa).
-    """
-    if grid.d != 1:
-        raise NotImplementedError("jet features are implemented for d=1")
-    n_states, nt, nx = u_states.shape
-    cols = [np.broadcast_to(grid.t[:, None], (nt, nx)).reshape(-1)]
-    for n in range(n_states):
-        u = u_states[n]
-        cols.append(u.reshape(-1))
-        if kappa >= 1:
-            cols.append((u @ grid.space_derivative_matrix(1).T).reshape(-1))
-        if kappa >= 2:
-            cols.append((u @ grid.space_derivative_matrix(2).T).reshape(-1))
-        if kappa >= 3:
-            raise ValueError("jet order > 2 unsupported")
-    return np.stack(cols, axis=1)
-
-
-def residual_array(grid: Grid, kind: str, kappa: int, u_states: np.ndarray,
-                   phi_states: np.ndarray, nets) -> np.ndarray:
-    """Residual du/dt - physics - net per equation, shape (N, nt, nx)."""
-    n_states = u_states.shape[0]
-    if len(nets) != n_states:
-        raise ValueError(f"{len(nets)} networks for {n_states} equations")
-    expected = 1 + n_states * jet_dimension(grid.d, kappa)
-    for net in nets:
-        if net.input_dim != expected:
-            raise ValueError(
-                f"network input dim {net.input_dim} != 1 + N*jet_dim = {expected}"
-            )
-    dt_mat = grid.time_derivative_matrix()
-    feats = jet_feature_matrix(grid, kappa, u_states)
-    out = np.empty_like(u_states)
-    for n in range(n_states):
-        fvals = mlp.forward_batch(nets[n], feats).reshape(grid.nt, grid.nx)
-        phys = apply_physics_array(grid, kind, u_states[n], phi_states[n])
-        out[n] = dt_mat @ u_states[n] - phys - fvals
-    return out
-
-
-def residual(u_fields, phi: PhysicalParams, nets, kind: str, kappa: int,
-             experiment: int = 0):
-    """Field-level residual for one experiment; returns a list of Fields."""
-    grid = u_fields[0].grid
-    u_states = np.stack([f.values for f in u_fields])
-    arr = residual_array(grid, kind, kappa, u_states,
-                         phi.values[experiment], nets)
-    return [Field(grid, arr[n]) for n in range(arr.shape[0])]
+def residual(grid: Grid, kind: str, u: np.ndarray, phi: np.ndarray,
+             f: np.ndarray | None = None) -> np.ndarray:
+    """du/dt - physics - f for one equation's (nt, nx) state, its parameter
+    slots phi and the (nt, nx) values f of its network; f = None leaves the
+    network out."""
+    out = grid.time_derivative_matrix() @ u - apply_physics_array(grid, kind, u, phi)
+    return out if f is None else out - f
 
 
 def affine_check(kind: str, u: Field, phi1, phi2, s: float,

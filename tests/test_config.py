@@ -91,7 +91,23 @@ class TestValidation:
         "[ground_truth]\nkappa = 3\n",
         "[network]\nactivation = gelu\n",
         "[probe]\nwidths = 0\n",
-    ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0"])
+        "[grid]\nnx = 4\n",
+        "[grid]\nnt = 2\n",
+        "[grid]\nt_end = 0.0\n",
+        "[grid]\nx_hi = 0.0\n",
+        "[weights]\nbox_points_per_axis = 1\n",
+        "[weights]\nbox_sample_budget = 0\n",
+        "[network]\nwidth0 = 0\n",
+        "[measurement]\nnoise0 = -0.1\n",
+        "[weights]\nparam_norm_p = 0.5\n",
+        "[optimizer]\ngradcheck_step = 0.01\n",
+        "[optimizer]\ngradcheck_step = 1e-09\n",
+        "[optimizer]\ngradcheck_samples = 0\n",
+    ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0",
+            "nx4", "nt2", "t_end0", "x_hi_le_x_lo", "box_points1",
+            "box_budget0", "net_width0", "noise_negative", "p0.5",
+            "gradcheck_step_large", "gradcheck_step_small",
+            "gradcheck_samples0"])
     def test_cross_field_errors_exit_2(self, text, tmp_path, capsys):
         # each of these used to pass parsing and fail later with a traceback
         path = tmp_path / "bad.cfg"

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from smlpde.grid import (Field, Grid, bochner_norm, jet, jet_dimension,
-                         multi_indices, read_field_csv, spatial_derivative,
+from smlpde.grid import (Field, Grid, bochner_norm, jet_dimension,
+                         jet_features, read_field_csv, spatial_derivative,
                          sup_norm, time_derivative, write_field_csv)
 
 
-def make_grid(nx=17, nt=9, d=1, t_end=1.0):
-    return Grid(d=d, nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=t_end)
+def make_grid(nx=17, nt=9, t_end=1.0):
+    return Grid(nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=t_end)
 
 
 def field_of(grid, fn):
@@ -19,25 +19,13 @@ def field_of(grid, fn):
 
 class TestJetDimension:
     def test_1d_each_order_single(self):
-        assert jet_dimension(1, 2) == 3
-
-    def test_3d_matches_binomials(self):
-        # C(3,1)=3 first derivatives, C(4,2)=6 second derivatives
-        assert jet_dimension(3, 2) == 1 + 3 + 6
-
-    def test_2d_enumeration_oracle(self):
-        # oracle: enumerate the multi-indices directly
-        count = sum(len(multi_indices(2, k)) for k in range(3))
-        assert count == 6
-        assert jet_dimension(2, 2) == count
+        assert [jet_dimension(k) for k in range(3)] == [1, 2, 3]
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            jet_dimension(0, 1)
+            jet_dimension(-1)
         with pytest.raises(ValueError):
-            jet_dimension(1, -1)
-        with pytest.raises(ValueError):
-            jet_dimension(40, 40)  # astronomically large binomials
+            jet_dimension(3)  # the stencils stop at second order
 
 
 class TestGridInvariants:
@@ -48,9 +36,9 @@ class TestGridInvariants:
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            Grid(d=1, nx=4, nt=9, x_lo=0.0, x_hi=1.0, t_end=1.0)
+            Grid(nx=4, nt=9, x_lo=0.0, x_hi=1.0, t_end=1.0)
         with pytest.raises(ValueError):
-            Grid(d=1, nx=9, nt=2, x_lo=0.0, x_hi=1.0, t_end=1.0)
+            Grid(nx=9, nt=2, x_lo=0.0, x_hi=1.0, t_end=1.0)
 
     def test_field_shape_and_finiteness(self):
         g = make_grid()
@@ -67,18 +55,18 @@ class TestSpatialDerivative:
         g = make_grid()
         f = field_of(g, lambda t, x: 3.0 + 0 * x)
         eps_budget = 100 * np.finfo(float).eps * 3.0
-        assert np.max(np.abs(spatial_derivative(f, (1,)).values)) <= eps_budget
+        assert np.max(np.abs(spatial_derivative(f, 1).values)) <= eps_budget
 
     def test_linear_exact(self):
         g = make_grid()
         f = field_of(g, lambda t, x: x)
-        d = spatial_derivative(f, (1,))
+        d = spatial_derivative(f, 1)
         assert np.max(np.abs(d.values - 1.0)) < 100 * np.finfo(float).eps
 
     def test_quadratic_second_derivative_exact(self):
         g = make_grid()
         f = field_of(g, lambda t, x: x**2)
-        d = spatial_derivative(f, (2,))
+        d = spatial_derivative(f, 2)
         assert np.max(np.abs(d.values - 2.0)) < 1e-11
 
     def test_linearity(self):
@@ -87,24 +75,16 @@ class TestSpatialDerivative:
         f = Field(g, rng.standard_normal((g.nt, g.nx)))
         h = Field(g, rng.standard_normal((g.nt, g.nx)))
         a, b = 1.7, -0.3
-        lhs = spatial_derivative(Field(g, a * f.values + b * h.values), (1,))
-        rhs = a * spatial_derivative(f, (1,)).values \
-            + b * spatial_derivative(h, (1,)).values
+        lhs = spatial_derivative(Field(g, a * f.values + b * h.values), 1)
+        rhs = a * spatial_derivative(f, 1).values \
+            + b * spatial_derivative(h, 1).values
         assert np.allclose(lhs.values, rhs, rtol=0, atol=1e-12 * np.max(np.abs(rhs)))
 
     def test_unsupported_order(self):
         g = make_grid()
         f = field_of(g, lambda t, x: x)
         with pytest.raises(ValueError):
-            spatial_derivative(f, (3,))
-
-    def test_mixed_second_derivative_2d(self):
-        g = Grid(d=2, nx=9, nt=3, x_lo=0.0, x_hi=1.0, t_end=1.0)
-        x = g.x
-        vals = np.broadcast_to(np.outer(x, x), (g.nt, g.nx, g.nx)).copy()
-        f = Field(g, vals)
-        d = spatial_derivative(f, (1, 1))
-        assert np.max(np.abs(d.values - 1.0)) < 1e-11
+            spatial_derivative(f, 3)
 
 
 class TestTimeDerivative:
@@ -126,34 +106,42 @@ class TestTimeDerivative:
 
 
 class TestJet:
+    # jet_features columns: t, then per state u, D u, .., D^kappa u
+
     def test_component_zero_is_source(self):
         g = make_grid()
         rng = np.random.default_rng(1)
         f = Field(g, rng.standard_normal((g.nt, g.nx)))
-        jf = jet(f, 2)
-        assert np.array_equal(jf.components[0].values, f.values)
+        z = jet_features(g, 2, f.values[None])
+        tt = np.meshgrid(g.t, g.x, indexing="ij")[0]
+        assert np.array_equal(z[:, 0], tt.reshape(-1))
+        assert np.array_equal(z[:, 1], f.values.reshape(-1))
 
     def test_constant_kappa1(self):
         g = make_grid()
         f = field_of(g, lambda t, x: 4.2 + 0 * x)
-        jf = jet(f, 1)
-        assert len(jf.components) == 2
-        assert np.allclose(jf.components[0].values, 4.2)
+        z = jet_features(g, 1, f.values[None])
+        assert z.shape == (g.nt * g.nx, 3)
+        assert np.allclose(z[:, 1], 4.2)
         eps_budget = 100 * np.finfo(float).eps * 4.2
-        assert np.max(np.abs(jf.components[1].values)) <= eps_budget
+        assert np.max(np.abs(z[:, 2])) <= eps_budget
 
     def test_quadratic_kappa2(self):
         g = make_grid()
         f = field_of(g, lambda t, x: x**2)
-        jf = jet(f, 2)
+        z = jet_features(g, 2, f.values[None])
         xx = np.meshgrid(g.t, g.x, indexing="ij")[1]
-        assert np.max(np.abs(jf.components[1].values - 2 * xx)) < 1e-12
-        assert np.max(np.abs(jf.components[2].values - 2.0)) < 1e-11
+        assert np.max(np.abs(z[:, 2] - 2 * xx.reshape(-1))) < 1e-12
+        assert np.max(np.abs(z[:, 3] - 2.0)) < 1e-11
 
     def test_component_count_matches_dimension(self):
         g = make_grid()
         f = field_of(g, lambda t, x: x)
-        assert len(jet(f, 2).components) == jet_dimension(1, 2)
+        two = np.stack([f.values, -f.values])
+        z = jet_features(g, 2, two)
+        assert z.shape[1] == 1 + 2 * jet_dimension(2)
+        # the second state's block follows the first's
+        assert np.array_equal(z[:, 4:], -z[:, 1:4])
 
 
 class TestBochnerNorm:

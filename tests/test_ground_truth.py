@@ -3,22 +3,23 @@ import pytest
 
 from smlpde.errors import OracleInfeasibleError
 from smlpde.grid import Grid
-from smlpde.ground_truth import (GroundTruthSpec, f_true, limit_oracle,
-                                 make_dataset, profile_array, simulate,
-                                 trajectory_jet_sup)
+from smlpde.ground_truth import (GroundTruthSpec, _oracle_pairs, f_true,
+                                 limit_oracle, make_dataset, profile_array,
+                                 simulate, trajectory_jet_sup)
 from smlpde.measurement import Dataset, MeasurementOp
-from smlpde.objective import Vars, Weights, derive_ubox, evaluate
-from smlpde.physics import PhysicalParams
+from smlpde.objective import (Problem, Vars, Weights, _evaluate_core,
+                              derive_ubox, r0_value, smooth_max)
+from smlpde.physics import PhysicalParams, zero_params
 from smlpde import mlp
 
 
 def make_grid(nx=17, nt=17, t_end=1.0):
-    return Grid(d=1, nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=t_end)
+    return Grid(nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=t_end)
 
 
 class TestSimulate:
     def test_exponential_decay(self):
-        grid = Grid(d=1, nx=5, nt=65, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        grid = Grid(nx=5, nt=65, x_lo=0.0, x_hi=1.0, t_end=1.0)
         spec = GroundTruthSpec(kind="none", f_name="decay", L=1, kappa=0,
                                u0_profiles=["constant:1.0"])
         u = simulate(spec, grid)
@@ -27,7 +28,7 @@ class TestSimulate:
     def test_rk4_order(self):
         errs = []
         for nt in (17, 33, 65):
-            grid = Grid(d=1, nx=5, nt=nt, x_lo=0.0, x_hi=1.0, t_end=1.0)
+            grid = Grid(nx=5, nt=nt, x_lo=0.0, x_hi=1.0, t_end=1.0)
             spec = GroundTruthSpec(kind="none", f_name="decay", L=1, kappa=0,
                                    u0_profiles=["constant:1.0"])
             u = simulate(spec, grid)
@@ -51,7 +52,7 @@ class TestSimulate:
         assert np.max(np.abs(u[0, 0] - u[0, 0, 0][None, :])) < 1e-13
 
     def test_maximum_principle_surrogate_pure_convection(self):
-        grid = Grid(d=1, nx=65, nt=65, x_lo=0.0, x_hi=1.0, t_end=0.5)
+        grid = Grid(nx=65, nt=65, x_lo=0.0, x_hi=1.0, t_end=0.5)
         for prof, speed in (("sine:1.0", "constant:0.3"),
                             ("bump:1.0", "constant:-0.3")):
             spec = GroundTruthSpec(kind="convection", f_name="zero", L=1,
@@ -62,7 +63,7 @@ class TestSimulate:
             assert np.max(np.abs(u[0, 0])) <= sup0 + 1e-8
 
     def test_diffusion_decays(self):
-        grid = Grid(d=1, nx=33, nt=17, x_lo=0.0, x_hi=1.0, t_end=0.1)
+        grid = Grid(nx=33, nt=17, x_lo=0.0, x_hi=1.0, t_end=0.1)
         spec = GroundTruthSpec(kind="diffusion_reaction", f_name="zero", L=1,
                                kappa=2,
                                phi_profiles=[["constant:0.1", "constant:0.0"]],
@@ -118,7 +119,7 @@ class TestMakeDataset:
     def test_consistency_of_manufactured_data(self):
         # truth vars with f matching the true law keep every data-fit term
         # at the discretization level
-        grid = Grid(d=1, nx=33, nt=33, x_lo=0.0, x_hi=1.0, t_end=0.5)
+        grid = Grid(nx=33, nt=33, x_lo=0.0, x_hi=1.0, t_end=0.5)
         spec = GroundTruthSpec(kind="none", f_name="zero", L=1, kappa=0,
                                u0_profiles=["sine:0.9"])
         op = MeasurementOp("full", 1, grid)
@@ -130,8 +131,8 @@ class TestMakeDataset:
         vars_ = Vars(u_true.copy(),
                      PhysicalParams("none", grid, np.zeros((1, 1, 0, grid.nx))),
                      [zero_net])
-        bd = evaluate(vars_, ds, op, "none", Weights(lam=1, mu=1, nu=0),
-                      box, kappa=0)
+        problem = Problem(grid, ds, op, "none", 0, Weights(lam=1, mu=1, nu=0), box)
+        bd, _ = _evaluate_core(vars_, problem, want_grad=False)
         tol = 10 * (grid.dx**2 + grid.dt**2)
         assert bd.residual_term < tol
         assert bd.initial_term < 1e-20
@@ -167,7 +168,7 @@ class TestProfiles:
 
 class TestLimitOracle:
     def tiny_dataset_spatially_constant(self, h_of_t):
-        grid = Grid(d=1, nx=5, nt=7, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        grid = Grid(nx=5, nt=7, x_lo=0.0, x_hi=1.0, t_end=1.0)
         u = np.tile(h_of_t(grid.t)[:, None], (1, grid.nx))[None, None]
         return grid, Dataset(grid=grid, y=u, u0=u[:, :, 0, :],
                              g_lo=u[:, :, :, 0], g_hi=u[:, :, :, -1],
@@ -190,7 +191,7 @@ class TestLimitOracle:
     def test_infeasible_residuals_detected(self):
         # two coincident jet points with different residuals: u mirrors in
         # space but its time slope differs between the two halves
-        grid = Grid(d=1, nx=5, nt=5, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        grid = Grid(nx=5, nt=5, x_lo=0.0, x_hi=1.0, t_end=1.0)
         # u(t, x_j) = 0.5 + slope_j * t: at t=0 every column shares the jet
         # point (0, 0.5) but the time slopes disagree
         slopes = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
@@ -204,7 +205,7 @@ class TestLimitOracle:
             limit_oracle(ds, "none", kappa=0)
 
     def test_convection_tie_seeds_agree(self):
-        grid = Grid(d=1, nx=7, nt=7, x_lo=0.0, x_hi=1.0, t_end=0.5)
+        grid = Grid(nx=7, nt=7, x_lo=0.0, x_hi=1.0, t_end=0.5)
         spec = GroundTruthSpec(kind="convection", f_name="cubic", L=2, kappa=0,
                                phi_profiles=[["constant:0.6"],
                                              ["constant:-0.4"]],
@@ -215,8 +216,26 @@ class TestLimitOracle:
         assert np.max(np.abs(a.phi - b.phi)) < 1e-6
         assert np.max(np.abs(a.f_values - b.f_values)) < 1e-6
 
+    def test_state_norm_is_the_objectives(self):
+        # u = (1 + x) e^{-t} varies in x, so the state norm's spatial
+        # derivative part is not zero; what the value holds beyond the two
+        # function terms must be the objective's r0 of the pinned state
+        grid = Grid(nx=5, nt=5, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        u = np.outer(np.exp(-grid.t), 1.0 + grid.x)[None, None]
+        ds = Dataset(grid=grid, y=u, u0=u[:, :, 0, :], g_lo=u[:, :, :, 0],
+                     g_hi=u[:, :, :, -1], op_kind="full", noise_level=0.0)
+        res = limit_oracle(ds, "none", kappa=0)
+        v, z = res.f_values, res.jet_points
+        scale = max(1.0, float(np.max(np.abs(z))))
+        ii, jj, sep, _, _ = _oracle_pairs(z, 1e-9 * scale)
+        lrho = float(np.mean(v**2))
+        dd_soft = smooth_max(np.sqrt((v[ii] - v[jj]) ** 2 + (1e-9 * scale) ** 2)
+                             / sep, 1e-3)
+        r0 = r0_value(grid, 0, ds.y, zero_params("none", grid, 1, 1))
+        assert res.value - lrho - dd_soft == pytest.approx(r0, rel=1e-12)
+
     def test_oracle_rejects_big_grids(self):
-        grid = Grid(d=1, nx=33, nt=33, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        grid = Grid(nx=33, nt=33, x_lo=0.0, x_hi=1.0, t_end=1.0)
         u = np.zeros((1, 1, grid.nt, grid.nx))
         ds = Dataset(grid=grid, y=u, u0=u[:, :, 0, :], g_lo=u[:, :, :, 0],
                      g_hi=u[:, :, :, -1], op_kind="full", noise_level=0.0)
@@ -224,7 +243,7 @@ class TestLimitOracle:
             limit_oracle(ds, "none")
 
     def test_oracle_rejects_noisy_data(self):
-        grid = Grid(d=1, nx=5, nt=5, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        grid = Grid(nx=5, nt=5, x_lo=0.0, x_hi=1.0, t_end=1.0)
         u = np.zeros((1, 1, grid.nt, grid.nx))
         ds = Dataset(grid=grid, y=u, u0=u[:, :, 0, :], g_lo=u[:, :, :, 0],
                      g_hi=u[:, :, :, -1], op_kind="full", noise_level=0.01)

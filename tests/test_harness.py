@@ -6,10 +6,10 @@ import pytest
 
 from smlpde.cli import main as cli_main
 from smlpde.config import default_config, format_config
+from smlpde.grid import jet_features
 from smlpde.harness import (_staged_minimize, approximation_probe, build_grid,
                             build_gt_spec, fit_function_lsq,
-                            gradcheck_from_config, run_convergence_study,
-                            visited_jet_points)
+                            gradcheck_from_config, run_convergence_study)
 from smlpde.ground_truth import simulate
 from smlpde.optimizer import OptimConfig, minimize
 
@@ -161,7 +161,8 @@ class TestVisitedJets:
         grid = build_grid(cfg)
         spec = build_gt_spec(cfg)
         u_true = simulate(spec, grid)
-        z = visited_jet_points(grid, 0, u_true)
+        # the study's visited points: jet features stacked over experiments
+        z = np.concatenate([jet_features(grid, 0, u_l) for u_l in u_true])
         assert z.shape == (grid.nt * grid.nx, 2)
         assert z[:, 0].min() == 0.0 and z[:, 0].max() == grid.t_end
         assert np.max(np.abs(z[:, 1])) <= np.max(np.abs(u_true)) + 1e-15

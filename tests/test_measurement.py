@@ -8,7 +8,7 @@ from smlpde.measurement import (Dataset, MeasurementOp, add_noise, apply,
 
 
 def make_grid(nx=17, nt=9):
-    return Grid(d=1, nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=1.0)
+    return Grid(nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=1.0)
 
 
 def smooth_corpus(grid, n_fields=20):
@@ -38,7 +38,7 @@ class TestApply:
 
     def test_subsample_mask_values(self):
         # stride-2 masking of [1,2,3,4,5] keeps odd positions: [1,0,3,0,5]
-        g = Grid(d=1, nx=5, nt=3, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        g = Grid(nx=5, nt=3, x_lo=0.0, x_hi=1.0, t_end=1.0)
         op = MeasurementOp("subsample", 1, g)
         assert subsample_stride(5, 1) == 2
         u = Field(g, np.tile(np.array([1.0, 2, 3, 4, 5]), (3, 1)))
@@ -124,7 +124,7 @@ class TestAddNoise:
 
     def test_sample_statistics(self):
         # empirical std over >= 1e4 nodes within [0.008, 0.012] at level 1%
-        g = Grid(d=1, nx=101, nt=101, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        g = Grid(nx=101, nt=101, x_lo=0.0, x_hi=1.0, t_end=1.0)
         y = Field(g, np.ones((g.nt, g.nx)))
         out = add_noise(y, 0.01, 7)
         noise = out.values - 1.0

@@ -246,17 +246,47 @@ class TestParamNorm:
     def test_zero(self):
         net = MlpParams([np.zeros((2, 1)), np.zeros((1, 2))],
                         [np.zeros(2), np.zeros(1)], Activation("tanh"))
-        assert param_norm(net, 2.0) == 0.0
+        norm, grad = param_norm([net], 2.0)
+        assert norm == 0.0
+        assert not np.any(grad)
 
     def test_three_four_five(self):
         net = MlpParams([np.array([[3.0]])], [np.array([4.0])],
                         Activation("tanh"))
-        assert param_norm(net, 2.0) == pytest.approx(5.0)
+        assert param_norm([net], 2.0)[0] == pytest.approx(5.0)
 
     def test_infinity_norm(self):
         net = MlpParams([np.array([[-7.0]])], [np.array([2.0])],
                         Activation("tanh"))
-        assert param_norm(net, math.inf) == 7.0
+        assert param_norm([net], math.inf)[0] == 7.0
+
+    def test_two_nets_every_entry_counts(self):
+        # the largest entry sits in the second network, so a norm that read
+        # only the first would give 4 at p = inf
+        a = MlpParams([np.array([[3.0]])], [np.array([4.0])], Activation("tanh"))
+        b = MlpParams([np.array([[-12.0]])], [np.array([0.0])], Activation("tanh"))
+        flat = np.array([3.0, 4.0, -12.0, 0.0])
+        norm, grad = param_norm([a, b], 2.0)
+        assert norm == pytest.approx(13.0, rel=1e-15)
+        assert np.allclose(grad, flat / 13.0, rtol=1e-15, atol=0)
+        norm, grad = param_norm([a, b], math.inf)
+        assert norm == 12.0
+        assert np.array_equal(grad, [0.0, 0.0, -1.0, 0.0])
+
+    def test_gradient_matches_finite_differences(self):
+        nets = [random_net([2, 3, 1], 1), random_net([2, 3, 1], 2)]
+        x = np.concatenate([flatten_params(n) for n in nets])
+        split = flatten_params(nets[0]).size
+
+        def norm_at(v):
+            return param_norm([unflatten_params(v[:split], nets[0]),
+                               unflatten_params(v[split:], nets[1])], 3.0)[0]
+
+        _, grad = param_norm(nets, 3.0)
+        h = 1e-6
+        fd = [(norm_at(x + h * e) - norm_at(x - h * e)) / (2 * h)
+              for e in np.eye(x.size)]
+        assert np.allclose(grad, fd, rtol=0, atol=1e-8)
 
 
 class TestInitAndGrowth:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,15 @@ from smlpde.errors import BoxViolationError
 from smlpde.grid import Grid
 from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import (ObjectiveBreakdown, Problem, UBox, VarLayout,
-                              Vars, Weights, build_box, derive_ubox, evaluate,
-                              f_regularizer, gradient, make_closure, r0_value,
-                              smooth_max, smooth_max_weights)
+                              Vars, Weights, _evaluate_core, build_box,
+                              derive_ubox, make_closure, r0_value, smooth_max,
+                              smooth_max_weights)
 from smlpde.optimizer import finite_diff_gradcheck
 from smlpde.physics import PhysicalParams, n_param_slots, zero_params
 
 
 def make_grid(nx=9, nt=7, t_end=0.8):
-    return Grid(d=1, nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=t_end)
+    return Grid(nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=t_end)
 
 
 def smooth_state(rng, grid, L, N, amp=0.6):
@@ -144,11 +145,26 @@ class TestUBox:
         assert mean == pytest.approx(1.0 / 3.0, abs=2e-3)
 
 
+def box_terms(net, box, rho=2.0, tau=0.01):
+    """(power norm, smooth gradient sup, hard gradient sup) of one network
+    over the box, from the objective of a zero state with every other term
+    weighted out."""
+    g = make_grid(nx=5, nt=3)
+    u = np.zeros((1, 1, g.nt, g.nx))
+    ds = Dataset(grid=g, y=u, u0=u[:, :, 0], g_lo=u[..., 0], g_hi=u[..., -1])
+    problem = Problem(g, ds, MeasurementOp("full", 1, g), "none", 0,
+                      Weights(lam=0.0, mu=0.0, nu=0.0, rho=rho, tau=tau), box,
+                      enforce_box=False)
+    bd, _ = _evaluate_core(Vars(u, zero_params("none", g, 1, 1), [net]), problem,
+                           want_grad=False)
+    assert bd.total == bd.f_lrho_term + bd.f_gradsup_term
+    return bd.f_lrho_term, bd.f_gradsup_term, bd.hard_gradsup
+
+
 class TestFRegularizer:
     def test_constant_net_unit_volume(self):
         box = build_box(2, 0.5, points_per_axis=17)  # volume (2*0.5)^2 = 1
-        net = const_net(3.0, 2)
-        lrho, gradsup = f_regularizer([net], box, 2.0, 0.01, hard=True)
+        lrho, _, gradsup = box_terms(const_net(3.0, 2), box)
         assert lrho == pytest.approx(9.0, rel=1e-12)
         assert gradsup == 0.0
 
@@ -157,7 +173,7 @@ class TestFRegularizer:
         box = build_box(2, 1.0, points_per_axis=33)
         net = mlp.MlpParams([np.array([[3.0, 0.0]])], [np.zeros(1)],
                             mlp.Activation("tanh"))
-        lrho, gradsup = f_regularizer([net], box, 2.0, 0.01, hard=True)
+        lrho, _, gradsup = box_terms(net, box)
         assert lrho == pytest.approx(12.0, rel=2e-2)
         assert gradsup == pytest.approx(3.0, rel=1e-12)
 
@@ -165,14 +181,13 @@ class TestFRegularizer:
         box = build_box(2, 1.0, points_per_axis=9)
         net = random_net([2, 6, 1], 3)
         tau = 0.07
-        _, hard = f_regularizer([net], box, 2.0, tau, hard=True)
-        _, soft = f_regularizer([net], box, 2.0, tau, hard=False)
+        _, soft, hard = box_terms(net, box, tau=tau)
         assert hard <= soft <= hard + tau * math.log(box.samples.shape[0]) + 1e-12
 
     def test_dim_mismatch(self):
         box = build_box(3, 1.0, sample_budget=64)
         with pytest.raises(ValueError):
-            f_regularizer([const_net(1.0, 2)], box, 2.0, 0.1, hard=True)
+            box_terms(const_net(1.0, 2), box)
 
 
 class TestR0:
@@ -182,7 +197,7 @@ class TestR0:
                         zero_params("none", g, 1, 1)) == 0.0
 
     def test_constant_state_unit_measure(self):
-        g = Grid(d=1, nx=9, nt=9, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        g = Grid(nx=9, nt=9, x_lo=0.0, x_hi=1.0, t_end=1.0)
         u = np.full((1, 1, g.nt, g.nx), 2.0)
         # kappa=0: |u|^2 integrates to c^2; time derivative vanishes
         assert r0_value(g, 0, u, zero_params("none", g, 1, 1)) \
@@ -190,14 +205,14 @@ class TestR0:
 
     def test_linear_time_profile(self):
         # u = t on the unit square: int t^2 + int 1 = 1/3 + 1 = 4/3
-        g = Grid(d=1, nx=9, nt=65, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        g = Grid(nx=9, nt=65, x_lo=0.0, x_hi=1.0, t_end=1.0)
         tt = np.meshgrid(g.t, g.x, indexing="ij")[0]
         u = tt[None, None, :, :]
         got = r0_value(g, 0, u, zero_params("none", g, 1, 1))
         assert got == pytest.approx(4.0 / 3.0, abs=2 * g.dt**2)
 
     def test_phi_contributes_squared_l2(self):
-        g = Grid(d=1, nx=9, nt=9, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        g = Grid(nx=9, nt=9, x_lo=0.0, x_hi=1.0, t_end=1.0)
         phi = PhysicalParams("convection", g,
                              np.full((1, 1, 1, g.nx), 3.0))
         got = r0_value(g, 0, np.zeros((1, 1, g.nt, g.nx)), phi)
@@ -215,15 +230,13 @@ class TestEvaluate:
                                             lam=float(rng.uniform(0, 3)),
                                             mu=float(rng.uniform(0, 3)),
                                             nu=float(rng.uniform(0, 0.2)))
-            bd = evaluate(vars_, problem.dataset, problem.op, kind,
-                          problem.weights, problem.box, kappa=problem.kappa)
+            bd, _ = _evaluate_core(vars_, problem, want_grad=False)
             total = sum(bd.parts())
             assert bd.total == pytest.approx(total, rel=1e-12)
 
     def test_zero_weights_leave_regularizers(self):
         problem, vars_ = random_problem(5, lam=0.0, mu=0.0, nu=0.0)
-        bd = evaluate(vars_, problem.dataset, problem.op, "none",
-                      problem.weights, problem.box, kappa=0)
+        bd, _ = _evaluate_core(vars_, problem, want_grad=False)
         assert bd.residual_term == 0.0
         assert bd.data_term == 0.0
         assert bd.theta_norm_term == 0.0
@@ -234,10 +247,9 @@ class TestEvaluate:
         problem, vars_ = random_problem(6)
         w1 = problem.weights
         w2 = Weights(lam=2 * w1.lam, mu=w1.mu, nu=w1.nu, tau=w1.tau)
-        bd1 = evaluate(vars_, problem.dataset, problem.op, "none", w1,
-                       problem.box, kappa=0)
-        bd2 = evaluate(vars_, problem.dataset, problem.op, "none", w2,
-                       problem.box, kappa=0)
+        bd1, _ = _evaluate_core(vars_, problem, want_grad=False)
+        bd2, _ = _evaluate_core(vars_, replace(problem, weights=w2),
+                                want_grad=False)
         assert bd2.residual_term == pytest.approx(2 * bd1.residual_term,
                                                   rel=1e-12)
 
@@ -245,8 +257,7 @@ class TestEvaluate:
         problem, vars_ = random_problem(7)
         tiny = build_box(2, 1e-3, points_per_axis=5)
         with pytest.raises(BoxViolationError):
-            evaluate(vars_, problem.dataset, problem.op, "none",
-                     problem.weights, tiny, kappa=0)
+            _evaluate_core(vars_, replace(problem, box=tiny), want_grad=False)
 
     def test_strict_convexity_midpoint_quadratic_parts(self):
         # r0(phi) + |f|^rho surrogate: midpoint strictly below average
@@ -282,17 +293,24 @@ class TestEvaluate:
 
 
 class TestGradient:
-    @pytest.mark.parametrize("kind,kappa,op_kind", [
-        ("none", 0, "full"),
-        ("convection", 1, "subsample"),
-        ("diffusion_reaction", 2, "smooth"),
-        ("burgers1d", 0, "smooth"),
-        ("none", 2, "subsample"),
-    ])
-    def test_matches_finite_differences(self, kind, kappa, op_kind):
+    @pytest.mark.parametrize("kind,kappa,op_kind,N", [
+        ("none", 0, "full", 1),
+        ("convection", 1, "subsample", 1),
+        ("diffusion_reaction", 2, "smooth", 1),
+        ("burgers1d", 0, "smooth", 1),
+        ("none", 2, "subsample", 1),
+        # two equations: every network reads the jets of both states
+        ("none", 1, "full", 2),
+        ("convection", 0, "smooth", 2),
+        ("burgers1d", 1, "subsample", 2),
+    ], ids=["none-0-full", "convection-1-subsample", "diffusion_reaction-2-smooth",
+            "burgers1d-0-smooth", "none-2-subsample", "none-1-full-N2",
+            "convection-0-smooth-N2", "burgers1d-1-subsample-N2"])
+    def test_matches_finite_differences(self, kind, kappa, op_kind, N):
         amp = 0.25 if kappa >= 2 else 0.6
         problem, vars_ = random_problem(hash((kind, kappa)) % 1000, kind=kind,
-                                        kappa=kappa, op_kind=op_kind, amp=amp)
+                                        kappa=kappa, op_kind=op_kind, amp=amp,
+                                        N=N)
         layout = VarLayout(vars_)
         fg = make_closure(problem, layout)
         err = finite_diff_gradcheck(layout.pack(vars_), fg, step=1e-5,
@@ -304,20 +322,17 @@ class TestGradient:
         # the phi gradient reduces to the quadratic r0 part (2 wx phi)
         problem, vars_ = random_problem(11, kind="convection", lam=0.0,
                                         mu=1.7, nu=0.0)
-        grads = gradient(vars_, problem.dataset, problem.op, "convection",
-                         problem.weights, problem.box, kappa=0)
-        wx = problem.grid.space_weights_1d()
+        _, grads = _evaluate_core(vars_, problem, want_grad=True)
+        wx = problem.grid.space_weights()
         expected = 2.0 * wx[None, None, None, :] * vars_.phi.values
         assert np.allclose(grads.phi, expected, rtol=0, atol=1e-14)
 
     def test_exponent_below_two_rejected_in_gradient(self):
         problem, vars_ = random_problem(12, q=1.5)
         with pytest.raises(ValueError):
-            gradient(vars_, problem.dataset, problem.op, "none",
-                     problem.weights, problem.box, kappa=0)
+            _evaluate_core(vars_, problem, want_grad=True)
         # evaluation itself is fine
-        bd = evaluate(vars_, problem.dataset, problem.op, "none",
-                      problem.weights, problem.box, kappa=0)
+        bd, _ = _evaluate_core(vars_, problem, want_grad=False)
         assert np.isfinite(bd.total)
 
     def test_higher_exponents_gradient(self):

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from smlpde import mlp
-from smlpde.grid import Field, Grid
-from smlpde.physics import (PhysicalParams, affine_check, apply_physics,
-                            apply_physics_array, n_param_slots, residual_array,
-                            zero_params)
+from smlpde.grid import Field, Grid, jet_features
+from smlpde.measurement import Dataset, MeasurementOp
+from smlpde.objective import Problem, Vars, Weights, _evaluate_core, build_box
+from smlpde.physics import (PhysicalParams, affine_check, apply_physics_array,
+                            n_param_slots, residual, zero_params)
 
 
 def make_grid(nx=33, nt=17, t_end=1.0):
-    return Grid(d=1, nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=t_end)
+    return Grid(nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=t_end)
 
 
 def const_net(value, input_dim):
@@ -19,36 +20,40 @@ def const_net(value, input_dim):
                          mlp.Activation("tanh"))
 
 
+NO_PHI = np.zeros((0, 1))   # parameter slots of a kind that has none
+
+
 class TestApplyPhysics:
     def test_convection_constant_state(self):
         g = make_grid()
-        u = Field(g, np.full((g.nt, g.nx), 2.0))
-        out = apply_physics("convection", u, [np.full(g.nx, 1.5)])
-        assert np.max(np.abs(out.values)) < 1e-12
+        u = np.full((g.nt, g.nx), 2.0)
+        out = apply_physics_array(g, "convection", u, [np.full(g.nx, 1.5)])
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_convection_linear_state(self):
         g = make_grid()
         xx = np.meshgrid(g.t, g.x, indexing="ij")[1]
-        out = apply_physics("convection", Field(g, xx), [np.full(g.nx, 2.0)])
-        assert np.max(np.abs(out.values - 2.0)) < 1e-11
+        out = apply_physics_array(g, "convection", xx, [np.full(g.nx, 2.0)])
+        assert np.max(np.abs(out - 2.0)) < 1e-11
 
     def test_diffusion_reaction_quadratic(self):
         g = make_grid()
         xx = np.meshgrid(g.t, g.x, indexing="ij")[1]
-        out = apply_physics("diffusion_reaction", Field(g, xx**2),
-                            [np.ones(g.nx), np.zeros(g.nx)])
-        assert np.max(np.abs(out.values - 2.0)) < 1e-10
+        out = apply_physics_array(g, "diffusion_reaction", xx**2,
+                                  [np.ones(g.nx), np.zeros(g.nx)])
+        assert np.max(np.abs(out - 2.0)) < 1e-10
 
     def test_burgers_zero_on_zero(self):
         g = make_grid()
-        out = apply_physics("burgers1d", Field(g, np.zeros((g.nt, g.nx))), [])
-        assert np.max(np.abs(out.values)) == 0.0
+        out = apply_physics_array(g, "burgers1d", np.zeros((g.nt, g.nx)), NO_PHI)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_none_returns_zero(self):
         g = make_grid()
         rng = np.random.default_rng(0)
-        out = apply_physics("none", Field(g, rng.standard_normal((g.nt, g.nx))), [])
-        assert np.max(np.abs(out.values)) == 0.0
+        out = apply_physics_array(g, "none", rng.standard_normal((g.nt, g.nx)),
+                                  NO_PHI)
+        assert np.max(np.abs(out)) == 0.0
 
     @pytest.mark.parametrize("kind", ["convection", "diffusion_reaction"])
     def test_superposition_in_state(self, kind):
@@ -98,21 +103,27 @@ class TestAffineCheck:
         assert affine_check("burgers1d", u, [], [], 0.3)
 
 
+def net_residual(g, kind, kappa, u, net):
+    """The residual of a one-state system whose network sees the jets of u,
+    evaluated the way the objective does."""
+    f = mlp.forward_batch(net, jet_features(g, kappa, u[None]))
+    return residual(g, kind, u, NO_PHI, f.reshape(g.nt, g.nx))
+
+
 class TestResidual:
     def test_linear_in_time_with_constant_net(self):
         # u(t,x) = t, kind none, f == 1  ->  residual 0
         g = make_grid()
         tt = np.meshgrid(g.t, g.x, indexing="ij")[0]
-        u = tt[None, :, :]
-        nets = [const_net(1.0, 2)]
-        res = residual_array(g, "none", 0, u, np.zeros((1, 0, g.nx)), nets)
+        res = net_residual(g, "none", 0, tt, const_net(1.0, 2))
         assert np.max(np.abs(res)) < 1e-12
+        # without f the residual is the apparent one, du/dt = 1
+        assert np.max(np.abs(residual(g, "none", tt, NO_PHI) - 1.0)) < 1e-12
 
     def test_zero_state_zero_net(self):
         g = make_grid()
-        u = np.zeros((1, g.nt, g.nx))
-        nets = [const_net(0.0, 2)]
-        res = residual_array(g, "none", 0, u, np.zeros((1, 0, g.nx)), nets)
+        u = np.zeros((g.nt, g.nx))
+        res = net_residual(g, "none", 0, u, const_net(0.0, 2))
         assert np.max(np.abs(res)) == 0.0
 
     def test_manufactured_decay_order(self):
@@ -121,27 +132,29 @@ class TestResidual:
         for nt in (9, 17, 33):
             g = make_grid(nx=9, nt=nt)
             tt = np.meshgrid(g.t, g.x, indexing="ij")[0]
-            u = np.exp(-tt)[None, :, :]
             # f(t, u) = -u via a linear readout on the state coordinate
             net = mlp.MlpParams([np.array([[0.0, -1.0]])], [np.zeros(1)],
                                 mlp.Activation("tanh"))
-            res = residual_array(g, "none", 0, u, np.zeros((1, 0, g.nx)), [net])
+            res = net_residual(g, "none", 0, np.exp(-tt), net)
             sups.append(np.max(np.abs(res)))
         orders = np.log2(np.array(sups[:-1]) / np.array(sups[1:]))
         assert np.all(orders >= 1.8)
 
     def test_network_count_mismatch(self):
-        g = make_grid()
-        u = np.zeros((1, g.nt, g.nx))
+        # one equation without a network: the objective refuses it
+        g = make_grid(nx=5, nt=3)
+        u = np.zeros((1, 1, g.nt, g.nx))
+        ds = Dataset(grid=g, y=u, u0=u[:, :, 0], g_lo=u[..., 0], g_hi=u[..., -1])
+        problem = Problem(g, ds, MeasurementOp("full", 1, g), "none", 0,
+                          Weights(), build_box(2, 2.0, points_per_axis=3))
         with pytest.raises(ValueError):
-            residual_array(g, "none", 0, u, np.zeros((1, 0, g.nx)), [])
+            _evaluate_core(Vars(u, zero_params("none", g, 1, 1), []), problem,
+                           want_grad=False)
 
     def test_network_input_dim_mismatch(self):
         g = make_grid()
-        u = np.zeros((1, g.nt, g.nx))
         with pytest.raises(ValueError):
-            residual_array(g, "none", 1, u, np.zeros((1, 0, g.nx)),
-                           [const_net(0.0, 2)])
+            net_residual(g, "none", 1, np.zeros((g.nt, g.nx)), const_net(0.0, 2))
 
 
 class TestPhysicalParams:
