@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
 from .grid import Grid
+from .ground_truth import F_TRUE_LIBRARY, profile_array
 from .mlp import ACTIVATION_KINDS
 from .physics import PHYSICS_KINDS, n_param_slots
 
@@ -94,7 +97,6 @@ SCHEMA = {
         "init_seed": ("int", 7),
     },
     "optimizer": {
-        "method": ("str", "adaptive"),
         "rate": ("float", 0.001),
         "max_iters": ("int", 1500),
         "grad_tol": ("float", 1e-07),
@@ -206,13 +208,15 @@ def _validate(cfg: ExperimentConfig) -> None:
     if g["d"] != 1:
         raise ConfigError("only d = 1 is supported")
     try:
-        Grid(nx=g["nx"], nt=g["nt"], x_lo=g["x_lo"], x_hi=g["x_hi"],
-             t_end=g["t_end"])
+        grid = Grid(nx=g["nx"], nt=g["nt"], x_lo=g["x_lo"], x_hi=g["x_hi"],
+                    t_end=g["t_end"])
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}") from None
     gt = cfg["ground_truth"]
     if gt["kind"] not in PHYSICS_KINDS:
         raise ConfigError(f"unknown physics kind {gt['kind']!r}")
+    if gt["f_true"] not in F_TRUE_LIBRARY:
+        raise ConfigError(f"unknown ground-truth nonlinearity {gt['f_true']!r}")
     if not 0 <= gt["kappa"] <= 2:
         raise ConfigError("kappa must be 0, 1 or 2 (stencils go up to order 2)")
     n_exp = gt["n_experiments"]
@@ -223,6 +227,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         if len(gt[key]) != n_exp:
             raise ConfigError(f"{key} has {len(gt[key])} entries for "
                               f"n_experiments = {n_exp}")
+        for spec in gt[key]:
+            try:
+                finite = np.all(np.isfinite(profile_array(spec, grid)))
+            except ValueError as exc:
+                raise ConfigError(f"{key} entry {spec!r}: {exc}") from None
+            if not finite:
+                raise ConfigError(f"{key} entry {spec!r} has non-finite values")
     w = cfg["weights"]
     for key in ("q", "r", "rho"):
         if w[key] < 2:
@@ -246,8 +257,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     if sched["m_max"] < 1:
         raise ConfigError("m_max must be >= 1")
     opt = cfg["optimizer"]
-    if opt["method"] not in ("adaptive", "gd_linesearch"):
-        raise ConfigError(f"unknown optimizer method {opt['method']!r}")
+    if opt["rate"] <= 0:
+        raise ConfigError("optimizer rate must be positive")
+    if opt["max_iters"] < 0:
+        raise ConfigError("optimizer max_iters must be >= 0")
+    if opt["restarts"] < 1:
+        raise ConfigError("optimizer restarts must be >= 1")
     if not 1e-7 <= opt["gradcheck_step"] <= 1e-3:
         raise ConfigError("gradcheck_step must lie in [1e-7, 1e-3]")
     if opt["gradcheck_samples"] < 1:
@@ -259,6 +274,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("network depth must be >= 2")
     if net["activation"] not in ACTIVATION_KINDS:
         raise ConfigError(f"unknown activation {net['activation']!r}")
+    if cfg["probe"]["f_name"] not in F_TRUE_LIBRARY:
+        raise ConfigError(f"unknown probe function {cfg['probe']['f_name']!r}")
     widths = cfg["probe"]["widths"]
     if not widths or min(widths) < 1:
         raise ConfigError("probe widths must be a nonempty list of positive ints")

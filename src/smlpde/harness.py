@@ -24,7 +24,6 @@ files.
 from __future__ import annotations
 
 import csv
-import functools
 import os
 from dataclasses import dataclass, field
 
@@ -250,43 +249,33 @@ def prefit_net_to_residual(net, grid: Grid, kappa: int, kind: str,
     stride = max(1, Z.shape[0] // 1500)
     Z, y = Z[::stride], y[::stride]
     fg = _lsq_closure(net, Z, y)
-    x = mlp.flatten_params(net)
+    res = mlp.flatten_params(net)
     for rate, frac in ((1e-2, 0.6), (3e-3, 0.4)):
-        res = minimize(x, fg, OptimConfig(max_iters=max(1, int(iters * frac)),
-                                          grad_tol=0.0, rate=rate))
-        x = res.x
-    return mlp.unflatten_params(x, net)
+        res = minimize(res, fg, OptimConfig(max_iters=max(1, int(iters * frac)),
+                                            grad_tol=0.0, rate=rate))
+    return mlp.unflatten_params(res.x, net)
 
 
 def _staged_minimize(x0, fg, base: OptimConfig):
     """Minimize one scale: an adaptive stage, then an Armijo descent.
 
-    The budget is max(max_iters, 2) closure calls; the adaptive stage takes
-    at least one step.  It is counted in calls, not iterations, because a
-    descent iteration costs a varying number of them.
+    The budget is max(max_iters, 2) closure calls, counted in calls because
+    a descent iteration costs a varying number of them.  The adaptive stage
+    runs at 3 * base.rate for 30% of max_iters (at least one step) and moves
+    fast from the warm start, but its coordinate-wise normalized steps stay
+    about as long as its rate, so at the kink of nu * |theta|_2 it circles
+    theta = 0 instead of settling.
 
-    The adaptive stage runs at 3 * base.rate for 30% of max_iters and moves
-    fast from the warm start, but it cannot settle: its steps are normalized
-    coordinate-wise, so near a minimizer they stay about as long as its
-    rate.  At the kink of the parameter-norm term nu * |theta|_2
-    (param_norm_p = 2, not squared) its iterates circle theta = 0 at that
-    distance, and a row would report where the last step happened to land.
-
-    The remaining calls go to steepest descent with Armijo backtracking
-    from the best adaptive iterate.  The descent's starting evaluation is
-    the one the adaptive stage already made at that iterate, so it costs
-    no closure call but still counts against the descent's budget.  Its
-    value trace is monotone and its backtracked steps shrink onto a kink.
-    Its first trial step is as long as one adaptive step at 0.3 * base.rate,
-    0.3 * rate * sqrt(n) / |g|_2 for n unknowns; a unit step overshoots by
-    orders of magnitude where the objective is large (about 1e9 on a
+    The descent resumes from the adaptive result (its start costs no call
+    but counts against its budget), so its monotone, backtracked steps
+    shrink onto a kink.  Its first trial step, 0.3 * rate * sqrt(n) / |g|_2
+    for n unknowns, is as long as one adaptive step at 0.3 * base.rate; a
+    unit step overshoots where the objective is large (about 1e9 on a
     kappa = 1 Burgers study) and spends the budget backtracking.
 
     The trace is the concatenation over both stages and the iterations add
-    up.  gd_linesearch runs plain.
+    up.
     """
-    if base.method != "adaptive":
-        return minimize(x0, fg, base)
     n_adaptive = max(1, int(base.max_iters * 0.3))
     first = minimize(x0, fg, OptimConfig(max_iters=n_adaptive,
                                          grad_tol=base.grad_tol,
@@ -296,15 +285,7 @@ def _staged_minimize(x0, fg, base: OptimConfig):
     if first.converged or budget < 2 or gnorm == 0.0:
         return first
     step = 0.3 * base.rate * np.sqrt(first.x.size) / gnorm
-    start = [(first.value, first.grad, first.aux)]
-
-    @functools.wraps(fg)   # keeps any attributes callers set on fg
-    def fg_from_best(x):
-        if start and np.array_equal(x, first.x):
-            return start.pop()
-        return fg(x)
-
-    res = minimize(first.x, fg_from_best,
+    res = minimize(first, fg,
                    OptimConfig(max_iters=budget, grad_tol=base.grad_tol,
                                rate=step, method="gd_linesearch",
                                max_calls=budget))
@@ -352,8 +333,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         problem = Problem(grid, dataset, op, spec.kind, spec.kappa, weights, box)
         sizes = network_sizes(cfg, box.dim, m)
         opt_config = OptimConfig(max_iters=ocfg["max_iters"],
-                                 grad_tol=ocfg["grad_tol"], rate=ocfg["rate"],
-                                 method=ocfg["method"])
+                                 grad_tol=ocfg["grad_tol"], rate=ocfg["rate"])
 
         candidates = []
         if prev_vars is None:
@@ -361,7 +341,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
             phi_init = PhysicalParams(
                 spec.kind, grid,
                 initial_phi_estimate(grid, spec.kind, u_init))
-            for j in range(max(1, ocfg["restarts"])):
+            for j in range(ocfg["restarts"]):
                 nets = [prefit_net_to_residual(
                     mlp.init_params(sizes, activation,
                                     cfg["network"]["init_seed"] + 101 * j + n),
@@ -521,17 +501,15 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
     else:
         net = mlp.init_params(sizes, mlp.Activation(activation_kind), seed)
     fg = _lsq_closure(net, z_fit, target)
-    x = mlp.flatten_params(net)
+    res = mlp.flatten_params(net)
     for rate, frac in ((1e-2, 0.35), (3e-3, 0.25), (1e-3, 0.2)):
         cfg = OptimConfig(max_iters=max(1, int(iters * frac)), grad_tol=0.0,
                           rate=rate)
-        res = minimize(x, fg, cfg)
-        x = res.x
+        res = minimize(res, fg, cfg)
     # Armijo polish: the adaptive method plateaus at its step scale
     cfg = OptimConfig(max_iters=max(1, int(iters * 0.2)), grad_tol=1e-13,
                       rate=1.0, method="gd_linesearch")
-    x = minimize(x, fg, cfg).x
-    fitted = mlp.unflatten_params(x, net)
+    fitted = mlp.unflatten_params(minimize(res, fg, cfg).x, net)
     # the readout layer is linear in its parameters: solve it exactly
     tape = mlp.Tape(fitted, z_fit)
     hidden = tape.A[-1]

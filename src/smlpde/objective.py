@@ -246,7 +246,6 @@ class Problem:
     kappa: int
     weights: Weights
     box: UBox
-    enforce_box: bool = True
 
 
 def _check_box(box: UBox, feats: np.ndarray) -> None:
@@ -317,8 +316,7 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
     # --- per-experiment data-fit and residual terms -------------------------
     for l in range(L):
         feats = jet_features(grid, kappa, u[l])
-        if problem.enforce_box:
-            _check_box(box, feats)
+        _check_box(box, feats)
 
         tapes = [mlp.Tape(net, feats) for net in vars_.nets]
         resid = np.stack([

@@ -2,11 +2,12 @@
 
 Two deterministic methods:
 
-  adaptive      : moment-estimated steps (decay 0.9/0.999, eps 1e-8) with
-                  best-so-far tracking; the returned point is the best
+  adaptive      : moment-estimated steps (decay BETA1/BETA2, offset EPS)
+                  with best-so-far tracking; the returned point is the best
                   iterate seen, never a later worse one.
   gd_linesearch : steepest descent with Armijo backtracking (slope factor
-                  1e-4, shrink 0.5), which makes the value trace provably
+                  ARMIJO_SLOPE, shrink ARMIJO_SHRINK, at most MAX_BACKTRACKS
+                  trials per iteration), which makes the value trace provably
                   monotone.  The first trial step of an iteration is twice
                   the step accepted last (config.rate at the start).
 
@@ -14,14 +15,19 @@ The objective closure returns (value, gradient, aux); aux objects (e.g.
 term breakdowns) are collected into the trace.  Any non-finite value or
 gradient at an iterate raises DivergedError carrying the iterate index.
 
+x0 is either a point, which is evaluated first, or the OptResult of an
+earlier stage, whose x, value, grad and aux are the start as they stand: a
+resumed stage makes no closure call for its start.  Either way the start
+counts as one call against config.max_calls, which caps the closure calls
+of a line search; the adaptive method makes exactly one call per
+iteration, so max_iters bounds it already.
+
 A line-search trial point is only a candidate, so a trial whose value is
 non-finite, or whose closure raises BoxViolationError (its visited jet
 points left the regularization box), is rejected like any trial that fails
 the Armijo test: the step is halved and the search goes on.  The hard box
 check stays in the objective: a violation at the starting point, or at any
-adaptive iterate, still raises.  config.max_calls caps the closure calls of
-a line search, the starting evaluation included; the adaptive method makes
-exactly one call per iteration, so max_iters bounds it already.
+adaptive iterate, still raises.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ import numpy as np
 
 from .errors import BoxViolationError, DivergedError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+ARMIJO_SLOPE, ARMIJO_SHRINK, MAX_BACKTRACKS = 1e-4, 0.5, 60
+
 
 @dataclass
 class OptimConfig:
@@ -39,12 +48,6 @@ class OptimConfig:
     grad_tol: float = 1e-8
     rate: float = 1e-3
     method: str = "adaptive"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    armijo_slope: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_backtracks: int = 60
     max_calls: int | None = None  # gd_linesearch closure-call cap
 
     def __post_init__(self):
@@ -75,10 +78,15 @@ def _check_finite(value, grad, iteration):
                             iteration)
 
 
-def minimize(x0: np.ndarray, fg, config: OptimConfig) -> OptResult:
-    """Minimize fg(x) = (value, grad, aux) from x0; deterministic."""
-    x = np.array(x0, dtype=float)
-    value, grad, aux = fg(x)
+def minimize(x0, fg, config: OptimConfig) -> OptResult:
+    """Minimize fg(x) = (value, grad, aux) from x0, a point or the OptResult
+    of an earlier stage; deterministic."""
+    if isinstance(x0, OptResult):
+        x = np.array(x0.x, dtype=float)
+        value, grad, aux = x0.value, x0.grad, x0.aux
+    else:
+        x = np.array(x0, dtype=float)
+        value, grad, aux = fg(x)
     _check_finite(value, grad, 0)
     best_x, best_value, best_aux, best_grad = x.copy(), value, aux, grad
     trace = [aux]
@@ -93,11 +101,11 @@ def minimize(x0: np.ndarray, fg, config: OptimConfig) -> OptResult:
                 result.converged = True
                 result.stop_reason = "gradient tolerance reached"
                 break
-            m = config.beta1 * m + (1.0 - config.beta1) * grad
-            v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-            mhat = m / (1.0 - config.beta1**k)
-            vhat = v / (1.0 - config.beta2**k)
-            x = x - config.rate * mhat / (np.sqrt(vhat) + config.eps)
+            m = BETA1 * m + (1.0 - BETA1) * grad
+            v = BETA2 * v + (1.0 - BETA2) * grad * grad
+            mhat = m / (1.0 - BETA1**k)
+            vhat = v / (1.0 - BETA2**k)
+            x = x - config.rate * mhat / (np.sqrt(vhat) + EPS)
             value, grad, aux = fg(x)
             _check_finite(value, grad, k)
             trace.append(aux)
@@ -120,7 +128,7 @@ def minimize(x0: np.ndarray, fg, config: OptimConfig) -> OptResult:
             gsq = float(grad @ grad)
             alpha = step
             accepted = False
-            for _ in range(config.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 if calls_left <= 0:
                     break
                 calls_left -= 1
@@ -130,10 +138,10 @@ def minimize(x0: np.ndarray, fg, config: OptimConfig) -> OptResult:
                 except BoxViolationError:
                     value_new = np.inf
                 if np.isfinite(value_new) and \
-                        value_new <= value - config.armijo_slope * alpha * gsq:
+                        value_new <= value - ARMIJO_SLOPE * alpha * gsq:
                     accepted = True
                     break
-                alpha *= config.armijo_shrink
+                alpha *= ARMIJO_SHRINK
             if not accepted:
                 result.stop_reason = ("call budget" if calls_left <= 0
                                       else "line search stalled")

@@ -67,7 +67,8 @@ class TestValidation:
         seq = [lam0 * a**m for m in (1, 2, 3)]
         assert seq == [4.0, 16.0, 64.0]
 
-    def test_bad_method(self):
+    def test_method_is_unknown_key(self):
+        # the optimizer method is not configurable: `method` is an unknown key
         text = "[optimizer]\nmethod = sgd\n"
         with pytest.raises(ConfigError):
             parse_config_text(text)
@@ -103,11 +104,21 @@ class TestValidation:
         "[optimizer]\ngradcheck_step = 0.01\n",
         "[optimizer]\ngradcheck_step = 1e-09\n",
         "[optimizer]\ngradcheck_samples = 0\n",
+        "[ground_truth]\nf_true = quartic\n",
+        "[probe]\nf_name = quartic\n",
+        "[ground_truth]\nu0_profiles = wave:1.0, sine:0.8, bump:1.0\n",
+        "[ground_truth]\nphi1_profiles = constant:abc, constant:-0.6, constant:0.25\n",
+        "[ground_truth]\nu0_profiles = constant:nan, sine:0.8, bump:1.0\n",
+        "[optimizer]\nrate = 0.0\n",
+        "[optimizer]\nmax_iters = -1\n",
+        "[optimizer]\nrestarts = 0\n",
     ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0",
             "nx4", "nt2", "t_end0", "x_hi_le_x_lo", "box_points1",
             "box_budget0", "net_width0", "noise_negative", "p0.5",
             "gradcheck_step_large", "gradcheck_step_small",
-            "gradcheck_samples0"])
+            "gradcheck_samples0", "f_true_unknown", "f_name_unknown",
+            "profile_unknown", "profile_param_not_number", "profile_nonfinite",
+            "rate0", "max_iters_negative", "restarts0"])
     def test_cross_field_errors_exit_2(self, text, tmp_path, capsys):
         # each of these used to pass parsing and fail later with a traceback
         path = tmp_path / "bad.cfg"

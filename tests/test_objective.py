@@ -1,4 +1,5 @@
 import math
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -149,12 +150,11 @@ def box_terms(net, box, rho=2.0, tau=0.01):
     """(power norm, smooth gradient sup, hard gradient sup) of one network
     over the box, from the objective of a zero state with every other term
     weighted out."""
-    g = make_grid(nx=5, nt=3)
+    g = make_grid(nx=5, nt=3, t_end=box.radius)   # the jets (t, 0) lie in the box
     u = np.zeros((1, 1, g.nt, g.nx))
     ds = Dataset(grid=g, y=u, u0=u[:, :, 0], g_lo=u[..., 0], g_hi=u[..., -1])
     problem = Problem(g, ds, MeasurementOp("full", 1, g), "none", 0,
-                      Weights(lam=0.0, mu=0.0, nu=0.0, rho=rho, tau=tau), box,
-                      enforce_box=False)
+                      Weights(lam=0.0, mu=0.0, nu=0.0, rho=rho, tau=tau), box)
     bd, _ = _evaluate_core(Vars(u, zero_params("none", g, 1, 1), [net]), problem,
                            want_grad=False)
     assert bd.total == bd.f_lrho_term + bd.f_gradsup_term
@@ -306,9 +306,11 @@ class TestGradient:
     ], ids=["none-0-full", "convection-1-subsample", "diffusion_reaction-2-smooth",
             "burgers1d-0-smooth", "none-2-subsample", "none-1-full-N2",
             "convection-0-smooth-N2", "burgers1d-1-subsample-N2"])
-    def test_matches_finite_differences(self, kind, kappa, op_kind, N):
+    def test_matches_finite_differences(self, kind, kappa, op_kind, N, request):
         amp = 0.25 if kappa >= 2 else 0.6
-        problem, vars_ = random_problem(hash((kind, kappa)) % 1000, kind=kind,
+        # a fixed seed per case (the crc32 of its id), so a failure reproduces
+        seed = zlib.crc32(request.node.callspec.id.encode()) % 1000
+        problem, vars_ = random_problem(seed, kind=kind,
                                         kappa=kappa, op_kind=op_kind, amp=amp,
                                         N=N)
         layout = VarLayout(vars_)
@@ -349,9 +351,9 @@ class TestGradient:
         # oracle for the minimizer; our gradient must vanish there.
         problem, vars_ = random_problem(14, kind="convection", lam=0.0,
                                         mu=0.0, nu=0.0)
-        # CG matvec probes use unscaled directions, so the jet-containment
-        # assertion is off for this purely algebraic check
-        problem.enforce_box = False
+        # CG matvec probes use unscaled directions: a wide box contains
+        # their jets, and the zero network makes the box terms constant
+        problem.box = build_box(2, 1e6, points_per_axis=9)
         # keep networks fixed at zero so only the quadratic core is active
         vars_.nets = [const_net(0.0, 2)]
         layout = VarLayout(vars_)

@@ -99,6 +99,46 @@ class TestMinimize:
         assert len(calls) == 7
         assert res.stop_reason == "call budget"
 
+    @pytest.mark.parametrize("method", ["adaptive", "gd_linesearch"])
+    def test_resume_from_result(self, method):
+        # a stage resumed from an earlier result takes that result's start
+        # as it stands: one call fewer, the same bits as evaluating it again
+        calls = []
+
+        def fg(x):
+            calls.append(1)
+            v = float(np.sum(np.cosh(x) - 1.0))
+            return v, np.sinh(x), v
+
+        first = minimize(np.full(3, 0.8), fg, OptimConfig(max_iters=5, rate=0.05))
+        config = OptimConfig(max_iters=20, grad_tol=0.0, rate=0.05, method=method)
+        calls.clear()
+        resumed = minimize(first, fg, config)
+        resumed_calls = len(calls)
+        calls.clear()
+        again = minimize(first.x, fg, config)
+        assert resumed_calls == len(calls) - 1
+        assert resumed.x.tobytes() == again.x.tobytes()
+        assert resumed.grad.tobytes() == again.grad.tobytes()
+        assert resumed.value == again.value
+        assert resumed.trace == again.trace
+        assert resumed.iterations == again.iterations
+
+    def test_resumed_start_counts_against_call_budget(self):
+        calls = []
+
+        def fg(x):
+            calls.append(1)
+            return float(np.sum(np.cosh(x))), np.sinh(x), None
+
+        first = minimize(np.full(3, 5.0), fg, OptimConfig(max_iters=1, rate=1e-4))
+        calls.clear()
+        res = minimize(first, fg,
+                       OptimConfig(max_iters=100, grad_tol=0.0, rate=1e-4,
+                                   method="gd_linesearch", max_calls=7))
+        assert len(calls) == 6
+        assert res.stop_reason == "call budget"
+
     def test_adaptive_best_so_far_non_increasing(self):
         rng = np.random.default_rng(1)
 
@@ -132,7 +172,8 @@ class TestMinimize:
 
     def test_divergence_detected(self):
         def fg(x):
-            return float(np.exp(x[0])), np.array([np.exp(x[0])]), None
+            with np.errstate(over="ignore"):
+                return float(np.exp(x[0])), np.array([np.exp(x[0])]), None
 
         # exp overflows to inf right at the starting point
         with pytest.raises(DivergedError) as info:
