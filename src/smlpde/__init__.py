@@ -8,12 +8,9 @@ the penalty weights and data quality toward the full-measurement limit.
 
 from .errors import (BoxViolationError, ConfigError, DivergedError,
                      OracleInfeasibleError)
-from .grid import (Field, Grid, bochner_norm, jet_dimension, jet_features,
-                   spatial_derivative, sup_norm, time_derivative)
-from .measurement import (Dataset, MeasurementOp, add_noise, apply,
-                          boundary_trace, operator_gap)
-from .mlp import (Activation, DualGradient, MlpParams, backprop, forward,
-                  grad_input, init_params, lipschitz_bound, param_norm)
+from .grid import Grid, jet_dimension, jet_features
+from .measurement import Dataset, MeasurementOp, add_noise, operator_gap
+from .mlp import Activation, MlpParams, init_params, lipschitz_bound, param_norm
 from .objective import (ObjectiveBreakdown, UBox, Vars, Weights, derive_ubox,
                         r0_value, smooth_max)
 from .optimizer import OptimConfig, OptResult, finite_diff_gradcheck, minimize

@@ -21,14 +21,6 @@ from .mlp import ACTIVATION_KINDS
 from .physics import PHYSICS_KINDS, n_param_slots
 
 
-def _parse_bool(text):
-    if text in ("true", "True"):
-        return True
-    if text in ("false", "False"):
-        return False
-    raise ValueError("expected true/false")
-
-
 def _parse_str_list(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -38,8 +30,6 @@ def _parse_int_list(text):
 
 
 def _format_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, list):
@@ -50,7 +40,6 @@ def _format_value(value):
 # (type tag, default); order defines the canonical print order
 SCHEMA = {
     "grid": {
-        "d": ("int", 1),
         "nx": ("int", 65),
         "nt": ("int", 65),
         "x_lo": ("float", 0.0),
@@ -124,7 +113,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "str_list": _parse_str_list,
     "int_list": _parse_int_list,
 }
@@ -138,9 +126,6 @@ class ExperimentConfig:
 
     def __getitem__(self, section):
         return self.sections[section]
-
-    def get(self, section, key):
-        return self.sections[section][key]
 
 
 def default_config() -> ExperimentConfig:
@@ -205,8 +190,6 @@ def parse_config(path) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig) -> None:
     g = cfg["grid"]
-    if g["d"] != 1:
-        raise ConfigError("only d = 1 is supported")
     try:
         grid = Grid(nx=g["nx"], nt=g["nt"], x_lo=g["x_lo"], x_hi=g["x_hi"],
                     t_end=g["t_end"])

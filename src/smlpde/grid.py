@@ -11,10 +11,10 @@ jet_features stacks the nodewise network inputs [t, jets of all states];
 the objective, the warm-start fit, the study's error metrics and the limit
 oracle all take their rows from it.
 
-Norms over space-time fields are nested trapezoidal quadrature: an
-L^{q_space} norm over each spatial slice inside an L^{q_time} norm over
-time.  The supremum norm is a separate evaluator; infinite exponents are
-rejected by the quadrature norm on purpose.
+Fields are plain (nt, nx) arrays, indexed (t, x).  _norm_pow is the one
+nested trapezoidal norm over them: an L^2 norm over each spatial slice
+inside an L^e norm over time, returned as its e-th power.  The objective's
+residual and data terms and measurement.operator_gap all take it from here.
 """
 
 from __future__ import annotations
@@ -131,27 +131,6 @@ class Grid:
         raise ValueError(f"unsupported spatial derivative order {order}")
 
 
-@dataclass
-class Field:
-    """One scalar channel sampled on a grid, indexed (t, x)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expected = (self.grid.nt, self.grid.nx)
-        if self.values.shape != expected:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {expected}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-
 def jet_features(grid: Grid, kappa: int, u_states: np.ndarray) -> np.ndarray:
     """Nodewise network inputs [t, u_1, D u_1, .., D^kappa u_1, u_2, ..],
     shape (nt*nx, 1 + N * jet_dimension(kappa)), rows time-major.
@@ -167,57 +146,26 @@ def jet_features(grid: Grid, kappa: int, u_states: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def spatial_derivative(f: Field, order: int) -> Field:
-    """d^order f / dx^order for order 1 or 2; exact on polynomials up to
-    stencil order."""
-    return Field(f.grid, f.values @ f.grid.space_derivative_matrix(order).T)
+def _norm_pow(wt, wx, fields, exponent):
+    """sum_t wt * (sum_{n,x} wx * field_n^2)^(e/2) for a stack of (nt,nx)."""
+    s = np.zeros(fields.shape[1])
+    for f in fields:
+        s += (f * f) @ wx
+    return float(np.sum(wt * s ** (exponent / 2.0))), s
 
 
-def time_derivative(f: Field) -> Field:
-    """d/dt via central differences, one-sided second order at t=0 and t=T."""
-    return Field(f.grid, f.grid.time_derivative_matrix() @ f.values)
-
-
-def bochner_norm(f: Field, q_time: float, q_space: float) -> float:
-    """( int_0^T ( int_Omega |f|^q_space )^{q_time/q_space} dt )^{1/q_time}.
-
-    Both integrals are trapezoidal; infinite exponents are rejected
-    (sup_norm is the designated L^inf evaluator).
-    """
-    for q in (q_time, q_space):
-        if not np.isfinite(q) or q < 1:
-            raise ValueError(f"exponents must be finite and >= 1, got {q}")
-    wt = f.grid.time_weights()
-    ws = f.grid.space_weights()
-    slice_int = np.sum(np.abs(f.values) ** q_space * ws, axis=1)
-    return float(np.sum(wt * slice_int ** (q_time / q_space)) ** (1.0 / q_time))
-
-
-def sup_norm(f: Field) -> float:
-    """Maximum absolute value over all grid nodes."""
-    return float(np.max(np.abs(f.values)))
-
-
-def write_field_csv(f: Field, path) -> None:
-    """Serialize as `t,x1,value` rows, time-major, 17 significant digits."""
-    g = f.grid
+def write_field_csv(grid: Grid, values: np.ndarray, path) -> None:
+    """Serialize a (nt, nx) array as `t,x1,value` rows, time-major, 17
+    significant digits."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.nt, grid.nx):
+        raise ValueError(f"field shape {values.shape} does not match grid "
+                         f"{(grid.nt, grid.nx)}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field contains non-finite entries")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "x1", "value"])
-        for tval, row in zip(g.t, f.values):
-            for xval, v in zip(g.x, row):
+        for tval, row in zip(grid.t, values):
+            for xval, v in zip(grid.x, row):
                 w.writerow([f"{tval:.17g}", f"{xval:.17g}", f"{v:.17g}"])
-
-
-def read_field_csv(path) -> Field:
-    """Inverse of write_field_csv; the grid is reconstructed from coordinates."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        rows = [[float(v) for v in row] for row in r]
-    data = np.asarray(rows)
-    ts = np.unique(data[:, 0])
-    xs = np.unique(data[:, 1])
-    grid = Grid(nx=len(xs), nt=len(ts), x_lo=float(xs[0]),
-                x_hi=float(xs[-1]), t_end=float(ts[-1]))
-    return Field(grid, data[:, -1].reshape(grid.nt, grid.nx))

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedError, OracleInfeasibleError
-from .grid import Field, Grid, jet_features
-from .measurement import Dataset, MeasurementOp, add_noise, boundary_trace
+from .grid import Grid, jet_features
+from .measurement import Dataset, MeasurementOp, add_noise
 from .objective import r0_value, smooth_max, smooth_max_weights
 from .physics import (PhysicalParams, apply_physics_array, n_param_slots,
                       zero_params)
@@ -184,22 +184,15 @@ def make_dataset(spec: GroundTruthSpec, grid: Grid, op: MeasurementOp,
     field is masked again so that dropped nodes carry no data at all.
     """
     u_true = simulate(spec, grid)
-    L, N = u_true.shape[0], u_true.shape[1]
     y = np.zeros_like(u_true)
-    u0 = np.zeros((L, N, grid.nx))
-    g_lo = np.zeros((L, N, grid.nt))
-    g_hi = np.zeros((L, N, grid.nt))
-    for l in range(L):
-        for n in range(N):
-            measured = Field(grid, op.apply_array(u_true[l, n]))
-            noisy = add_noise(measured, noise_level, seed + l)
-            vals = noisy.values
+    for l in range(u_true.shape[0]):
+        for n in range(u_true.shape[1]):
+            vals = add_noise(op.apply_array(u_true[l, n]), noise_level, seed + l)
             if op.kind == "subsample":
                 vals = op.apply_array(vals)
             y[l, n] = vals
-            u0[l, n] = u_true[l, n, 0]
-            g_lo[l, n], g_hi[l, n] = boundary_trace(Field(grid, u_true[l, n]))
-    ds = Dataset(grid=grid, y=y, u0=u0, g_lo=g_lo, g_hi=g_hi,
+    ds = Dataset(grid=grid, y=y, u0=u_true[:, :, 0].copy(),
+                 g_lo=u_true[..., 0].copy(), g_hi=u_true[..., -1].copy(),
                  noise_level=noise_level, seed=seed, op_kind=op.kind, m=op.m,
                  ref_jet_sup=trajectory_jet_sup(grid, spec.kappa, u_true))
     return ds, u_true

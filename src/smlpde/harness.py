@@ -32,7 +32,7 @@ import numpy as np
 from . import mlp
 from .config import ExperimentConfig
 from .errors import BoxViolationError, DivergedError
-from .grid import Field, Grid, jet_features, write_field_csv
+from .grid import Grid, jet_features, write_field_csv
 from .ground_truth import GroundTruthSpec, f_true, f_true_deriv, make_dataset
 from .measurement import MeasurementOp, save_dataset
 from .objective import (ObjectiveBreakdown, Problem, UBox, VarLayout, Vars,
@@ -452,7 +452,7 @@ def _write_final_vars(grid: Grid, vars_, out_dir) -> None:
     for l in range(L):
         for n in range(N):
             suffix = f"_n{n + 1}" if N > 1 else ""
-            write_field_csv(Field(grid, vars_.u[l, n]),
+            write_field_csv(grid, vars_.u[l, n],
                             os.path.join(out_dir, f"u_final_l{l + 1}{suffix}.csv"))
     slots = vars_.phi.values.shape[2]
     for l in range(L):
@@ -573,8 +573,14 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
 
 
 def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
-    """Finite-difference audit of the assembled objective gradient at the
-    scale-1 starting point of the configured experiment."""
+    """Finite-difference audit of the assembled objective gradient at a
+    scale-1 point of the configured experiment.
+
+    The point is near the study's scale-1 start but is not it: the data
+    carry noise seed data_seed (the study's scale 1 uses data_seed + 1009),
+    the states start from the data as in the study, the parameter fields
+    start at zero instead of the ridge estimate, the networks are freshly
+    initialized without the prefit, and tau is floored at 1e-4."""
     grid = build_grid(cfg)
     spec = build_gt_spec(cfg)
     wcfg = cfg["weights"]

@@ -12,8 +12,9 @@ A measurement operator acts linearly on grid fields, per time slice:
               resulting matrix is doubly stochastic, so slice means are
               preserved exactly)
 
-Larger scale index m means a better operator; the gap to the identity is
-measured on a field corpus by operator_gap.
+Larger scale index m means a better operator.  operator_gap measures its
+gap to the identity on a corpus of (nt, nx) arrays, in the nested
+trapezoidal norm of grid._norm_pow that the objective's data term uses.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, bochner_norm, sup_norm
+from .grid import Grid, _norm_pow, write_field_csv
 
 MEASUREMENT_KINDS = ("full", "subsample", "smooth")
 
@@ -100,37 +101,31 @@ class MeasurementOp:
         return values @ self.matrix
 
 
-def apply(op: MeasurementOp, u: Field) -> Field:
-    if u.grid != op.grid:
-        raise ValueError("field and operator live on different grids")
-    return Field(u.grid, op.apply_array(u.values))
-
-
 def operator_gap(op: MeasurementOp, corpus, r: float = 2.0) -> float:
-    """max over the corpus of || K_m u - u || (time exponent r, space 2)."""
+    """max over the corpus of (nt, nx) arrays u of || K_m u - u || (time
+    exponent r, space 2)."""
     if not corpus:
         raise ValueError("corpus must be nonempty")
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"time exponent must be finite and >= 1, got {r}")
+    grid = op.grid
+    wt, wx = grid.time_weights(), grid.space_weights()
     gap = 0.0
     for u in corpus:
-        diff = Field(u.grid, op.apply_array(u.values) - u.values)
-        gap = max(gap, bochner_norm(diff, r, 2.0))
+        diff = op.apply_array(u) - u
+        gap = max(gap, _norm_pow(wt, wx, diff[None], r)[0] ** (1.0 / r))
     return gap
 
 
-def add_noise(y: Field, level: float, seed: int) -> Field:
-    """i.i.d. Gaussian perturbation with std = level * sup_norm(y)."""
+def add_noise(values: np.ndarray, level: float, seed: int) -> np.ndarray:
+    """i.i.d. Gaussian perturbation with std = level * max|values|."""
     if level < 0:
         raise ValueError("noise level must be >= 0")
     if level == 0:
-        return y.copy()
+        return values.copy()
     rng = np.random.default_rng(seed)
-    std = level * sup_norm(y)
-    return Field(y.grid, y.values + rng.normal(0.0, std, size=y.values.shape))
-
-
-def boundary_trace(u: Field):
-    """Time series of the two boundary values."""
-    return u.values[:, 0].copy(), u.values[:, -1].copy()
+    std = level * float(np.max(np.abs(values)))
+    return values + rng.normal(0.0, std, size=values.shape)
 
 
 @dataclass
@@ -176,14 +171,12 @@ class Dataset:
 
 def save_dataset(ds: Dataset, out_dir) -> None:
     """Per-experiment CSV files `y_l{l}_m{m}.csv` plus a JSON manifest."""
-    from .grid import write_field_csv
-
     os.makedirs(out_dir, exist_ok=True)
     for l in range(ds.n_experiments):
         for n in range(ds.n_states):
             suffix = f"_n{n + 1}" if ds.n_states > 1 else ""
             path = os.path.join(out_dir, f"y_l{l + 1}{suffix}_m{ds.m}.csv")
-            write_field_csv(Field(ds.grid, ds.y[l, n]), path)
+            write_field_csv(ds.grid, ds.y[l, n], path)
     manifest = {"kind": ds.op_kind, "m": ds.m, "level": ds.noise_level,
                 "seed": ds.seed, "L": ds.n_experiments, "N": ds.n_states}
     with open(os.path.join(out_dir, f"manifest_m{ds.m}.json"), "w") as fh:

@@ -1,17 +1,17 @@
 """Fully connected feed-forward networks with hand-rolled reverse mode.
 
 A network maps R^{n_0} -> R: every hidden layer applies z -> sigma(W z + b),
-the final layer is affine with no activation.  Besides plain evaluation the
-module provides
+the final layer is affine with no activation.  For a batch of inputs (one
+per row) the module provides
 
-  * grad_input      -- the gradient of the output w.r.t. the input vector,
-  * backprop        -- weight/bias/input gradients for a seeded output,
-  * batched tapes   -- the same quantities for a batch of inputs, plus the
-                       parameter gradient of any linear functional of
-                       (value, input-gradient).  The latter needs one extra
-                       adjoint sweep through the input-gradient computation
-                       and sigma''; it is what makes the gradient-sup
-                       regularizer differentiable in the weights.
+  * forward_batch    -- the outputs,
+  * grad_input_batch -- the gradients of the output w.r.t. each input,
+  * Tape.param_vjp   -- the parameter gradient of any linear functional of
+                        (value, input-gradient), and optionally its input
+                        gradient.  A gradient seed needs one extra adjoint
+                        sweep through the input-gradient computation and
+                        sigma''; it is what makes the gradient-sup
+                        regularizer differentiable in the weights.
 
 A tape computes sigma' of each hidden layer at most once, on the first
 input-gradient sweep or VJP that needs it, and sigma'' at most once, on
@@ -139,15 +139,6 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams([w.copy() for w in self.weights],
                          [b.copy() for b in self.biases], self.activation)
-
-
-@dataclass
-class DualGradient:
-    """Gradients w.r.t. parameters (same shapes as MlpParams) and input."""
-
-    d_weights: list
-    d_biases: list
-    d_input: np.ndarray
 
 
 def init_params(layer_sizes, activation: Activation, seed: int) -> MlpParams:
@@ -318,32 +309,12 @@ def _accumulate(buffers, i, x):
         buffers[i] += x
 
 
-def forward(params: MlpParams, z) -> float:
-    """Network output at a single input vector."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return float(Tape(params, z[None, :]).values[0])
-
-
 def forward_batch(params: MlpParams, Z) -> np.ndarray:
     return Tape(params, Z).values
 
 
-def grad_input(params: MlpParams, z) -> np.ndarray:
-    """Gradient of the output w.r.t. the input vector (exact reverse mode)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return Tape(params, z[None, :]).input_grads[0].copy()
-
-
 def grad_input_batch(params: MlpParams, Z) -> np.ndarray:
     return Tape(params, Z).input_grads.copy()
-
-
-def backprop(params: MlpParams, z, seed: float) -> DualGradient:
-    """seed * d(output)/d(params) and seed * d(output)/d(input)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    tape = Tape(params, z[None, :])
-    bw, bb, bz = tape.param_vjp(val_seeds=np.array([seed]), want_input_grad=True)
-    return DualGradient(bw, bb, bz[0].copy())
 
 
 def lipschitz_bound(params: MlpParams, l_sigma: float) -> float:
@@ -415,22 +386,3 @@ def write_params_csv(params: MlpParams, csv_path, meta_path) -> None:
         json.dump({"layer_sizes": list(params.layer_sizes),
                    "activation": params.activation.kind}, fh, indent=1)
         fh.write("\n")
-
-
-def read_params_csv(csv_path, meta_path) -> MlpParams:
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    sizes = meta["layer_sizes"]
-    act = Activation(meta["activation"])
-    ws = [np.zeros((n_out, n_in)) for n_in, n_out in zip(sizes[:-1], sizes[1:])]
-    bs = [np.zeros(n_out) for n_out in sizes[1:]]
-    with open(csv_path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        for layer, row, col, value in r:
-            li, ri, ci = int(layer) - 1, int(row), int(col)
-            if ci == -1:
-                bs[li][ri] = float(value)
-            else:
-                ws[li][ri, ci] = float(value)
-    return MlpParams(ws, bs, act)

@@ -26,9 +26,10 @@ matrices, the measurement operator, and the networks - including the
 second-order sweep needed for the gradient-sup term).
 
 _evaluate_core is the one implementation of every term: the network inputs
-come from grid.jet_features, the residual from physics.residual, and the
-parameter norm with its gradient from mlp.param_norm, so the study's
-diagnostics and the limit oracle evaluate the same objects.
+come from grid.jet_features, the residual from physics.residual, the nested
+norms from grid._norm_pow, and the parameter norm with its gradient from
+mlp.param_norm, so the study's diagnostics, the limit oracle and
+measurement.operator_gap evaluate the same objects.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import mlp
 from .errors import BoxViolationError
-from .grid import Grid, jet_dimension, jet_features
+from .grid import Grid, _norm_pow, jet_dimension, jet_features
 from .measurement import Dataset, MeasurementOp
 from .physics import PhysicalParams, residual
 
@@ -85,6 +86,27 @@ class UBox:
         return (2.0 * self.radius) ** self.dim
 
 
+def _halton(dim: int, n: int) -> np.ndarray:
+    """The first n points, from index 0, of the unscrambled Halton sequence
+    in [0, 1)^dim: coordinate k is the radical inverse of the index in the
+    k-th prime base, its digits summed from the least significant up."""
+    primes = []
+    p = 2
+    while len(primes) < dim:
+        if all(p % q for q in primes):
+            primes.append(p)
+        p += 1
+    out = np.zeros((n, dim))
+    for k, base in enumerate(primes):
+        q = np.arange(n)
+        scale = 1.0 / base
+        while q.any():
+            out[:, k] += (q % base) * scale
+            scale /= base
+            q //= base
+    return out
+
+
 def build_box(dim: int, radius: float, points_per_axis: int = 33,
               sample_budget: int = 4096) -> UBox:
     """Deterministic sample set: trapezoid lattice for dim <= 2, Halton above."""
@@ -102,9 +124,7 @@ def build_box(dim: int, radius: float, points_per_axis: int = 33,
             samples = np.stack([xx.reshape(-1), yy.reshape(-1)], axis=1)
             weights = np.multiply.outer(w1, w1).reshape(-1)
     else:
-        from scipy.stats import qmc
-
-        unit = qmc.Halton(d=dim, scramble=False).random(sample_budget)
+        unit = _halton(dim, sample_budget)
         samples = (2.0 * unit - 1.0) * radius
         weights = np.full(sample_budget, 1.0 / sample_budget)
     weights = weights / weights.sum()
@@ -259,7 +279,7 @@ def _check_box(box: UBox, feats: np.ndarray) -> None:
 
 def _power_weight(wt, wx, vec_sq_slice, exponent, scale):
     """Derivative prefactor of  scale * sum_t wt * S_t^(e/2)  w.r.t. the field,
-    divided by the field entry: scale*e*wt*S^{(e-2)/2}*wx  (see _norm_pow)."""
+    divided by the field entry: scale*e*wt*S^{(e-2)/2}*wx  (see grid._norm_pow)."""
     if exponent == 2.0:
         s_fac = np.ones_like(vec_sq_slice)
     else:
@@ -267,14 +287,6 @@ def _power_weight(wt, wx, vec_sq_slice, exponent, scale):
             s_fac = np.where(vec_sq_slice > 0.0,
                              vec_sq_slice ** ((exponent - 2.0) / 2.0), 0.0)
     return scale * exponent * (wt * s_fac)[:, None] * wx[None, :]
-
-
-def _norm_pow(wt, wx, fields, exponent):
-    """sum_t wt * (sum_{n,x} wx * field_n^2)^(e/2) for a stack of (nt,nx)."""
-    s = np.zeros(fields.shape[1])
-    for f in fields:
-        s += (f * f) @ wx
-    return float(np.sum(wt * s ** (exponent / 2.0))), s
 
 
 def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Grid
 
 PHYSICS_KINDS = ("none", "convection", "diffusion_reaction", "burgers1d")
 
@@ -96,18 +96,18 @@ def residual(grid: Grid, kind: str, u: np.ndarray, phi: np.ndarray,
     return out if f is None else out - f
 
 
-def affine_check(kind: str, u: Field, phi1, phi2, s: float,
+def affine_check(grid: Grid, kind: str, u: np.ndarray, phi1, phi2, s: float,
                  rel_tol: float = 1e-10) -> bool:
-    """Verify F(u, s*phi1 + (1-s)*phi2) == s*F(u,phi1) + (1-s)*F(u,phi2)."""
+    """Verify F(u, s*phi1 + (1-s)*phi2) == s*F(u,phi1) + (1-s)*F(u,phi2) for
+    a (nt, nx) state u."""
     slots = n_param_slots(kind)
     if slots == 0:
         return True  # no parameters: affine vacuously
     p1 = np.asarray(phi1, dtype=float).reshape(slots, -1)
     p2 = np.asarray(phi2, dtype=float).reshape(slots, -1)
     mix = s * p1 + (1.0 - s) * p2
-    grid = u.grid
-    lhs = apply_physics_array(grid, kind, u.values, mix)
-    rhs = s * apply_physics_array(grid, kind, u.values, p1) \
-        + (1.0 - s) * apply_physics_array(grid, kind, u.values, p2)
+    lhs = apply_physics_array(grid, kind, u, mix)
+    rhs = s * apply_physics_array(grid, kind, u, p1) \
+        + (1.0 - s) * apply_physics_array(grid, kind, u, p2)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
     return bool(np.max(np.abs(lhs - rhs)) <= rel_tol * scale)

@@ -23,8 +23,8 @@ class TestRoundTrip:
         text = format_config(default_config()).replace(
             "nx = 65", "nx = 33").replace("m_max = 5", "m_max = 2")
         cfg = parse_config_text(text)
-        assert cfg.get("grid", "nx") == 33
-        assert cfg.get("schedule", "m_max") == 2
+        assert cfg["grid"]["nx"] == 33
+        assert cfg["schedule"]["m_max"] == 2
 
 
 class TestStrictness:
@@ -56,14 +56,14 @@ class TestStrictness:
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\n[grid]\n# another\nnx = 33  # trailing\n"
         cfg = parse_config_text(text)
-        assert cfg.get("grid", "nx") == 33
+        assert cfg["grid"]["nx"] == 33
 
 
 class TestValidation:
     def test_schedule_sequence_documented(self):
         cfg = default_config()
-        lam0 = cfg.get("schedule", "lambda0")
-        a = cfg.get("schedule", "growth")
+        lam0 = cfg["schedule"]["lambda0"]
+        a = cfg["schedule"]["growth"]
         seq = [lam0 * a**m for m in (1, 2, 3)]
         assert seq == [4.0, 16.0, 64.0]
 

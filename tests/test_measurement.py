@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from smlpde.grid import Field, Grid
-from smlpde.measurement import (Dataset, MeasurementOp, add_noise, apply,
-                                boundary_trace, operator_gap, save_dataset,
-                                subsample_stride)
+from smlpde import ground_truth
+from smlpde.grid import Grid
+from smlpde.ground_truth import GroundTruthSpec, make_dataset
+from smlpde.measurement import (Dataset, MeasurementOp, add_noise,
+                                operator_gap, save_dataset, subsample_stride)
 
 
 def make_grid(nx=17, nt=9):
@@ -18,7 +21,7 @@ def smooth_corpus(grid, n_fields=20):
         amp = 0.5 + 0.5 * (k % 5) / 4
         vals = amp * np.sin(np.pi * (1 + k % 3) * xx) * np.cos(0.7 * k * tt / n_fields)
         vals += 0.1 * np.cos(np.pi * xx)
-        out.append(Field(grid, vals))
+        out.append(vals)
     return out
 
 
@@ -26,24 +29,24 @@ class TestApply:
     def test_full_is_identity(self):
         g = make_grid()
         rng = np.random.default_rng(0)
-        u = Field(g, rng.standard_normal((g.nt, g.nx)))
-        out = apply(MeasurementOp("full", 3, g), u)
-        assert np.array_equal(out.values, u.values)
+        u = rng.standard_normal((g.nt, g.nx))
+        out = MeasurementOp("full", 3, g).apply_array(u)
+        assert np.array_equal(out, u)
 
     def test_smooth_preserves_constants(self):
         g = make_grid()
-        u = Field(g, np.full((g.nt, g.nx), 2.5))
-        out = apply(MeasurementOp("smooth", 2, g), u)
-        assert np.max(np.abs(out.values - 2.5)) < 1e-12
+        u = np.full((g.nt, g.nx), 2.5)
+        out = MeasurementOp("smooth", 2, g).apply_array(u)
+        assert np.max(np.abs(out - 2.5)) < 1e-12
 
     def test_subsample_mask_values(self):
         # stride-2 masking of [1,2,3,4,5] keeps odd positions: [1,0,3,0,5]
         g = Grid(nx=5, nt=3, x_lo=0.0, x_hi=1.0, t_end=1.0)
         op = MeasurementOp("subsample", 1, g)
         assert subsample_stride(5, 1) == 2
-        u = Field(g, np.tile(np.array([1.0, 2, 3, 4, 5]), (3, 1)))
-        out = apply(op, u)
-        assert np.array_equal(out.values[0], [1.0, 0.0, 3.0, 0.0, 5.0])
+        u = np.tile(np.array([1.0, 2, 3, 4, 5]), (3, 1))
+        out = op.apply_array(u)
+        assert np.array_equal(out[0], [1.0, 0.0, 3.0, 0.0, 5.0])
 
     def test_linearity_all_kinds(self):
         g = make_grid()
@@ -66,12 +69,6 @@ class TestApply:
             means_out = out.mean(axis=1)
             assert np.max(np.abs(means_in - means_out)) \
                 <= 1e-10 * max(1.0, np.max(np.abs(means_in)))
-
-    def test_grid_mismatch_rejected(self):
-        g1, g2 = make_grid(17), make_grid(21)
-        u = Field(g2, np.zeros((g2.nt, g2.nx)))
-        with pytest.raises(ValueError):
-            apply(MeasurementOp("full", 1, g1), u)
 
 
 class TestOperatorGap:
@@ -106,55 +103,74 @@ class TestOperatorGap:
         with pytest.raises(ValueError):
             operator_gap(MeasurementOp("full", 1, g), [])
 
+    def test_infinite_exponent_rejected(self):
+        g = make_grid()
+        op = MeasurementOp("smooth", 1, g)
+        with pytest.raises(ValueError):
+            operator_gap(op, smooth_corpus(g), math.inf)
+        with pytest.raises(ValueError):
+            operator_gap(op, smooth_corpus(g), 0.5)
+
 
 class TestAddNoise:
     def test_level_zero_identity(self):
         g = make_grid()
         rng = np.random.default_rng(3)
-        y = Field(g, rng.standard_normal((g.nt, g.nx)))
+        y = rng.standard_normal((g.nt, g.nx))
         out = add_noise(y, 0.0, 5)
-        assert np.array_equal(out.values, y.values)
+        assert np.array_equal(out, y)
+        assert out is not y
 
     def test_determinism(self):
         g = make_grid()
-        y = Field(g, np.ones((g.nt, g.nx)))
+        y = np.ones((g.nt, g.nx))
         a = add_noise(y, 0.1, 42)
         b = add_noise(y, 0.1, 42)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_sample_statistics(self):
         # empirical std over >= 1e4 nodes within [0.008, 0.012] at level 1%
         g = Grid(nx=101, nt=101, x_lo=0.0, x_hi=1.0, t_end=1.0)
-        y = Field(g, np.ones((g.nt, g.nx)))
+        y = np.ones((g.nt, g.nx))
         out = add_noise(y, 0.01, 7)
-        noise = out.values - 1.0
+        noise = out - 1.0
         assert noise.size >= 10**4
         assert 0.008 <= float(np.std(noise)) <= 0.012
 
     def test_negative_level_rejected(self):
         g = make_grid()
-        y = Field(g, np.ones((g.nt, g.nx)))
+        y = np.ones((g.nt, g.nx))
         with pytest.raises(ValueError):
             add_noise(y, -0.1, 0)
 
 
 class TestBoundaryTrace:
-    def test_linear_profile(self):
+    """make_dataset takes g_lo and g_hi from the two boundary columns of the
+    simulated trajectory; simulate is replaced by a prescribed one."""
+
+    @staticmethod
+    def traces(monkeypatch, fn):
         g = make_grid()
-        xx = np.meshgrid(g.t, g.x, indexing="ij")[1]
-        lo, hi = boundary_trace(Field(g, xx))
+        tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
+        u = fn(tt, xx)[None, None]
+        monkeypatch.setattr(ground_truth, "simulate", lambda spec, grid: u)
+        spec = GroundTruthSpec(kind="none", f_name="zero", L=1,
+                               u0_profiles=["constant:0"])
+        ds, _ = make_dataset(spec, g, MeasurementOp("full", 1, g), 0.0, 0)
+        assert ds.g_lo.shape == ds.g_hi.shape == (1, 1, g.nt)
+        return g, ds.g_lo[0, 0], ds.g_hi[0, 0]
+
+    def test_linear_profile(self, monkeypatch):
+        g, lo, hi = self.traces(monkeypatch, lambda t, x: x)
         assert np.array_equal(lo, np.zeros(g.nt))
         assert np.array_equal(hi, np.ones(g.nt))
 
-    def test_constant(self):
-        g = make_grid()
-        lo, hi = boundary_trace(Field(g, np.full((g.nt, g.nx), 3.3)))
+    def test_constant(self, monkeypatch):
+        _, lo, hi = self.traces(monkeypatch, lambda t, x: np.full_like(x, 3.3))
         assert np.all(lo == 3.3) and np.all(hi == 3.3)
 
-    def test_separable_profile(self):
-        g = make_grid()
-        tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
-        lo, hi = boundary_trace(Field(g, tt * xx))
+    def test_separable_profile(self, monkeypatch):
+        g, lo, hi = self.traces(monkeypatch, lambda t, x: t * x)
         assert np.max(np.abs(lo)) == 0.0
         assert np.array_equal(hi, g.t)
 

@@ -1,13 +1,15 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
 from smlpde import mlp
-from smlpde.mlp import (Activation, MlpParams, backprop, flatten_params,
-                        forward, grad_input, grow_params, init_params,
-                        lipschitz_bound, param_norm, read_params_csv,
-                        unflatten_params, write_params_csv)
+from smlpde.mlp import (Activation, MlpParams, flatten_params, forward_batch,
+                        grad_input_batch, grow_params, init_params,
+                        lipschitz_bound, param_norm, unflatten_params,
+                        write_params_csv)
 
 
 def random_net(sizes, seed, activation="tanh", scale=0.6):
@@ -16,6 +18,18 @@ def random_net(sizes, seed, activation="tanh", scale=0.6):
           for i, o in zip(sizes[:-1], sizes[1:])]
     bs = [scale * rng.standard_normal(o) for o in sizes[1:]]
     return MlpParams(ws, bs, Activation(activation))
+
+
+def forward(net, z):
+    """The network's output at one input vector, through the batch API."""
+    return float(forward_batch(net, np.asarray(z, dtype=float)[None, :])[0])
+
+
+def backprop(net, z, seed):
+    """seed times the parameter and input gradients of the output at z."""
+    tape = mlp.Tape(net, np.asarray(z, dtype=float)[None, :])
+    bw, bb, bz = tape.param_vjp(val_seeds=np.array([seed]), want_input_grad=True)
+    return bw, bb, bz[0]
 
 
 def fd_param_grads(net, z, h=1e-6):
@@ -72,23 +86,24 @@ class TestGradInput:
     def test_affine_layer_returns_weights(self):
         net = MlpParams([np.array([[2.0, -1.0]])], [np.array([0.7])],
                         Activation("relu"))
-        g = grad_input(net, [0.4, 0.9])
-        assert np.array_equal(g, [2.0, -1.0])
+        g = grad_input_batch(net, np.array([[0.4, 0.9]]))
+        assert np.array_equal(g, [[2.0, -1.0]])
 
     def test_zero_weights_zero_gradient(self):
         net = MlpParams([np.zeros((3, 2)), np.zeros((1, 3))],
                         [np.ones(3), np.array([1.0])], Activation("tanh"))
-        assert np.array_equal(grad_input(net, [1.0, 2.0]), [0.0, 0.0])
+        g = grad_input_batch(net, np.array([[1.0, 2.0]]))
+        assert np.array_equal(g, [[0.0, 0.0]])
 
     @pytest.mark.parametrize("activation", ["tanh", "softplus", "requ", "relu",
                                             "leaky-relu"])
     def test_matches_finite_differences(self, activation):
         net = random_net([4, 6, 5, 1], 11, activation)
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            z = rng.uniform(-1, 1, 4)
-            g = grad_input(net, z)
-            h = 1e-5
+        Z = rng.uniform(-1, 1, (5, 4))
+        G = grad_input_batch(net, Z)
+        h = 1e-5
+        for z, g in zip(Z, G):
             for i in range(4):
                 e = np.zeros(4)
                 e[i] = h
@@ -99,33 +114,33 @@ class TestGradInput:
 class TestBackprop:
     def test_zero_seed(self):
         net = random_net([3, 4, 1], 2)
-        dg = backprop(net, [0.1, 0.2, 0.3], 0.0)
-        assert all(np.all(w == 0) for w in dg.d_weights)
-        assert all(np.all(b == 0) for b in dg.d_biases)
-        assert np.all(dg.d_input == 0)
+        bw, bb, bz = backprop(net, [0.1, 0.2, 0.3], 0.0)
+        assert all(np.all(w == 0) for w in bw)
+        assert all(np.all(b == 0) for b in bb)
+        assert np.all(bz == 0)
 
     def test_single_affine_layer(self):
         net = MlpParams([np.array([[1.0, -2.0]])], [np.array([0.5])],
                         Activation("tanh"))
         z = np.array([0.3, 0.8])
-        dg = backprop(net, z, 1.0)
-        assert np.allclose(dg.d_weights[0], z[None, :])
-        assert np.allclose(dg.d_biases[0], [1.0])
+        bw, bb, _ = backprop(net, z, 1.0)
+        assert np.allclose(bw[0], z[None, :])
+        assert np.allclose(bb[0], [1.0])
 
     def test_consistency_with_grad_input(self):
         net = random_net([3, 5, 4, 1], 3)
         z = np.array([0.2, -0.4, 0.9])
-        dg = backprop(net, z, 1.0)
-        assert np.max(np.abs(dg.d_input - grad_input(net, z))) <= 1e-12
+        _, _, bz = backprop(net, z, 1.0)
+        assert np.max(np.abs(bz - grad_input_batch(net, z[None, :])[0])) <= 1e-12
 
     @pytest.mark.parametrize("activation", ["tanh", "softplus", "requ"])
     def test_param_grads_match_finite_differences(self, activation):
         net = random_net([3, 5, 4, 1], 7, activation)
         rng = np.random.default_rng(8)
         z = rng.uniform(-1, 1, 3)
-        dg = backprop(net, z, 1.0)
+        bw, bb, _ = backprop(net, z, 1.0)
         an = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                             for w, b in zip(dg.d_weights, dg.d_biases)])
+                             for w, b in zip(bw, bb)])
         fd = fd_param_grads(net, z)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), 1e-6)
         assert np.max(np.abs(fd - an) / denom) < 1e-6
@@ -329,9 +344,18 @@ class TestSerialization:
         csv_path = tmp_path / "net.csv"
         meta_path = tmp_path / "net.json"
         write_params_csv(net, csv_path, meta_path)
-        back = read_params_csv(csv_path, meta_path)
-        assert back.activation.kind == "softplus"
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(back.weights, net.weights))
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(back.biases, net.biases))
+        meta = json.loads(meta_path.read_text())
+        assert meta == {"layer_sizes": [3, 5, 1], "activation": "softplus"}
+        ws = [np.zeros_like(w) for w in net.weights]
+        bs = [np.zeros_like(b) for b in net.biases]
+        with open(csv_path, newline="") as fh:
+            rows = csv.reader(fh)
+            assert next(rows) == ["layer", "row", "col", "value"]
+            for layer, row, col, value in rows:
+                li, ri, ci = int(layer) - 1, int(row), int(col)
+                if ci == -1:
+                    bs[li][ri] = float(value)
+                else:
+                    ws[li][ri, ci] = float(value)
+        assert all(np.array_equal(a, b) for a, b in zip(ws, net.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(bs, net.biases))

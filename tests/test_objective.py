@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
 
@@ -10,7 +13,7 @@ from smlpde.errors import BoxViolationError
 from smlpde.grid import Grid
 from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import (ObjectiveBreakdown, Problem, UBox, VarLayout,
-                              Vars, Weights, _evaluate_core, build_box,
+                              Vars, Weights, _evaluate_core, _halton, build_box,
                               derive_ubox, make_closure, r0_value, smooth_max,
                               smooth_max_weights)
 from smlpde.optimizer import finite_diff_gradcheck
@@ -138,6 +141,34 @@ class TestUBox:
         a = build_box(3, 2.0, sample_budget=500)
         b = build_box(3, 2.0, sample_budget=500)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_halton_radical_inverse(self):
+        # index i, written in base 2, 3, 5 and mirrored at the radix point
+        expect = [[0, 0, 0], [1 / 2, 1 / 3, 1 / 5], [1 / 4, 2 / 3, 2 / 5],
+                  [3 / 4, 1 / 9, 3 / 5], [1 / 8, 4 / 9, 4 / 5],
+                  [5 / 8, 7 / 9, 1 / 25]]
+        assert np.allclose(_halton(3, 6), expect, rtol=0, atol=1e-15)
+
+    def test_halton_matches_scipy_bit_for_bit(self):
+        from scipy.stats import qmc
+
+        for dim in range(3, 10):
+            for n in (1, 7, 4096, 5000):
+                ref = qmc.Halton(d=dim, scramble=False).random(n)
+                assert _halton(dim, n).tobytes() == ref.tobytes(), (dim, n)
+
+    def test_box_needs_no_scipy(self):
+        # a fresh interpreter builds a 3-D box without importing scipy
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mlp.__file__)))
+        code = ("import sys\n"
+                "import smlpde.harness\n"
+                "from smlpde.objective import build_box\n"
+                "assert build_box(3, 2.0, sample_budget=64).samples.shape == (64, 3)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_lattice_weights_integrate(self):
         box = build_box(2, 1.0, points_per_axis=33)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smlpde import mlp
-from smlpde.grid import Field, Grid, jet_features
+from smlpde.grid import Grid, jet_features
 from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import Problem, Vars, Weights, _evaluate_core, build_box
 from smlpde.physics import (PhysicalParams, affine_check, apply_physics_array,
@@ -73,15 +73,15 @@ class TestAffineCheck:
     def test_convection_midpoint(self):
         g = make_grid()
         rng = np.random.default_rng(2)
-        u = Field(g, rng.standard_normal((g.nt, g.nx)))
-        assert affine_check("convection", u, rng.standard_normal((1, g.nx)),
+        u = rng.standard_normal((g.nt, g.nx))
+        assert affine_check(g, "convection", u, rng.standard_normal((1, g.nx)),
                             rng.standard_normal((1, g.nx)), 0.5)
 
     def test_diffusion_s_zero_identity(self):
         g = make_grid()
         rng = np.random.default_rng(3)
-        u = Field(g, rng.standard_normal((g.nt, g.nx)))
-        assert affine_check("diffusion_reaction", u,
+        u = rng.standard_normal((g.nt, g.nx))
+        assert affine_check(g, "diffusion_reaction", u,
                             rng.standard_normal((2, g.nx)),
                             rng.standard_normal((2, g.nx)), 0.0)
 
@@ -91,16 +91,16 @@ class TestAffineCheck:
         passes = 0
         for _ in range(100):
             kind = rng.choice(["convection", "diffusion_reaction"])
-            u = Field(g, rng.standard_normal((g.nt, g.nx)))
+            u = rng.standard_normal((g.nt, g.nx))
             p1 = rng.standard_normal((n_param_slots(kind), g.nx))
             p2 = rng.standard_normal((n_param_slots(kind), g.nx))
-            passes += affine_check(kind, u, p1, p2, float(rng.uniform(-1, 2)))
+            passes += affine_check(g, kind, u, p1, p2, float(rng.uniform(-1, 2)))
         assert passes == 100
 
     def test_burgers_vacuous(self):
         g = make_grid()
-        u = Field(g, np.zeros((g.nt, g.nx)))
-        assert affine_check("burgers1d", u, [], [], 0.3)
+        u = np.zeros((g.nt, g.nx))
+        assert affine_check(g, "burgers1d", u, [], [], 0.3)
 
 
 def net_residual(g, kind, kappa, u, net):
