@@ -189,6 +189,14 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    for sec, keys in SCHEMA.items():
+        for key, (type_tag, _) in keys.items():
+            value = cfg[sec][key]
+            if type_tag != "float" or np.isfinite(value):
+                continue
+            # param_norm_p = inf selects the max-norm of the parameters
+            if not (key == "param_norm_p" and value == np.inf):
+                raise ConfigError(f"[{sec}] {key} must be finite, got {value!r}")
     g = cfg["grid"]
     try:
         grid = Grid(nx=g["nx"], nt=g["nt"], x_lo=g["x_lo"], x_hi=g["x_hi"],
@@ -222,6 +230,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         if w[key] < 2:
             raise ConfigError(f"weights key {key!r} must be >= 2 "
                               "(the objective gradient needs it)")
+    for sec, key in (("measurement", "data_seed"), ("network", "init_seed"),
+                     ("probe", "probe_seed")):
+        if cfg[sec][key] < 0:
+            raise ConfigError(f"[{sec}] {key} must be >= 0 (it seeds numpy)")
+    if w["tau0_factor"] <= 0:
+        raise ConfigError("tau0_factor must be positive")
     if w["param_norm_p"] < 1:
         raise ConfigError("param_norm_p must be >= 1 (or inf)")
     if w["box_points_per_axis"] < 2:
@@ -257,10 +271,23 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("network depth must be >= 2")
     if net["activation"] not in ACTIVATION_KINDS:
         raise ConfigError(f"unknown activation {net['activation']!r}")
-    if cfg["probe"]["f_name"] not in F_TRUE_LIBRARY:
-        raise ConfigError(f"unknown probe function {cfg['probe']['f_name']!r}")
-    widths = cfg["probe"]["widths"]
+    probe = cfg["probe"]
+    if probe["f_name"] not in F_TRUE_LIBRARY:
+        raise ConfigError(f"unknown probe function {probe['f_name']!r}")
+    widths = probe["widths"]
     if not widths or min(widths) < 1:
         raise ConfigError("probe widths must be a nonempty list of positive ints")
+    if any(a >= b for a, b in zip(widths, widths[1:])):
+        raise ConfigError("probe widths must increase (each fit widens the "
+                          "last, and the rate fit needs distinct widths)")
+    if probe["probe_depth"] < 2:
+        raise ConfigError("probe_depth must be >= 2 (depth 1 is a linear model)")
+    for key in ("fit_points", "eval_points"):
+        if probe[key] < 2:
+            raise ConfigError(f"probe {key} must be >= 2")
+    if probe["train_iters"] < 1:
+        raise ConfigError("probe train_iters must be >= 1")
+    if not probe["interval_lo"] < probe["interval_hi"]:
+        raise ConfigError("probe interval_lo must be below interval_hi")
     if cfg["weights"]["box_margin"] < 1.1:
         raise ConfigError("box_margin must be >= 1.1")

@@ -21,6 +21,12 @@ activation a = sigma(z) along with z, so tanh needs no further tanh
 evaluation: sigma' = 1 - a*a and sigma'' = -2*a*sigma', the same
 expressions Activation.deriv and deriv2 evaluate.
 
+Parameters are validated where they enter: MlpParams checks each layer's
+shape and finiteness at construction (init_params, grow_params, copy), and
+unflatten_params, which fit and objective closures call on every
+evaluation, checks the flat vector once, for its length against the
+template and for finiteness, instead of re-checking every layer.
+
 The theoretical Lipschitz constant  L_sigma^{depth-1} * prod_l |W_l|_inf
 (induced infinity norm, i.e. max row sum) is exposed as lipschitz_bound.
 """
@@ -101,7 +107,13 @@ class Activation:
 
 @dataclass
 class MlpParams:
-    """Weights and biases of one network; output dimension is 1."""
+    """Weights and biases of one network; output dimension is 1.
+
+    Construction checks every layer: shapes that chain, an output of
+    dimension 1 and finite entries.  unflatten_params builds its networks
+    without these per-layer checks: it checks the flat vector once (length
+    and finiteness) and takes the shapes from an already checked template.
+    """
 
     weights: list
     biases: list
@@ -337,16 +349,29 @@ def flatten_params(params: MlpParams) -> np.ndarray:
 
 
 def unflatten_params(flat: np.ndarray, template: MlpParams) -> MlpParams:
+    """The network shaped like template whose layers are views of flat.
+
+    flat is checked once, for its length and with one finiteness test over
+    all entries.  The layer shapes come from the template, which was
+    checked when it was built, so MlpParams' per-layer checks are skipped.
+    """
+    flat = np.asarray(flat, dtype=float)
+    layers = list(zip(template.weights, template.biases))
+    if flat.size != sum(w.size + b.size for w, b in layers):
+        raise ValueError("flat vector length does not match template")
+    if not np.isfinite(flat).all():
+        raise ValueError("non-finite parameter entries")
     ws, bs = [], []
     pos = 0
-    for w, b in zip(template.weights, template.biases):
+    for w, b in layers:
         ws.append(flat[pos:pos + w.size].reshape(w.shape))
         pos += w.size
         bs.append(flat[pos:pos + b.size].reshape(b.shape))
         pos += b.size
-    if pos != flat.size:
-        raise ValueError("flat vector length does not match template")
-    return MlpParams(ws, bs, template.activation)
+    params = MlpParams.__new__(MlpParams)
+    params.weights, params.biases = ws, bs
+    params.activation = template.activation
+    return params
 
 
 def param_norm(nets, p: float = 2.0):

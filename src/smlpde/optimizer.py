@@ -73,7 +73,7 @@ def _check_finite(value, grad, iteration):
     if not np.isfinite(value):
         raise DivergedError(f"objective became non-finite at iteration {iteration}",
                             iteration)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise DivergedError(f"gradient became non-finite at iteration {iteration}",
                             iteration)
 

@@ -81,6 +81,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config_text("[schedule]\ngrowth = 0.0\n")
 
+    def test_infinite_param_norm_p_accepted(self):
+        # the only float key where inf is valid: the max-norm of the parameters
+        cfg = parse_config_text("[weights]\nparam_norm_p = inf\n")
+        assert cfg["weights"]["param_norm_p"] == float("inf")
+
     def test_small_margin_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("[weights]\nbox_margin = 1.0\n")
@@ -112,13 +117,40 @@ class TestValidation:
         "[optimizer]\nrate = 0.0\n",
         "[optimizer]\nmax_iters = -1\n",
         "[optimizer]\nrestarts = 0\n",
+        "[weights]\nrho = inf\n",
+        "[weights]\nq = inf\n",
+        "[weights]\nr = nan\n",
+        "[weights]\ntau0_factor = -1\n",
+        "[weights]\ntau0_factor = 0.0\n",
+        "[weights]\nbox_margin = nan\n",
+        "[weights]\nparam_norm_p = nan\n",
+        "[schedule]\ngrowth = nan\n",
+        "[measurement]\nnoise0 = inf\n",
+        "[grid]\nt_end = inf\n",
+        "[probe]\nprobe_depth = 1\n",
+        "[probe]\nfit_points = 0\n",
+        "[probe]\neval_points = 1\n",
+        "[probe]\ntrain_iters = -5\n",
+        "[probe]\ninterval_lo = 3.0\n",
+        "[probe]\ninterval_hi = inf\n",
+        "[probe]\nwidths = 8, 4\n",
+        "[probe]\nwidths = 4, 4, 8\n",
+        "[measurement]\ndata_seed = -1\n",
+        "[network]\ninit_seed = -1\n",
+        "[probe]\nprobe_seed = -1\n",
     ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0",
             "nx4", "nt2", "t_end0", "x_hi_le_x_lo", "box_points1",
             "box_budget0", "net_width0", "noise_negative", "p0.5",
             "gradcheck_step_large", "gradcheck_step_small",
             "gradcheck_samples0", "f_true_unknown", "f_name_unknown",
             "profile_unknown", "profile_param_not_number", "profile_nonfinite",
-            "rate0", "max_iters_negative", "restarts0"])
+            "rate0", "max_iters_negative", "restarts0", "rho_inf", "q_inf",
+            "r_nan", "tau0_factor_negative", "tau0_factor0", "box_margin_nan",
+            "param_norm_p_nan", "growth_nan", "noise0_inf", "t_end_inf",
+            "probe_depth1", "fit_points0", "eval_points1",
+            "train_iters_negative", "interval_reversed", "interval_hi_inf",
+            "widths_decreasing", "widths_repeated", "data_seed_negative",
+            "init_seed_negative", "probe_seed_negative"])
     def test_cross_field_errors_exit_2(self, text, tmp_path, capsys):
         # each of these used to pass parsing and fail later with a traceback
         path = tmp_path / "bad.cfg"

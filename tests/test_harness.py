@@ -4,14 +4,16 @@ import os
 import numpy as np
 import pytest
 
+from smlpde import mlp
 from smlpde.cli import main as cli_main
 from smlpde.config import default_config, format_config
 from smlpde.grid import jet_features
-from smlpde.harness import (_staged_minimize, approximation_probe, build_grid,
-                            build_gt_spec, fit_function_lsq,
-                            gradcheck_from_config, run_convergence_study)
+from smlpde.harness import (_lsq_closure, _staged_minimize,
+                            approximation_probe, build_grid, build_gt_spec,
+                            fit_function_lsq, gradcheck_from_config,
+                            run_convergence_study)
 from smlpde.ground_truth import simulate
-from smlpde.optimizer import OptimConfig, minimize
+from smlpde.optimizer import OptimConfig, finite_diff_gradcheck, minimize
 
 
 def tiny_config(out_dir, m_max=2, iters=300):
@@ -166,6 +168,26 @@ class TestVisitedJets:
         assert z.shape == (grid.nt * grid.nx, 2)
         assert z[:, 0].min() == 0.0 and z[:, 0].max() == grid.t_end
         assert np.max(np.abs(z[:, 1])) <= np.max(np.abs(u_true)) + 1e-15
+
+
+class TestLsqClosure:
+    """The least-squares closure of the probe fits and the network prefit."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "softplus"])
+    def test_gradient_matches_finite_differences(self, activation):
+        rng = np.random.default_rng(21)
+        net = mlp.init_params([2, 5, 4, 1], mlp.Activation(activation), 22)
+        Z = rng.uniform(-1, 1, (20, 2))
+        y = np.sin(3.0 * Z[:, 0]) * Z[:, 1]
+        fg = _lsq_closure(net, Z, y)
+        x = mlp.flatten_params(net)
+        x = x + 0.3 * rng.standard_normal(x.size)
+        loss, _, aux = fg(x)
+        assert aux == loss
+        diff = mlp.forward_batch(mlp.unflatten_params(x, net), Z) - y
+        assert loss == float(np.mean(diff**2))
+        # central differences on every coordinate
+        assert finite_diff_gradcheck(x, fg, coords="all") < 1e-6
 
 
 class TestApproximationProbe:

@@ -304,6 +304,33 @@ class TestParamNorm:
         assert np.allclose(grad, fd, rtol=0, atol=1e-8)
 
 
+class TestUnflatten:
+    def test_round_trip(self):
+        net = random_net([3, 5, 4, 1], 17, "softplus")
+        back = unflatten_params(flatten_params(net), net)
+        assert back.activation == net.activation
+        for a, b in zip(back.weights + back.biases, net.weights + net.biases):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        net = random_net([3, 5, 4, 1], 18)
+        flat = flatten_params(net)
+        for i in (0, flat.size // 2, flat.size - 1):
+            x = flat.copy()
+            x[i] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                unflatten_params(x, net)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_rejected(self, delta):
+        net = random_net([3, 5, 4, 1], 19)
+        flat = flatten_params(net)
+        x = np.zeros(flat.size + delta)
+        with pytest.raises(ValueError, match="length"):
+            unflatten_params(x, net)
+
+
 class TestInitAndGrowth:
     def test_init_bounds_and_determinism(self):
         a = init_params([4, 8, 1], Activation("tanh"), 5)
