@@ -14,7 +14,7 @@ from .mlp import Activation, MlpParams, init_params, lipschitz_bound, param_norm
 from .objective import (ObjectiveBreakdown, UBox, Vars, Weights, derive_ubox,
                         r0_value, smooth_max)
 from .optimizer import OptimConfig, OptResult, finite_diff_gradcheck, minimize
-from .physics import PhysicalParams, affine_check, apply_physics_array, residual
+from .physics import affine_check, apply_physics_array, residual
 from .ground_truth import GroundTruthSpec, limit_oracle, make_dataset, simulate
 
 __version__ = "0.1.0"

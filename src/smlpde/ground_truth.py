@@ -27,8 +27,7 @@ from .errors import DivergedError, OracleInfeasibleError
 from .grid import Grid, jet_features
 from .measurement import Dataset, MeasurementOp, add_noise
 from .objective import r0_value, smooth_max, smooth_max_weights
-from .physics import (PhysicalParams, apply_physics_array, n_param_slots,
-                      zero_params)
+from .physics import apply_physics_array, n_param_slots
 
 F_TRUE_LIBRARY = {
     "zero": (lambda u: np.zeros_like(u), lambda u: np.zeros_like(u)),
@@ -81,7 +80,6 @@ class GroundTruthSpec:
     f_name: str
     L: int
     kappa: int = 0
-    N: int = 1
     phi_profiles: list = field(default_factory=list)   # per l: list per slot
     u0_profiles: list = field(default_factory=list)    # per l
 
@@ -99,26 +97,26 @@ class GroundTruthSpec:
         if self.f_name not in F_TRUE_LIBRARY:
             raise ValueError(f"unknown nonlinearity {self.f_name!r}")
 
-    def phi_values(self, grid: Grid) -> PhysicalParams:
+    def phi_values(self, grid: Grid) -> np.ndarray:
         slots = n_param_slots(self.kind)
-        vals = np.zeros((self.L, self.N, slots, grid.nx))
+        vals = np.zeros((self.L, 1, slots, grid.nx))
         for l in range(self.L):
             for s in range(slots):
                 vals[l, :, s, :] = profile_array(self.phi_profiles[l][s], grid)
-        return PhysicalParams(self.kind, grid, vals)
+        return vals
 
 
 def _stable_substeps(spec: GroundTruthSpec, grid: Grid,
-                     phi: PhysicalParams, u0_sup: float) -> int:
+                     phi: np.ndarray, u0_sup: float) -> int:
     """How many RK4 sub-steps one output step needs (safety factor 0.5)."""
     safety = 0.5
     dt_max = math.inf
     if spec.kind == "convection":
-        speed = float(np.max(np.abs(phi.values))) if phi.values.size else 0.0
+        speed = float(np.max(np.abs(phi))) if phi.size else 0.0
         if speed > 0:
             dt_max = safety * grid.dx / speed
     elif spec.kind == "diffusion_reaction":
-        a_sup = float(np.max(np.abs(phi.values[:, :, 0, :])))
+        a_sup = float(np.max(np.abs(phi[:, :, 0, :])))
         if a_sup > 0:
             dt_max = safety * grid.dx**2 / (2.0 * a_sup)
     elif spec.kind == "burgers1d":
@@ -130,12 +128,10 @@ def _stable_substeps(spec: GroundTruthSpec, grid: Grid,
 
 
 def simulate(spec: GroundTruthSpec, grid: Grid) -> np.ndarray:
-    """Method-of-lines trajectory of shape (L, N, nt, nx)."""
-    if spec.N != 1:
-        raise NotImplementedError("forward simulation supports N=1")
+    """Method-of-lines trajectory of one equation, shape (L, 1, nt, nx)."""
     fvec = f_true(spec.f_name)
     phi = spec.phi_values(grid)
-    out = np.zeros((spec.L, spec.N, grid.nt, grid.nx))
+    out = np.zeros((spec.L, 1, grid.nt, grid.nx))
     clamp = spec.kind != "none"
     for l in range(spec.L):
         u0 = profile_array(spec.u0_profiles[l], grid)
@@ -148,7 +144,7 @@ def simulate(spec: GroundTruthSpec, grid: Grid) -> np.ndarray:
 
         def rhs(state):
             dudt = apply_physics_array(
-                grid, spec.kind, state[None, :], phi.values[l, 0])[0] + fvec(state)
+                grid, spec.kind, state[None, :], phi[l, 0])[0] + fvec(state)
             if clamp:
                 dudt[0] = 0.0
                 dudt[-1] = 0.0
@@ -264,7 +260,7 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
     dt_u = np.stack([(dtm @ u[l]).reshape(-1)[flat_keep] for l in range(L)])
     ux = np.stack([(u[l] @ d1.T).reshape(-1)[flat_keep] for l in range(L)])
     # the objective's state norm of the pinned state (no parameter part)
-    r0_state = r0_value(grid, kappa, dataset.y, zero_params("none", grid, L, N))
+    r0_state = r0_value(grid, kappa, dataset.y, np.zeros((L, N, 0, grid.nx)))
 
     def check_coincident(v, tol=1e-6):
         if ci.size:

@@ -38,7 +38,7 @@ from .measurement import MeasurementOp, save_dataset
 from .objective import (ObjectiveBreakdown, Problem, UBox, VarLayout, Vars,
                         Weights, derive_ubox, make_closure)
 from .optimizer import OptimConfig, finite_diff_gradcheck, minimize
-from .physics import PhysicalParams, n_param_slots, residual
+from .physics import n_param_slots, residual
 from .svg import line_chart
 
 
@@ -243,7 +243,7 @@ def prefit_net_to_residual(net, grid: Grid, kappa: int, kind: str,
         feats = jet_features(grid, kappa, u_init[l])
         blocks.append(feats.reshape(grid.nt, grid.nx, -1)[:, interior]
                       .reshape(-1, feats.shape[1]))
-        resid = residual(grid, kind, u_init[l, n], phi_init.values[l, n])
+        resid = residual(grid, kind, u_init[l, n], phi_init[l, n])
         targets.append(resid[:, interior].reshape(-1))
     Z = np.concatenate(blocks, axis=0)
     y = np.concatenate(targets)
@@ -303,12 +303,12 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
 
-    N = spec.N
     phi_true = spec.phi_values(grid)
 
     # reference trajectory (simulated once through the first dataset build)
     op1 = MeasurementOp(cfg["measurement"]["family"], 1, grid)
     ds1, u_true = make_dataset(spec, grid, op1, 0.0, cfg["measurement"]["data_seed"])
+    N = ds1.n_states
     box = derive_ubox(ds1, grid, spec.kappa, N, wcfg["box_margin"],
                       points_per_axis=wcfg["box_points_per_axis"],
                       sample_budget=wcfg["box_sample_budget"])
@@ -339,9 +339,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         candidates = []
         if prev_vars is None:
             u_init = init_state_from_data(dataset, op)
-            phi_init = PhysicalParams(
-                spec.kind, grid,
-                initial_phi_estimate(grid, spec.kind, u_init))
+            phi_init = initial_phi_estimate(grid, spec.kind, u_init)
             for j in range(ocfg["restarts"]):
                 nets = [prefit_net_to_residual(
                     mlp.init_params(sizes, activation,
@@ -390,7 +388,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         e_f = f_sup_error(vars_best.nets, z_visited, spec.f_name)
         gse = grad_sup_error(vars_best.nets, z_visited, spec.f_name)
         serr = state_error(grid, vars_best.u, u_true)
-        perr = param_error(grid, vars_best.phi.values, phi_true.values)
+        perr = param_error(grid, vars_best.phi, phi_true)
         row = ScaleRow(m, lam, mu, nu, noise, tau_m, sizes[1], bd, e_f, gse,
                        serr, perr, psi_hat, iterations, "ok")
         report.rows.append(row)
@@ -455,14 +453,14 @@ def _write_final_vars(grid: Grid, vars_, out_dir) -> None:
             suffix = f"_n{n + 1}" if N > 1 else ""
             write_field_csv(grid, vars_.u[l, n],
                             os.path.join(out_dir, f"u_final_l{l + 1}{suffix}.csv"))
-    slots = vars_.phi.values.shape[2]
+    slots = vars_.phi.shape[2]
     for l in range(L):
         for n in range(N):
             for s in range(slots):
                 path = os.path.join(out_dir, f"phi_final_l{l + 1}_s{s + 1}.csv")
                 with open(path, "w") as fh:
                     fh.write("x,value\n")
-                    for xv, pv in zip(grid.x, vars_.phi.values[l, n, s]):
+                    for xv, pv in zip(grid.x, vars_.phi[l, n, s]):
                         fh.write(f"{xv:.17g},{pv:.17g}\n")
     for n, net in enumerate(vars_.nets):
         mlp.write_params_csv(net,
@@ -589,7 +587,8 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     lam, mu, nu, noise = schedule_values(cfg, 1)
     dataset, _ = make_dataset(spec, grid, op, noise,
                               cfg["measurement"]["data_seed"])
-    box = derive_ubox(dataset, grid, spec.kappa, spec.N, wcfg["box_margin"],
+    N = dataset.n_states
+    box = derive_ubox(dataset, grid, spec.kappa, N, wcfg["box_margin"],
                       points_per_axis=wcfg["box_points_per_axis"],
                       sample_budget=wcfg["box_sample_budget"])
     weights = Weights(lam=lam, mu=mu, nu=nu, q=wcfg["q"], r=wcfg["r"],
@@ -599,12 +598,9 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     nets = [mlp.init_params(network_sizes(cfg, box.dim, 1),
                             mlp.Activation(cfg["network"]["activation"]),
                             cfg["network"]["init_seed"] + n)
-            for n in range(spec.N)]
+            for n in range(N)]
     vars0 = Vars(init_state_from_data(dataset, op),
-                 PhysicalParams(spec.kind, grid,
-                                np.zeros((spec.L, spec.N,
-                                          n_param_slots(spec.kind), grid.nx))),
-                 nets)
+                 np.zeros((spec.L, N, n_param_slots(spec.kind), grid.nx)), nets)
     layout = VarLayout(vars0)
     fg = make_closure(problem, layout)
     err = finite_diff_gradcheck(layout.pack(vars0), fg,

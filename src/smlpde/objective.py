@@ -20,10 +20,12 @@ of the reference trajectory; a lattice (low dimension) or Halton set
 is reported for diagnostics while the log-sum-exp surrogate with
 temperature tau enters the optimized total.
 
-Gradients with respect to every state node, parameter node, and network
-weight are assembled in closed form (reverse mode through the stencil
-matrices, the measurement operator, and the networks - including the
-second-order sweep needed for the gradient-sup term).
+States u (L, N, nt, nx) and parameter fields phi (L, N, slots, nx) are
+plain arrays.  Gradients with respect to every state node, parameter node,
+and network weight are assembled in closed form (reverse mode through the
+stencil matrices, the measurement operator, and the networks - including
+the second-order sweep needed for the gradient-sup term) and returned flat
+in VarLayout's pack order; Weights keeps every exponent >= 2.
 
 _evaluate_core is the one implementation of every term: the network inputs
 come from grid.jet_features, the residual from physics.residual, the nested
@@ -43,7 +45,7 @@ from . import mlp
 from .errors import BoxViolationError
 from .grid import Grid, _norm_pow, jet_dimension, jet_features
 from .measurement import Dataset, MeasurementOp
-from .physics import PhysicalParams, residual
+from .physics import residual
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,8 @@ class Weights:
     def __post_init__(self):
         if self.lam < 0 or self.mu < 0 or self.nu < 0:
             raise ValueError("term weights must be nonnegative")
-        if self.q < 1 or self.r < 1:
-            raise ValueError("exponents q, r must be >= 1")
-        if not 1.0 < self.rho < math.inf:
-            raise ValueError("rho must lie in (1, inf)")
+        if self.q < 2 or self.r < 2 or not 2.0 <= self.rho < math.inf:
+            raise ValueError("exponents q, r, rho must be >= 2, rho finite")
         if self.param_norm_p < 1:
             raise ValueError("param_norm_p must be >= 1 or inf")
         if self.tau <= 0:
@@ -135,12 +135,12 @@ def build_box(dim: int, radius: float, points_per_axis: int = 33,
 
 
 def derive_ubox(dataset: Dataset, grid: Grid, kappa: int, n_states: int,
-                margin: float, jet_sup: float | None = None,
-                points_per_axis: int = 33, sample_budget: int = 4096) -> UBox:
+                margin: float, points_per_axis: int = 33,
+                sample_budget: int = 4096) -> UBox:
     """Box radius = t_end + margin * (jet sup of the reference trajectory)."""
     if margin < 1.1:
         raise ValueError(f"margin must be >= 1.1, got {margin}")
-    bound = jet_sup if jet_sup is not None else dataset.ref_jet_sup
+    bound = dataset.ref_jet_sup
     if bound is None:
         raise ValueError("no jet sup-norm bound available for the box radius")
     dim = 1 + n_states * jet_dimension(kappa)
@@ -182,15 +182,15 @@ def state_norm_order(kappa: int) -> int:
     return min(kappa + 1, 2)
 
 
-def r0_value(grid: Grid, kappa: int, u: np.ndarray, phi: PhysicalParams) -> float:
-    """Quadratic core: spatial L^2 of the parameter fields plus the squared
+def r0_value(grid: Grid, kappa: int, u: np.ndarray, phi: np.ndarray) -> float:
+    """Quadratic core: spatial L^2 of the parameter fields phi plus the squared
     discrete state norm (state, time derivative, spatial derivatives up to
     state_norm_order(kappa))."""
     wt = grid.time_weights()
     wx = grid.space_weights()
     wtx = wt[:, None] * wx[None, :]
     dtm = grid.time_derivative_matrix()
-    total = float(np.sum(wx * phi.values**2)) if phi.values.size else 0.0
+    total = float(np.sum(wx * phi**2)) if phi.size else 0.0
     order_max = state_norm_order(kappa)
     mats = {o: grid.space_derivative_matrix(o) for o in range(1, order_max + 1)}
     L, N = u.shape[0], u.shape[1]
@@ -238,21 +238,12 @@ class ObjectiveBreakdown:
 
 @dataclass
 class Vars:
-    """The joint optimization variable: states, parameter fields, networks."""
+    """The joint optimization variable: the states and the parameter fields
+    as plain arrays, and one network per equation."""
 
     u: np.ndarray                  # (L, N, nt, nx)
-    phi: PhysicalParams
+    phi: np.ndarray                # (L, N, slots, nx)
     nets: list
-
-    def copy(self) -> "Vars":
-        return Vars(self.u.copy(), self.phi.copy(), [n.copy() for n in self.nets])
-
-
-@dataclass
-class Grads:
-    u: np.ndarray
-    phi: np.ndarray
-    nets: np.ndarray    # all network parameters, flat in pack order
 
 
 @dataclass
@@ -289,19 +280,17 @@ def _power_weight(wt, wx, vec_sq_slice, exponent, scale):
     return scale * exponent * (wt * s_fac)[:, None] * wx[None, :]
 
 
-def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
-    """The objective breakdown at vars_, and with want_grad its Grads."""
+def _evaluate_core(vars_: Vars, problem: Problem):
+    """The objective breakdown at vars_ and its gradient, flat in
+    VarLayout's pack order: states, parameter fields, then the networks."""
     grid, ds, op = problem.grid, problem.dataset, problem.op
     w, box, kind, kappa = problem.weights, problem.box, problem.kind, problem.kappa
-    u = vars_.u
+    u, phi = vars_.u, vars_.phi
     L, N = u.shape[0], u.shape[1]
     if ds.y.shape[:2] != (L, N):
         raise ValueError("dataset and variables disagree on (L, N)")
     if len(vars_.nets) != N:
         raise ValueError(f"{len(vars_.nets)} networks for {N} equations")
-    want_grad = bool(want_grad)
-    if want_grad and (w.q < 2 or w.r < 2 or w.rho < 2):
-        raise ValueError("gradient path requires exponents q, r, rho >= 2")
 
     wt = grid.time_weights()
     wx = grid.space_weights()
@@ -320,10 +309,10 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
     jet_mats = [None, d1, d2]
 
     bd = ObjectiveBreakdown()
-    g_u = np.zeros_like(u) if want_grad else None
-    g_phi = np.zeros_like(vars_.phi.values) if want_grad else None
+    g_u = np.zeros_like(u)
+    g_phi = np.zeros_like(phi)
     # flat parameter gradient per network; the first VJP sets its shape
-    g_nets = [0.0] * N if want_grad else None
+    g_nets = [0.0] * N
 
     # --- per-experiment data-fit and residual terms -------------------------
     for l in range(L):
@@ -332,7 +321,7 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
 
         tapes = [mlp.Tape(net, feats) for net in vars_.nets]
         resid = np.stack([
-            residual(grid, kind, u[l, n], vars_.phi.values[l, n],
+            residual(grid, kind, u[l, n], phi[l, n],
                      tapes[n].values.reshape(grid.nt, grid.nx))
             for n in range(N)])
         res_val, res_s = _norm_pow(wt, wx_res, resid, w.q)
@@ -350,66 +339,64 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
         data_val, data_s = _norm_pow(wt, wx, ddiff, w.r)
         bd.data_term += w.mu * data_val
 
-        if want_grad:
-            wres = _power_weight(wt, wx_res, res_s, w.q, w.lam)
-            wdat = _power_weight(wt, wx, data_s, w.r, w.mu)
-            for n in range(N):
-                rw = wres * resid[n]
-                # d/dt block and measurement block
-                g_u[l, n] += dtm.T @ rw
-                g_u[l, n] += op.adjoint_array(wdat * ddiff[n])
-                # physics block
-                if kind == "convection":
-                    phi_n = vars_.phi.values[l, n, 0]
-                    g_u[l, n] -= (rw * phi_n[None, :]) @ d1
-                    g_phi[l, n, 0] -= np.sum(rw * (u[l, n] @ d1.T), axis=0)
-                elif kind == "diffusion_reaction":
-                    a = vars_.phi.values[l, n, 0]
-                    c = vars_.phi.values[l, n, 1]
-                    ax = d1 @ a
-                    ux = u[l, n] @ d1.T
-                    uxx = u[l, n] @ d2.T
-                    g_u[l, n] -= (rw * a[None, :]) @ d2
-                    g_u[l, n] -= (rw * ax[None, :]) @ d1
-                    g_u[l, n] -= rw * c[None, :]
-                    g_phi[l, n, 0] -= np.sum(rw * uxx, axis=0)
-                    g_phi[l, n, 0] -= d1.T @ np.sum(rw * ux, axis=0)
-                    g_phi[l, n, 1] -= np.sum(rw * u[l, n], axis=0)
-                elif kind == "burgers1d":
-                    ux = u[l, n] @ d1.T
-                    g_u[l, n] += rw * ux + (rw * u[l, n]) @ d1
-                # initial / boundary blocks
-                g_u[l, n, 0, :] += 2.0 * w.lam * wx * diff0[n]
-                g_u[l, n, :, 0] += 2.0 * w.lam * wt * dlo[n]
-                g_u[l, n, :, -1] += 2.0 * w.lam * wt * dhi[n]
-                # network blocks: residual depends on f through -f(feats)
-                bw, bb, _ = tapes[n].param_vjp(val_seeds=(-rw).reshape(-1))
-                g_nets[n] = g_nets[n] + mlp.flatten_layers(bw, bb)
-                # chain rule into the jet features of every state
-                gin = tapes[n].input_grads   # (nodes, D)
-                col = 1
-                for k in range(N):
-                    for order in range(kappa + 1):
-                        # residual = ... - f, so the seed carries the minus
-                        seed_field = (rw.reshape(-1) * (-gin[:, col])) \
-                            .reshape(grid.nt, grid.nx)
-                        if order == 0:
-                            g_u[l, k] += seed_field
-                        else:
-                            g_u[l, k] += seed_field @ jet_mats[order]
-                        col += 1
+        wres = _power_weight(wt, wx_res, res_s, w.q, w.lam)
+        wdat = _power_weight(wt, wx, data_s, w.r, w.mu)
+        for n in range(N):
+            rw = wres * resid[n]
+            # d/dt block and measurement block
+            g_u[l, n] += dtm.T @ rw
+            g_u[l, n] += op.adjoint_array(wdat * ddiff[n])
+            # physics block
+            if kind == "convection":
+                phi_n = phi[l, n, 0]
+                g_u[l, n] -= (rw * phi_n[None, :]) @ d1
+                g_phi[l, n, 0] -= np.sum(rw * (u[l, n] @ d1.T), axis=0)
+            elif kind == "diffusion_reaction":
+                a = phi[l, n, 0]
+                c = phi[l, n, 1]
+                ax = d1 @ a
+                ux = u[l, n] @ d1.T
+                uxx = u[l, n] @ d2.T
+                g_u[l, n] -= (rw * a[None, :]) @ d2
+                g_u[l, n] -= (rw * ax[None, :]) @ d1
+                g_u[l, n] -= rw * c[None, :]
+                g_phi[l, n, 0] -= np.sum(rw * uxx, axis=0)
+                g_phi[l, n, 0] -= d1.T @ np.sum(rw * ux, axis=0)
+                g_phi[l, n, 1] -= np.sum(rw * u[l, n], axis=0)
+            elif kind == "burgers1d":
+                ux = u[l, n] @ d1.T
+                g_u[l, n] += rw * ux + (rw * u[l, n]) @ d1
+            # initial / boundary blocks
+            g_u[l, n, 0, :] += 2.0 * w.lam * wx * diff0[n]
+            g_u[l, n, :, 0] += 2.0 * w.lam * wt * dlo[n]
+            g_u[l, n, :, -1] += 2.0 * w.lam * wt * dhi[n]
+            # network blocks: residual depends on f through -f(feats)
+            bw, bb, _ = tapes[n].param_vjp(val_seeds=(-rw).reshape(-1))
+            g_nets[n] = g_nets[n] + mlp.flatten_layers(bw, bb)
+            # chain rule into the jet features of every state
+            gin = tapes[n].input_grads   # (nodes, D)
+            col = 1
+            for k in range(N):
+                for order in range(kappa + 1):
+                    # residual = ... - f, so the seed carries the minus
+                    seed_field = (rw.reshape(-1) * (-gin[:, col])) \
+                        .reshape(grid.nt, grid.nx)
+                    if order == 0:
+                        g_u[l, k] += seed_field
+                    else:
+                        g_u[l, k] += seed_field @ jet_mats[order]
+                    col += 1
 
     # --- quadratic core ------------------------------------------------------
-    bd.r0_term = r0_value(grid, kappa, u, vars_.phi)
-    if want_grad:
-        g_phi += 2.0 * wx[None, None, None, :] * vars_.phi.values
-        for l in range(L):
-            for n in range(N):
-                f_ = u[l, n]
-                g_u[l, n] += 2.0 * wtx * f_
-                g_u[l, n] += dtm.T @ (2.0 * wtx * (dtm @ f_))
-                for order in range(1, state_norm_order(kappa) + 1):
-                    g_u[l, n] += (2.0 * wtx * (f_ @ jet_mats[order].T)) @ jet_mats[order]
+    bd.r0_term = r0_value(grid, kappa, u, phi)
+    g_phi += 2.0 * wx[None, None, None, :] * phi
+    for l in range(L):
+        for n in range(N):
+            f_ = u[l, n]
+            g_u[l, n] += 2.0 * wtx * f_
+            g_u[l, n] += dtm.T @ (2.0 * wtx * (dtm @ f_))
+            for order in range(1, state_norm_order(kappa) + 1):
+                g_u[l, n] += (2.0 * wtx * (f_ @ jet_mats[order].T)) @ jet_mats[order]
 
     # --- box terms ------------------------------------------------------------
     hard_sup = 0.0
@@ -425,16 +412,15 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
         gnorm = np.abs(gin[np.arange(gin.shape[0]), comp])
         bd.f_gradsup_term += smooth_max(gnorm, w.tau)
         hard_sup = max(hard_sup, float(np.max(gnorm)))
-        if want_grad:
-            val_seeds = box.volume * box.quad_weights * w.rho \
-                * np.abs(vals) ** (w.rho - 1.0) * np.sign(vals)
-            omega = smooth_max_weights(gnorm, w.tau)
-            sgn = np.sign(gin[np.arange(gin.shape[0]), comp])
-            sgn[sgn == 0.0] = 1.0
-            grad_seeds = np.zeros_like(gin)
-            grad_seeds[np.arange(gin.shape[0]), comp] = omega * sgn
-            bw, bb, _ = tape.param_vjp(val_seeds=val_seeds, grad_seeds=grad_seeds)
-            g_nets[n] = g_nets[n] + mlp.flatten_layers(bw, bb)
+        val_seeds = box.volume * box.quad_weights * w.rho \
+            * np.abs(vals) ** (w.rho - 1.0) * np.sign(vals)
+        omega = smooth_max_weights(gnorm, w.tau)
+        sgn = np.sign(gin[np.arange(gin.shape[0]), comp])
+        sgn[sgn == 0.0] = 1.0
+        grad_seeds = np.zeros_like(gin)
+        grad_seeds[np.arange(gin.shape[0]), comp] = omega * sgn
+        bw, bb, _ = tape.param_vjp(val_seeds=val_seeds, grad_seeds=grad_seeds)
+        g_nets[n] = g_nets[n] + mlp.flatten_layers(bw, bb)
     bd.hard_gradsup = hard_sup
 
     # --- parameter norm --------------------------------------------------------
@@ -442,12 +428,10 @@ def _evaluate_core(vars_: Vars, problem: Problem, want_grad: bool):
     bd.theta_norm_term = w.nu * theta_norm
 
     bd.total = float(sum(bd.parts()))
-    if not want_grad:
-        return bd, None
     g_nets = np.concatenate(g_nets)
     if w.nu > 0:
         g_nets += w.nu * g_theta
-    return bd, Grads(g_u, g_phi, g_nets)
+    return bd, np.concatenate([g_u.reshape(-1), g_phi.reshape(-1), g_nets])
 
 
 # --- flat packing for the optimizer --------------------------------------------
@@ -458,9 +442,7 @@ class VarLayout:
 
     def __init__(self, template: Vars):
         self.u_shape = template.u.shape
-        self.phi_shape = template.phi.values.shape
-        self.phi_kind = template.phi.kind
-        self.grid = template.phi.grid
+        self.phi_shape = template.phi.shape
         self.net_templates = [n.copy() for n in template.nets]
         self.u_size = int(np.prod(self.u_shape))
         self.phi_size = int(np.prod(self.phi_shape))
@@ -468,7 +450,7 @@ class VarLayout:
         self.size = self.u_size + self.phi_size + sum(self.net_sizes)
 
     def pack(self, vars_: Vars) -> np.ndarray:
-        parts = [vars_.u.reshape(-1), vars_.phi.values.reshape(-1)]
+        parts = [vars_.u.reshape(-1), vars_.phi.reshape(-1)]
         parts += [mlp.flatten_params(n) for n in vars_.nets]
         return np.concatenate(parts) if parts else np.zeros(0)
 
@@ -477,25 +459,20 @@ class VarLayout:
             raise ValueError("flat vector length mismatch")
         u = x[:self.u_size].reshape(self.u_shape).copy()
         pos = self.u_size
-        phi_vals = x[pos:pos + self.phi_size].reshape(self.phi_shape).copy()
+        phi = x[pos:pos + self.phi_size].reshape(self.phi_shape).copy()
         pos += self.phi_size
         nets = []
         for tmpl, size in zip(self.net_templates, self.net_sizes):
             nets.append(mlp.unflatten_params(x[pos:pos + size].copy(), tmpl))
             pos += size
-        return Vars(u, PhysicalParams(self.phi_kind, self.grid, phi_vals), nets)
-
-    def pack_grads(self, grads: Grads) -> np.ndarray:
-        return np.concatenate([grads.u.reshape(-1), grads.phi.reshape(-1),
-                               grads.nets])
+        return Vars(u, phi, nets)
 
 
 def make_closure(problem: Problem, layout: VarLayout):
     """Objective closure x -> (value, flat gradient, breakdown)."""
 
     def fg(x: np.ndarray):
-        vars_ = layout.unpack(x)
-        bd, grads = _evaluate_core(vars_, problem, want_grad=True)
-        return bd.total, layout.pack_grads(grads), bd
+        bd, grad = _evaluate_core(layout.unpack(x), problem)
+        return bd.total, grad, bd
 
     return fg

@@ -96,8 +96,9 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
         m = np.zeros_like(x)
         v = np.zeros_like(x)
         for k in range(1, config.max_iters + 1):
-            gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-            if gnorm < config.grad_tol:
+            # no gradient passes a tolerance <= 0: skip its sup-norm then
+            if config.grad_tol > 0 and \
+                    np.max(np.abs(grad), initial=0.0) < config.grad_tol:
                 result.converged = True
                 result.stop_reason = "gradient tolerance reached"
                 break
@@ -120,8 +121,8 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
         calls_left = (np.inf if config.max_calls is None
                       else config.max_calls - 1)
         for k in range(1, config.max_iters + 1):
-            gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-            if gnorm < config.grad_tol:
+            if config.grad_tol > 0 and \
+                    np.max(np.abs(grad), initial=0.0) < config.grad_tol:
                 result.converged = True
                 result.stop_reason = "gradient tolerance reached"
                 break

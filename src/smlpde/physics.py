@@ -8,6 +8,9 @@ Supported per-equation terms on 1D grids:
                        product rule as a*u_xx + a_x*u_x + c*u)
   burgers1d          : -u * du/dx                (no parameter field)
 
+Parameter fields are a plain (L, N, slots, nx) array phi; the functions
+here take one equation's (slots, nx) block phi[l, n].
+
 The residual of equation n is du_n/dt - term_n - f_n, where f_n holds the
 values of that equation's network at the nodewise jet features
 [t, jet(u_1), ..., jet(u_N)] (grid.jet_features).  Without f it is the
@@ -15,8 +18,6 @@ apparent residual du_n/dt - term_n that the network has to explain.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,42 +32,6 @@ def n_param_slots(kind: str) -> int:
     if kind not in PHYSICS_KINDS:
         raise ValueError(f"unknown physics kind {kind!r}")
     return _SLOTS[kind]
-
-
-@dataclass
-class PhysicalParams:
-    """Static (time-constant) parameter fields, shape (L, N, slots, nx)."""
-
-    kind: str
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        slots = n_param_slots(self.kind)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 4 or self.values.shape[2] != slots \
-                or self.values.shape[3] != self.grid.nx:
-            raise ValueError(
-                f"parameter array shape {self.values.shape} does not match "
-                f"kind {self.kind!r} (slots={slots}) on nx={self.grid.nx}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite parameter entries")
-
-    @property
-    def n_experiments(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[1]
-
-    def copy(self) -> "PhysicalParams":
-        return PhysicalParams(self.kind, self.grid, self.values.copy())
-
-
-def zero_params(kind: str, grid: Grid, L: int, N: int) -> PhysicalParams:
-    return PhysicalParams(kind, grid, np.zeros((L, N, n_param_slots(kind), grid.nx)))
 
 
 def apply_physics_array(grid: Grid, kind: str, u: np.ndarray,

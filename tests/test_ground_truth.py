@@ -9,7 +9,6 @@ from smlpde.ground_truth import (GroundTruthSpec, _oracle_pairs, f_true,
 from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import (Problem, Vars, Weights, _evaluate_core,
                               derive_ubox, r0_value, smooth_max)
-from smlpde.physics import PhysicalParams, zero_params
 from smlpde import mlp
 
 
@@ -129,10 +128,10 @@ class TestMakeDataset:
                                  [np.zeros(2), np.zeros(1)],
                                  mlp.Activation("tanh"))
         vars_ = Vars(u_true.copy(),
-                     PhysicalParams("none", grid, np.zeros((1, 1, 0, grid.nx))),
+                     np.zeros((1, 1, 0, grid.nx)),
                      [zero_net])
         problem = Problem(grid, ds, op, "none", 0, Weights(lam=1, mu=1, nu=0), box)
-        bd, _ = _evaluate_core(vars_, problem, want_grad=False)
+        bd, _ = _evaluate_core(vars_, problem)
         tol = 10 * (grid.dx**2 + grid.dt**2)
         assert bd.residual_term < tol
         assert bd.initial_term < 1e-20
@@ -231,7 +230,7 @@ class TestLimitOracle:
         lrho = float(np.mean(v**2))
         dd_soft = smooth_max(np.sqrt((v[ii] - v[jj]) ** 2 + (1e-9 * scale) ** 2)
                              / sep, 1e-3)
-        r0 = r0_value(grid, 0, ds.y, zero_params("none", grid, 1, 1))
+        r0 = r0_value(grid, 0, ds.y, np.zeros((1, 1, 0, grid.nx)))
         assert res.value - lrho - dd_soft == pytest.approx(r0, rel=1e-12)
 
     def test_oracle_rejects_big_grids(self):

@@ -139,6 +139,18 @@ class TestMinimize:
         assert len(calls) == 6
         assert res.stop_reason == "call budget"
 
+    @pytest.mark.parametrize("method", ["adaptive", "gd_linesearch"])
+    def test_gradient_tolerance_edges(self, method):
+        # an empty gradient meets a positive tolerance at once; a tolerance
+        # of 0 never stops a run, not even at a zero gradient
+        res = minimize(np.zeros(0), quadratic_bowl(),
+                       OptimConfig(max_iters=5, grad_tol=1e-8, method=method))
+        assert res.converged and res.iterations == 0
+        res = minimize(np.zeros(2), quadratic_bowl(),
+                       OptimConfig(max_iters=5, grad_tol=0.0, method=method))
+        assert not res.converged and res.iterations == 5
+        assert res.stop_reason == "iteration cap"
+
     def test_adaptive_best_so_far_non_increasing(self):
         rng = np.random.default_rng(1)
 

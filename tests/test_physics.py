@@ -5,8 +5,8 @@ from smlpde import mlp
 from smlpde.grid import Grid, jet_features
 from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import Problem, Vars, Weights, _evaluate_core, build_box
-from smlpde.physics import (PhysicalParams, affine_check, apply_physics_array,
-                            n_param_slots, residual, zero_params)
+from smlpde.physics import (affine_check, apply_physics_array, n_param_slots,
+                            residual)
 
 
 def make_grid(nx=33, nt=17, t_end=1.0):
@@ -148,8 +148,7 @@ class TestResidual:
         problem = Problem(g, ds, MeasurementOp("full", 1, g), "none", 0,
                           Weights(), build_box(2, 2.0, points_per_axis=3))
         with pytest.raises(ValueError):
-            _evaluate_core(Vars(u, zero_params("none", g, 1, 1), []), problem,
-                           want_grad=False)
+            _evaluate_core(Vars(u, np.zeros((1, 1, 0, g.nx)), []), problem)
 
     def test_network_input_dim_mismatch(self):
         g = make_grid()
@@ -157,14 +156,7 @@ class TestResidual:
             net_residual(g, "none", 1, np.zeros((g.nt, g.nx)), const_net(0.0, 2))
 
 
-class TestPhysicalParams:
-    def test_slot_validation(self):
-        g = make_grid()
-        with pytest.raises(ValueError):
-            PhysicalParams("convection", g, np.zeros((1, 1, 2, g.nx)))
-        p = zero_params("diffusion_reaction", g, 2, 1)
-        assert p.values.shape == (2, 1, 2, g.nx)
-
+class TestParamSlots:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             n_param_slots("advection")

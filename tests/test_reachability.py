@@ -5,10 +5,21 @@ in src/smlpde references outside its own definition is reached only by
 tests, and is deleted rather than kept.  ALLOWED names the exceptions, each
 with the reason it stays.  A reference is any name or attribute with the
 same identifier; the re-exports in __init__.py do not count.
+
+Matching bare identifiers cannot tell two methods of one name apart, nor a
+method from the numpy array method it shares a name with: an unused
+Vars.copy looked reached through every array's .copy().  So the public
+methods whose identifier is defined more than once in the package, or is
+an np.ndarray attribute, are listed in SHARED, each with a function of the
+package that calls it; a new such method fails the test until it is listed
+with its caller.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 import smlpde
 
@@ -30,6 +41,20 @@ ALLOWED = {
 }
 
 
+SHARED = {
+    "harness.ScaleRow.csv_row": "harness.ConvergenceReport.write_csv",
+    "mlp.MlpParams.copy": "objective.VarLayout.__init__",
+    "objective.ObjectiveBreakdown.csv_row": "harness._write_trace",
+    # limit_oracle defines a local unpack of its own
+    "objective.VarLayout.unpack": "harness.run_convergence_study",
+}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+
+
 def _definitions(module, tree):
     """(qualified name, identifier, first line, last line) of every public
     top-level function or class and every public method."""
@@ -47,8 +72,7 @@ def _definitions(module, tree):
 
 
 def unreferenced_names():
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    trees = _trees()
     refs = {}   # identifier -> [(module, line)]
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -70,3 +94,39 @@ def unreferenced_names():
 
 def test_every_public_name_is_reached_or_allowed():
     assert unreferenced_names() == set(ALLOWED)
+
+
+def shared_methods(trees):
+    """Public methods whose identifier is defined more than once in the
+    package (nested functions included) or is an np.ndarray attribute."""
+    defined = Counter(node.name for tree in trees.values()
+                      for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    return {qualname
+            for module, tree in trees.items()
+            for qualname, ident, _, _ in _definitions(module, tree)
+            if qualname.count(".") == 2
+            and (defined[ident] > 1 or hasattr(np.ndarray, ident))}
+
+
+def _function_node(trees, qualname):
+    """The def of module.function or module.Class.method, private ones too."""
+    module, *path = qualname.split(".")
+    body = trees[module].body
+    for name in path:
+        node = next(n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == name)
+        body = node.body
+    return node
+
+
+def test_shared_method_names_are_listed_with_a_caller():
+    trees = _trees()
+    assert shared_methods(trees) == set(SHARED)
+    for method, caller in SHARED.items():
+        ident = method.rsplit(".", 1)[1]
+        calls = [node for node in ast.walk(_function_node(trees, caller))
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == ident]
+        assert calls, f"{caller} does not call .{ident}()"
