@@ -18,19 +18,41 @@ discrete state/parameter errors.  stops.csv records how every start of
 every scale ended: the optimizer's stop reason, or `diverged: <message>`,
 with the iterations taken and the value reached.  All CSV output uses 17
 significant digits so identical configurations reproduce byte-identical
-files.
+files.  The run manifest timings.json, beside report.csv, holds what is not
+reproducible: the wall seconds of every scale and the objective closure
+calls of its starts that did not diverge, the config text, the Python,
+numpy and scipy versions, and whether the heap was pinned.
+
+Every entry point (run_convergence_study, approximation_probe,
+gradcheck_from_config) first pins the C allocator's thresholds
+(_pin_heap).  Each closure call allocates and frees numpy temporaries of
+0.1-1 MB.  Under glibc's dynamic thresholds these blocks are mmapped, or
+trimmed off the top of the heap, and handed back to the kernel on free,
+until the thresholds happen to rise; every call then page-faults its
+buffers in again, and a study spent about a third of its time in minor
+faults, by an amount that depended on the order of earlier allocations.
+Pinned at glibc's own ceilings, freed blocks stay in the heap and are
+reused.  The study trims the heap between scales (_trim_heap), so the
+blocks one scale freed do not stay resident under the next, wider one.
+This is glibc-only: where the C library has no mallopt or malloc_trim the
+helpers do nothing.  Merely importing this module leaves the allocator
+alone.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import json
 import os
+import platform
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mlp
-from .config import ExperimentConfig
+from .config import ExperimentConfig, format_config
 from .errors import BoxViolationError, DivergedError
 from .grid import Grid, jet_features, write_field_csv
 from .ground_truth import GroundTruthSpec, f_true, f_true_deriv, make_dataset
@@ -40,6 +62,45 @@ from .objective import (ObjectiveBreakdown, Problem, UBox, VarLayout, Vars,
 from .optimizer import OptimConfig, finite_diff_gradcheck, minimize
 from .physics import n_param_slots, residual
 from .svg import line_chart
+
+
+# glibc's mallopt parameter numbers (malloc.h) and its own limits: 32 MiB is
+# the 64-bit ceiling of the dynamic mmap threshold, and the dynamic rule keeps
+# the trim threshold at twice the mmap threshold.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _libc(name: str):
+    """The C library's function `name`, or None where it has none."""
+    try:
+        return getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+def _pin_heap() -> bool:
+    """Fix glibc's mmap and trim thresholds at their dynamic ceilings, so
+    freed closure temporaries stay in the heap; True if both mallopt calls
+    succeeded, False (changing nothing) where there is no mallopt."""
+    mallopt = _libc("mallopt")
+    if mallopt is None:
+        return False
+    done = [mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
+            mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)]
+    return all(done)
+
+
+def _trim_heap() -> None:
+    """Hand the free pages inside the heap back to the kernel (glibc's
+    malloc_trim); a no-op where there is no malloc_trim.  Under the pinned
+    thresholds a scale's freed blocks stay resident, and the next scale's
+    wider arrays reuse only some of them, so without a trim between scales
+    the peak resident size depends on where the earlier blocks lie."""
+    malloc_trim = _libc("malloc_trim")
+    if malloc_trim is not None:
+        malloc_trim(0)
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
@@ -292,10 +353,13 @@ def _staged_minimize(x0, fg, base: OptimConfig):
                                max_calls=budget))
     res.trace = first.trace + res.trace[1:]
     res.iterations += first.iterations
+    res.calls += first.calls
     return res
 
 
 def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceReport:
+    heap_pinned = _pin_heap()
+    t_start = time.perf_counter()
     grid = build_grid(cfg)
     spec = build_gt_spec(cfg)
     wcfg = cfg["weights"]
@@ -309,19 +373,24 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     op1 = MeasurementOp(cfg["measurement"]["family"], 1, grid)
     ds1, u_true = make_dataset(spec, grid, op1, 0.0, cfg["measurement"]["data_seed"])
     N = ds1.n_states
-    box = derive_ubox(ds1, grid, spec.kappa, N, wcfg["box_margin"],
+    box = derive_ubox(ds1, spec.kappa, wcfg["box_margin"],
                       points_per_axis=wcfg["box_points_per_axis"],
                       sample_budget=wcfg["box_sample_budget"])
     # all (t, jets) points of the reference trajectory, stacked over l
     z_visited = np.concatenate([jet_features(grid, spec.kappa, u_l)
                                 for u_l in u_true])
     tau0 = _initial_tau(cfg, box)
+    setup_s = time.perf_counter() - t_start
 
     report = ConvergenceReport()
     stops = []   # how each start of each scale ended
+    scales = []  # per scale: wall seconds to the end of its starts, calls
     prev_vars = None
     activation = mlp.Activation(cfg["network"]["activation"])
     for m in range(1, cfg["schedule"]["m_max"] + 1):
+        _trim_heap()
+        t_scale = time.perf_counter()
+        calls = 0
         lam, mu, nu, noise = schedule_values(cfg, m)
         tau_m = max(tau0 / m, 1e-9)
         op = MeasurementOp(cfg["measurement"]["family"], m, grid)
@@ -366,11 +435,14 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
                 status = f"diverged({exc})"
                 stops.append([m, j, f"diverged: {exc}", "", ""])
                 continue
+            calls += res.calls
             stops.append([m, j, res.stop_reason, res.iterations,
                           f"{res.value:.17g}"])
             if best is None or res.value < best[0]:
                 best = (res.value, layout.unpack(res.x), res.aux, res.trace,
                         res.iterations)
+        scales.append({"m": m, "wall_s": time.perf_counter() - t_scale,
+                       "closure_calls": calls})
         if best is None:
             # every start diverged: mark the row, keep the previous solution
             echo(f"[m={m}] optimization failed: {status}")
@@ -403,7 +475,28 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     _write_schedule_check(cfg, report, os.path.join(out_dir, "schedule_check.csv"))
     _write_error_chart(report, os.path.join(out_dir, "f_error.svg"))
     _write_final_vars(grid, prev_vars, out_dir)
+    _write_timings(os.path.join(out_dir, "timings.json"), cfg, heap_pinned,
+                   {"setup_s": setup_s, "wall_s": time.perf_counter() - t_start,
+                    "scales": scales})
     return report
+
+
+def _write_timings(path, cfg, heap_pinned: bool, timings: dict) -> None:
+    """Run manifest: the timings, the config text, the package versions and
+    whether the heap was pinned.  scipy's version is read from its
+    installed metadata, so writing it imports no scipy."""
+    from importlib import metadata
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
+    manifest = {"config": format_config(cfg),
+                "versions": {"python": platform.python_version(),
+                             "numpy": np.__version__, "scipy": scipy_version},
+                "heap_pinned": heap_pinned, **timings}
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=1)
+        fh.write("\n")
 
 
 def _write_schedule_check(cfg, report: ConvergenceReport, path) -> None:
@@ -527,6 +620,7 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
 def approximation_probe(cfg: ExperimentConfig, echo=print):
     """Fit networks of increasing width to a library function and record how
     the uniform error, the gradient sup-norm, and the parameter norm scale."""
+    _pin_heap()
     p = cfg["probe"]
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -580,6 +674,7 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     the states start from the data as in the study, the parameter fields
     start at zero instead of the ridge estimate, the networks are freshly
     initialized without the prefit, and tau is floored at 1e-4."""
+    _pin_heap()
     grid = build_grid(cfg)
     spec = build_gt_spec(cfg)
     wcfg = cfg["weights"]
@@ -588,7 +683,7 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     dataset, _ = make_dataset(spec, grid, op, noise,
                               cfg["measurement"]["data_seed"])
     N = dataset.n_states
-    box = derive_ubox(dataset, grid, spec.kappa, N, wcfg["box_margin"],
+    box = derive_ubox(dataset, spec.kappa, wcfg["box_margin"],
                       points_per_axis=wcfg["box_points_per_axis"],
                       sample_budget=wcfg["box_sample_budget"])
     weights = Weights(lam=lam, mu=mu, nu=nu, q=wcfg["q"], r=wcfg["r"],

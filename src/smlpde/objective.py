@@ -134,17 +134,17 @@ def build_box(dim: int, radius: float, points_per_axis: int = 33,
     return UBox(dim=dim, radius=radius, samples=samples, quad_weights=weights)
 
 
-def derive_ubox(dataset: Dataset, grid: Grid, kappa: int, n_states: int,
-                margin: float, points_per_axis: int = 33,
-                sample_budget: int = 4096) -> UBox:
-    """Box radius = t_end + margin * (jet sup of the reference trajectory)."""
+def derive_ubox(dataset: Dataset, kappa: int, margin: float,
+                points_per_axis: int = 33, sample_budget: int = 4096) -> UBox:
+    """Box radius = t_end + margin * (jet sup of the reference trajectory),
+    with the grid and the number of states read from the dataset."""
     if margin < 1.1:
         raise ValueError(f"margin must be >= 1.1, got {margin}")
     bound = dataset.ref_jet_sup
     if bound is None:
         raise ValueError("no jet sup-norm bound available for the box radius")
-    dim = 1 + n_states * jet_dimension(kappa)
-    radius = grid.t_end + margin * float(bound)
+    dim = 1 + dataset.n_states * jet_dimension(kappa)
+    radius = dataset.grid.t_end + margin * float(bound)
     return build_box(dim, radius, points_per_axis, sample_budget)
 
 

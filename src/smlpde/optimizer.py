@@ -20,7 +20,8 @@ earlier stage, whose x, value, grad and aux are the start as they stand: a
 resumed stage makes no closure call for its start.  Either way the start
 counts as one call against config.max_calls, which caps the closure calls
 of a line search; the adaptive method makes exactly one call per
-iteration, so max_iters bounds it already.
+iteration, so max_iters bounds it already.  OptResult.calls counts the
+closure calls the stage made.
 
 A line-search trial point is only a candidate, so a trial whose value is
 non-finite, or whose closure raises BoxViolationError (its visited jet
@@ -67,6 +68,7 @@ class OptResult:
     converged: bool = False
     stop_reason: str = ""
     grad: np.ndarray | None = None  # gradient at x
+    calls: int = 0  # closure calls made
 
 
 def _check_finite(value, grad, iteration):
@@ -84,9 +86,11 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
     if isinstance(x0, OptResult):
         x = np.array(x0.x, dtype=float)
         value, grad, aux = x0.value, x0.grad, x0.aux
+        calls = 0
     else:
         x = np.array(x0, dtype=float)
         value, grad, aux = fg(x)
+        calls = 1
     _check_finite(value, grad, 0)
     best_x, best_value, best_aux, best_grad = x.copy(), value, aux, grad
     trace = [aux]
@@ -108,6 +112,7 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
             vhat = v / (1.0 - BETA2**k)
             x = x - config.rate * mhat / (np.sqrt(vhat) + EPS)
             value, grad, aux = fg(x)
+            calls += 1
             _check_finite(value, grad, k)
             trace.append(aux)
             result.iterations = k
@@ -133,6 +138,7 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
                 if calls_left <= 0:
                     break
                 calls_left -= 1
+                calls += 1
                 x_new = x - alpha * grad
                 try:
                     value_new, grad_new, aux_new = fg(x_new)
@@ -162,6 +168,7 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
     result.value = best_value
     result.aux = best_aux
     result.grad = best_grad
+    result.calls = calls
     return result
 
 

@@ -123,7 +123,7 @@ class TestMakeDataset:
                                u0_profiles=["sine:0.9"])
         op = MeasurementOp("full", 1, grid)
         ds, u_true = make_dataset(spec, grid, op, 0.0, 0)
-        box = derive_ubox(ds, grid, 0, 1, 1.5)
+        box = derive_ubox(ds, 0, 1.5)
         zero_net = mlp.MlpParams([np.zeros((2, 2)), np.zeros((1, 2))],
                                  [np.zeros(2), np.zeros(1)],
                                  mlp.Activation("tanh"))

@@ -1,17 +1,22 @@
 import csv
+import ctypes
+import json
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from smlpde import mlp
+from smlpde import harness, mlp
 from smlpde.cli import main as cli_main
 from smlpde.config import default_config, format_config
 from smlpde.grid import jet_features
-from smlpde.harness import (_lsq_closure, _staged_minimize,
-                            approximation_probe, build_grid, build_gt_spec,
-                            fit_function_lsq, gradcheck_from_config,
-                            run_convergence_study)
+from smlpde.harness import (_lsq_closure, _pin_heap, _staged_minimize,
+                            _trim_heap, approximation_probe, build_grid,
+                            build_gt_spec, fit_function_lsq,
+                            gradcheck_from_config, run_convergence_study)
 from smlpde.ground_truth import simulate
 from smlpde.optimizer import OptimConfig, finite_diff_gradcheck, minimize
 
@@ -53,6 +58,34 @@ class TestConvergenceStudySmall:
                      "f_params_final_n1.csv", "y_l1_m1.csv",
                      "manifest_m2.json"):
             assert (out / name).exists(), name
+
+    def test_timings_manifest(self, tmp_path, monkeypatch):
+        # timings.json counts every objective closure call of each scale
+        made = []
+        make_closure = harness.make_closure
+
+        def counting_closure(problem, layout):
+            fg = make_closure(problem, layout)
+
+            def counted(x):
+                made.append(1)
+                return fg(x)
+            return counted
+
+        monkeypatch.setattr(harness, "make_closure", counting_closure)
+        cfg = tiny_config(tmp_path / "run", m_max=2, iters=40)
+        run_convergence_study(cfg, echo=lambda *_: None)
+        with open(tmp_path / "run" / "timings.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["config"] == format_config(cfg)
+        assert manifest["heap_pinned"] == _pin_heap()
+        assert manifest["versions"]["python"] == platform.python_version()
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert [s["m"] for s in manifest["scales"]] == [1, 2]
+        assert sum(s["closure_calls"] for s in manifest["scales"]) == len(made)
+        assert all(s["closure_calls"] > 0 for s in manifest["scales"])
+        assert 0 < manifest["setup_s"] < manifest["wall_s"]
+        assert sum(s["wall_s"] for s in manifest["scales"]) < manifest["wall_s"]
 
     def test_degenerate_schedule_rows_stable(self, tmp_path):
         # growth 1 and fixed noise/operator: tau_m = tau0/m and
@@ -132,6 +165,7 @@ class TestStagedMinimize:
             res = _staged_minimize(np.ones(4), kink_objective(calls),
                                    OptimConfig(max_iters=max_iters, rate=0.01))
             assert len(calls) <= max(max_iters, 2)
+            assert res.calls == len(calls)
         assert np.linalg.norm(res.x) < 1e-3
 
     def test_descent_start_reuses_adaptive_evaluation(self):
@@ -143,7 +177,7 @@ class TestStagedMinimize:
             fg = kink_objective(calls)
             res = _staged_minimize(np.ones(4), fg,
                                    OptimConfig(max_iters=max_iters, rate=0.01))
-            assert len(calls) == max_iters
+            assert len(calls) == res.calls == max_iters
             n_adaptive = max(1, int(max_iters * 0.3))
             first = minimize(np.ones(4), fg,
                              OptimConfig(max_iters=n_adaptive, rate=0.03))
@@ -213,6 +247,44 @@ class TestApproximationProbe:
         approximation_probe(cfg, echo=lambda *_: None)
         assert (tmp_path / "probe.csv").exists()
         assert (tmp_path / "probe_summary.csv").exists()
+
+
+class TestPinHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the pinned thresholds are glibc's")
+    def test_entry_point_keeps_freed_pages(self, tmp_path):
+        # after an entry point, freed 800 KB arrays stay in the heap: a
+        # fresh round of them takes no new pages from the kernel (unpinned,
+        # glibc mmaps or trims them and each round faults about 2,000 pages)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mlp.__file__)))
+        code = ("import resource\n"
+                "import numpy as np\n"
+                "from smlpde.config import default_config\n"
+                "from smlpde.harness import approximation_probe\n"
+                "cfg = default_config()\n"
+                "cfg.sections['probe'].update(f_name='zero', widths=[4],\n"
+                "                             train_iters=50)\n"
+                f"cfg.sections['output'].update(dir={str(tmp_path)!r})\n"
+                "approximation_probe(cfg, echo=lambda *_: None)\n"
+                "def round_():\n"
+                "    arrays = [np.ones(100_000) for _ in range(10)]\n"
+                "    del arrays\n"
+                "for _ in range(3):\n"
+                "    round_()\n"
+                "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "for _ in range(20):\n"
+                "    round_()\n"
+                "end = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "print((end - start) / 20)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert float(out) < 10
+
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert _pin_heap() is False
+        _trim_heap()
 
 
 class TestGradcheckEntry:

@@ -109,7 +109,7 @@ class TestUBox:
         ds = Dataset(grid=g, y=np.zeros((1, 1, g.nt, g.nx)),
                      u0=np.zeros((1, 1, g.nx)), g_lo=np.zeros((1, 1, g.nt)),
                      g_hi=np.zeros((1, 1, g.nt)), ref_jet_sup=0.0)
-        box = derive_ubox(ds, g, 0, 1, 1.1)
+        box = derive_ubox(ds, 0, 1.1)
         assert box.radius == pytest.approx(1.0)
         assert box.dim == 2
 
@@ -118,7 +118,7 @@ class TestUBox:
         ds = Dataset(grid=g, y=np.zeros((1, 1, g.nt, g.nx)),
                      u0=np.zeros((1, 1, g.nx)), g_lo=np.zeros((1, 1, g.nt)),
                      g_hi=np.zeros((1, 1, g.nt)), ref_jet_sup=2.0)
-        box = derive_ubox(ds, g, 0, 1, 1.5)
+        box = derive_ubox(ds, 0, 1.5)
         assert box.radius == pytest.approx(4.0)
 
     def test_margin_below_threshold_rejected(self):
@@ -127,7 +127,7 @@ class TestUBox:
                      u0=np.zeros((1, 1, g.nx)), g_lo=np.zeros((1, 1, g.nt)),
                      g_hi=np.zeros((1, 1, g.nt)), ref_jet_sup=1.0)
         with pytest.raises(ValueError):
-            derive_ubox(ds, g, 0, 1, 0.9)
+            derive_ubox(ds, 0, 0.9)
 
     def test_missing_bound_rejected(self):
         g = make_grid()
@@ -135,7 +135,7 @@ class TestUBox:
                      u0=np.zeros((1, 1, g.nx)), g_lo=np.zeros((1, 1, g.nt)),
                      g_hi=np.zeros((1, 1, g.nt)))
         with pytest.raises(ValueError):
-            derive_ubox(ds, g, 0, 1, 1.5)
+            derive_ubox(ds, 0, 1.5)
 
     def test_sample_determinism(self):
         a = build_box(3, 2.0, sample_budget=500)

@@ -96,7 +96,7 @@ class TestMinimize:
         res = minimize(np.full(3, 5.0), fg,
                        OptimConfig(max_iters=100, grad_tol=0.0, rate=1e-4,
                                    method="gd_linesearch", max_calls=7))
-        assert len(calls) == 7
+        assert len(calls) == res.calls == 7
         assert res.stop_reason == "call budget"
 
     @pytest.mark.parametrize("method", ["adaptive", "gd_linesearch"])
@@ -118,6 +118,7 @@ class TestMinimize:
         calls.clear()
         again = minimize(first.x, fg, config)
         assert resumed_calls == len(calls) - 1
+        assert (resumed.calls, again.calls) == (resumed_calls, len(calls))
         assert resumed.x.tobytes() == again.x.tobytes()
         assert resumed.grad.tobytes() == again.grad.tobytes()
         assert resumed.value == again.value
@@ -136,7 +137,7 @@ class TestMinimize:
         res = minimize(first, fg,
                        OptimConfig(max_iters=100, grad_tol=0.0, rate=1e-4,
                                    method="gd_linesearch", max_calls=7))
-        assert len(calls) == 6
+        assert len(calls) == res.calls == 6
         assert res.stop_reason == "call budget"
 
     @pytest.mark.parametrize("method", ["adaptive", "gd_linesearch"])
