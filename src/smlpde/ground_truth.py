@@ -6,14 +6,18 @@ Runge-Kutta in time, with internal sub-stepping when an explicit stability
 bound demands it.  Boundary nodes are held at the initial profile's values
 whenever the physical term couples neighbours (for a pure reaction term
 every node evolves independently, so no boundary condition applies).
+make_dataset measures a given trajectory, so a study simulates once and
+measures the same trajectory at every scale.
 
 limit_oracle solves the reduced constrained problem on a tiny grid with
 full noiseless measurements: the state is pinned to the data, the unknown
 function is represented nonparametrically by its values on the visited jet
 points, and its gradient sup-norm is surrogated by pairwise divided
-differences.  For a pure reaction system the residual identity determines
-those values outright; with a convection term the parameter fields remain
-free and are found by minimizing the strictly convex reduced objective.
+differences.  The values are physics.residual without f on the nodes the
+PDE governs.  For a pure reaction system the residual identity determines
+them outright; with a convection term the parameter fields remain free and
+are found by minimizing the strictly convex reduced objective, whose
+parameter gradient is physics.physics_vjp's.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ import numpy as np
 from .errors import DivergedError, OracleInfeasibleError
 from .grid import Grid, jet_features
 from .measurement import Dataset, MeasurementOp, add_noise
-from .objective import r0_value, smooth_max, smooth_max_weights
-from .physics import apply_physics_array, n_param_slots
+from .objective import r0_value, smooth_max
+from .physics import (apply_physics_array, n_param_slots, physics_vjp,
+                      residual, residual_columns)
 
 F_TRUE_LIBRARY = {
     "zero": (lambda u: np.zeros_like(u), lambda u: np.zeros_like(u)),
@@ -172,14 +177,14 @@ def trajectory_jet_sup(grid: Grid, kappa: int, u: np.ndarray) -> float:
                for u_l in u)
 
 
-def make_dataset(spec: GroundTruthSpec, grid: Grid, op: MeasurementOp,
-                 noise_level: float, seed: int):
-    """Simulate, measure, and perturb; returns (Dataset, true trajectory).
+def make_dataset(grid: Grid, kappa: int, u_true: np.ndarray, op: MeasurementOp,
+                 noise_level: float, seed: int) -> Dataset:
+    """Measure and perturb the (L, N, nt, nx) trajectory u_true, whose
+    initial and boundary values the dataset carries exactly.
 
     Noise is added after measuring; for a subsampling operator the noisy
     field is masked again so that dropped nodes carry no data at all.
     """
-    u_true = simulate(spec, grid)
     y = np.zeros_like(u_true)
     for l in range(u_true.shape[0]):
         for n in range(u_true.shape[1]):
@@ -187,11 +192,10 @@ def make_dataset(spec: GroundTruthSpec, grid: Grid, op: MeasurementOp,
             if op.kind == "subsample":
                 vals = op.apply_array(vals)
             y[l, n] = vals
-    ds = Dataset(grid=grid, y=y, u0=u_true[:, :, 0].copy(),
-                 g_lo=u_true[..., 0].copy(), g_hi=u_true[..., -1].copy(),
-                 noise_level=noise_level, seed=seed, op_kind=op.kind, m=op.m,
-                 ref_jet_sup=trajectory_jet_sup(grid, spec.kappa, u_true))
-    return ds, u_true
+    return Dataset(grid=grid, y=y, u0=u_true[:, :, 0].copy(),
+                   g_lo=u_true[..., 0].copy(), g_hi=u_true[..., -1].copy(),
+                   noise_level=noise_level, seed=seed, op_kind=op.kind, m=op.m,
+                   ref_jet_sup=trajectory_jet_sup(grid, kappa, u_true))
 
 
 # --- reduced-problem oracle -----------------------------------------------------
@@ -236,19 +240,12 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
         raise NotImplementedError("oracle supports N=1")
 
     u = dataset.y[:, 0]                      # (L, nt, nx), pinned state
-    dtm = grid.time_derivative_matrix()
-    d1 = grid.space_derivative_matrix(1)
     wx = grid.space_weights()
-
-    # With a coupling physical term the boundary columns are prescribed by
-    # the boundary data, not by the PDE, so the residual identity is only
-    # interpolated on interior nodes.
-    keep = np.ones((grid.nt, grid.nx), dtype=bool)
-    if kind != "none":
-        keep[:, 0] = keep[:, -1] = False
+    # the residual identity is only interpolated on the columns the PDE
+    # governs
+    keep = np.zeros((grid.nt, grid.nx), dtype=bool)
+    keep[:, residual_columns(kind)] = True
     flat_keep = keep.reshape(-1)
-    x_index = np.broadcast_to(np.arange(grid.nx), (grid.nt, grid.nx)) \
-        .reshape(-1)[flat_keep]
 
     # visited jet points, stacked over experiments
     z = np.concatenate([jet_features(grid, kappa, y_l)[flat_keep]
@@ -257,10 +254,14 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
     sep_tol = 1e-9 * scale
     ii, jj, sep, ci, cj = _oracle_pairs(z, sep_tol)
 
-    dt_u = np.stack([(dtm @ u[l]).reshape(-1)[flat_keep] for l in range(L)])
-    ux = np.stack([(u[l] @ d1.T).reshape(-1)[flat_keep] for l in range(L)])
     # the objective's state norm of the pinned state (no parameter part)
     r0_state = r0_value(grid, kappa, dataset.y, np.zeros((L, N, 0, grid.nx)))
+
+    def f_of(phi):
+        """The values of the unknown term at the kept nodes: the residual
+        without f under the (L, slots, nx) parameter fields phi."""
+        return np.concatenate([residual(grid, kind, u[l], phi[l])
+                               .reshape(-1)[flat_keep] for l in range(L)])
 
     def check_coincident(v, tol=1e-6):
         if ci.size:
@@ -276,72 +277,64 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
     mu_abs = 1e-9 * scale
 
     def f_parts(v):
+        """The power norm of the values v, the smooth and the hard sup of
+        their divided differences, and the gradient of power norm plus
+        smooth sup with respect to v."""
         lrho = float(np.mean(np.abs(v) ** rho))
-        if ii.size:
-            diff = v[ii] - v[jj]
-            dd = np.sqrt(diff * diff + mu_abs * mu_abs) / sep
-            dd_soft = smooth_max(dd, dd_tau)
-            dd_hard = float(np.max(np.abs(diff) / sep))
-        else:
-            dd_soft = dd_hard = 0.0
-        return lrho, dd_soft, dd_hard
-
-    if kind == "none":
-        v = dt_u.reshape(-1)
-        check_coincident(v)
-        lrho, dd_soft, dd_hard = f_parts(v)
-        return OracleResult(jet_points=z, f_values=v, phi=None,
-                            value=r0_state + lrho + dd_soft,
-                            divided_diff_sup=dd_hard)
-
-    # convection: minimize over the per-experiment velocity fields.  When
-    # two nodes share one jet point, single-valuedness of the interpolated
-    # function is an equality constraint; it enters as a stiff quadratic
-    # penalty, and the strictly convex smooth problem goes to L-BFGS.
-    from scipy.optimize import minimize as scipy_minimize
-
-    n_phi = L * grid.nx
-    coin_penalty = 1e6
-
-    def unpack(xflat):
-        return xflat.reshape(L, grid.nx)
-
-    def value_and_grad(xflat):
-        phi = unpack(xflat)
-        v = (dt_u - phi[:, x_index] * ux).reshape(-1)
-        lrho, dd_soft, _ = f_parts(v)
-        value = r0_state + float(np.sum(wx * phi**2)) + lrho + dd_soft
         g_v = rho * np.abs(v) ** (rho - 1.0) * np.sign(v) / v.size
-        if ii.size:
-            diff = v[ii] - v[jj]
-            smooth_abs = np.sqrt(diff * diff + mu_abs * mu_abs)
-            dd = smooth_abs / sep
-            omega = smooth_max_weights(dd, dd_tau)
-            slope = diff / smooth_abs
-            np.add.at(g_v, ii, omega * slope / sep)
-            np.add.at(g_v, jj, -omega * slope / sep)
-        if ci.size:
-            cdiff = v[ci] - v[cj]
-            value += coin_penalty * float(np.sum(cdiff**2))
-            np.add.at(g_v, ci, 2.0 * coin_penalty * cdiff)
-            np.add.at(g_v, cj, -2.0 * coin_penalty * cdiff)
-        g_v_l = g_v.reshape(L, -1)
-        g_phi = 2.0 * wx[None, :] * phi
-        for l in range(L):
-            g_phi[l] -= np.bincount(x_index, weights=g_v_l[l] * ux[l],
-                                    minlength=grid.nx)
-        return value, g_phi.reshape(-1)
+        if not ii.size:
+            return lrho, 0.0, 0.0, g_v
+        diff = v[ii] - v[jj]
+        smooth_abs = np.sqrt(diff * diff + mu_abs * mu_abs)
+        dd_soft, omega = smooth_max(smooth_abs / sep, dd_tau)
+        slope = diff / smooth_abs
+        np.add.at(g_v, ii, omega * slope / sep)
+        np.add.at(g_v, jj, -omega * slope / sep)
+        return lrho, dd_soft, float(np.max(np.abs(diff) / sep)), g_v
 
-    rng = np.random.default_rng(tie_seed)
-    x0 = 0.1 * rng.standard_normal(n_phi)
-    res = scipy_minimize(value_and_grad, x0, jac=True, method="L-BFGS-B",
-                         options={"maxiter": 50000, "gtol": 1e-12, "ftol": 0.0,
-                                  "maxcor": 30})
-    phi = unpack(res.x)
-    v = (dt_u - phi[:, x_index] * ux).reshape(-1)
-    check_coincident(v, tol=1e-4)
-    lrho, dd_soft, dd_hard = f_parts(v)
-    value = r0_state + float(np.sum(wx * phi**2)) + lrho + dd_soft
+    # A pure reaction term leaves no free parameter: the values are the
+    # residual itself.  With convection, minimize over the per-experiment
+    # velocity fields.  When two nodes share one jet point, single-valuedness
+    # of the interpolated function is an equality constraint; it enters as a
+    # stiff quadratic penalty, and the strictly convex smooth problem goes to
+    # L-BFGS.
+    phi = np.zeros((L, 0, grid.nx))
+    tol = 1e-6
+    if kind == "convection":
+        from scipy.optimize import minimize as scipy_minimize
+
+        coin_penalty = 1e6
+
+        def value_and_grad(xflat):
+            phi = xflat.reshape(L, 1, grid.nx)
+            v = f_of(phi)
+            lrho, dd_soft, _, g_v = f_parts(v)
+            value = r0_state + float(np.sum(wx * phi**2)) + lrho + dd_soft
+            if ci.size:
+                cdiff = v[ci] - v[cj]
+                value += coin_penalty * float(np.sum(cdiff**2))
+                np.add.at(g_v, ci, 2.0 * coin_penalty * cdiff)
+                np.add.at(g_v, cj, -2.0 * coin_penalty * cdiff)
+            # the values are the residual, du/dt - physics: seed its adjoint
+            seeds = np.zeros((L, grid.nt * grid.nx))
+            seeds[:, flat_keep] = g_v.reshape(L, -1)
+            g_phi = 2.0 * wx * phi
+            for l in range(L):
+                g_phi[l] -= physics_vjp(grid, kind, u[l], phi[l],
+                                        seeds[l].reshape(grid.nt, grid.nx))[1]
+            return value, g_phi.reshape(-1)
+
+        rng = np.random.default_rng(tie_seed)
+        res = scipy_minimize(value_and_grad, 0.1 * rng.standard_normal(L * grid.nx),
+                             jac=True, method="L-BFGS-B",
+                             options={"maxiter": 50000, "gtol": 1e-12,
+                                      "ftol": 0.0, "maxcor": 30})
+        phi = res.x.reshape(L, 1, grid.nx)
+        tol = 1e-4
+    v = f_of(phi)
+    check_coincident(v, tol)
+    lrho, dd_soft, dd_hard, _ = f_parts(v)
     return OracleResult(jet_points=z, f_values=v,
-                        phi=phi.reshape(L, N, 1, grid.nx),
-                        value=value, divided_diff_sup=dd_hard)
+                        phi=phi.reshape(L, N, 1, grid.nx) if phi.size else None,
+                        value=r0_state + float(np.sum(wx * phi**2)) + lrho + dd_soft,
+                        divided_diff_sup=dd_hard)

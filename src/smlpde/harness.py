@@ -15,8 +15,9 @@ networks without changing the represented function.  Reported per scale:
 the final objective breakdown, the sup error of the learned term on the
 jet points visited by the ground truth, its gradient-sup mismatch, and
 discrete state/parameter errors.  stops.csv records how every start of
-every scale ended: the optimizer's stop reason, or `diverged: <message>`,
-with the iterations taken and the value reached.  All CSV output uses 17
+every scale ended: the optimizer's stop reason, or `diverged: <message>`
+with empty cells, and the iterations taken, the value reached, the closure
+calls made and the sup-norm of the final gradient.  All CSV output uses 17
 significant digits so identical configurations reproduce byte-identical
 files.  The run manifest timings.json, beside report.csv, holds what is not
 reproducible: the wall seconds of every scale and the objective closure
@@ -55,12 +56,13 @@ from . import mlp
 from .config import ExperimentConfig, format_config
 from .errors import BoxViolationError, DivergedError
 from .grid import Grid, jet_features, write_field_csv
-from .ground_truth import GroundTruthSpec, f_true, f_true_deriv, make_dataset
+from .ground_truth import (GroundTruthSpec, f_true, f_true_deriv, make_dataset,
+                           simulate)
 from .measurement import MeasurementOp, save_dataset
 from .objective import (ObjectiveBreakdown, Problem, UBox, VarLayout, Vars,
                         Weights, derive_ubox, make_closure)
 from .optimizer import OptimConfig, finite_diff_gradcheck, minimize
-from .physics import n_param_slots, residual
+from .physics import n_param_slots, residual, residual_columns
 from .svg import line_chart
 
 
@@ -297,7 +299,7 @@ def prefit_net_to_residual(net, grid: Grid, kappa: int, kind: str,
     du/dt - physics of the initialized state, evaluated on its own jets.
     Gives the optimizer a starting function of the right scale instead of
     asking it to climb out of the zero-function well."""
-    interior = slice(None) if kind == "none" else slice(1, -1)
+    interior = residual_columns(kind)
     blocks = []
     targets = []
     for l in range(u_init.shape[0]):
@@ -369,9 +371,11 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
 
     phi_true = spec.phi_values(grid)
 
-    # reference trajectory (simulated once through the first dataset build)
+    # the reference trajectory, simulated once and measured at every scale
+    u_true = simulate(spec, grid)
     op1 = MeasurementOp(cfg["measurement"]["family"], 1, grid)
-    ds1, u_true = make_dataset(spec, grid, op1, 0.0, cfg["measurement"]["data_seed"])
+    ds1 = make_dataset(grid, spec.kappa, u_true, op1, 0.0,
+                       cfg["measurement"]["data_seed"])
     N = ds1.n_states
     box = derive_ubox(ds1, spec.kappa, wcfg["box_margin"],
                       points_per_axis=wcfg["box_points_per_axis"],
@@ -395,7 +399,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         tau_m = max(tau0 / m, 1e-9)
         op = MeasurementOp(cfg["measurement"]["family"], m, grid)
         seed_m = cfg["measurement"]["data_seed"] + 1009 * m
-        dataset, _ = make_dataset(spec, grid, op, noise, seed_m)
+        dataset = make_dataset(grid, spec.kappa, u_true, op, noise, seed_m)
         save_dataset(dataset, out_dir)
         weights = Weights(lam=lam, mu=mu, nu=nu, q=wcfg["q"], r=wcfg["r"],
                           rho=wcfg["rho"], param_norm_p=wcfg["param_norm_p"],
@@ -433,11 +437,12 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
                 res = _staged_minimize(layout.pack(vars0), fg, opt_config)
             except (DivergedError, BoxViolationError) as exc:
                 status = f"diverged({exc})"
-                stops.append([m, j, f"diverged: {exc}", "", ""])
+                stops.append([m, j, f"diverged: {exc}", "", "", "", ""])
                 continue
             calls += res.calls
             stops.append([m, j, res.stop_reason, res.iterations,
-                          f"{res.value:.17g}"])
+                          f"{res.value:.17g}", res.calls,
+                          f"{float(np.max(np.abs(res.grad))):.17g}"])
             if best is None or res.value < best[0]:
                 best = (res.value, layout.unpack(res.x), res.aux, res.trace,
                         res.iterations)
@@ -470,7 +475,8 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     report.write_csv(os.path.join(out_dir, "report.csv"))
     with open(os.path.join(out_dir, "stops.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["m", "start", "outcome", "iterations", "value"])
+        writer.writerow(["m", "start", "outcome", "iterations", "value",
+                         "closure_calls", "grad_inf"])
         writer.writerows(stops)
     _write_schedule_check(cfg, report, os.path.join(out_dir, "schedule_check.csv"))
     _write_error_chart(report, os.path.join(out_dir, "f_error.svg"))
@@ -680,8 +686,8 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     wcfg = cfg["weights"]
     op = MeasurementOp(cfg["measurement"]["family"], 1, grid)
     lam, mu, nu, noise = schedule_values(cfg, 1)
-    dataset, _ = make_dataset(spec, grid, op, noise,
-                              cfg["measurement"]["data_seed"])
+    dataset = make_dataset(grid, spec.kappa, simulate(spec, grid), op, noise,
+                           cfg["measurement"]["data_seed"])
     N = dataset.n_states
     box = derive_ubox(dataset, spec.kappa, wcfg["box_margin"],
                       points_per_axis=wcfg["box_points_per_axis"],

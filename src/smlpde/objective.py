@@ -45,7 +45,7 @@ from . import mlp
 from .errors import BoxViolationError
 from .grid import Grid, _norm_pow, jet_dimension, jet_features
 from .measurement import Dataset, MeasurementOp
-from .physics import residual
+from .physics import physics_vjp, residual, residual_columns
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,11 @@ def derive_ubox(dataset: Dataset, kappa: int, margin: float,
     return build_box(dim, radius, points_per_axis, sample_budget)
 
 
-def smooth_max(values, tau: float) -> float:
-    """tau * log sum exp(v/tau), shifted for stability.
+def smooth_max(values, tau: float):
+    """tau * log sum exp(v/tau), shifted for stability, and its gradient
+    with respect to the entries (a softmax).
 
-    Brackets the hard maximum: max <= smooth_max <= max + tau*log(n).
+    The value brackets the hard maximum: max <= smooth_max <= max + tau*log(n).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -159,14 +160,9 @@ def smooth_max(values, tau: float) -> float:
     if v.size == 0:
         raise ValueError("smooth_max of an empty list")
     top = float(np.max(v))
-    return top + tau * float(np.log(np.sum(np.exp((v - top) / tau))))
-
-
-def smooth_max_weights(values, tau: float) -> np.ndarray:
-    """Gradient of smooth_max w.r.t. the entries (a softmax)."""
-    v = np.asarray(values, dtype=float)
-    e = np.exp((v - np.max(v)) / tau)
-    return e / e.sum()
+    e = np.exp((v - top) / tau)
+    total = np.sum(e)
+    return top + tau * float(np.log(total)), e / total
 
 
 def state_norm_order(kappa: int) -> int:
@@ -295,14 +291,10 @@ def _evaluate_core(vars_: Vars, problem: Problem):
     wt = grid.time_weights()
     wx = grid.space_weights()
     wtx = wt[:, None] * wx[None, :]
-    # The PDE residual lives on the open spatial domain: with a coupling
-    # physical term the boundary columns are governed by the boundary data
-    # (simulated trajectories hold them fixed), so the residual quadrature
-    # skips them; a pure reaction term evolves every node, so all columns
-    # count.
-    wx_res = wx.copy()
-    if kind != "none":
-        wx_res[0] = wx_res[-1] = 0.0
+    # the residual quadrature counts only the columns the PDE governs
+    cols = residual_columns(kind)
+    wx_res = np.zeros_like(wx)
+    wx_res[cols] = wx[cols]
     dtm = grid.time_derivative_matrix()
     d1 = grid.space_derivative_matrix(1)
     d2 = grid.space_derivative_matrix(2)
@@ -346,26 +338,9 @@ def _evaluate_core(vars_: Vars, problem: Problem):
             # d/dt block and measurement block
             g_u[l, n] += dtm.T @ rw
             g_u[l, n] += op.adjoint_array(wdat * ddiff[n])
-            # physics block
-            if kind == "convection":
-                phi_n = phi[l, n, 0]
-                g_u[l, n] -= (rw * phi_n[None, :]) @ d1
-                g_phi[l, n, 0] -= np.sum(rw * (u[l, n] @ d1.T), axis=0)
-            elif kind == "diffusion_reaction":
-                a = phi[l, n, 0]
-                c = phi[l, n, 1]
-                ax = d1 @ a
-                ux = u[l, n] @ d1.T
-                uxx = u[l, n] @ d2.T
-                g_u[l, n] -= (rw * a[None, :]) @ d2
-                g_u[l, n] -= (rw * ax[None, :]) @ d1
-                g_u[l, n] -= rw * c[None, :]
-                g_phi[l, n, 0] -= np.sum(rw * uxx, axis=0)
-                g_phi[l, n, 0] -= d1.T @ np.sum(rw * ux, axis=0)
-                g_phi[l, n, 1] -= np.sum(rw * u[l, n], axis=0)
-            elif kind == "burgers1d":
-                ux = u[l, n] @ d1.T
-                g_u[l, n] += rw * ux + (rw * u[l, n]) @ d1
+            g_phys_u, g_phys_phi = physics_vjp(grid, kind, u[l, n], phi[l, n], rw)
+            g_u[l, n] -= g_phys_u
+            g_phi[l, n] -= g_phys_phi
             # initial / boundary blocks
             g_u[l, n, 0, :] += 2.0 * w.lam * wx * diff0[n]
             g_u[l, n, :, 0] += 2.0 * w.lam * wt * dlo[n]
@@ -410,11 +385,11 @@ def _evaluate_core(vars_: Vars, problem: Problem):
         gin = tape.input_grads
         comp = np.argmax(np.abs(gin), axis=1)
         gnorm = np.abs(gin[np.arange(gin.shape[0]), comp])
-        bd.f_gradsup_term += smooth_max(gnorm, w.tau)
+        soft_sup, omega = smooth_max(gnorm, w.tau)
+        bd.f_gradsup_term += soft_sup
         hard_sup = max(hard_sup, float(np.max(gnorm)))
         val_seeds = box.volume * box.quad_weights * w.rho \
             * np.abs(vals) ** (w.rho - 1.0) * np.sign(vals)
-        omega = smooth_max_weights(gnorm, w.tau)
         sgn = np.sign(gin[np.arange(gin.shape[0]), comp])
         sgn[sgn == 0.0] = 1.0
         grad_seeds = np.zeros_like(gin)

@@ -15,6 +15,8 @@ The residual of equation n is du_n/dt - term_n - f_n, where f_n holds the
 values of that equation's network at the nodewise jet features
 [t, jet(u_1), ..., jet(u_N)] (grid.jet_features).  Without f it is the
 apparent residual du_n/dt - term_n that the network has to explain.
+physics_vjp, the adjoint of apply_physics_array, keeps each kind's
+derivative beside its formula.
 """
 
 from __future__ import annotations
@@ -50,6 +52,37 @@ def apply_physics_array(grid: Grid, kind: str, u: np.ndarray,
         ax = d1 @ a
         return a[None, :] * (u @ d2.T) + ax[None, :] * (u @ d1.T) + c[None, :] * u
     raise ValueError(f"unknown physics kind {kind!r}")
+
+
+def physics_vjp(grid: Grid, kind: str, u: np.ndarray, phi: np.ndarray,
+                seed: np.ndarray):
+    """Gradients (g_u, g_phi) of sum(seed * apply_physics_array(grid, kind,
+    u, phi)) with respect to the (nt, nx) state u and the (slots, nx)
+    parameter slots phi."""
+    g_phi = np.zeros((n_param_slots(kind), grid.nx))
+    if kind == "none":
+        return np.zeros_like(u), g_phi
+    d1 = grid.space_derivative_matrix(1)
+    ux = u @ d1.T
+    if kind == "convection":
+        g_phi[0] = np.sum(seed * ux, axis=0)
+        return (seed * phi[0][None, :]) @ d1, g_phi
+    if kind == "burgers1d":
+        return -(seed * ux + (seed * u) @ d1), g_phi
+    d2 = grid.space_derivative_matrix(2)
+    a, c = phi[0], phi[1]
+    g_phi[0] = np.sum(seed * (u @ d2.T), axis=0) + d1.T @ np.sum(seed * ux, axis=0)
+    g_phi[1] = np.sum(seed * u, axis=0)
+    g_u = (seed * a[None, :]) @ d2 + (seed * (d1 @ a)[None, :]) @ d1 \
+        + seed * c[None, :]
+    return g_u, g_phi
+
+
+def residual_columns(kind: str) -> slice:
+    """The spatial columns the PDE governs.  A coupling physical term leaves
+    the boundary columns to the boundary data (simulated trajectories hold
+    them fixed); a pure reaction term evolves every node."""
+    return slice(None) if kind == "none" else slice(1, -1)
 
 
 def residual(grid: Grid, kind: str, u: np.ndarray, phi: np.ndarray,

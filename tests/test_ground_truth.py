@@ -80,7 +80,8 @@ class TestMakeDataset:
         spec = GroundTruthSpec(kind="none", f_name="cubic", L=1, kappa=0,
                                u0_profiles=["sine:0.8"])
         op = MeasurementOp("full", 1, grid)
-        ds, u_true = make_dataset(spec, grid, op, 0.0, 3)
+        u_true = simulate(spec, grid)
+        ds = make_dataset(grid, 0, u_true, op, 0.0, 3)
         assert np.array_equal(ds.y[0, 0], u_true[0, 0])
         assert np.array_equal(ds.u0[0, 0], u_true[0, 0, 0])
         assert np.array_equal(ds.g_hi[0, 0], u_true[0, 0, :, -1])
@@ -90,8 +91,8 @@ class TestMakeDataset:
         spec = GroundTruthSpec(kind="none", f_name="cubic", L=2, kappa=0,
                                u0_profiles=["sine:0.8", "bump:0.5"])
         op = MeasurementOp("smooth", 2, grid)
-        a, _ = make_dataset(spec, grid, op, 0.05, 11)
-        b, _ = make_dataset(spec, grid, op, 0.05, 11)
+        a = make_dataset(grid, 0, simulate(spec, grid), op, 0.05, 11)
+        b = make_dataset(grid, 0, simulate(spec, grid), op, 0.05, 11)
         assert np.array_equal(a.y, b.y)
 
     def test_distinct_speeds_give_distinct_trajectories(self):
@@ -101,7 +102,7 @@ class TestMakeDataset:
             phi_profiles=[["constant:0.3"], ["constant:-0.2"],
                           ["constant:0.1"]],
             u0_profiles=["bump:1.0", "bump:1.0", "bump:1.0"])
-        _, u = make_dataset(spec, grid, MeasurementOp("full", 1, grid), 0.0, 0)
+        u = simulate(spec, grid)
         for a in range(3):
             for b in range(a + 1, 3):
                 assert np.max(np.abs(u[a] - u[b])) > 1e-3
@@ -111,7 +112,7 @@ class TestMakeDataset:
         spec = GroundTruthSpec(kind="none", f_name="zero", L=1, kappa=0,
                                u0_profiles=["sine:1.0"])
         op = MeasurementOp("subsample", 1, grid)
-        ds, _ = make_dataset(spec, grid, op, 0.1, 5)
+        ds = make_dataset(grid, 0, simulate(spec, grid), op, 0.1, 5)
         dropped = op.mask == 0.0
         assert np.max(np.abs(ds.y[0, 0][:, dropped])) == 0.0
 
@@ -122,7 +123,8 @@ class TestMakeDataset:
         spec = GroundTruthSpec(kind="none", f_name="zero", L=1, kappa=0,
                                u0_profiles=["sine:0.9"])
         op = MeasurementOp("full", 1, grid)
-        ds, u_true = make_dataset(spec, grid, op, 0.0, 0)
+        u_true = simulate(spec, grid)
+        ds = make_dataset(grid, 0, u_true, op, 0.0, 0)
         box = derive_ubox(ds, 0, 1.5)
         zero_net = mlp.MlpParams([np.zeros((2, 2)), np.zeros((1, 2))],
                                  [np.zeros(2), np.zeros(1)],
@@ -142,8 +144,8 @@ class TestMakeDataset:
         grid = make_grid()
         spec = GroundTruthSpec(kind="none", f_name="zero", L=1, kappa=1,
                                u0_profiles=["sine:1.0"])
-        ds, u_true = make_dataset(spec, grid, MeasurementOp("full", 1, grid),
-                                  0.0, 0)
+        u_true = simulate(spec, grid)
+        ds = make_dataset(grid, 1, u_true, MeasurementOp("full", 1, grid), 0.0, 0)
         assert ds.ref_jet_sup == pytest.approx(
             trajectory_jet_sup(grid, 1, u_true))
         # sine slope pi is the largest first derivative
@@ -209,7 +211,8 @@ class TestLimitOracle:
                                phi_profiles=[["constant:0.6"],
                                              ["constant:-0.4"]],
                                u0_profiles=["sine:1.0", "bump:0.8"])
-        ds, _ = make_dataset(spec, grid, MeasurementOp("full", 1, grid), 0.0, 0)
+        ds = make_dataset(grid, 0, simulate(spec, grid),
+                          MeasurementOp("full", 1, grid), 0.0, 0)
         a = limit_oracle(ds, "convection", kappa=0, tie_seed=1)
         b = limit_oracle(ds, "convection", kappa=0, tie_seed=2)
         assert np.max(np.abs(a.phi - b.phi)) < 1e-6
@@ -229,7 +232,7 @@ class TestLimitOracle:
         ii, jj, sep, _, _ = _oracle_pairs(z, 1e-9 * scale)
         lrho = float(np.mean(v**2))
         dd_soft = smooth_max(np.sqrt((v[ii] - v[jj]) ** 2 + (1e-9 * scale) ** 2)
-                             / sep, 1e-3)
+                             / sep, 1e-3)[0]
         r0 = r0_value(grid, 0, ds.y, np.zeros((1, 1, 0, grid.nx)))
         assert res.value - lrho - dd_soft == pytest.approx(r0, rel=1e-12)
 

@@ -99,14 +99,32 @@ class TestConvergenceStudySmall:
         e_fs = [r.e_f for r in report.rows[1:]]
         assert max(e_fs) - min(e_fs) < 0.05 * max(max(e_fs), 1e-9)
 
-    def test_stops_one_row_per_start(self, tmp_path):
+    def test_stops_one_row_per_start(self, tmp_path, monkeypatch):
         # two restarts at m = 1, then one warm start at m = 2; the best
-        # start of a scale ends at the total its report row carries
+        # start of a scale ends at the total its report row carries, and
+        # each start's final value and gradient sup-norm come from one
+        # closure call
+        returned = set()
+        make_closure = harness.make_closure
+
+        def recording_closure(problem, layout):
+            fg = make_closure(problem, layout)
+
+            def recorded(x):
+                value, grad, aux = fg(x)
+                returned.add((f"{value:.17g}",
+                              f"{float(np.max(np.abs(grad))):.17g}"))
+                return value, grad, aux
+            return recorded
+
+        monkeypatch.setattr(harness, "make_closure", recording_closure)
         cfg = tiny_config(tmp_path / "run", m_max=2, iters=40)
         cfg.sections["optimizer"].update(restarts=2)
         report = run_convergence_study(cfg, echo=lambda *_: None)
         with open(tmp_path / "run" / "stops.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
+        with open(tmp_path / "run" / "timings.json") as fh:
+            scales = json.load(fh)["scales"]
         assert [(r["m"], r["start"]) for r in rows] == \
             [("1", "0"), ("1", "1"), ("2", "0")]
         for r in rows:
@@ -114,9 +132,13 @@ class TestConvergenceStudySmall:
                                     "gradient tolerance reached",
                                     "line search stalled")
             assert int(r["iterations"]) > 0
-        for row in report.rows:
-            ends = [float(r["value"]) for r in rows if r["m"] == str(row.m)]
-            assert min(ends) == row.breakdown.total
+            assert int(r["closure_calls"]) > int(r["iterations"])
+            assert (r["value"], r["grad_inf"]) in returned
+        for row, scale in zip(report.rows, scales):
+            ends = [r for r in rows if r["m"] == str(row.m)]
+            assert min(float(r["value"]) for r in ends) == row.breakdown.total
+            assert sum(int(r["closure_calls"]) for r in ends) \
+                == scale["closure_calls"]
 
     def test_stops_record_diverged_starts(self, tmp_path):
         # a rate this large throws the states out of the box at once, so
@@ -131,7 +153,8 @@ class TestConvergenceStudySmall:
             [("1", "0"), ("1", "1"), ("2", "0"), ("2", "1")]
         for r in rows:
             assert r["outcome"].startswith("diverged: visited jet point left")
-            assert r["iterations"] == r["value"] == ""
+            assert r["iterations"] == r["value"] == r["closure_calls"] \
+                == r["grad_inf"] == ""
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "a", m_max=2, iters=150)

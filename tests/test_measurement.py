@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from smlpde import ground_truth
 from smlpde.grid import Grid
-from smlpde.ground_truth import GroundTruthSpec, make_dataset
+from smlpde.ground_truth import make_dataset
 from smlpde.measurement import (Dataset, MeasurementOp, add_noise,
                                 operator_gap, save_dataset, subsample_stride)
 
@@ -146,31 +145,28 @@ class TestAddNoise:
 
 class TestBoundaryTrace:
     """make_dataset takes g_lo and g_hi from the two boundary columns of the
-    simulated trajectory; simulate is replaced by a prescribed one."""
+    trajectory it measures, here a prescribed one."""
 
     @staticmethod
-    def traces(monkeypatch, fn):
+    def traces(fn):
         g = make_grid()
         tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
         u = fn(tt, xx)[None, None]
-        monkeypatch.setattr(ground_truth, "simulate", lambda spec, grid: u)
-        spec = GroundTruthSpec(kind="none", f_name="zero", L=1,
-                               u0_profiles=["constant:0"])
-        ds, _ = make_dataset(spec, g, MeasurementOp("full", 1, g), 0.0, 0)
+        ds = make_dataset(g, 0, u, MeasurementOp("full", 1, g), 0.0, 0)
         assert ds.g_lo.shape == ds.g_hi.shape == (1, 1, g.nt)
         return g, ds.g_lo[0, 0], ds.g_hi[0, 0]
 
-    def test_linear_profile(self, monkeypatch):
-        g, lo, hi = self.traces(monkeypatch, lambda t, x: x)
+    def test_linear_profile(self):
+        g, lo, hi = self.traces(lambda t, x: x)
         assert np.array_equal(lo, np.zeros(g.nt))
         assert np.array_equal(hi, np.ones(g.nt))
 
-    def test_constant(self, monkeypatch):
-        _, lo, hi = self.traces(monkeypatch, lambda t, x: np.full_like(x, 3.3))
+    def test_constant(self):
+        _, lo, hi = self.traces(lambda t, x: np.full_like(x, 3.3))
         assert np.all(lo == 3.3) and np.all(hi == 3.3)
 
-    def test_separable_profile(self, monkeypatch):
-        g, lo, hi = self.traces(monkeypatch, lambda t, x: t * x)
+    def test_separable_profile(self):
+        g, lo, hi = self.traces(lambda t, x: t * x)
         assert np.max(np.abs(lo)) == 0.0
         assert np.array_equal(hi, g.t)
 

@@ -146,6 +146,21 @@ class TestBackprop:
         assert np.max(np.abs(fd - an) / denom) < 1e-6
 
 
+    @pytest.mark.parametrize("activation", ["tanh", "softplus", "requ"])
+    def test_seeded_input_grads_match_sweep_rows(self, activation):
+        # many rows, one value seed each: the VJP's input adjoint is every
+        # row's input gradient times its seed, on a tape that never ran the
+        # input-gradient sweep
+        net = random_net([3, 6, 5, 1], 4, activation)
+        rng = np.random.default_rng(9)
+        Z = rng.uniform(-1, 1, (40, 3))
+        seeds = rng.standard_normal(40)
+        _, _, bz = mlp.Tape(net, Z).param_vjp(val_seeds=seeds,
+                                              want_input_grad=True)
+        expect = seeds[:, None] * mlp.Tape(net, Z).input_grads
+        assert np.max(np.abs(bz - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
 class TestSecondOrderVjp:
     """Parameter gradient of a linear functional of (value, input-gradient)."""
 

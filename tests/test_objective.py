@@ -14,8 +14,7 @@ from smlpde.grid import Grid
 from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import (ObjectiveBreakdown, Problem, UBox, VarLayout,
                               Vars, Weights, _evaluate_core, _halton, build_box,
-                              derive_ubox, make_closure, r0_value, smooth_max,
-                              smooth_max_weights)
+                              derive_ubox, make_closure, r0_value, smooth_max)
 from smlpde.optimizer import finite_diff_gradcheck
 from smlpde.physics import n_param_slots
 
@@ -76,11 +75,11 @@ def random_problem(seed, kind="none", kappa=0, L=2, N=1, op_kind="full",
 class TestSmoothMax:
     def test_equal_values_log_n(self):
         c, n, tau = 1.7, 8, 0.3
-        out = smooth_max([c] * n, tau)
+        out = smooth_max([c] * n, tau)[0]
         assert out == pytest.approx(c + tau * math.log(n), rel=1e-12)
 
     def test_small_tau_is_max(self):
-        assert smooth_max([1.0, 5.0, 2.0], 1e-6) == pytest.approx(5.0, abs=1e-4)
+        assert smooth_max([1.0, 5.0, 2.0], 1e-6)[0] == pytest.approx(5.0, abs=1e-4)
 
     def test_bracket_random(self):
         rng = np.random.default_rng(0)
@@ -88,13 +87,20 @@ class TestSmoothMax:
             n = int(rng.integers(1, 40))
             v = rng.uniform(-10, 10, n)
             tau = float(rng.uniform(1e-3, 1.0))
-            s = smooth_max(v, tau)
+            s = smooth_max(v, tau)[0]
             top = float(np.max(v))
             assert top <= s <= top + tau * math.log(n) + 1e-15
 
     def test_weights_sum_to_one(self):
-        w = smooth_max_weights([0.2, 0.9, -1.0], 0.1)
+        w = smooth_max([0.2, 0.9, -1.0], 0.1)[1]
         assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
+
+    def test_weights_are_the_gradient(self):
+        rng = np.random.default_rng(2)
+        fg = lambda v: (*smooth_max(v, 0.3), None)
+        err = finite_diff_gradcheck(rng.uniform(-1, 1, 12), fg, step=1e-5,
+                                    coords="all")
+        assert err < 1e-5
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ from smlpde import mlp
 from smlpde.grid import Grid, jet_features
 from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import Problem, Vars, Weights, _evaluate_core, build_box
-from smlpde.physics import (affine_check, apply_physics_array, n_param_slots,
-                            residual)
+from smlpde.optimizer import finite_diff_gradcheck
+from smlpde.physics import (PHYSICS_KINDS, affine_check, apply_physics_array,
+                            n_param_slots, physics_vjp, residual)
 
 
 def make_grid(nx=33, nt=17, t_end=1.0):
@@ -67,6 +68,28 @@ class TestApplyPhysics:
             - 0.5 * apply_physics_array(g, kind, u2, phi)
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+
+class TestPhysicsVjp:
+    @pytest.mark.parametrize("kind", PHYSICS_KINDS)
+    def test_matches_finite_differences(self, kind):
+        # the gradient of sum(seed * term) in the state and the parameter
+        # slots, against central differences in every coordinate
+        g = make_grid(nx=9, nt=5)
+        rng = np.random.default_rng(6)
+        slots = n_param_slots(kind)
+        seed = rng.standard_normal((g.nt, g.nx))
+        n_u = g.nt * g.nx
+
+        def fg(x):
+            u = x[:n_u].reshape(g.nt, g.nx)
+            phi = x[n_u:].reshape(slots, g.nx)
+            value = float(np.sum(seed * apply_physics_array(g, kind, u, phi)))
+            g_u, g_phi = physics_vjp(g, kind, u, phi, seed)
+            return value, np.concatenate([g_u.reshape(-1), g_phi.reshape(-1)]), None
+
+        x = rng.standard_normal(n_u + slots * g.nx)
+        assert finite_diff_gradcheck(x, fg, step=1e-5, coords="all") < 1e-5
 
 
 class TestAffineCheck:

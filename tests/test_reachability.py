@@ -45,8 +45,6 @@ SHARED = {
     "harness.ScaleRow.csv_row": "harness.ConvergenceReport.write_csv",
     "mlp.MlpParams.copy": "objective.VarLayout.__init__",
     "objective.ObjectiveBreakdown.csv_row": "harness._write_trace",
-    # limit_oracle defines a local unpack of its own
-    "objective.VarLayout.unpack": "harness.run_convergence_study",
 }
 
 
