@@ -137,7 +137,8 @@ def simulate(spec: GroundTruthSpec, grid: Grid) -> np.ndarray:
     fvec = f_true(spec.f_name)
     phi = spec.phi_values(grid)
     out = np.zeros((spec.L, 1, grid.nt, grid.nx))
-    clamp = spec.kind != "none"
+    held = np.ones(grid.nx, dtype=bool)   # boundary nodes of a coupling term
+    held[residual_columns(spec.kind)] = False
     for l in range(spec.L):
         u0 = profile_array(spec.u0_profiles[l], grid)
         u0_sup = float(np.max(np.abs(u0)))
@@ -150,9 +151,7 @@ def simulate(spec: GroundTruthSpec, grid: Grid) -> np.ndarray:
         def rhs(state):
             dudt = apply_physics_array(
                 grid, spec.kind, state[None, :], phi[l, 0])[0] + fvec(state)
-            if clamp:
-                dudt[0] = 0.0
-                dudt[-1] = 0.0
+            dudt[held] = 0.0
             return dudt
 
         for it in range(1, grid.nt):
@@ -255,7 +254,7 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
     ii, jj, sep, ci, cj = _oracle_pairs(z, sep_tol)
 
     # the objective's state norm of the pinned state (no parameter part)
-    r0_state = r0_value(grid, kappa, dataset.y, np.zeros((L, N, 0, grid.nx)))
+    r0_state = r0_value(grid, kappa, dataset.y, np.zeros((L, N, 0, grid.nx)))[0]
 
     def f_of(phi):
         """The values of the unknown term at the kept nodes: the residual
@@ -263,23 +262,12 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
         return np.concatenate([residual(grid, kind, u[l], phi[l])
                                .reshape(-1)[flat_keep] for l in range(L)])
 
-    def check_coincident(v, tol=1e-6):
-        if ci.size:
-            vdiff = np.abs(v[ci] - v[cj])
-            worst = float(np.max(vdiff))
-            if worst > tol * max(1.0, float(np.max(np.abs(v)))):
-                raise OracleInfeasibleError(
-                    "coincident jet points carry different residuals "
-                    f"(mismatch {worst:.3g}); no single function interpolates them"
-                )
-
     # tiny Huber width so |v_i - v_j| is differentiable at ties
     mu_abs = 1e-9 * scale
 
     def f_parts(v):
-        """The power norm of the values v, the smooth and the hard sup of
-        their divided differences, and the gradient of power norm plus
-        smooth sup with respect to v."""
+        """Power norm, smooth and hard divided-difference sups of the
+        values v, and the gradient of power norm plus smooth sup in v."""
         lrho = float(np.mean(np.abs(v) ** rho))
         g_v = rho * np.abs(v) ** (rho - 1.0) * np.sign(v) / v.size
         if not ii.size:
@@ -332,7 +320,13 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
         phi = res.x.reshape(L, 1, grid.nx)
         tol = 1e-4
     v = f_of(phi)
-    check_coincident(v, tol)
+    if ci.size:
+        worst = float(np.max(np.abs(v[ci] - v[cj])))
+        if worst > tol * max(1.0, float(np.max(np.abs(v)))):
+            raise OracleInfeasibleError(
+                "coincident jet points carry different residuals "
+                f"(mismatch {worst:.3g}); no single function interpolates them"
+            )
     lrho, dd_soft, dd_hard, _ = f_parts(v)
     return OracleResult(jet_points=z, f_values=v,
                         phi=phi.reshape(L, N, 1, grid.nx) if phi.size else None,

@@ -27,11 +27,14 @@ stencil matrices, the measurement operator, and the networks - including
 the second-order sweep needed for the gradient-sup term) and returned flat
 in VarLayout's pack order; Weights keeps every exponent >= 2.
 
-_evaluate_core is the one implementation of every term: the network inputs
-come from grid.jet_features, the residual from physics.residual, the nested
-norms from grid._norm_pow, and the parameter norm with its gradient from
-mlp.param_norm, so the study's diagnostics, the limit oracle and
-measurement.operator_gap evaluate the same objects.
+_evaluate_core is the one implementation of every term, and one function
+gives each term's value with its gradient: physics.residual with
+physics.physics_vjp, grid._norm_pow, r0_value, smooth_max and
+mlp.param_norm; the network inputs come from grid.jet_features.  The
+study's diagnostics, the limit oracle and measurement.operator_gap evaluate
+the same objects.  A residual tape takes one reverse pass, a value-seeded
+VJP that also returns the input adjoints; only the box tapes run the
+input-gradient sweep, since the gradient-sup term needs the input gradients.
 """
 
 from __future__ import annotations
@@ -178,26 +181,30 @@ def state_norm_order(kappa: int) -> int:
     return min(kappa + 1, 2)
 
 
-def r0_value(grid: Grid, kappa: int, u: np.ndarray, phi: np.ndarray) -> float:
+def r0_value(grid: Grid, kappa: int, u: np.ndarray, phi: np.ndarray):
     """Quadratic core: spatial L^2 of the parameter fields phi plus the squared
     discrete state norm (state, time derivative, spatial derivatives up to
-    state_norm_order(kappa))."""
-    wt = grid.time_weights()
+    state_norm_order(kappa)); returns (value, g_u, g_phi), the gradients from
+    the value's own stencil products."""
     wx = grid.space_weights()
-    wtx = wt[:, None] * wx[None, :]
+    wtx = grid.time_weights()[:, None] * wx[None, :]
     dtm = grid.time_derivative_matrix()
     total = float(np.sum(wx * phi**2)) if phi.size else 0.0
-    order_max = state_norm_order(kappa)
-    mats = {o: grid.space_derivative_matrix(o) for o in range(1, order_max + 1)}
-    L, N = u.shape[0], u.shape[1]
-    for l in range(L):
-        for n in range(N):
+    mats = [grid.space_derivative_matrix(o)
+            for o in range(1, state_norm_order(kappa) + 1)]
+    g_u = 2.0 * wtx * u
+    for l in range(u.shape[0]):
+        for n in range(u.shape[1]):
             field_ = u[l, n]
             total += float(np.sum(wtx * field_**2))
-            total += float(np.sum(wtx * (dtm @ field_) ** 2))
-            for order in range(1, order_max + 1):
-                total += float(np.sum(wtx * (field_ @ mats[order].T) ** 2))
-    return total
+            du = dtm @ field_
+            total += float(np.sum(wtx * du**2))
+            g_u[l, n] += dtm.T @ (2.0 * wtx * du)
+            for mat in mats:
+                du = field_ @ mat.T
+                total += float(np.sum(wtx * du**2))
+                g_u[l, n] += (2.0 * wtx * du) @ mat
+    return total, g_u, 2.0 * wx * phi
 
 
 @dataclass
@@ -290,15 +297,12 @@ def _evaluate_core(vars_: Vars, problem: Problem):
 
     wt = grid.time_weights()
     wx = grid.space_weights()
-    wtx = wt[:, None] * wx[None, :]
     # the residual quadrature counts only the columns the PDE governs
     cols = residual_columns(kind)
     wx_res = np.zeros_like(wx)
     wx_res[cols] = wx[cols]
     dtm = grid.time_derivative_matrix()
-    d1 = grid.space_derivative_matrix(1)
-    d2 = grid.space_derivative_matrix(2)
-    jet_mats = [None, d1, d2]
+    jet_mats = [None] + [grid.space_derivative_matrix(o) for o in (1, 2)]
 
     bd = ObjectiveBreakdown()
     g_u = np.zeros_like(u)
@@ -345,33 +349,24 @@ def _evaluate_core(vars_: Vars, problem: Problem):
             g_u[l, n, 0, :] += 2.0 * w.lam * wx * diff0[n]
             g_u[l, n, :, 0] += 2.0 * w.lam * wt * dlo[n]
             g_u[l, n, :, -1] += 2.0 * w.lam * wt * dhi[n]
-            # network blocks: residual depends on f through -f(feats)
-            bw, bb, _ = tapes[n].param_vjp(val_seeds=(-rw).reshape(-1))
+            # network blocks: the residual holds -f(feats), so the value
+            # seeds carry the minus; one reverse pass gives the weight
+            # adjoints and those of the network inputs
+            bw, bb, g_in = tapes[n].param_vjp(val_seeds=(-rw).reshape(-1),
+                                              want_input_grad=True)
             g_nets[n] = g_nets[n] + mlp.flatten_layers(bw, bb)
-            # chain rule into the jet features of every state
-            gin = tapes[n].input_grads   # (nodes, D)
-            col = 1
+            # chain rule into the jet features [t, jet(u_1), ..., jet(u_N)]
+            g_jets = np.ascontiguousarray(g_in.T[1:]) \
+                .reshape(N, kappa + 1, grid.nt, grid.nx)
             for k in range(N):
-                for order in range(kappa + 1):
-                    # residual = ... - f, so the seed carries the minus
-                    seed_field = (rw.reshape(-1) * (-gin[:, col])) \
-                        .reshape(grid.nt, grid.nx)
-                    if order == 0:
-                        g_u[l, k] += seed_field
-                    else:
-                        g_u[l, k] += seed_field @ jet_mats[order]
-                    col += 1
+                g_u[l, k] += g_jets[k, 0]
+                for order in range(1, kappa + 1):
+                    g_u[l, k] += g_jets[k, order] @ jet_mats[order]
 
     # --- quadratic core ------------------------------------------------------
-    bd.r0_term = r0_value(grid, kappa, u, phi)
-    g_phi += 2.0 * wx[None, None, None, :] * phi
-    for l in range(L):
-        for n in range(N):
-            f_ = u[l, n]
-            g_u[l, n] += 2.0 * wtx * f_
-            g_u[l, n] += dtm.T @ (2.0 * wtx * (dtm @ f_))
-            for order in range(1, state_norm_order(kappa) + 1):
-                g_u[l, n] += (2.0 * wtx * (f_ @ jet_mats[order].T)) @ jet_mats[order]
+    bd.r0_term, r0_g_u, r0_g_phi = r0_value(grid, kappa, u, phi)
+    g_u += r0_g_u
+    g_phi += r0_g_phi
 
     # --- box terms ------------------------------------------------------------
     hard_sup = 0.0

@@ -233,7 +233,7 @@ class TestLimitOracle:
         lrho = float(np.mean(v**2))
         dd_soft = smooth_max(np.sqrt((v[ii] - v[jj]) ** 2 + (1e-9 * scale) ** 2)
                              / sep, 1e-3)[0]
-        r0 = r0_value(grid, 0, ds.y, np.zeros((1, 1, 0, grid.nx)))
+        r0 = r0_value(grid, 0, ds.y, np.zeros((1, 1, 0, grid.nx)))[0]
         assert res.value - lrho - dd_soft == pytest.approx(r0, rel=1e-12)
 
     def test_oracle_rejects_big_grids(self):

@@ -230,13 +230,13 @@ class TestR0:
     def test_all_zero(self):
         g = make_grid()
         assert r0_value(g, 0, np.zeros((1, 1, g.nt, g.nx)),
-                        np.zeros((1, 1, 0, g.nx))) == 0.0
+                        np.zeros((1, 1, 0, g.nx)))[0] == 0.0
 
     def test_constant_state_unit_measure(self):
         g = Grid(nx=9, nt=9, x_lo=0.0, x_hi=1.0, t_end=1.0)
         u = np.full((1, 1, g.nt, g.nx), 2.0)
         # kappa=0: |u|^2 integrates to c^2; time derivative vanishes
-        assert r0_value(g, 0, u, np.zeros((1, 1, 0, g.nx))) \
+        assert r0_value(g, 0, u, np.zeros((1, 1, 0, g.nx)))[0] \
             == pytest.approx(4.0, rel=1e-10)
 
     def test_linear_time_profile(self):
@@ -244,14 +244,30 @@ class TestR0:
         g = Grid(nx=9, nt=65, x_lo=0.0, x_hi=1.0, t_end=1.0)
         tt = np.meshgrid(g.t, g.x, indexing="ij")[0]
         u = tt[None, None, :, :]
-        got = r0_value(g, 0, u, np.zeros((1, 1, 0, g.nx)))
+        got = r0_value(g, 0, u, np.zeros((1, 1, 0, g.nx)))[0]
         assert got == pytest.approx(4.0 / 3.0, abs=2 * g.dt**2)
 
     def test_phi_contributes_squared_l2(self):
         g = Grid(nx=9, nt=9, x_lo=0.0, x_hi=1.0, t_end=1.0)
         phi = np.full((1, 1, 1, g.nx), 3.0)
-        got = r0_value(g, 0, np.zeros((1, 1, g.nt, g.nx)), phi)
+        got = r0_value(g, 0, np.zeros((1, 1, g.nt, g.nx)), phi)[0]
         assert got == pytest.approx(9.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [0, 1])
+    def test_gradients_match_finite_differences(self, kappa):
+        # kappa = 1 reaches the second-order stencil of the state norm
+        g = make_grid()
+        rng = np.random.default_rng(4)
+        u = smooth_state(rng, g, 2, 1)
+        phi = rng.standard_normal((2, 1, 2, g.nx))
+
+        def fg(x):
+            value, g_u, g_phi = r0_value(g, kappa, x[:u.size].reshape(u.shape),
+                                         x[u.size:].reshape(phi.shape))
+            return value, np.concatenate([g_u.reshape(-1), g_phi.reshape(-1)]), None
+
+        x = np.concatenate([u.reshape(-1), phi.reshape(-1)])
+        assert finite_diff_gradcheck(x, fg, step=1e-5, coords="all") < 1e-5
 
 
 class TestEvaluate:
@@ -287,6 +303,22 @@ class TestEvaluate:
         assert bd2.residual_term == pytest.approx(2 * bd1.residual_term,
                                                   rel=1e-12)
 
+    def test_one_reverse_pass_per_residual_tape(self, monkeypatch):
+        # the input-gradient sweep runs on the N box tapes only: a residual
+        # tape takes its input adjoints from its one value-seeded VJP
+        sweeps = []
+        sweep = mlp.Tape._input_grad_sweep
+
+        def counted(tape):
+            if tape._cs is None:
+                sweeps.append(tape.A[0].shape[0])
+            return sweep(tape)
+
+        monkeypatch.setattr(mlp.Tape, "_input_grad_sweep", counted)
+        problem, vars_ = random_problem(9, kind="convection", kappa=1, L=2, N=2)
+        _evaluate_core(vars_, problem)
+        assert sweeps == [problem.box.samples.shape[0]] * 2
+
     def test_box_violation_detected(self):
         problem, vars_ = random_problem(7)
         tiny = build_box(2, 1e-3, points_per_axis=5)
@@ -302,9 +334,9 @@ class TestEvaluate:
             p1 = rng.standard_normal((1, 1, 1, g.nx))
             p2 = rng.standard_normal((1, 1, 1, g.nx))
             u = np.zeros((1, 1, g.nt, g.nx))
-            r0_1 = r0_value(g, 0, u, p1)
-            r0_2 = r0_value(g, 0, u, p2)
-            r0_m = r0_value(g, 0, u, 0.5 * (p1 + p2))
+            r0_1 = r0_value(g, 0, u, p1)[0]
+            r0_2 = r0_value(g, 0, u, p2)[0]
+            r0_m = r0_value(g, 0, u, 0.5 * (p1 + p2))[0]
             if np.max(np.abs(p1 - p2)) > 1e-8:
                 assert r0_m < 0.5 * (r0_1 + r0_2) - 1e-12
             n1 = random_net([2, 4, 1], int(rng.integers(1e6)))
