@@ -38,19 +38,18 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        if args.command == "run":
+            run_convergence_study(cfg)
+            return 0
+        if args.command == "probe":
+            approximation_probe(cfg)
+            return 0
+        # gradcheck
+        err = gradcheck_from_config(cfg)
+        return 0 if err < 1e-4 else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "run":
-        run_convergence_study(cfg)
-        return 0
-    if args.command == "probe":
-        approximation_probe(cfg)
-        return 0
-    # gradcheck
-    err = gradcheck_from_config(cfg)
-    return 0 if err < 1e-4 else 1
 
 
 if __name__ == "__main__":

@@ -65,10 +65,7 @@ SCHEMA = {
         "r": ("float", 2.0),
         "rho": ("float", 2.0),
         "param_norm_p": ("float", 2.0),
-        "tau0_factor": ("float", 0.1),
         "box_margin": ("float", 1.5),
-        "box_points_per_axis": ("int", 33),
-        "box_sample_budget": ("int", 4096),
     },
     "schedule": {
         "lambda0": ("float", 1.0),
@@ -86,12 +83,9 @@ SCHEMA = {
         "init_seed": ("int", 7),
     },
     "optimizer": {
-        "rate": ("float", 0.001),
         "max_iters": ("int", 1500),
         "grad_tol": ("float", 1e-07),
         "restarts": ("int", 3),
-        "gradcheck_samples": ("int", 60),
-        "gradcheck_step": ("float", 1e-05),
     },
     "probe": {
         "f_name": ("str", "cubic"),
@@ -100,8 +94,6 @@ SCHEMA = {
         "widths": ("int_list", [4, 8, 16, 32]),
         "probe_depth": ("int", 3),
         "train_iters": ("int", 6000),
-        "fit_points": ("int", 129),
-        "eval_points": ("int", 257),
         "probe_seed": ("int", 3),
     },
     "output": {
@@ -234,14 +226,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                      ("probe", "probe_seed")):
         if cfg[sec][key] < 0:
             raise ConfigError(f"[{sec}] {key} must be >= 0 (it seeds numpy)")
-    if w["tau0_factor"] <= 0:
-        raise ConfigError("tau0_factor must be positive")
     if w["param_norm_p"] < 1:
         raise ConfigError("param_norm_p must be >= 1 (or inf)")
-    if w["box_points_per_axis"] < 2:
-        raise ConfigError("box_points_per_axis must be >= 2")
-    if w["box_sample_budget"] < 1:
-        raise ConfigError("box_sample_budget must be >= 1")
     meas = cfg["measurement"]
     if meas["family"] not in ("full", "subsample", "smooth"):
         raise ConfigError(f"unknown measurement family {meas['family']!r}")
@@ -254,16 +240,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if sched["m_max"] < 1:
         raise ConfigError("m_max must be >= 1")
     opt = cfg["optimizer"]
-    if opt["rate"] <= 0:
-        raise ConfigError("optimizer rate must be positive")
     if opt["max_iters"] < 0:
         raise ConfigError("optimizer max_iters must be >= 0")
     if opt["restarts"] < 1:
         raise ConfigError("optimizer restarts must be >= 1")
-    if not 1e-7 <= opt["gradcheck_step"] <= 1e-3:
-        raise ConfigError("gradcheck_step must lie in [1e-7, 1e-3]")
-    if opt["gradcheck_samples"] < 1:
-        raise ConfigError("gradcheck_samples must be >= 1")
     net = cfg["network"]
     if net["width0"] < 1:
         raise ConfigError("network width0 must be >= 1")
@@ -282,9 +262,6 @@ def _validate(cfg: ExperimentConfig) -> None:
                           "last, and the rate fit needs distinct widths)")
     if probe["probe_depth"] < 2:
         raise ConfigError("probe_depth must be >= 2 (depth 1 is a linear model)")
-    for key in ("fit_points", "eval_points"):
-        if probe[key] < 2:
-            raise ConfigError(f"probe {key} must be >= 2")
     if probe["train_iters"] < 1:
         raise ConfigError("probe train_iters must be >= 1")
     if not probe["interval_lo"] < probe["interval_hi"]:

@@ -19,7 +19,7 @@ class OracleInfeasibleError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Strict config parsing failure; carries the offending line number."""
+    """A config that fails strict parsing (at .line) or diverges in simulation."""
 
     def __init__(self, message, line=None):
         if line is not None:

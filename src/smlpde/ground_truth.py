@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergedError, OracleInfeasibleError
+from .errors import ConfigError, OracleInfeasibleError
 from .grid import Grid, jet_features
 from .measurement import Dataset, MeasurementOp, add_noise
 from .objective import r0_value, smooth_max
@@ -133,7 +133,8 @@ def _stable_substeps(spec: GroundTruthSpec, grid: Grid,
 
 
 def simulate(spec: GroundTruthSpec, grid: Grid) -> np.ndarray:
-    """Method-of-lines trajectory of one equation, shape (L, 1, nt, nx)."""
+    """Method-of-lines trajectory of one equation, shape (L, 1, nt, nx).
+    A trajectory that blows up makes the config unusable: ConfigError."""
     fvec = f_true(spec.f_name)
     phi = spec.phi_values(grid)
     out = np.zeros((spec.L, 1, grid.nt, grid.nx))
@@ -162,9 +163,9 @@ def simulate(spec: GroundTruthSpec, grid: Grid) -> np.ndarray:
                 k4 = rhs(u + h * k3)
                 u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > blow_up:
-                raise DivergedError(
+                raise ConfigError(
                     f"forward simulation diverged in experiment {l + 1} "
-                    f"at time level {it}", it)
+                    f"at time level {it}")
             out[l, 0, it] = u
     return out
 

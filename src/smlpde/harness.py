@@ -240,14 +240,17 @@ def _write_trace(path, m: int, trace) -> None:
             fh.write(f"{m},{it}," + bd.csv_row() + "\n")
 
 
+TAU0_FACTOR = 0.1
+
+
 def _initial_tau(cfg: ExperimentConfig, box: UBox) -> float:
-    """tau0 = factor * hard gradient-sup of the scale-1 initial network."""
+    """tau0 = TAU0_FACTOR * hard gradient-sup of the scale-1 initial network."""
     sizes = network_sizes(cfg, box.dim, 1)
     net = mlp.init_params(sizes, mlp.Activation(cfg["network"]["activation"]),
                           cfg["network"]["init_seed"])
     g = mlp.grad_input_batch(net, box.samples)
     est = float(np.max(np.abs(g)))
-    return max(cfg["weights"]["tau0_factor"] * est, 1e-6)
+    return max(TAU0_FACTOR * est, 1e-6)
 
 
 def initial_phi_estimate(grid: Grid, kind: str, u_init: np.ndarray) -> np.ndarray:
@@ -359,6 +362,16 @@ def _staged_minimize(x0, fg, base: OptimConfig):
     return res
 
 
+def _scale_problem(cfg: ExperimentConfig, spec: GroundTruthSpec, dataset,
+                   op: MeasurementOp, box: UBox, m: int, tau: float) -> Problem:
+    """The configured experiment's scale-m objective on dataset."""
+    lam, mu, nu, _ = schedule_values(cfg, m)
+    w = cfg["weights"]
+    weights = Weights(lam=lam, mu=mu, nu=nu, q=w["q"], r=w["r"], rho=w["rho"],
+                      param_norm_p=w["param_norm_p"], tau=tau)
+    return Problem(dataset.grid, dataset, op, spec.kind, spec.kappa, weights, box)
+
+
 def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceReport:
     heap_pinned = _pin_heap()
     t_start = time.perf_counter()
@@ -377,9 +390,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     ds1 = make_dataset(grid, spec.kappa, u_true, op1, 0.0,
                        cfg["measurement"]["data_seed"])
     N = ds1.n_states
-    box = derive_ubox(ds1, spec.kappa, wcfg["box_margin"],
-                      points_per_axis=wcfg["box_points_per_axis"],
-                      sample_budget=wcfg["box_sample_budget"])
+    box = derive_ubox(ds1, spec.kappa, wcfg["box_margin"])
     # all (t, jets) points of the reference trajectory, stacked over l
     z_visited = np.concatenate([jet_features(grid, spec.kappa, u_l)
                                 for u_l in u_true])
@@ -401,13 +412,10 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         seed_m = cfg["measurement"]["data_seed"] + 1009 * m
         dataset = make_dataset(grid, spec.kappa, u_true, op, noise, seed_m)
         save_dataset(dataset, out_dir)
-        weights = Weights(lam=lam, mu=mu, nu=nu, q=wcfg["q"], r=wcfg["r"],
-                          rho=wcfg["rho"], param_norm_p=wcfg["param_norm_p"],
-                          tau=tau_m)
-        problem = Problem(grid, dataset, op, spec.kind, spec.kappa, weights, box)
+        problem = _scale_problem(cfg, spec, dataset, op, box, m, tau_m)
         sizes = network_sizes(cfg, box.dim, m)
         opt_config = OptimConfig(max_iters=ocfg["max_iters"],
-                                 grad_tol=ocfg["grad_tol"], rate=ocfg["rate"])
+                                 grad_tol=ocfg["grad_tol"])
 
         candidates = []
         if prev_vars is None:
@@ -582,16 +590,16 @@ class ProbeRow:
 
 
 def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
-                     iters: int, seed: int, fit_points: int = 129,
-                     eval_points: int = 257, activation_kind: str = "tanh",
+                     iters: int, seed: int, activation_kind: str = "tanh",
                      init_net=None):
-    """Least-squares fit of a named scalar function on [lo, hi]; returns
-    (net, sup error, fitted gradient sup, param 2-norm) on a finer lattice.
+    """Least-squares fit of a named scalar function on 129 points of [lo, hi];
+    returns (net, sup error, fitted gradient sup, param 2-norm), the first
+    two on a finer lattice of 257 points.
 
     An optional init_net (e.g. a narrower fit, widened) seeds the training,
     which makes the error of nested widths decrease by construction."""
     fvec = f_true(f_name)
-    z_fit = np.linspace(lo, hi, fit_points)[:, None]
+    z_fit = np.linspace(lo, hi, 129)[:, None]
     target = fvec(z_fit[:, 0])
     sizes = [1] + [width] * (depth - 1) + [1]
     if init_net is not None:
@@ -616,7 +624,7 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
     coef = np.linalg.solve(gram, design.T @ target)
     fitted.weights[-1] = coef[:-1][None, :]
     fitted.biases[-1] = coef[-1:]
-    z_eval = np.linspace(lo, hi, eval_points)[:, None]
+    z_eval = np.linspace(lo, hi, 257)[:, None]
     sup_err = float(np.max(np.abs(mlp.forward_batch(fitted, z_eval)
                                   - fvec(z_eval[:, 0]))))
     grad_fit = float(np.max(np.abs(mlp.grad_input_batch(fitted, z_eval))))
@@ -639,8 +647,7 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
         try:
             prev_net, sup_err, grad_fit, pnorm = fit_function_lsq(
                 p["f_name"], lo, hi, width, p["probe_depth"], p["train_iters"],
-                p["probe_seed"], p["fit_points"], p["eval_points"],
-                cfg["network"]["activation"], init_net=prev_net)
+                p["probe_seed"], cfg["network"]["activation"], init_net=prev_net)
             rows.append(ProbeRow(width, sup_err, grad_fit, grad_true,
                                  abs(grad_fit - grad_true), pnorm))
             echo(f"[width={width}] sup_err={sup_err:.4g} "
@@ -683,19 +690,14 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     _pin_heap()
     grid = build_grid(cfg)
     spec = build_gt_spec(cfg)
-    wcfg = cfg["weights"]
     op = MeasurementOp(cfg["measurement"]["family"], 1, grid)
-    lam, mu, nu, noise = schedule_values(cfg, 1)
+    noise = schedule_values(cfg, 1)[3]
     dataset = make_dataset(grid, spec.kappa, simulate(spec, grid), op, noise,
                            cfg["measurement"]["data_seed"])
     N = dataset.n_states
-    box = derive_ubox(dataset, spec.kappa, wcfg["box_margin"],
-                      points_per_axis=wcfg["box_points_per_axis"],
-                      sample_budget=wcfg["box_sample_budget"])
-    weights = Weights(lam=lam, mu=mu, nu=nu, q=wcfg["q"], r=wcfg["r"],
-                      rho=wcfg["rho"], param_norm_p=wcfg["param_norm_p"],
-                      tau=max(_initial_tau(cfg, box), 1e-4))
-    problem = Problem(grid, dataset, op, spec.kind, spec.kappa, weights, box)
+    box = derive_ubox(dataset, spec.kappa, cfg["weights"]["box_margin"])
+    problem = _scale_problem(cfg, spec, dataset, op, box, 1,
+                             max(_initial_tau(cfg, box), 1e-4))
     nets = [mlp.init_params(network_sizes(cfg, box.dim, 1),
                             mlp.Activation(cfg["network"]["activation"]),
                             cfg["network"]["init_seed"] + n)
@@ -704,8 +706,6 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
                  np.zeros((spec.L, N, n_param_slots(spec.kind), grid.nx)), nets)
     layout = VarLayout(vars0)
     fg = make_closure(problem, layout)
-    err = finite_diff_gradcheck(layout.pack(vars0), fg,
-                                samples=cfg["optimizer"]["gradcheck_samples"],
-                                step=cfg["optimizer"]["gradcheck_step"])
+    err = finite_diff_gradcheck(layout.pack(vars0), fg, samples=60)
     echo(f"max relative gradient error over sampled coordinates: {err:.3g}")
     return err

@@ -137,8 +137,7 @@ def build_box(dim: int, radius: float, points_per_axis: int = 33,
     return UBox(dim=dim, radius=radius, samples=samples, quad_weights=weights)
 
 
-def derive_ubox(dataset: Dataset, kappa: int, margin: float,
-                points_per_axis: int = 33, sample_budget: int = 4096) -> UBox:
+def derive_ubox(dataset: Dataset, kappa: int, margin: float) -> UBox:
     """Box radius = t_end + margin * (jet sup of the reference trajectory),
     with the grid and the number of states read from the dataset."""
     if margin < 1.1:
@@ -148,7 +147,7 @@ def derive_ubox(dataset: Dataset, kappa: int, margin: float,
         raise ValueError("no jet sup-norm bound available for the box radius")
     dim = 1 + dataset.n_states * jet_dimension(kappa)
     radius = dataset.grid.t_end + margin * float(bound)
-    return build_box(dim, radius, points_per_axis, sample_budget)
+    return build_box(dim, radius)
 
 
 def smooth_max(values, tau: float):

@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import functools
 import json
 import os
 import platform
@@ -30,7 +31,7 @@ def tiny_config(out_dir, m_max=2, iters=300):
     cfg.sections["measurement"].update(family="full", noise0=0.0)
     cfg.sections["schedule"].update(m_max=m_max)
     cfg.sections["network"].update(width0=4)
-    cfg.sections["optimizer"].update(max_iters=iters, restarts=1, rate=0.005)
+    cfg.sections["optimizer"].update(max_iters=iters, restarts=1)
     cfg.sections["output"].update(dir=str(out_dir))
     return cfg
 
@@ -140,11 +141,14 @@ class TestConvergenceStudySmall:
             assert sum(int(r["closure_calls"]) for r in ends) \
                 == scale["closure_calls"]
 
-    def test_stops_record_diverged_starts(self, tmp_path):
-        # a rate this large throws the states out of the box at once, so
-        # every start diverges and every scale starts over from scratch
+    def test_stops_record_diverged_starts(self, tmp_path, monkeypatch):
+        # a step scale (OptimConfig.rate) this large throws the states out
+        # of the box at once, so every start diverges and every scale starts
+        # over from scratch; stages that set their own rate keep it
+        monkeypatch.setattr(harness, "OptimConfig",
+                            functools.partial(OptimConfig, rate=1.0))
         cfg = tiny_config(tmp_path / "run", m_max=2, iters=40)
-        cfg.sections["optimizer"].update(restarts=2, rate=1.0)
+        cfg.sections["optimizer"].update(restarts=2)
         report = run_convergence_study(cfg, echo=lambda *_: None)
         assert all(row.status.startswith("diverged(") for row in report.rows)
         with open(tmp_path / "run" / "stops.csv", newline="") as fh:
@@ -331,6 +335,19 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 0
         assert (tmp_path / "out" / "report.csv").exists()
         assert cli_main(["probe", str(path)]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "gradcheck"])
+    def test_diverging_reference_exit_code(self, command, tmp_path, capsys):
+        # f(u) = u over t in [0, 30] outgrows the simulation's blow-up bound
+        cfg = tiny_config(tmp_path / "out")
+        cfg.sections["grid"].update(nx=9, nt=9, t_end=30.0)
+        cfg.sections["ground_truth"].update(f_true="identity")
+        path = tmp_path / "exp.cfg"
+        path.write_text(format_config(cfg), encoding="utf-8")
+        assert cli_main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: forward simulation diverged")
+        assert err.count("\n") == 1
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

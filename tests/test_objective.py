@@ -98,8 +98,7 @@ class TestSmoothMax:
     def test_weights_are_the_gradient(self):
         rng = np.random.default_rng(2)
         fg = lambda v: (*smooth_max(v, 0.3), None)
-        err = finite_diff_gradcheck(rng.uniform(-1, 1, 12), fg, step=1e-5,
-                                    coords="all")
+        err = finite_diff_gradcheck(rng.uniform(-1, 1, 12), fg, coords="all")
         assert err < 1e-5
 
     def test_invalid(self):
@@ -163,18 +162,33 @@ class TestUBox:
                 ref = qmc.Halton(d=dim, scramble=False).random(n)
                 assert _halton(dim, n).tobytes() == ref.tobytes(), (dim, n)
 
-    def test_box_needs_no_scipy(self):
-        # a fresh interpreter builds a 3-D box without importing scipy
+    def test_box_needs_no_scipy(self, tmp_path):
+        # a fresh interpreter builds a 3-D box, runs a tiny study with a 3-D
+        # box and the approximation probe without importing scipy, whose
+        # import alone would add about 49 MB to the peak resident size
         src = os.path.dirname(os.path.dirname(os.path.abspath(mlp.__file__)))
+        cfg_text = ("[grid]\nnx = 17\nnt = 13\n"
+                    "[ground_truth]\nkind = burgers1d\nkappa = 1\n"
+                    "phi1_profiles =\n[schedule]\nm_max = 1\n"
+                    "[optimizer]\nmax_iters = 4\nrestarts = 1\n"
+                    "[probe]\nwidths = 4\ntrain_iters = 20\n"
+                    f"[output]\ndir = {tmp_path}\n")
         code = ("import sys\n"
-                "import smlpde.harness\n"
+                "from smlpde.config import parse_config_text\n"
+                "from smlpde.harness import (approximation_probe,\n"
+                "                            run_convergence_study)\n"
                 "from smlpde.objective import build_box\n"
                 "assert build_box(3, 2.0, sample_budget=64).samples.shape == (64, 3)\n"
+                f"cfg = parse_config_text({cfg_text!r})\n"
+                "run_convergence_study(cfg, echo=lambda *_: None)\n"
+                "approximation_probe(cfg, echo=lambda *_: None)\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+        assert (tmp_path / "report.csv").exists()
+        assert (tmp_path / "probe.csv").exists()
 
     def test_lattice_weights_integrate(self):
         box = build_box(2, 1.0, points_per_axis=33)
@@ -267,7 +281,7 @@ class TestR0:
             return value, np.concatenate([g_u.reshape(-1), g_phi.reshape(-1)]), None
 
         x = np.concatenate([u.reshape(-1), phi.reshape(-1)])
-        assert finite_diff_gradcheck(x, fg, step=1e-5, coords="all") < 1e-5
+        assert finite_diff_gradcheck(x, fg, coords="all") < 1e-5
 
 
 class TestEvaluate:
@@ -380,8 +394,7 @@ class TestGradient:
                                         N=N)
         layout = VarLayout(vars_)
         fg = make_closure(problem, layout)
-        err = finite_diff_gradcheck(layout.pack(vars_), fg, step=1e-5,
-                                    coords="all")
+        err = finite_diff_gradcheck(layout.pack(vars_), fg, coords="all")
         assert err < 1e-5
 
     def test_data_term_has_no_phi_gradient(self):
@@ -407,8 +420,7 @@ class TestGradient:
         problem, vars_ = random_problem(13, q=3.0, r=4.0, rho=3.0)
         layout = VarLayout(vars_)
         fg = make_closure(problem, layout)
-        err = finite_diff_gradcheck(layout.pack(vars_), fg, step=1e-5,
-                                    samples=120, seed=3)
+        err = finite_diff_gradcheck(layout.pack(vars_), fg, coords="all")
         assert err < 1e-5
 
     def test_tiny_convex_instance_reaches_stationarity(self):
