@@ -19,7 +19,6 @@ residual and data terms and measurement.operator_gap all take it from here.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -163,9 +162,10 @@ def write_field_csv(grid: Grid, values: np.ndarray, path) -> None:
                          f"{(grid.nt, grid.nx)}")
     if not np.all(np.isfinite(values)):
         raise ValueError("field contains non-finite entries")
+    # each coordinate is formatted once; rows end in "\r\n" as csv.writer's
+    ts = [f"{t:.17g}" for t in grid.t]
+    xs = [f"{x:.17g}" for x in grid.x]
+    rows = [f"{t},{x},{v:.17g}\r\n" for t, vrow in zip(ts, values.tolist())
+            for x, v in zip(xs, vrow)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x1", "value"])
-        for tval, row in zip(grid.t, values):
-            for xval, v in zip(grid.x, row):
-                w.writerow([f"{tval:.17g}", f"{xval:.17g}", f"{v:.17g}"])
+        fh.write("t,x1,value\r\n" + "".join(rows))

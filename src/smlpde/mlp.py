@@ -21,6 +21,15 @@ activation a = sigma(z) along with z, so tanh needs no further tanh
 evaluation: sigma' = 1 - a*a and sigma'' = -2*a*sigma', the same
 expressions Activation.deriv and deriv2 evaluate.
 
+The tape writes in place where the fresh-temporary form would allocate
+(b added into A @ W^T, 1 - a*a in a*a's buffer, sigma' and sigma'' scaling
+fresh products) and keeps every product's operation order, so its outputs
+are bit-identical to that form.  Output-layer products with a (B, 1)
+factor are broadcasts.  Bias gradients sum with einsum, which adds the rows
+of a C-contiguous block of two or more columns in sum(axis=0)'s order, only
+faster; a one-column block (the output layer's, or a hidden layer of width
+1) keeps sum(axis=0), which sums it pairwise.
+
 Parameters are validated where they enter: MlpParams checks each layer's
 shape and finiteness at construction (init_params, grow_params, copy), and
 unflatten_params, which fit and objective closures call on every
@@ -75,7 +84,8 @@ class Activation:
     def slope(self, z, a):
         """sigma'(z), given a = sigma(z); tanh reads it off a."""
         if self.kind == "tanh":
-            return 1.0 - a * a
+            s = a * a
+            return np.subtract(1.0, s, out=s if np.ndim(s) else None)
         if self.kind == "softplus":
             return 1.0 / (1.0 + np.exp(-z))
         if self.kind == "relu":
@@ -215,7 +225,8 @@ class Tape:
         A = [Z]
         P = []
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            pre = A[-1] @ w.T + b
+            pre = A[-1] @ w.T
+            pre += b
             P.append(pre)
             if i < L - 1:
                 A.append(act.value(pre))
@@ -247,12 +258,13 @@ class Tape:
         weights = self.params.weights
         sp = self._hidden_slopes()
         L = len(weights)
-        B = self.A[0].shape[0]
         ds = [None] * L
         cs = [None] * L
-        ds[L - 1] = np.ones((B, 1))
+        ds[L - 1] = np.ones((self.A[0].shape[0], 1))
         for i in range(L - 1, -1, -1):
-            cs[i] = ds[i] @ weights[i]
+            # every row of ones((B, 1)) @ W_{L-1} is W_{L-1}'s one row, which
+            # broadcasting reads; only the input gradient needs all B rows
+            cs[i] = weights[i] if 0 < i == L - 1 else ds[i] @ weights[i]
             if i > 0:
                 ds[i - 1] = cs[i] * sp[i - 1]
         self._cs, self._ds = cs, ds
@@ -288,7 +300,9 @@ class Tape:
                     # ds[i] = cs[i+1] * sigma'(P[i])
                     bar_d = bar_c @ weights[i].T
                     bar_c = bar_d * sp[i]
-                    bar_P[i] = bar_d * self._cs[i + 1] * spp[i]
+                    bar_d *= self._cs[i + 1]
+                    bar_d *= spp[i]
+                    bar_P[i] = bar_d
 
         if val_seeds is not None:
             bar_P[L - 1] = np.array(val_seeds, dtype=float).reshape(-1, 1)
@@ -298,9 +312,12 @@ class Tape:
             if bar_P[i] is None:
                 continue
             _accumulate(bar_W, i, bar_P[i].T @ self.A[i])
-            bar_b[i] = bar_P[i].sum(axis=0)
+            bar_b[i] = _column_sums(bar_P[i])
             if i > 0:
-                _accumulate(bar_P, i - 1, (bar_P[i] @ weights[i]) * sp[i - 1])
+                back = (bar_P[i] * weights[i] if i == L - 1
+                        else bar_P[i] @ weights[i])
+                back *= sp[i - 1]
+                _accumulate(bar_P, i - 1, back)
             elif want_input_grad:
                 bar_Z = bar_P[0] @ weights[0]
         for i in range(L):
@@ -311,6 +328,13 @@ class Tape:
         if want_input_grad and bar_Z is None:
             bar_Z = np.zeros_like(self.A[0])
         return bar_W, bar_b, bar_Z
+
+
+def _column_sums(x):
+    """x.sum(axis=0), bit for bit; einsum where its order is the same."""
+    if x.shape[1] < 2 or not x.flags.c_contiguous:
+        return x.sum(axis=0)
+    return np.einsum("ij->j", x)
 
 
 def _accumulate(buffers, i, x):

@@ -217,6 +217,135 @@ class TestSecondOrderVjp:
                 assert a.tobytes() == b.tobytes()
 
 
+def reference_tape(net, Z):
+    """The tape's formulas with a fresh temporary for every product, the
+    output layer's products through matmul and every bias gradient through
+    sum(axis=0): (values, input_grads, vjp) with vjp(val_seeds, grad_seeds,
+    want_input_grad) -> (bar_W, bar_b, bar_Z)."""
+    act = net.activation
+    W, L = net.weights, net.depth
+    A, P = [Z], []
+    for i, (w, b) in enumerate(zip(W, net.biases)):
+        P.append(A[-1] @ w.T + b)
+        if i < L - 1:
+            A.append(act.value(P[-1]))
+    sp = [1.0 - a * a if act.kind == "tanh" else act.slope(p, a)
+          for p, a in zip(P, A[1:])]
+    spp = [act.curvature(p, a, s) for p, a, s in zip(P, A[1:], sp)]
+    ds, cs = [None] * L, [None] * L
+    ds[L - 1] = np.ones((Z.shape[0], 1))
+    for i in range(L - 1, -1, -1):
+        cs[i] = ds[i] @ W[i]
+        if i > 0:
+            ds[i - 1] = cs[i] * sp[i - 1]
+
+    def vjp(val_seeds, grad_seeds, want_input_grad):
+        bar_W = [np.zeros_like(w) for w in W]
+        bar_b = [np.zeros_like(b) for b in net.biases]
+        bar_P = [None] * L
+        if grad_seeds is not None:
+            bar_c = grad_seeds
+            for i in range(L):
+                bar_W[i] = ds[i].T @ bar_c
+                if i < L - 1:
+                    bar_d = bar_c @ W[i].T
+                    bar_c = bar_d * sp[i]
+                    bar_P[i] = bar_d * cs[i + 1] * spp[i]
+        if val_seeds is not None:
+            bar_P[L - 1] = val_seeds.reshape(-1, 1)
+        bar_Z = np.zeros_like(Z) if want_input_grad else None
+        for i in range(L - 1, -1, -1):
+            if bar_P[i] is None:
+                continue
+            bar_W[i] = (bar_P[i].T @ A[i] if grad_seeds is None
+                        else bar_W[i] + bar_P[i].T @ A[i])
+            bar_b[i] = bar_P[i].sum(axis=0)
+            if i > 0:
+                back = (bar_P[i] @ W[i]) * sp[i - 1]
+                bar_P[i - 1] = back if bar_P[i - 1] is None else bar_P[i - 1] + back
+            elif want_input_grad:
+                bar_Z = bar_P[0] @ W[0]
+        return bar_W, bar_b, bar_Z
+
+    return P[-1][:, 0], cs[0], vjp
+
+
+def heavy_tailed(rng, shape):
+    """Normal entries scaled over six decades, so that any reordering of a
+    sum shows in its last bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+class TestTapeMatchesReference:
+    """Tape's in-place products, broadcasts and einsum bias sums change no
+    bit of any output against the plain formulas."""
+
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_bit_identical(self, activation, depth):
+        rng = np.random.default_rng(31 + depth)
+        # width 1 with B >= 8 is where sum(axis=0) turns pairwise
+        for width in (1, 2, 8):
+            sizes = [3] + [width] * (depth - 1) + [1]
+            net = random_net(sizes, 17 * depth + width, activation)
+            for B in (1, 9, 129):
+                Z = rng.uniform(-1.5, 1.5, (B, 3))
+                val_seeds = heavy_tailed(rng, B)
+                grad_seeds = heavy_tailed(rng, (B, 3))
+                values, input_grads, vjp = reference_tape(net, Z)
+                tape = mlp.Tape(net, Z)
+                assert tape.values.tobytes() == values.tobytes()
+                assert tape.input_grads.tobytes() == input_grads.tobytes()
+                for seeds in ((val_seeds, None), (None, grad_seeds),
+                              (val_seeds, grad_seeds)):
+                    for want in (False, True):
+                        got = tape.param_vjp(*seeds, want_input_grad=want)
+                        expect = vjp(*seeds, want)
+                        for a, b in zip(got[0] + got[1], expect[0] + expect[1]):
+                            assert a.shape == b.shape
+                            assert a.tobytes() == b.tobytes()
+                        if want:
+                            assert got[2].tobytes() == expect[2].tobytes()
+
+    def test_column_sums_match_sum_axis0(self):
+        # einsum adds rows in sum(axis=0)'s order only from two columns on;
+        # this pins that on the installed numpy
+        rng = np.random.default_rng(32)
+        for B in (1, 2, 7, 8, 9, 129, 1000, 4225):
+            for w in (1, 2, 3, 8, 24, 47):
+                x = heavy_tailed(rng, (B, w))
+                assert mlp._column_sums(x).tobytes() == x.sum(axis=0).tobytes()
+
+
+class TestNoCallerArrayMutated:
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    def test_slope_leaves_activation_values(self, activation):
+        act = Activation(activation)
+        z = np.linspace(-2.0, 2.0, 11)
+        a = act.value(z)
+        before = a.copy()
+        act.slope(z, a)
+        act.deriv(z)
+        assert a.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    def test_param_vjp_leaves_seeds_and_weights(self, activation):
+        net = random_net([3, 6, 5, 1], 18, activation)
+        rng = np.random.default_rng(19)
+        Z = rng.uniform(-1, 1, (9, 3))
+        val_seeds = rng.standard_normal(9)
+        grad_seeds = rng.standard_normal((9, 3))
+        kept = [x.copy() for x in [Z, val_seeds, grad_seeds]
+                + net.weights + net.biases]
+        tape = mlp.Tape(net, Z)
+        tape.param_vjp(val_seeds, grad_seeds, True)
+        tape.param_vjp(val_seeds, None, True)
+        tape.param_vjp(None, grad_seeds, True)
+        for x, y in zip([Z, val_seeds, grad_seeds] + net.weights + net.biases,
+                        kept):
+            assert x.tobytes() == y.tobytes()
+
+
 class TestLipschitzBound:
     def test_single_layer_ignores_activation_constant(self):
         net = MlpParams([np.array([[3.0]])], [np.array([0.0])],
