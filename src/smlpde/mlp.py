@@ -258,9 +258,10 @@ class Tape:
         weights = self.params.weights
         sp = self._hidden_slopes()
         L = len(weights)
+        B = self.A[0].shape[0]
         ds = [None] * L
         cs = [None] * L
-        ds[L - 1] = np.ones((self.A[0].shape[0], 1))
+        ds[L - 1] = np.ones((B, 1))
         for i in range(L - 1, -1, -1):
             # every row of ones((B, 1)) @ W_{L-1} is W_{L-1}'s one row, which
             # broadcasting reads; only the input gradient needs all B rows
