@@ -22,7 +22,10 @@ significant digits so identical configurations reproduce byte-identical
 files.  The run manifest timings.json, beside report.csv, holds what is not
 reproducible: the wall seconds of every scale and the objective closure
 calls of its starts that did not diverge, the config text, the Python,
-numpy and scipy versions, and whether the heap was pinned.
+numpy and scipy versions, and whether the heap was pinned.  The probe
+writes the same manifest, with the wall seconds and fit-closure calls of
+every width, as probe_timings.json, so that a study and a probe sharing an
+output directory keep both.
 
 Every entry point (run_convergence_study, approximation_probe,
 gradcheck_from_config) first pins the C allocator's thresholds
@@ -289,8 +292,8 @@ def _lsq_closure(net, Z, y):
         diff = tape.values - y
         # np.mean's own pairwise sum and division, without its Python wrapper
         loss = float(np.add.reduce(diff * diff) / diff.size)
-        bw, bb, _ = tape.param_vjp(val_seeds=2.0 * diff / diff.size)
-        return loss, mlp.flatten_layers(bw, bb), loss
+        grad, _ = tape.param_vjp(2.0 * diff / diff.size)
+        return loss, grad, loss
 
     return fg
 
@@ -593,8 +596,8 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
                      iters: int, seed: int, activation_kind: str = "tanh",
                      init_net=None):
     """Least-squares fit of a named scalar function on 129 points of [lo, hi];
-    returns (net, sup error, fitted gradient sup, param 2-norm), the first
-    two on a finer lattice of 257 points.
+    returns (net, sup error, fitted gradient sup, param 2-norm, closure
+    calls), the first two on a finer lattice of 257 points.
 
     An optional init_net (e.g. a narrower fit, widened) seeds the training,
     which makes the error of nested widths decrease by construction."""
@@ -608,14 +611,18 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
         net = mlp.init_params(sizes, mlp.Activation(activation_kind), seed)
     fg = _lsq_closure(net, z_fit, target)
     res = mlp.flatten_params(net)
+    calls = 0
     for rate, frac in ((1e-2, 0.35), (3e-3, 0.25), (1e-3, 0.2)):
         cfg = OptimConfig(max_iters=max(1, int(iters * frac)), grad_tol=0.0,
                           rate=rate)
         res = minimize(res, fg, cfg)
+        calls += res.calls
     # Armijo polish: the adaptive method plateaus at its step scale
     cfg = OptimConfig(max_iters=max(1, int(iters * 0.2)), grad_tol=1e-13,
                       rate=1.0, method="gd_linesearch")
-    fitted = mlp.unflatten_params(minimize(res, fg, cfg).x, net)
+    res = minimize(res, fg, cfg)
+    calls += res.calls
+    fitted = mlp.unflatten_params(res.x, net)
     # the readout layer is linear in its parameters: solve it exactly
     tape = mlp.Tape(fitted, z_fit)
     hidden = tape.A[-1]
@@ -628,13 +635,14 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
     sup_err = float(np.max(np.abs(mlp.forward_batch(fitted, z_eval)
                                   - fvec(z_eval[:, 0]))))
     grad_fit = float(np.max(np.abs(mlp.grad_input_batch(fitted, z_eval))))
-    return fitted, sup_err, grad_fit, mlp.param_norm([fitted], 2.0)[0]
+    return fitted, sup_err, grad_fit, mlp.param_norm([fitted], 2.0)[0], calls
 
 
 def approximation_probe(cfg: ExperimentConfig, echo=print):
     """Fit networks of increasing width to a library function and record how
     the uniform error, the gradient sup-norm, and the parameter norm scale."""
-    _pin_heap()
+    heap_pinned = _pin_heap()
+    t_start = time.perf_counter()
     p = cfg["probe"]
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -642,10 +650,13 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
     u_dense = np.linspace(lo, hi, 2049)
     grad_true = float(np.max(np.abs(f_true_deriv(p["f_name"])(u_dense))))
     rows = []
+    widths = []  # per width: wall seconds and fit-closure calls
     prev_net = None
     for width in p["widths"]:
+        t_width = time.perf_counter()
+        calls = None
         try:
-            prev_net, sup_err, grad_fit, pnorm = fit_function_lsq(
+            prev_net, sup_err, grad_fit, pnorm, calls = fit_function_lsq(
                 p["f_name"], lo, hi, width, p["probe_depth"], p["train_iters"],
                 p["probe_seed"], cfg["network"]["activation"], init_net=prev_net)
             rows.append(ProbeRow(width, sup_err, grad_fit, grad_true,
@@ -656,6 +667,8 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
             prev_net = None
             rows.append(ProbeRow(width, float("nan"), float("nan"), grad_true,
                                  float("nan"), float("nan"), f"diverged({exc})"))
+        widths.append({"width": width, "wall_s": time.perf_counter() - t_width,
+                       "fit_calls": calls})
     good = [r for r in rows if np.isfinite(r.sup_error) and r.sup_error > 0]
     if len(good) >= 2:
         xs = np.log([r.width for r in good])
@@ -675,6 +688,8 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
         fh.write("beta_hat\n")
         fh.write(f"{beta_hat:.17g}\n")
     echo(f"fitted approximation-rate slope beta_hat = {beta_hat:.4g}")
+    _write_timings(os.path.join(out_dir, "probe_timings.json"), cfg, heap_pinned,
+                   {"wall_s": time.perf_counter() - t_start, "widths": widths})
     return rows, beta_hat
 
 

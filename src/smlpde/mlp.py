@@ -28,13 +28,26 @@ are bit-identical to that form.  Output-layer products with a (B, 1)
 factor are broadcasts.  Bias gradients sum with einsum, which adds the rows
 of a C-contiguous block of two or more columns in sum(axis=0)'s order, only
 faster; a one-column block (the output layer's, or a hidden layer of width
-1) keeps sum(axis=0), which sums it pairwise.
+1) keeps sum(axis=0), which sums it pairwise.  Tape.values is a view of the
+output layer's column, not a copy.
+
+Tape.param_vjp returns the parameter gradient as one flat vector in
+flatten_params order (W_1, b_1, W_2, b_2, ...), the layout fit and
+objective closures hand to the optimizer.  Each weight block is written by
+matmul into its slice, each bias block by the column-sum rule above, and a
+second contribution (the gradient seeds' sweep and the value adjoint meet
+in every weight block) is added in place; a block no seed reaches stays 0.
+The vector is allocated fresh on every call and never reused: the
+optimizer keeps the gradient of its best iterate by reference, so a buffer
+shared between calls would silently overwrite it.
 
 Parameters are validated where they enter: MlpParams checks each layer's
-shape and finiteness at construction (init_params, grow_params, copy), and
+shape and finiteness at construction (init_params, grow_params, copy) and
+records the flat layout (each layer's offsets and shape) once.
 unflatten_params, which fit and objective closures call on every
-evaluation, checks the flat vector once, for its length against the
-template and for finiteness, instead of re-checking every layer.
+evaluation, takes its slices from the template's layout and checks the
+flat vector once, for its length and for finiteness, instead of
+re-checking every layer.
 
 The theoretical Lipschitz constant  L_sigma^{depth-1} * prod_l |W_l|_inf
 (induced infinity norm, i.e. max row sum) is exposed as lipschitz_bound.
@@ -120,9 +133,11 @@ class MlpParams:
     """Weights and biases of one network; output dimension is 1.
 
     Construction checks every layer: shapes that chain, an output of
-    dimension 1 and finite entries.  unflatten_params builds its networks
-    without these per-layer checks: it checks the flat vector once (length
-    and finiteness) and takes the shapes from an already checked template.
+    dimension 1 and finite entries, and records the layers' offsets in the
+    flat vector (_layout).  unflatten_params builds its networks without
+    these per-layer checks: it checks the flat vector once (length and
+    finiteness) and takes the shapes and offsets from an already checked
+    template.
     """
 
     weights: list
@@ -145,6 +160,7 @@ class MlpParams:
                 raise ValueError("non-finite parameter entries")
         if self.weights[-1].shape[0] != 1:
             raise ValueError("output dimension must be 1")
+        self._layout = _flat_layout(self.weights)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -231,7 +247,7 @@ class Tape:
             if i < L - 1:
                 A.append(act.value(pre))
         self.A, self.P = A, P
-        self.values = P[-1][:, 0].copy()
+        self.values = P[-1][:, 0]
         self._cs = None
         self._ds = None
         self._slopes = None
@@ -277,73 +293,69 @@ class Tape:
 
     def param_vjp(self, val_seeds=None, grad_seeds=None, want_input_grad=False):
         """Parameter gradient of sum_b [val_seeds_b * f(z_b)
-        + grad_seeds_b . grad_z f(z_b)]; either seed block may be None.
+        + grad_seeds_b . grad_z f(z_b)], either seed block may be None, as
+        one fresh vector in flatten_params order; and with want_input_grad
+        the gradient of the same sum with respect to the inputs.
 
-        Each adjoint buffer takes its first contribution by assignment and
-        later ones by addition; a buffer no seed reaches is returned as
-        zeros.
+        Returns (grad, bar_Z), bar_Z None unless want_input_grad.  Each
+        block of grad takes its first contribution by a product written
+        into it and a later one by addition; a block no seed reaches is 0.
         """
         weights = self.params.weights
         L = len(weights)
         sp = self._hidden_slopes()
-        bar_W = [None] * L
-        bar_b = [None] * L
-        bar_P = [None] * L
+        grad = np.zeros(self.params._layout[0])
+        w_grads, b_grads = _layer_views(grad, self.params._layout[1])
 
+        seeded = []   # the gradient-seed sweep's adjoint of each P[i], i < L-1
         if grad_seeds is not None:
             self._input_grad_sweep()
             spp = self._hidden_curvatures()
             bar_c = np.asarray(grad_seeds, dtype=float)
             for i in range(L):
                 # cs[i] = ds[i] @ W_i
-                bar_W[i] = self._ds[i].T @ bar_c
+                np.matmul(self._ds[i].T, bar_c, out=w_grads[i])
                 if i < L - 1:
                     # ds[i] = cs[i+1] * sigma'(P[i])
                     bar_d = bar_c @ weights[i].T
                     bar_c = bar_d * sp[i]
                     bar_d *= self._cs[i + 1]
                     bar_d *= spp[i]
-                    bar_P[i] = bar_d
+                    seeded.append(bar_d)
 
-        if val_seeds is not None:
-            bar_P[L - 1] = np.array(val_seeds, dtype=float).reshape(-1, 1)
-
+        bar_P = (None if val_seeds is None
+                 else np.ascontiguousarray(val_seeds, dtype=float).reshape(-1, 1))
         bar_Z = None
         for i in range(L - 1, -1, -1):
-            if bar_P[i] is None:
+            if i < len(seeded):
+                if bar_P is not None:
+                    seeded[i] += bar_P
+                bar_P = seeded[i]
+            if bar_P is None:
                 continue
-            _accumulate(bar_W, i, bar_P[i].T @ self.A[i])
-            bar_b[i] = _column_sums(bar_P[i])
+            if grad_seeds is None:
+                np.matmul(bar_P.T, self.A[i], out=w_grads[i])
+            else:
+                w_grads[i] += bar_P.T @ self.A[i]
+            _column_sums(bar_P, b_grads[i])
             if i > 0:
-                back = (bar_P[i] * weights[i] if i == L - 1
-                        else bar_P[i] @ weights[i])
-                back *= sp[i - 1]
-                _accumulate(bar_P, i - 1, back)
+                bar_P = (bar_P * weights[i] if i == L - 1
+                         else bar_P @ weights[i])
+                bar_P *= sp[i - 1]
             elif want_input_grad:
-                bar_Z = bar_P[0] @ weights[0]
-        for i in range(L):
-            if bar_W[i] is None:
-                bar_W[i] = np.zeros_like(weights[i])
-            if bar_b[i] is None:
-                bar_b[i] = np.zeros_like(self.params.biases[i])
+                bar_Z = bar_P @ weights[0]
         if want_input_grad and bar_Z is None:
             bar_Z = np.zeros_like(self.A[0])
-        return bar_W, bar_b, bar_Z
+        return grad, bar_Z
 
 
-def _column_sums(x):
-    """x.sum(axis=0), bit for bit; einsum where its order is the same."""
+def _column_sums(x, out):
+    """x.sum(axis=0) into out, bit for bit; einsum where its order is the
+    same."""
     if x.shape[1] < 2 or not x.flags.c_contiguous:
-        return x.sum(axis=0)
-    return np.einsum("ij->j", x)
-
-
-def _accumulate(buffers, i, x):
-    """buffers[i] += x, where a buffer that is still None takes x itself."""
-    if buffers[i] is None:
-        buffers[i] = x
+        np.add.reduce(x, axis=0, out=out)
     else:
-        buffers[i] += x
+        np.einsum("ij->j", x, out=out)
 
 
 def forward_batch(params: MlpParams, Z) -> np.ndarray:
@@ -364,38 +376,49 @@ def lipschitz_bound(params: MlpParams, l_sigma: float) -> float:
     return l_sigma ** (params.depth - 1) * prod
 
 
-def flatten_layers(weights, biases) -> np.ndarray:
-    """Layer arrays (or their gradients) as one vector: W_1, b_1, W_2, ..."""
-    return np.concatenate([x.ravel() for pair in zip(weights, biases) for x in pair])
+def _flat_layout(weights):
+    """(size, layers) of the flat vector flatten_params makes: layer i's
+    weights sit at [w_i, b_i) in the shape of weights[i], its biases at
+    [b_i, e_i)."""
+    layers = []
+    pos = 0
+    for w in weights:
+        b = pos + w.size
+        layers.append((pos, b, b + w.shape[0], w.shape))
+        pos = b + w.shape[0]
+    return pos, tuple(layers)
+
+
+def _layer_views(flat, layers):
+    """Weight and bias views of flat, one per layer of a _flat_layout."""
+    return ([flat[w:b].reshape(shape) for w, b, _, shape in layers],
+            [flat[b:e] for _, b, e, _ in layers])
 
 
 def flatten_params(params: MlpParams) -> np.ndarray:
-    return flatten_layers(params.weights, params.biases)
+    """The weights and biases as one vector: W_1, b_1, W_2, b_2, ..."""
+    return np.concatenate([x.ravel() for pair in zip(params.weights, params.biases)
+                           for x in pair])
 
 
 def unflatten_params(flat: np.ndarray, template: MlpParams) -> MlpParams:
     """The network shaped like template whose layers are views of flat.
 
     flat is checked once, for its length and with one finiteness test over
-    all entries.  The layer shapes come from the template, which was
-    checked when it was built, so MlpParams' per-layer checks are skipped.
+    all entries.  The layer shapes and offsets come from the template's
+    layout, computed when the template was built and checked, so
+    MlpParams' per-layer checks are skipped.
     """
     flat = np.asarray(flat, dtype=float)
-    layers = list(zip(template.weights, template.biases))
-    if flat.size != sum(w.size + b.size for w, b in layers):
+    size, layers = template._layout
+    if flat.size != size:
         raise ValueError("flat vector length does not match template")
     if not np.isfinite(flat).all():
         raise ValueError("non-finite parameter entries")
-    ws, bs = [], []
-    pos = 0
-    for w, b in layers:
-        ws.append(flat[pos:pos + w.size].reshape(w.shape))
-        pos += w.size
-        bs.append(flat[pos:pos + b.size].reshape(b.shape))
-        pos += b.size
     params = MlpParams.__new__(MlpParams)
-    params.weights, params.biases = ws, bs
+    params.weights, params.biases = _layer_views(flat, layers)
     params.activation = template.activation
+    params._layout = template._layout
     return params
 
 

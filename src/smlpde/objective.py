@@ -351,9 +351,9 @@ def _evaluate_core(vars_: Vars, problem: Problem):
             # network blocks: the residual holds -f(feats), so the value
             # seeds carry the minus; one reverse pass gives the weight
             # adjoints and those of the network inputs
-            bw, bb, g_in = tapes[n].param_vjp(val_seeds=(-rw).reshape(-1),
-                                              want_input_grad=True)
-            g_nets[n] = g_nets[n] + mlp.flatten_layers(bw, bb)
+            g_net, g_in = tapes[n].param_vjp(val_seeds=(-rw).reshape(-1),
+                                             want_input_grad=True)
+            g_nets[n] = g_nets[n] + g_net
             # chain rule into the jet features [t, jet(u_1), ..., jet(u_N)]
             g_jets = np.ascontiguousarray(g_in.T[1:]) \
                 .reshape(N, kappa + 1, grid.nt, grid.nx)
@@ -388,8 +388,8 @@ def _evaluate_core(vars_: Vars, problem: Problem):
         sgn[sgn == 0.0] = 1.0
         grad_seeds = np.zeros_like(gin)
         grad_seeds[np.arange(gin.shape[0]), comp] = omega * sgn
-        bw, bb, _ = tape.param_vjp(val_seeds=val_seeds, grad_seeds=grad_seeds)
-        g_nets[n] = g_nets[n] + mlp.flatten_layers(bw, bb)
+        g_net, _ = tape.param_vjp(val_seeds=val_seeds, grad_seeds=grad_seeds)
+        g_nets[n] = g_nets[n] + g_net
     bd.hard_gradsup = hard_sup
 
     # --- parameter norm --------------------------------------------------------

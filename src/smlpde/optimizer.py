@@ -4,7 +4,15 @@ Two deterministic methods:
 
   adaptive      : moment-estimated steps (decay BETA1/BETA2, offset EPS)
                   with best-so-far tracking; the returned point is the best
-                  iterate seen, never a later worse one.
+                  iterate seen, never a later worse one.  The moments and
+                  the step are updated in place, in buffers allocated once
+                  per call, in the operation order of the plain formulas
+                  (BETA1*m + (1-BETA1)*g, BETA2*v + ((1-BETA2)*g)*g,
+                  rate*mhat / (sqrt(vhat) + EPS)), so every bit is theirs.
+                  Each iterate x is a fresh array, because a fit closure
+                  hands views of it out as network layers, and the
+                  gradient of the best iterate is kept by reference, so a
+                  closure must return a fresh gradient on every call.
   gd_linesearch : steepest descent with Armijo backtracking (slope factor
                   ARMIJO_SLOPE, shrink ARMIJO_SHRINK, at most MAX_BACKTRACKS
                   trials per iteration), which makes the value trace provably
@@ -33,6 +41,7 @@ adaptive iterate, still raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +81,7 @@ class OptResult:
 
 
 def _check_finite(value, grad, iteration):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DivergedError(f"objective became non-finite at iteration {iteration}",
                             iteration)
     if not np.isfinite(grad).all():
@@ -97,8 +106,11 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
     result = OptResult(best_x, best_value, best_aux, trace)
 
     if config.method == "adaptive":
+        # the moments and the step's temporaries, allocated once per call
         m = np.zeros_like(x)
         v = np.zeros_like(x)
+        step = np.empty_like(x)
+        denom = np.empty_like(x)
         for k in range(1, config.max_iters + 1):
             # no gradient passes a tolerance <= 0: skip its sup-norm then
             if config.grad_tol > 0 and \
@@ -106,11 +118,24 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
                 result.converged = True
                 result.stop_reason = "gradient tolerance reached"
                 break
-            m = BETA1 * m + (1.0 - BETA1) * grad
-            v = BETA2 * v + (1.0 - BETA2) * grad * grad
-            mhat = m / (1.0 - BETA1**k)
-            vhat = v / (1.0 - BETA2**k)
-            x = x - config.rate * mhat / (np.sqrt(vhat) + EPS)
+            # m = BETA1*m + (1-BETA1)*grad
+            m *= BETA1
+            np.multiply(1.0 - BETA1, grad, out=step)
+            m += step
+            # v = BETA2*v + ((1-BETA2)*grad)*grad
+            v *= BETA2
+            np.multiply(1.0 - BETA2, grad, out=step)
+            step *= grad
+            v += step
+            # step = rate * mhat / (sqrt(vhat) + EPS)
+            np.divide(v, 1.0 - BETA2**k, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            np.divide(m, 1.0 - BETA1**k, out=step)
+            step *= config.rate
+            step /= denom
+            # a fresh x: a fit closure hands views of it out as layers
+            x = x - step
             value, grad, aux = fg(x)
             calls += 1
             _check_finite(value, grad, k)

@@ -259,6 +259,21 @@ class TestLsqClosure:
         # central differences on every coordinate
         assert finite_diff_gradcheck(x, fg, coords="all") < 1e-6
 
+    def test_gradient_is_fresh(self):
+        # minimize keeps the best iterate's gradient by reference: a later
+        # call must not write into a gradient handed out before
+        rng = np.random.default_rng(23)
+        net = mlp.init_params([1, 8, 8, 1], mlp.Activation("tanh"), 24)
+        Z = rng.uniform(-1, 1, (129, 1))
+        fg = _lsq_closure(net, Z, np.sin(3.0 * Z[:, 0]))
+        x = mlp.flatten_params(net)
+        _, grad, _ = fg(x)
+        kept = grad.copy()
+        _, other, _ = fg(x + 0.1 * rng.standard_normal(x.size))
+        assert other is not grad
+        assert grad.tobytes() == kept.tobytes()
+        assert other.tobytes() != kept.tobytes()
+
 
 class TestApproximationProbe:
     def test_zero_function_fits_to_machine_level(self, tmp_path):
@@ -271,9 +286,77 @@ class TestApproximationProbe:
             assert row.sup_error < 1e-6
 
     def test_fit_function_reduces_error_with_width(self, tmp_path):
-        _, err4, _, _ = fit_function_lsq("cubic", -2.0, 2.0, 4, 3, 1500, 3)
-        _, err16, _, _ = fit_function_lsq("cubic", -2.0, 2.0, 16, 3, 1500, 3)
+        _, err4, _, _, _ = fit_function_lsq("cubic", -2.0, 2.0, 4, 3, 1500, 3)
+        _, err16, _, _, _ = fit_function_lsq("cubic", -2.0, 2.0, 16, 3, 1500, 3)
         assert err16 < err4
+
+    def test_fit_path_matches_reference(self, tmp_path, monkeypatch):
+        # the flat-gradient VJP, the layout-driven unflatten and the
+        # in-place adaptive step change no byte of the probe's outputs
+        # against the plain formulas: layers through MlpParams, the
+        # reference tape, flattened layer gradients, out-of-place moments
+        from test_mlp import flat_reference, reference_tape
+        from test_optimizer import reference_minimize
+
+        def reference_lsq_closure(net, Z, y):
+            def fg(flat):
+                params = mlp.MlpParams(*split_layers(flat, net), net.activation)
+                values, _, vjp = reference_tape(params, Z)
+                diff = values - y
+                loss = float(np.mean(diff * diff))
+                bar_W, bar_b, _ = vjp(2.0 * diff / diff.size, None, False)
+                return loss, flat_reference((bar_W, bar_b)), loss
+            return fg
+
+        def split_layers(flat, net):
+            ws, bs, pos = [], [], 0
+            for w, b in zip(net.weights, net.biases):
+                ws.append(flat[pos:pos + w.size].reshape(w.shape))
+                pos += w.size
+                bs.append(flat[pos:pos + b.size])
+                pos += b.size
+            return ws, bs
+
+        outputs = {}
+        for side in ("program", "reference"):
+            if side == "reference":
+                monkeypatch.setattr(harness, "_lsq_closure", reference_lsq_closure)
+                monkeypatch.setattr(harness, "minimize", reference_minimize)
+            cfg = default_config()
+            cfg.sections["probe"].update(widths=[4, 8], train_iters=300)
+            cfg.sections["output"].update(dir=str(tmp_path / side))
+            approximation_probe(cfg, echo=lambda *_: None)
+            outputs[side] = [(tmp_path / side / name).read_bytes()
+                             for name in ("probe.csv", "probe_summary.csv")]
+        assert outputs["program"] == outputs["reference"]
+
+    def test_timings_manifest(self, tmp_path, monkeypatch):
+        # probe_timings.json holds each width's wall seconds and fit calls
+        calls = []
+
+        def counted(x0, fg, config):
+            res = minimize(x0, fg, config)
+            calls.append(res.calls)
+            return res
+
+        monkeypatch.setattr(harness, "minimize", counted)
+        cfg = default_config()
+        cfg.sections["probe"].update(widths=[4, 8], train_iters=100)
+        cfg.sections["output"].update(dir=str(tmp_path))
+        approximation_probe(cfg, echo=lambda *_: None)
+        with open(tmp_path / "probe_timings.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["config"] == format_config(cfg)
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+        assert isinstance(manifest["heap_pinned"], bool)
+        assert [w["width"] for w in manifest["widths"]] == [4, 8]
+        # each width's fit makes four minimize calls: three adaptive stages
+        # and the Armijo polish
+        assert len(calls) == 8
+        assert [w["fit_calls"] for w in manifest["widths"]] == \
+            [sum(calls[:4]), sum(calls[4:])]
+        for w in manifest["widths"]:
+            assert 0 < w["wall_s"] <= manifest["wall_s"]
 
     def test_probe_csv_written(self, tmp_path):
         cfg = default_config()

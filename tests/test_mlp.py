@@ -26,10 +26,11 @@ def forward(net, z):
 
 
 def backprop(net, z, seed):
-    """seed times the parameter and input gradients of the output at z."""
+    """seed times the flat parameter gradient and the input gradient of the
+    output at z."""
     tape = mlp.Tape(net, np.asarray(z, dtype=float)[None, :])
-    bw, bb, bz = tape.param_vjp(val_seeds=np.array([seed]), want_input_grad=True)
-    return bw, bb, bz[0]
+    grad, bz = tape.param_vjp(val_seeds=np.array([seed]), want_input_grad=True)
+    return grad, bz[0]
 
 
 def fd_param_grads(net, z, h=1e-6):
@@ -114,23 +115,22 @@ class TestGradInput:
 class TestBackprop:
     def test_zero_seed(self):
         net = random_net([3, 4, 1], 2)
-        bw, bb, bz = backprop(net, [0.1, 0.2, 0.3], 0.0)
-        assert all(np.all(w == 0) for w in bw)
-        assert all(np.all(b == 0) for b in bb)
+        grad, bz = backprop(net, [0.1, 0.2, 0.3], 0.0)
+        assert grad.shape == flatten_params(net).shape
+        assert np.all(grad == 0)
         assert np.all(bz == 0)
 
     def test_single_affine_layer(self):
         net = MlpParams([np.array([[1.0, -2.0]])], [np.array([0.5])],
                         Activation("tanh"))
         z = np.array([0.3, 0.8])
-        bw, bb, _ = backprop(net, z, 1.0)
-        assert np.allclose(bw[0], z[None, :])
-        assert np.allclose(bb[0], [1.0])
+        grad, _ = backprop(net, z, 1.0)
+        assert np.allclose(grad, [0.3, 0.8, 1.0])
 
     def test_consistency_with_grad_input(self):
         net = random_net([3, 5, 4, 1], 3)
         z = np.array([0.2, -0.4, 0.9])
-        _, _, bz = backprop(net, z, 1.0)
+        _, bz = backprop(net, z, 1.0)
         assert np.max(np.abs(bz - grad_input_batch(net, z[None, :])[0])) <= 1e-12
 
     @pytest.mark.parametrize("activation", ["tanh", "softplus", "requ"])
@@ -138,9 +138,7 @@ class TestBackprop:
         net = random_net([3, 5, 4, 1], 7, activation)
         rng = np.random.default_rng(8)
         z = rng.uniform(-1, 1, 3)
-        bw, bb, _ = backprop(net, z, 1.0)
-        an = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                             for w, b in zip(bw, bb)])
+        an, _ = backprop(net, z, 1.0)
         fd = fd_param_grads(net, z)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), 1e-6)
         assert np.max(np.abs(fd - an) / denom) < 1e-6
@@ -155,8 +153,8 @@ class TestBackprop:
         rng = np.random.default_rng(9)
         Z = rng.uniform(-1, 1, (40, 3))
         seeds = rng.standard_normal(40)
-        _, _, bz = mlp.Tape(net, Z).param_vjp(val_seeds=seeds,
-                                              want_input_grad=True)
+        _, bz = mlp.Tape(net, Z).param_vjp(val_seeds=seeds,
+                                           want_input_grad=True)
         expect = seeds[:, None] * mlp.Tape(net, Z).input_grads
         assert np.max(np.abs(bz - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -179,9 +177,7 @@ class TestSecondOrderVjp:
                          + np.sum(grad_seeds * tape.input_grads))
 
         tape = mlp.Tape(net, Z)
-        bw, bb, _ = tape.param_vjp(val_seeds=val_seeds, grad_seeds=grad_seeds)
-        an = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                             for w, b in zip(bw, bb)])
+        an, _ = tape.param_vjp(val_seeds=val_seeds, grad_seeds=grad_seeds)
         flat = flatten_params(net)
         fd = np.zeros_like(flat)
         # piecewise-linear activations make the functional multilinear in
@@ -212,8 +208,7 @@ class TestSecondOrderVjp:
         after_read = tape.param_vjp(val_seeds, grad_seeds, True)
         repeated = tape.param_vjp(val_seeds, grad_seeds, True)
         for other in (after_read, repeated):
-            for a, b in zip(fresh[0] + fresh[1] + [fresh[2]],
-                            other[0] + other[1] + [other[2]]):
+            for a, b in zip(fresh, other):
                 assert a.tobytes() == b.tobytes()
 
 
@@ -276,9 +271,17 @@ def heavy_tailed(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
 
 
+def flat_reference(layers):
+    """Reference layer gradients in flatten_params order, with every bit
+    (signed zeros included) as the reference computed it."""
+    bar_W, bar_b = layers
+    return np.concatenate([x.ravel() for pair in zip(bar_W, bar_b) for x in pair])
+
+
 class TestTapeMatchesReference:
-    """Tape's in-place products, broadcasts and einsum bias sums change no
-    bit of any output against the plain formulas."""
+    """Tape's in-place products, broadcasts, einsum bias sums and flat
+    gradient writes change no bit of any output against the plain
+    formulas, flattened."""
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -296,25 +299,33 @@ class TestTapeMatchesReference:
                 tape = mlp.Tape(net, Z)
                 assert tape.values.tobytes() == values.tobytes()
                 assert tape.input_grads.tobytes() == input_grads.tobytes()
+                # gradient seeds alone leave the output bias unreached, and
+                # without seeds every block is: unreached blocks read +0.0
                 for seeds in ((val_seeds, None), (None, grad_seeds),
-                              (val_seeds, grad_seeds)):
+                              (val_seeds, grad_seeds), (None, None)):
                     for want in (False, True):
-                        got = tape.param_vjp(*seeds, want_input_grad=want)
-                        expect = vjp(*seeds, want)
-                        for a, b in zip(got[0] + got[1], expect[0] + expect[1]):
-                            assert a.shape == b.shape
-                            assert a.tobytes() == b.tobytes()
+                        grad, bar_Z = tape.param_vjp(*seeds, want_input_grad=want)
+                        *layers, expect_Z = vjp(*seeds, want)
+                        expect = flat_reference(layers)
+                        assert grad.shape == expect.shape
+                        assert grad.tobytes() == expect.tobytes()
                         if want:
-                            assert got[2].tobytes() == expect[2].tobytes()
+                            assert bar_Z.tobytes() == expect_Z.tobytes()
+                        else:
+                            assert bar_Z is None
 
     def test_column_sums_match_sum_axis0(self):
         # einsum adds rows in sum(axis=0)'s order only from two columns on;
-        # this pins that on the installed numpy
+        # this pins that on the installed numpy, written into a slice of a
+        # longer vector as the VJP writes it
         rng = np.random.default_rng(32)
         for B in (1, 2, 7, 8, 9, 129, 1000, 4225):
             for w in (1, 2, 3, 8, 24, 47):
                 x = heavy_tailed(rng, (B, w))
-                assert mlp._column_sums(x).tobytes() == x.sum(axis=0).tobytes()
+                out = np.full(w + 2, np.nan)
+                mlp._column_sums(x, out[1:-1])
+                assert out[1:-1].tobytes() == x.sum(axis=0).tobytes()
+                assert np.isnan(out[[0, -1]]).all()
 
 
 class TestNoCallerArrayMutated:
@@ -497,9 +508,10 @@ class TestInitAndGrowth:
         rng = np.random.default_rng(14)
         Z = rng.uniform(-1, 1, (20, 2))
         tape = mlp.Tape(grown, Z)
-        bw, _, _ = tape.param_vjp(val_seeds=np.ones(20))
+        grad, _ = tape.param_vjp(val_seeds=np.ones(20))
+        w_out = unflatten_params(grad, grown).weights[-1]
         # outgoing weights of at least one new unit receive gradient
-        assert np.max(np.abs(bw[-1][0, 3:])) > 0
+        assert np.max(np.abs(w_out[0, 3:])) > 0
 
     def test_growth_shape_validation(self):
         net = random_net([3, 4, 1], 15)

@@ -189,6 +189,8 @@ class TestUBox:
         assert out.strip() == "[]"
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "probe.csv").exists()
+        assert (tmp_path / "timings.json").exists()
+        assert (tmp_path / "probe_timings.json").exists()
 
     def test_lattice_weights_integrate(self):
         box = build_box(2, 1.0, points_per_axis=33)
@@ -372,6 +374,22 @@ class TestEvaluate:
 
 
 class TestGradient:
+    def test_gradient_is_fresh(self):
+        # the optimizer keeps the best iterate's gradient by reference: a
+        # later closure call must not write into it
+        problem, vars_ = random_problem(41, kind="convection", kappa=1)
+        layout = VarLayout(vars_)
+        fg = make_closure(problem, layout)
+        x = layout.pack(vars_)
+        _, grad, _ = fg(x)
+        kept = grad.copy()
+        y = x.copy()
+        y[-layout.net_sizes[0]:] *= 1.1
+        _, other, _ = fg(y)
+        assert other is not grad
+        assert grad.tobytes() == kept.tobytes()
+        assert other.tobytes() != kept.tobytes()
+
     @pytest.mark.parametrize("kind,kappa,op_kind,N", [
         ("none", 0, "full", 1),
         ("convection", 1, "subsample", 1),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from smlpde.errors import BoxViolationError, DivergedError
-from smlpde.optimizer import (OptimConfig, finite_diff_gradcheck, minimize)
+from smlpde.optimizer import (BETA1, BETA2, EPS, OptimConfig, OptResult,
+                              _check_finite, finite_diff_gradcheck, minimize)
 
 
 def quadratic_bowl(center=None):
@@ -203,6 +204,115 @@ class TestMinimize:
         res = minimize(np.array([1.0]), fg,
                        OptimConfig(max_iters=37, rate=0.9))
         assert res.value <= min(res.trace) + 1e-15
+
+
+def reference_adaptive(x0, fg, config):
+    """The adaptive method with a fresh array for every moment, estimate
+    and step: the plain formulas the in-place loop must match bit for bit."""
+    if isinstance(x0, OptResult):
+        x = np.array(x0.x, dtype=float)
+        value, grad, aux = x0.value, x0.grad, x0.aux
+        calls = 0
+    else:
+        x = np.array(x0, dtype=float)
+        value, grad, aux = fg(x)
+        calls = 1
+    _check_finite(value, grad, 0)
+    best_x, best_value, best_aux, best_grad = x.copy(), value, aux, grad
+    trace = [aux]
+    result = OptResult(best_x, best_value, best_aux, trace)
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    for k in range(1, config.max_iters + 1):
+        if config.grad_tol > 0 and \
+                np.max(np.abs(grad), initial=0.0) < config.grad_tol:
+            result.converged = True
+            result.stop_reason = "gradient tolerance reached"
+            break
+        m = BETA1 * m + (1.0 - BETA1) * grad
+        v = BETA2 * v + (1.0 - BETA2) * grad * grad
+        mhat = m / (1.0 - BETA1**k)
+        vhat = v / (1.0 - BETA2**k)
+        x = x - config.rate * mhat / (np.sqrt(vhat) + EPS)
+        value, grad, aux = fg(x)
+        calls += 1
+        _check_finite(value, grad, k)
+        trace.append(aux)
+        result.iterations = k
+        if value < best_value:
+            best_x, best_value = x.copy(), value
+            best_aux, best_grad = aux, grad
+    else:
+        result.stop_reason = "iteration cap"
+    result.x, result.value, result.aux = best_x, best_value, best_aux
+    result.grad, result.calls = best_grad, calls
+    return result
+
+
+def reference_minimize(x0, fg, config):
+    """minimize with the adaptive method replaced by reference_adaptive;
+    the line search is the program's own."""
+    if config.method == "adaptive":
+        return reference_adaptive(x0, fg, config)
+    return minimize(x0, fg, config)
+
+
+def assert_results_identical(got, expect):
+    assert got.x.tobytes() == expect.x.tobytes()
+    assert got.grad.tobytes() == expect.grad.tobytes()
+    assert got.value == expect.value
+    assert (got.iterations, got.calls) == (expect.iterations, expect.calls)
+    assert (got.converged, got.stop_reason) == (expect.converged,
+                                                expect.stop_reason)
+    assert np.array(got.trace).tobytes() == np.array(expect.trace).tobytes()
+
+
+class TestAdaptiveMatchesReference:
+    """The in-place moments and step change no bit against the plain
+    formulas."""
+
+    @staticmethod
+    def rugged(x):
+        # non-quadratic, coupled and heavy-scaled, so that any reordering
+        # of a product or sum shows in the last bits over many iterations
+        scale = 10.0 ** np.linspace(-2, 2, x.size)
+        c = np.cos(3.0 * x)
+        shift = np.roll(x, 1)
+        v = float(np.sum(scale * (x**2 - shift) ** 2) + np.sum(1.0 - c))
+        g = 4.0 * scale * (x**2 - shift) * x + 3.0 * np.sin(3.0 * x)
+        g -= np.roll(2.0 * scale * (x**2 - shift), -1)
+        return v, g, v
+
+    @pytest.mark.parametrize("rate", [1e-3, 0.05])
+    def test_bit_identical_with_resume(self, rate):
+        x0 = np.random.default_rng(40).uniform(-1.5, 1.5, 12)
+        first_cfg = OptimConfig(max_iters=150, grad_tol=0.0, rate=rate)
+        first = minimize(x0, self.rugged, first_cfg)
+        first_ref = reference_adaptive(x0, self.rugged, first_cfg)
+        assert_results_identical(first, first_ref)
+        # a resumed stage, at another rate, continues from the result
+        cfg = OptimConfig(max_iters=350, grad_tol=0.0, rate=rate / 3.0)
+        assert_results_identical(minimize(first, self.rugged, cfg),
+                                 reference_adaptive(first_ref, self.rugged, cfg))
+
+    def test_bit_identical_to_gradient_tolerance(self):
+        fg = quadratic_bowl(center=np.array([3.0, -1.0]))
+        cfg = OptimConfig(max_iters=8000, grad_tol=1e-6, rate=0.01)
+        res = minimize(np.zeros(2), fg, cfg)
+        assert res.converged
+        assert_results_identical(res, reference_adaptive(np.zeros(2), fg, cfg))
+
+    def test_iterates_are_fresh(self):
+        # fit closures keep views of x as network layers: no iterate may
+        # be written over by a later step
+        seen = []
+
+        def fg(x):
+            seen.append((x, x.copy()))
+            return self.rugged(x)
+
+        minimize(np.full(5, 0.7), fg, OptimConfig(max_iters=20, rate=0.05))
+        assert all(x.tobytes() == kept.tobytes() for x, kept in seen)
 
 
 class TestFiniteDiffGradcheck:
