@@ -74,6 +74,14 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=None)
+def _lattice(lo: float, hi: float, n: int) -> np.ndarray:
+    """n equispaced nodes from lo to hi, endpoints included."""
+    nodes = np.linspace(lo, hi, n)
+    nodes.setflags(write=False)
+    return nodes
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform lattice over (0, t_end) x (x_lo, x_hi).
@@ -107,11 +115,11 @@ class Grid:
 
     @property
     def t(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.nt)
+        return _lattice(0.0, self.t_end, self.nt)
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_lo, self.x_hi, self.nx)
+        return _lattice(self.x_lo, self.x_hi, self.nx)
 
     def time_weights(self) -> np.ndarray:
         return trapezoid_weights(self.nt, self.dt)

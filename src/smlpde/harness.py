@@ -21,8 +21,8 @@ calls made and the sup-norm of the final gradient.  All CSV output uses 17
 significant digits so identical configurations reproduce byte-identical
 files.  The run manifest timings.json, beside report.csv, holds what is not
 reproducible: the wall seconds of every scale and the objective closure
-calls of its starts that did not diverge, the config text, the Python,
-numpy and scipy versions, and whether the heap was pinned.  The probe
+calls of its starts that did not diverge, the config text, the Python
+and numpy versions, and whether the heap was pinned.  The probe
 writes the same manifest, with the wall seconds and fit-closure calls of
 every width, as probe_timings.json, so that a study and a probe sharing an
 output directory keep both.
@@ -499,17 +499,12 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
 
 
 def _write_timings(path, cfg, heap_pinned: bool, timings: dict) -> None:
-    """Run manifest: the timings, the config text, the package versions and
-    whether the heap was pinned.  scipy's version is read from its
-    installed metadata, so writing it imports no scipy."""
-    from importlib import metadata
-    try:
-        scipy_version = metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        scipy_version = None
+    """Run manifest: the timings, the config text, the Python and numpy
+    versions and whether the heap was pinned.  No study or probe imports
+    scipy, so its version is not recorded."""
     manifest = {"config": format_config(cfg),
                 "versions": {"python": platform.python_version(),
-                             "numpy": np.__version__, "scipy": scipy_version},
+                             "numpy": np.__version__},
                 "heap_pinned": heap_pinned, **timings}
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1)
@@ -625,7 +620,7 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
     fitted = mlp.unflatten_params(res.x, net)
     # the readout layer is linear in its parameters: solve it exactly
     tape = mlp.Tape(fitted, z_fit)
-    hidden = tape.A[-1]
+    hidden = tape.A[-1].T
     design = np.concatenate([hidden, np.ones((hidden.shape[0], 1))], axis=1)
     gram = design.T @ design + 1e-12 * np.eye(design.shape[1])
     coef = np.linalg.solve(gram, design.T @ target)

@@ -13,6 +13,19 @@ per row) the module provides
                         sigma''; it is what makes the gradient-sup
                         regularizer differentiable in the weights.
 
+The tape is feature-major.  Callers pass and receive batches one input
+per row: Z and A[0] (the batch as passed) are (B, n_0), Tape.values is
+(B,), and input_grads and the VJP's bar_Z are (B, n_0) transposed views.
+Every array the tape makes itself -- each hidden pre-activation P[i],
+activation A[i+1], sigma', sigma'' and sweep adjoint -- is (width, B), so
+the forward pass is P[i] = W_i @ A[i] + b_i[:, None], bias gradients are
+row sums of the adjoint and weight gradients are bar_P @ A[i]^T.  Hidden
+layers are 1-32 wide and batches hold up to a few thousand rows: with the
+batch on the last axis, every elementwise product, broadcast and bias sum
+runs its inner loop over B contiguous entries instead of over one short
+row B times, and each bias sum is numpy's pairwise sum of one contiguous
+row.
+
 A tape computes sigma' of each hidden layer at most once, on the first
 input-gradient sweep or VJP that needs it, and sigma'' at most once, on
 the first gradient-seeded VJP; later sweeps and VJPs on the same tape
@@ -22,19 +35,16 @@ evaluation: sigma' = 1 - a*a and sigma'' = -2*a*sigma', the same
 expressions Activation.deriv and deriv2 evaluate.
 
 The tape writes in place where the fresh-temporary form would allocate
-(b added into A @ W^T, 1 - a*a in a*a's buffer, sigma' and sigma'' scaling
+(b added into W @ A, 1 - a*a in a*a's buffer, sigma' and sigma'' scaling
 fresh products) and keeps every product's operation order, so its outputs
-are bit-identical to that form.  Output-layer products with a (B, 1)
-factor are broadcasts.  Bias gradients sum with einsum, which adds the rows
-of a C-contiguous block of two or more columns in sum(axis=0)'s order, only
-faster; a one-column block (the output layer's, or a hidden layer of width
-1) keeps sum(axis=0), which sums it pairwise.  Tape.values is a view of the
-output layer's column, not a copy.
+are bit-identical to that form.  Output-layer products with a (1, B) or
+(n, 1) factor are broadcasts.  Tape.values is a view of the output layer's
+row, not a copy.
 
 Tape.param_vjp returns the parameter gradient as one flat vector in
 flatten_params order (W_1, b_1, W_2, b_2, ...), the layout fit and
 objective closures hand to the optimizer.  Each weight block is written by
-matmul into its slice, each bias block by the column-sum rule above, and a
+matmul into its slice, each bias block by a row sum into its slice, and a
 second contribution (the gradient seeds' sweep and the value adjoint meet
 in every weight block) is added in place; a block no seed reaches stays 0.
 The vector is allocated fresh on every call and never reused: the
@@ -227,7 +237,12 @@ def grow_params(params: MlpParams, new_sizes, seed: int) -> MlpParams:
 
 
 class Tape:
-    """Forward + input-gradient sweep for a batch of inputs, kept for VJPs."""
+    """Forward + input-gradient sweep for a batch of inputs, kept for VJPs.
+
+    A[0] is the batch Z as passed, (B, n_0); every later array the tape
+    holds (A[1:], P, sigma', sigma'', the sweeps' adjoints) is feature-major,
+    (width, B).
+    """
 
     def __init__(self, params: MlpParams, Z: np.ndarray):
         Z = np.asarray(Z, dtype=float)
@@ -240,14 +255,16 @@ class Tape:
         L = params.depth
         A = [Z]
         P = []
+        x = Z.T
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            pre = A[-1] @ w.T
-            pre += b
+            pre = w @ x
+            pre += b[:, None]
             P.append(pre)
             if i < L - 1:
-                A.append(act.value(pre))
+                x = act.value(pre)
+                A.append(x)
         self.A, self.P = A, P
-        self.values = P[-1][:, 0]
+        self.values = P[-1][0]
         self._cs = None
         self._ds = None
         self._slopes = None
@@ -277,11 +294,11 @@ class Tape:
         B = self.A[0].shape[0]
         ds = [None] * L
         cs = [None] * L
-        ds[L - 1] = np.ones((B, 1))
+        ds[L - 1] = np.ones((1, B))
         for i in range(L - 1, -1, -1):
-            # every row of ones((B, 1)) @ W_{L-1} is W_{L-1}'s one row, which
-            # broadcasting reads; only the input gradient needs all B rows
-            cs[i] = weights[i] if 0 < i == L - 1 else ds[i] @ weights[i]
+            # every column of W_{L-1}^T @ ones((1, B)) is W_{L-1}'s one row,
+            # which broadcasting reads; only the input gradient needs all B
+            cs[i] = weights[i].T if 0 < i == L - 1 else weights[i].T @ ds[i]
             if i > 0:
                 ds[i - 1] = cs[i] * sp[i - 1]
         self._cs, self._ds = cs, ds
@@ -289,7 +306,7 @@ class Tape:
     @property
     def input_grads(self) -> np.ndarray:
         self._input_grad_sweep()
-        return self._cs[0]
+        return self._cs[0].T
 
     def param_vjp(self, val_seeds=None, grad_seeds=None, want_input_grad=False):
         """Parameter gradient of sum_b [val_seeds_b * f(z_b)
@@ -297,9 +314,10 @@ class Tape:
         one fresh vector in flatten_params order; and with want_input_grad
         the gradient of the same sum with respect to the inputs.
 
-        Returns (grad, bar_Z), bar_Z None unless want_input_grad.  Each
-        block of grad takes its first contribution by a product written
-        into it and a later one by addition; a block no seed reaches is 0.
+        val_seeds is (B,), grad_seeds and bar_Z are (B, n_0).  Returns
+        (grad, bar_Z), bar_Z None unless want_input_grad.  Each block of
+        grad takes its first contribution by a product written into it and
+        a later one by addition; a block no seed reaches is 0.
         """
         weights = self.params.weights
         L = len(weights)
@@ -311,20 +329,20 @@ class Tape:
         if grad_seeds is not None:
             self._input_grad_sweep()
             spp = self._hidden_curvatures()
-            bar_c = np.asarray(grad_seeds, dtype=float)
+            bar_c = np.asarray(grad_seeds, dtype=float).T
             for i in range(L):
-                # cs[i] = ds[i] @ W_i
-                np.matmul(self._ds[i].T, bar_c, out=w_grads[i])
+                # cs[i] = W_i^T @ ds[i]
+                np.matmul(self._ds[i], bar_c.T, out=w_grads[i])
                 if i < L - 1:
                     # ds[i] = cs[i+1] * sigma'(P[i])
-                    bar_d = bar_c @ weights[i].T
+                    bar_d = weights[i] @ bar_c
                     bar_c = bar_d * sp[i]
                     bar_d *= self._cs[i + 1]
                     bar_d *= spp[i]
                     seeded.append(bar_d)
 
         bar_P = (None if val_seeds is None
-                 else np.ascontiguousarray(val_seeds, dtype=float).reshape(-1, 1))
+                 else np.asarray(val_seeds, dtype=float).reshape(1, -1))
         bar_Z = None
         for i in range(L - 1, -1, -1):
             if i < len(seeded):
@@ -333,29 +351,21 @@ class Tape:
                 bar_P = seeded[i]
             if bar_P is None:
                 continue
+            x = self.A[i].T if i else self.A[0]
             if grad_seeds is None:
-                np.matmul(bar_P.T, self.A[i], out=w_grads[i])
+                np.matmul(bar_P, x, out=w_grads[i])
             else:
-                w_grads[i] += bar_P.T @ self.A[i]
-            _column_sums(bar_P, b_grads[i])
+                w_grads[i] += bar_P @ x
+            np.add.reduce(bar_P, axis=1, out=b_grads[i])
             if i > 0:
-                bar_P = (bar_P * weights[i] if i == L - 1
-                         else bar_P @ weights[i])
+                bar_P = (weights[i].T * bar_P if i == L - 1
+                         else weights[i].T @ bar_P)
                 bar_P *= sp[i - 1]
             elif want_input_grad:
-                bar_Z = bar_P @ weights[0]
+                bar_Z = (weights[0].T @ bar_P).T
         if want_input_grad and bar_Z is None:
             bar_Z = np.zeros_like(self.A[0])
         return grad, bar_Z
-
-
-def _column_sums(x, out):
-    """x.sum(axis=0) into out, bit for bit; einsum where its order is the
-    same."""
-    if x.shape[1] < 2 or not x.flags.c_contiguous:
-        np.add.reduce(x, axis=0, out=out)
-    else:
-        np.einsum("ij->j", x, out=out)
 
 
 def forward_batch(params: MlpParams, Z) -> np.ndarray:

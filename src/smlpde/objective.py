@@ -355,8 +355,7 @@ def _evaluate_core(vars_: Vars, problem: Problem):
                                              want_input_grad=True)
             g_nets[n] = g_nets[n] + g_net
             # chain rule into the jet features [t, jet(u_1), ..., jet(u_N)]
-            g_jets = np.ascontiguousarray(g_in.T[1:]) \
-                .reshape(N, kappa + 1, grid.nt, grid.nx)
+            g_jets = g_in.T[1:].reshape(N, kappa + 1, grid.nt, grid.nx)
             for k in range(N):
                 g_u[l, k] += g_jets[k, 0]
                 for order in range(1, kappa + 1):

@@ -347,7 +347,7 @@ class TestApproximationProbe:
         with open(tmp_path / "probe_timings.json") as fh:
             manifest = json.load(fh)
         assert manifest["config"] == format_config(cfg)
-        assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+        assert set(manifest["versions"]) == {"python", "numpy"}
         assert isinstance(manifest["heap_pinned"], bool)
         assert [w["width"] for w in manifest["widths"]] == [4, 8]
         # each width's fit makes four minimize calls: three adaptive stages

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 
@@ -213,10 +214,63 @@ class TestSecondOrderVjp:
 
 
 def reference_tape(net, Z):
-    """The tape's formulas with a fresh temporary for every product, the
-    output layer's products through matmul and every bias gradient through
-    sum(axis=0): (values, input_grads, vjp) with vjp(val_seeds, grad_seeds,
-    want_input_grad) -> (bar_W, bar_b, bar_Z)."""
+    """The tape's feature-major formulas with a fresh temporary for every
+    product, the output layer's products through matmul and every bias
+    gradient through sum(axis=1): (values, input_grads, vjp) with
+    vjp(val_seeds, grad_seeds, want_input_grad) -> (bar_W, bar_b, bar_Z)."""
+    act = net.activation
+    W, L = net.weights, net.depth
+    X, P = [Z.T], []
+    for i, (w, b) in enumerate(zip(W, net.biases)):
+        P.append(w @ X[-1] + b[:, None])
+        if i < L - 1:
+            X.append(act.value(P[-1]))
+    sp = [1.0 - a * a if act.kind == "tanh" else act.slope(p, a)
+          for p, a in zip(P, X[1:])]
+    spp = [act.curvature(p, a, s) for p, a, s in zip(P, X[1:], sp)]
+    ds, cs = [None] * L, [None] * L
+    ds[L - 1] = np.ones((1, Z.shape[0]))
+    for i in range(L - 1, -1, -1):
+        cs[i] = W[i].T @ ds[i]
+        if i > 0:
+            ds[i - 1] = cs[i] * sp[i - 1]
+
+    def vjp(val_seeds, grad_seeds, want_input_grad):
+        bar_W = [np.zeros_like(w) for w in W]
+        bar_b = [np.zeros_like(b) for b in net.biases]
+        bar_P = [None] * L
+        if grad_seeds is not None:
+            bar_c = grad_seeds.T
+            for i in range(L):
+                bar_W[i] = ds[i] @ bar_c.T
+                if i < L - 1:
+                    bar_d = W[i] @ bar_c
+                    bar_c = bar_d * sp[i]
+                    bar_P[i] = bar_d * cs[i + 1] * spp[i]
+        if val_seeds is not None:
+            bar_P[L - 1] = val_seeds.reshape(1, -1)
+        bar_Z = np.zeros_like(Z) if want_input_grad else None
+        for i in range(L - 1, -1, -1):
+            if bar_P[i] is None:
+                continue
+            bar_W[i] = (bar_P[i] @ X[i].T if grad_seeds is None
+                        else bar_W[i] + bar_P[i] @ X[i].T)
+            bar_b[i] = bar_P[i].sum(axis=1)
+            if i > 0:
+                back = (W[i].T @ bar_P[i]) * sp[i - 1]
+                bar_P[i - 1] = back if bar_P[i - 1] is None else bar_P[i - 1] + back
+            elif want_input_grad:
+                bar_Z = (W[0].T @ bar_P[0]).T
+        return bar_W, bar_b, bar_Z
+
+    return P[-1][0], cs[0].T, vjp
+
+
+def row_major_reference(net, Z):
+    """The same maths with one input per row of every array, (B, width),
+    written independently of the tape's layout.  It rounds differently
+    (other gemm orders, bias sums down a column), so the tape matches it
+    within rounding only; same return as reference_tape."""
     act = net.activation
     W, L = net.weights, net.depth
     A, P = [Z], []
@@ -224,8 +278,7 @@ def reference_tape(net, Z):
         P.append(A[-1] @ w.T + b)
         if i < L - 1:
             A.append(act.value(P[-1]))
-    sp = [1.0 - a * a if act.kind == "tanh" else act.slope(p, a)
-          for p, a in zip(P, A[1:])]
+    sp = [act.slope(p, a) for p, a in zip(P, A[1:])]
     spp = [act.curvature(p, a, s) for p, a, s in zip(P, A[1:], sp)]
     ds, cs = [None] * L, [None] * L
     ds[L - 1] = np.ones((Z.shape[0], 1))
@@ -278,16 +331,19 @@ def flat_reference(layers):
     return np.concatenate([x.ravel() for pair in zip(bar_W, bar_b) for x in pair])
 
 
+SEED_CASES = (("values", True, False), ("grads", False, True),
+              ("both", True, True), ("none", False, False))
+
+
 class TestTapeMatchesReference:
-    """Tape's in-place products, broadcasts, einsum bias sums and flat
+    """Tape's in-place products, broadcasts, row-sum bias gradients and flat
     gradient writes change no bit of any output against the plain
-    formulas, flattened."""
+    feature-major formulas, flattened."""
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_bit_identical(self, activation, depth):
         rng = np.random.default_rng(31 + depth)
-        # width 1 with B >= 8 is where sum(axis=0) turns pairwise
         for width in (1, 2, 8):
             sizes = [3] + [width] * (depth - 1) + [1]
             net = random_net(sizes, 17 * depth + width, activation)
@@ -301,8 +357,9 @@ class TestTapeMatchesReference:
                 assert tape.input_grads.tobytes() == input_grads.tobytes()
                 # gradient seeds alone leave the output bias unreached, and
                 # without seeds every block is: unreached blocks read +0.0
-                for seeds in ((val_seeds, None), (None, grad_seeds),
-                              (val_seeds, grad_seeds), (None, None)):
+                for _, use_val, use_grad in SEED_CASES:
+                    seeds = (val_seeds if use_val else None,
+                             grad_seeds if use_grad else None)
                     for want in (False, True):
                         grad, bar_Z = tape.param_vjp(*seeds, want_input_grad=want)
                         *layers, expect_Z = vjp(*seeds, want)
@@ -314,18 +371,84 @@ class TestTapeMatchesReference:
                         else:
                             assert bar_Z is None
 
-    def test_column_sums_match_sum_axis0(self):
-        # einsum adds rows in sum(axis=0)'s order only from two columns on;
-        # this pins that on the installed numpy, written into a slice of a
-        # longer vector as the VJP writes it
-        rng = np.random.default_rng(32)
-        for B in (1, 2, 7, 8, 9, 129, 1000, 4225):
-            for w in (1, 2, 3, 8, 24, 47):
-                x = heavy_tailed(rng, (B, w))
-                out = np.full(w + 2, np.nan)
-                mlp._column_sums(x, out[1:-1])
-                assert out[1:-1].tobytes() == x.sum(axis=0).tobytes()
-                assert np.isnan(out[[0, -1]]).all()
+
+def assert_close_blockwise(got, expect, what):
+    """|got - expect| within 1e-12 of expect's sup-norm, entrywise."""
+    assert got.shape == expect.shape, what
+    tol = 1e-12 * np.max(np.abs(expect), initial=0.0)
+    assert np.max(np.abs(got - expect), initial=0.0) <= tol, what
+
+
+class TestTapeMatchesRowMajorMaths:
+    """The feature-major tape computes the same maths as the row-major
+    formulas: values, input gradients, every weight and bias block of the
+    flat gradient and bar_Z agree within rounding."""
+
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_within_rounding(self, activation, depth):
+        rng = np.random.default_rng(41 + depth)
+        for width in (1, 2, 8):
+            sizes = [3] + [width] * (depth - 1) + [1]
+            net = random_net(sizes, 19 * depth + width, activation)
+            for B in (1, 9, 129):
+                Z = rng.uniform(-1.5, 1.5, (B, 3))
+                val_seeds = rng.standard_normal(B)
+                grad_seeds = rng.standard_normal((B, 3))
+                values, input_grads, vjp = row_major_reference(net, Z)
+                tape = mlp.Tape(net, Z)
+                assert_close_blockwise(tape.values, values, "values")
+                assert_close_blockwise(tape.input_grads, input_grads,
+                                       "input_grads")
+                for case, use_val, use_grad in SEED_CASES:
+                    seeds = (val_seeds if use_val else None,
+                             grad_seeds if use_grad else None)
+                    grad, bar_Z = tape.param_vjp(*seeds, want_input_grad=True)
+                    bar_W, bar_b, expect_Z = vjp(*seeds, True)
+                    got_W, got_b = mlp._layer_views(grad, net._layout[1])
+                    for i in range(depth):
+                        assert_close_blockwise(got_W[i], bar_W[i], (case, "W", i))
+                        assert_close_blockwise(got_b[i], bar_b[i], (case, "b", i))
+                    assert_close_blockwise(bar_Z, expect_Z, (case, "bar_Z"))
+
+
+class TestBenchmarkContract:
+    """What the benchmark's tracer reads of a tape: the rows of A[0], the
+    shapes callers see and _cs as the sweep's done-flag."""
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_shapes_and_sweep_flag(self, depth):
+        net = random_net([4] + [6] * (depth - 1) + [1], 23)
+        rng = np.random.default_rng(24)
+        Z = rng.uniform(-1, 1, (11, 4))
+        tape = mlp.Tape(net, Z)
+        assert tape.A[0] is Z
+        assert tape.A[0].shape == Z.shape
+        assert tape.params is net
+        assert tape.values.shape == (11,)
+        assert tape._cs is None
+        _, bar_Z = tape.param_vjp(rng.standard_normal(11), None, True)
+        assert bar_Z.shape == (11, 4)
+        # a value-seeded VJP takes no input-gradient sweep
+        assert tape._cs is None
+        assert tape.input_grads.shape == (11, 4)
+        assert tape._cs is not None
+        _, bar_Z = tape.param_vjp(None, rng.standard_normal((11, 4)), True)
+        assert bar_Z.shape == (11, 4)
+
+    def test_signatures(self):
+        def names(f):
+            return list(inspect.signature(f).parameters)
+
+        assert names(mlp.Tape.__init__) == ["self", "params", "Z"]
+        assert names(mlp.Tape._input_grad_sweep) == ["self"]
+        assert names(mlp.Tape.param_vjp) == \
+            ["self", "val_seeds", "grad_seeds", "want_input_grad"]
+        z = np.linspace(-1.0, 1.0, 5)
+        act = Activation("tanh")
+        assert np.allclose(act.deriv(z), 1.0 - np.tanh(z) ** 2)
+        assert np.allclose(act.deriv2(z),
+                           -2.0 * np.tanh(z) * (1.0 - np.tanh(z) ** 2))
 
 
 class TestNoCallerArrayMutated:

@@ -335,6 +335,22 @@ class TestEvaluate:
         _evaluate_core(vars_, problem)
         assert sweeps == [problem.box.samples.shape[0]] * 2
 
+    def test_box_tapes_take_the_box_samples_themselves(self, monkeypatch):
+        # the benchmark's tracer tells box tapes from residual tapes by the
+        # identity of their input batch, so no copy or view may come between
+        batches = []
+        init = mlp.Tape.__init__
+
+        def recorded(tape, params, Z):
+            batches.append(Z)
+            init(tape, params, Z)
+
+        monkeypatch.setattr(mlp.Tape, "__init__", recorded)
+        problem, vars_ = random_problem(10, kind="convection", kappa=1, L=2, N=2)
+        _evaluate_core(vars_, problem)
+        assert [Z is problem.box.samples for Z in batches] == \
+            [False] * 4 + [True] * 2
+
     def test_box_violation_detected(self):
         problem, vars_ = random_problem(7)
         tiny = build_box(2, 1e-3, points_per_axis=5)
