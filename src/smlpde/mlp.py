@@ -18,13 +18,13 @@ per row: Z and A[0] (the batch as passed) are (B, n_0), Tape.values is
 (B,), and input_grads and the VJP's bar_Z are (B, n_0) transposed views.
 Every array the tape makes itself -- each hidden pre-activation P[i],
 activation A[i+1], sigma', sigma'' and sweep adjoint -- is (width, B), so
-the forward pass is P[i] = W_i @ A[i] + b_i[:, None], bias gradients are
-row sums of the adjoint and weight gradients are bar_P @ A[i]^T.  Hidden
-layers are 1-32 wide and batches hold up to a few thousand rows: with the
-batch on the last axis, every elementwise product, broadcast and bias sum
-runs its inner loop over B contiguous entries instead of over one short
-row B times, and each bias sum is numpy's pairwise sum of one contiguous
-row.
+the forward pass is P[i] = W_i @ A[i] + b_i[:, None] (with Z^T for A[0]),
+bias gradients are row sums of the adjoint and weight gradients are
+bar_P @ A[i]^T (bar_P @ Z for the first layer).  Hidden layers are 1-32
+wide and batches hold up to a few thousand rows: with the batch on the
+last axis, every elementwise product, broadcast and bias sum runs its
+inner loop over B contiguous entries instead of over one short row B
+times, and each bias sum is numpy's pairwise sum of one contiguous row.
 
 A tape computes sigma' of each hidden layer at most once, on the first
 input-gradient sweep or VJP that needs it, and sigma'' at most once, on
