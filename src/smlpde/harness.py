@@ -17,7 +17,11 @@ jet points visited by the ground truth, its gradient-sup mismatch, and
 discrete state/parameter errors.  stops.csv records how every start of
 every scale ended: the optimizer's stop reason, or `diverged: <message>`
 with empty cells, and the iterations taken, the value reached, the closure
-calls made and the sup-norm of the final gradient.  All CSV output uses 17
+calls made, the sup-norm of the final gradient and `best`, 1 for the start
+whose point the scale's report row and the next warm start carry and 0
+for the others.  Each iteration and the evaluated start run one backward
+pass, so closure_calls - iterations - 1 counts the rejected line-search
+trials, whose backward pass never ran.  All CSV output uses 17
 significant digits so identical configurations reproduce byte-identical
 files.  The run manifest timings.json, beside report.csv, holds what is not
 reproducible: the wall seconds of every scale and the objective closure
@@ -283,8 +287,8 @@ def initial_phi_estimate(grid: Grid, kind: str, u_init: np.ndarray) -> np.ndarra
 
 def _lsq_closure(net, Z, y):
     """Closure over flat parameters shaped like net: the mean squared error
-    of the network at the inputs Z against y, its gradient, and the error
-    again as aux."""
+    of the network at the inputs Z against y, its gradient as a deferred
+    parameter VJP, and the error again as aux."""
 
     def fg(flat):
         params = mlp.unflatten_params(flat, net)
@@ -292,8 +296,7 @@ def _lsq_closure(net, Z, y):
         diff = tape.values - y
         # np.mean's own pairwise sum and division, without its Python wrapper
         loss = float(np.add.reduce(diff * diff) / diff.size)
-        grad, _ = tape.param_vjp(2.0 * diff / diff.size)
-        return loss, grad, loss
+        return loss, lambda: tape.param_vjp(2.0 * diff / diff.size)[0], loss
 
     return fg
 
@@ -448,15 +451,16 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
                 res = _staged_minimize(layout.pack(vars0), fg, opt_config)
             except (DivergedError, BoxViolationError) as exc:
                 status = f"diverged({exc})"
-                stops.append([m, j, f"diverged: {exc}", "", "", "", ""])
+                stops.append([m, j, f"diverged: {exc}", "", "", "", "", ""])
                 continue
             calls += res.calls
-            stops.append([m, j, res.stop_reason, res.iterations,
-                          f"{res.value:.17g}", res.calls,
-                          f"{float(np.max(np.abs(res.grad))):.17g}"])
+            # the best column is 0 until the scale's winner is known
+            stop = [m, j, res.stop_reason, res.iterations, f"{res.value:.17g}",
+                    res.calls, f"{float(np.max(np.abs(res.grad))):.17g}", 0]
+            stops.append(stop)
             if best is None or res.value < best[0]:
                 best = (res.value, layout.unpack(res.x), res.aux, res.trace,
-                        res.iterations)
+                        res.iterations, stop)
         scales.append({"m": m, "wall_s": time.perf_counter() - t_scale,
                        "closure_calls": calls})
         if best is None:
@@ -468,7 +472,8 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
                            float("nan"), float("nan"), 0, status)
             report.rows.append(row)
             continue
-        _, vars_best, bd, trace, iterations = best
+        _, vars_best, bd, trace, iterations, stop = best
+        stop[-1] = 1
         prev_vars = vars_best
         _write_trace(os.path.join(out_dir, f"trace_m{m}.csv"), m, trace)
 
@@ -487,7 +492,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     with open(os.path.join(out_dir, "stops.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "start", "outcome", "iterations", "value",
-                         "closure_calls", "grad_inf"])
+                         "closure_calls", "grad_inf", "best"])
         writer.writerows(stops)
     _write_schedule_check(cfg, report, os.path.join(out_dir, "schedule_check.csv"))
     _write_error_chart(report, os.path.join(out_dir, "f_error.svg"))

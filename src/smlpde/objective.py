@@ -35,6 +35,20 @@ study's diagnostics, the limit oracle and measurement.operator_gap evaluate
 the same objects.  A residual tape takes one reverse pass, a value-seeded
 VJP that also returns the input adjoints; only the box tapes run the
 input-gradient sweep, since the gradient-sup term needs the input gradients.
+
+An evaluation is a forward pass and a deferred backward pass.  The forward
+pass builds the jets, checks the box, builds every tape, runs the box
+tapes' input-gradient sweeps (the gradient-sup value needs them) and
+computes every term of the breakdown, with the gradients r0_value and
+mlp.param_norm return alongside their values.  It hands back backward, a
+callable that runs everything that only feeds the gradient: the residual
+and data-fit weights, the d/dt, measurement and physics adjoints, the
+initial and boundary blocks, both kinds of parameter VJP, the chain rule
+into the jets and the box seeds.  backward performs the operations of a
+single pass in the same order, so the gradient is bit for bit the same.
+Until it runs, all L experiments' residual tapes and arrays are held; it
+frees each experiment's, and then each box tape's, as soon as their VJP
+is added, so a line-search trial that is rejected pays for its value only.
 """
 
 from __future__ import annotations
@@ -283,8 +297,10 @@ def _power_weight(wt, wx, vec_sq_slice, exponent, scale):
 
 
 def _evaluate_core(vars_: Vars, problem: Problem):
-    """The objective breakdown at vars_ and its gradient, flat in
-    VarLayout's pack order: states, parameter fields, then the networks."""
+    """The objective breakdown at vars_ and its backward pass: a
+    zero-argument callable, run at most once, that returns the gradient
+    flat in VarLayout's pack order (states, parameter fields, then the
+    networks) as a fresh vector."""
     grid, ds, op = problem.grid, problem.dataset, problem.op
     w, box, kind, kappa = problem.weights, problem.box, problem.kind, problem.kappa
     u, phi = vars_.u, vars_.phi
@@ -304,13 +320,10 @@ def _evaluate_core(vars_: Vars, problem: Problem):
     jet_mats = [None] + [grid.space_derivative_matrix(o) for o in (1, 2)]
 
     bd = ObjectiveBreakdown()
-    g_u = np.zeros_like(u)
-    g_phi = np.zeros_like(phi)
-    # flat parameter gradient per network; the first VJP sets its shape
-    g_nets = [0.0] * N
 
-    # --- per-experiment data-fit and residual terms -------------------------
-    for l in range(L):
+    def experiment_terms(l):
+        """Experiment l's data-fit and residual terms, added into bd; returns
+        the VJP that adds their gradient blocks."""
         feats = jet_features(grid, kappa, u[l])
         _check_box(box, feats)
 
@@ -334,41 +347,40 @@ def _evaluate_core(vars_: Vars, problem: Problem):
         data_val, data_s = _norm_pow(wt, wx, ddiff, w.r)
         bd.data_term += w.mu * data_val
 
-        wres = _power_weight(wt, wx_res, res_s, w.q, w.lam)
-        wdat = _power_weight(wt, wx, data_s, w.r, w.mu)
-        for n in range(N):
-            rw = wres * resid[n]
-            # d/dt block and measurement block
-            g_u[l, n] += dtm.T @ rw
-            g_u[l, n] += op.adjoint_array(wdat * ddiff[n])
-            g_phys_u, g_phys_phi = physics_vjp(grid, kind, u[l, n], phi[l, n], rw)
-            g_u[l, n] -= g_phys_u
-            g_phi[l, n] -= g_phys_phi
-            # initial / boundary blocks
-            g_u[l, n, 0, :] += 2.0 * w.lam * wx * diff0[n]
-            g_u[l, n, :, 0] += 2.0 * w.lam * wt * dlo[n]
-            g_u[l, n, :, -1] += 2.0 * w.lam * wt * dhi[n]
-            # network blocks: the residual holds -f(feats), so the value
-            # seeds carry the minus; one reverse pass gives the weight
-            # adjoints and those of the network inputs
-            g_net, g_in = tapes[n].param_vjp(val_seeds=(-rw).reshape(-1),
-                                             want_input_grad=True)
-            g_nets[n] = g_nets[n] + g_net
-            # chain rule into the jet features [t, jet(u_1), ..., jet(u_N)]
-            g_jets = g_in.T[1:].reshape(N, kappa + 1, grid.nt, grid.nx)
-            for k in range(N):
-                g_u[l, k] += g_jets[k, 0]
-                for order in range(1, kappa + 1):
-                    g_u[l, k] += g_jets[k, order] @ jet_mats[order]
+        def vjp(g_u, g_phi, g_nets):
+            wres = _power_weight(wt, wx_res, res_s, w.q, w.lam)
+            wdat = _power_weight(wt, wx, data_s, w.r, w.mu)
+            for n in range(N):
+                rw = wres * resid[n]
+                # d/dt block and measurement block
+                g_u[l, n] += dtm.T @ rw
+                g_u[l, n] += op.adjoint_array(wdat * ddiff[n])
+                g_phys_u, g_phys_phi = physics_vjp(grid, kind, u[l, n],
+                                                   phi[l, n], rw)
+                g_u[l, n] -= g_phys_u
+                g_phi[l, n] -= g_phys_phi
+                # initial / boundary blocks
+                g_u[l, n, 0, :] += 2.0 * w.lam * wx * diff0[n]
+                g_u[l, n, :, 0] += 2.0 * w.lam * wt * dlo[n]
+                g_u[l, n, :, -1] += 2.0 * w.lam * wt * dhi[n]
+                # network blocks: the residual holds -f(feats), so the value
+                # seeds carry the minus; one reverse pass gives the weight
+                # adjoints and those of the network inputs
+                g_net, g_in = tapes[n].param_vjp(val_seeds=(-rw).reshape(-1),
+                                                 want_input_grad=True)
+                g_nets[n] = g_nets[n] + g_net
+                # chain rule into the jet features [t, jet(u_1), ..., jet(u_N)]
+                g_jets = g_in.T[1:].reshape(N, kappa + 1, grid.nt, grid.nx)
+                for k in range(N):
+                    g_u[l, k] += g_jets[k, 0]
+                    for order in range(1, kappa + 1):
+                        g_u[l, k] += g_jets[k, order] @ jet_mats[order]
 
-    # --- quadratic core ------------------------------------------------------
-    bd.r0_term, r0_g_u, r0_g_phi = r0_value(grid, kappa, u, phi)
-    g_u += r0_g_u
-    g_phi += r0_g_phi
+        return vjp
 
-    # --- box terms ------------------------------------------------------------
-    hard_sup = 0.0
-    for n, net in enumerate(vars_.nets):
+    def box_terms(n, net):
+        """Network n's power norm and smooth gradient sup over the box, added
+        into bd; returns the VJP that adds their parameter gradient."""
         if net.input_dim != box.dim:
             raise ValueError(f"network input dim {net.input_dim} != box dim {box.dim}")
         tape = mlp.Tape(net, box.samples)
@@ -380,26 +392,53 @@ def _evaluate_core(vars_: Vars, problem: Problem):
         gnorm = np.abs(gin[np.arange(gin.shape[0]), comp])
         soft_sup, omega = smooth_max(gnorm, w.tau)
         bd.f_gradsup_term += soft_sup
-        hard_sup = max(hard_sup, float(np.max(gnorm)))
-        val_seeds = box.volume * box.quad_weights * w.rho \
-            * np.abs(vals) ** (w.rho - 1.0) * np.sign(vals)
-        sgn = np.sign(gin[np.arange(gin.shape[0]), comp])
-        sgn[sgn == 0.0] = 1.0
-        grad_seeds = np.zeros_like(gin)
-        grad_seeds[np.arange(gin.shape[0]), comp] = omega * sgn
-        g_net, _ = tape.param_vjp(val_seeds=val_seeds, grad_seeds=grad_seeds)
-        g_nets[n] = g_nets[n] + g_net
-    bd.hard_gradsup = hard_sup
+        bd.hard_gradsup = max(bd.hard_gradsup, float(np.max(gnorm)))
 
-    # --- parameter norm --------------------------------------------------------
+        def vjp(g_nets):
+            val_seeds = box.volume * box.quad_weights * w.rho \
+                * np.abs(vals) ** (w.rho - 1.0) * np.sign(vals)
+            sgn = np.sign(gin[np.arange(gin.shape[0]), comp])
+            sgn[sgn == 0.0] = 1.0
+            grad_seeds = np.zeros_like(gin)
+            grad_seeds[np.arange(gin.shape[0]), comp] = omega * sgn
+            g_net, _ = tape.param_vjp(val_seeds=val_seeds, grad_seeds=grad_seeds)
+            g_nets[n] = g_nets[n] + g_net
+
+        return vjp
+
+    # --- forward: every term's value ---------------------------------------
+    experiment_vjps = [experiment_terms(l) for l in range(L)]
+    bd.r0_term, r0_g_u, r0_g_phi = r0_value(grid, kappa, u, phi)
+    box_vjps = [box_terms(n, net) for n, net in enumerate(vars_.nets)]
     theta_norm, g_theta = mlp.param_norm(vars_.nets, w.param_norm_p)
     bd.theta_norm_term = w.nu * theta_norm
-
     bd.total = float(sum(bd.parts()))
-    g_nets = np.concatenate(g_nets)
-    if w.nu > 0:
-        g_nets += w.nu * g_theta
-    return bd, np.concatenate([g_u.reshape(-1), g_phi.reshape(-1), g_nets])
+
+    # --- backward: the gradient, on demand ---------------------------------
+    ran = False
+
+    def backward():
+        nonlocal ran
+        if ran:
+            raise RuntimeError("the backward pass of an evaluation runs once")
+        ran = True
+        g_u = np.zeros_like(u)
+        g_phi = np.zeros_like(phi)
+        # flat parameter gradient per network; the first VJP sets its shape
+        g_nets = [0.0] * N
+        # a VJP is dropped as soon as it has run, which frees its tapes
+        while experiment_vjps:
+            experiment_vjps.pop(0)(g_u, g_phi, g_nets)
+        g_u += r0_g_u
+        g_phi += r0_g_phi
+        while box_vjps:
+            box_vjps.pop(0)(g_nets)
+        g_nets = np.concatenate(g_nets)
+        if w.nu > 0:
+            g_nets += w.nu * g_theta
+        return np.concatenate([g_u.reshape(-1), g_phi.reshape(-1), g_nets])
+
+    return bd, backward
 
 
 # --- flat packing for the optimizer --------------------------------------------
@@ -437,10 +476,11 @@ class VarLayout:
 
 
 def make_closure(problem: Problem, layout: VarLayout):
-    """Objective closure x -> (value, flat gradient, breakdown)."""
+    """Objective closure x -> (value, backward pass, breakdown), the
+    backward pass a callable returning the flat gradient."""
 
     def fg(x: np.ndarray):
-        bd, grad = _evaluate_core(layout.unpack(x), problem)
-        return bd.total, grad, bd
+        bd, backward = _evaluate_core(layout.unpack(x), problem)
+        return bd.total, backward, bd
 
     return fg

@@ -9,19 +9,28 @@ Two deterministic methods:
                   per call, in the operation order of the plain formulas
                   (BETA1*m + (1-BETA1)*g, BETA2*v + ((1-BETA2)*g)*g,
                   rate*mhat / (sqrt(vhat) + EPS)), so every bit is theirs.
-                  Each iterate x is a fresh array, because a fit closure
-                  hands views of it out as network layers, and the
-                  gradient of the best iterate is kept by reference, so a
-                  closure must return a fresh gradient on every call.
+                  Each iterate x is a fresh array that nothing writes into,
+                  because a fit closure hands views of it out as network
+                  layers; the best iterate and its gradient are therefore
+                  kept by reference, so a closure must return a fresh
+                  gradient on every call.
   gd_linesearch : steepest descent with Armijo backtracking (slope factor
                   ARMIJO_SLOPE, shrink ARMIJO_SHRINK, at most MAX_BACKTRACKS
                   trials per iteration), which makes the value trace provably
                   monotone.  The first trial step of an iteration is twice
                   the step accepted last (config.rate at the start).
 
-The objective closure returns (value, gradient, aux); aux objects (e.g.
-term breakdowns) are collected into the trace.  Any non-finite value or
-gradient at an iterate raises DivergedError carrying the iterate index.
+The closure protocol: fg(x) returns (value, grad, aux), where grad is a
+zero-argument callable that runs the backward pass and returns the flat
+gradient at x as a fresh array, and aux (e.g. a term breakdown) is
+collected into the trace.  A closure call pays for the value; the
+gradient costs its backward pass only when grad() is called, at most once
+per closure call: minimize calls it for an evaluated start, for every
+adaptive iterate and for every accepted line-search trial.  A trial the
+search rejects never runs its backward pass: its grad is dropped, with
+everything it holds, before the next trial is evaluated.  Any non-finite
+value or gradient at an iterate raises DivergedError carrying the iterate
+index.
 
 x0 is either a point, which is evaluated first, or the OptResult of an
 earlier stage, whose x, value, grad and aux are the start as they stand: a
@@ -29,7 +38,7 @@ resumed stage makes no closure call for its start.  Either way the start
 counts as one call against config.max_calls, which caps the closure calls
 of a line search; the adaptive method makes exactly one call per
 iteration, so max_iters bounds it already.  OptResult.calls counts the
-closure calls the stage made.
+closure calls the stage made, and OptResult.grad is the gradient array.
 
 A line-search trial point is only a candidate, so a trial whose value is
 non-finite, or whose closure raises BoxViolationError (its visited jet
@@ -90,8 +99,8 @@ def _check_finite(value, grad, iteration):
 
 
 def minimize(x0, fg, config: OptimConfig) -> OptResult:
-    """Minimize fg(x) = (value, grad, aux) from x0, a point or the OptResult
-    of an earlier stage; deterministic."""
+    """Minimize fg(x) = (value, grad, aux), grad the deferred backward pass,
+    from x0, a point or the OptResult of an earlier stage; deterministic."""
     if isinstance(x0, OptResult):
         x = np.array(x0.x, dtype=float)
         value, grad, aux = x0.value, x0.grad, x0.aux
@@ -99,9 +108,10 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
     else:
         x = np.array(x0, dtype=float)
         value, grad, aux = fg(x)
+        grad = grad()
         calls = 1
     _check_finite(value, grad, 0)
-    best_x, best_value, best_aux, best_grad = x.copy(), value, aux, grad
+    best_x, best_value, best_aux, best_grad = x, value, aux, grad
     trace = [aux]
     result = OptResult(best_x, best_value, best_aux, trace)
 
@@ -137,12 +147,13 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
             # a fresh x: a fit closure hands views of it out as layers
             x = x - step
             value, grad, aux = fg(x)
+            grad = grad()
             calls += 1
             _check_finite(value, grad, k)
             trace.append(aux)
             result.iterations = k
             if value < best_value:
-                best_x, best_value = x.copy(), value
+                best_x, best_value = x, value
                 best_aux, best_grad = aux, grad
         else:
             result.stop_reason = "iteration cap"
@@ -173,18 +184,22 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
                         value_new <= value - ARMIJO_SLOPE * alpha * gsq:
                     accepted = True
                     break
+                # a rejected trial's backward pass never runs: free what
+                # it holds before the next trial is evaluated
+                grad_new = None
                 alpha *= ARMIJO_SHRINK
             if not accepted:
                 result.stop_reason = ("call budget" if calls_left <= 0
                                       else "line search stalled")
                 break
+            grad_new = grad_new()
             _check_finite(value_new, grad_new, k)
             x, value, grad, aux = x_new, value_new, grad_new, aux_new
             trace.append(aux)
             result.iterations = k
             step = alpha * 2.0
             if value < best_value:
-                best_x, best_value = x.copy(), value
+                best_x, best_value = x, value
                 best_aux, best_grad = aux, grad
         else:
             result.stop_reason = "iteration cap"
@@ -204,10 +219,12 @@ def finite_diff_gradcheck(x: np.ndarray, fg, samples: int = 50,
     coordinates (or an explicit list, or "all").  Errors on entries far
     below the gradient scale are measured against 0.1% of the gradient
     sup-norm so that roundoff in negligible coordinates is not misread as
-    disagreement; exact 0-vs-0 counts as 0.
+    disagreement; exact 0-vs-0 counts as 0.  The backward pass runs at x
+    only: the points x +- h cost their values alone.
     """
     x = np.asarray(x, dtype=float)
     _, grad, _ = fg(x)
+    grad = grad()
     if coords is None:
         rng = np.random.default_rng(0)
         n = min(samples, x.size)

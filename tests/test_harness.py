@@ -104,7 +104,7 @@ class TestConvergenceStudySmall:
         # two restarts at m = 1, then one warm start at m = 2; the best
         # start of a scale ends at the total its report row carries, and
         # each start's final value and gradient sup-norm come from one
-        # closure call
+        # closure call and its backward pass
         returned = set()
         make_closure = harness.make_closure
 
@@ -112,10 +112,14 @@ class TestConvergenceStudySmall:
             fg = make_closure(problem, layout)
 
             def recorded(x):
-                value, grad, aux = fg(x)
-                returned.add((f"{value:.17g}",
-                              f"{float(np.max(np.abs(grad))):.17g}"))
-                return value, grad, aux
+                value, backward, aux = fg(x)
+
+                def recorded_backward():
+                    grad = backward()
+                    returned.add((f"{value:.17g}",
+                                  f"{float(np.max(np.abs(grad))):.17g}"))
+                    return grad
+                return value, recorded_backward, aux
             return recorded
 
         monkeypatch.setattr(harness, "make_closure", recording_closure)
@@ -140,6 +144,10 @@ class TestConvergenceStudySmall:
             assert min(float(r["value"]) for r in ends) == row.breakdown.total
             assert sum(int(r["closure_calls"]) for r in ends) \
                 == scale["closure_calls"]
+            # one winner per scale, the start whose value the row carries
+            assert sorted(r["best"] for r in ends) == ["0"] * (len(ends) - 1) + ["1"]
+            winner = next(r for r in ends if r["best"] == "1")
+            assert float(winner["value"]) == row.breakdown.total
 
     def test_stops_record_diverged_starts(self, tmp_path, monkeypatch):
         # a step scale (OptimConfig.rate) this large throws the states out
@@ -187,7 +195,7 @@ def kink_objective(calls):
         calls.append(1)
         r = float(np.linalg.norm(x))
         g = x - c + (x / r if r > 0 else 0.0)
-        return 0.5 * float((x - c) @ (x - c)) + r, g, None
+        return 0.5 * float((x - c) @ (x - c)) + r, lambda: g, None
 
     return fg
 
@@ -267,12 +275,28 @@ class TestLsqClosure:
         Z = rng.uniform(-1, 1, (129, 1))
         fg = _lsq_closure(net, Z, np.sin(3.0 * Z[:, 0]))
         x = mlp.flatten_params(net)
-        _, grad, _ = fg(x)
+        grad = fg(x)[1]()
         kept = grad.copy()
-        _, other, _ = fg(x + 0.1 * rng.standard_normal(x.size))
+        other = fg(x + 0.1 * rng.standard_normal(x.size))[1]()
         assert other is not grad
         assert grad.tobytes() == kept.tobytes()
         assert other.tobytes() != kept.tobytes()
+
+
+    def test_deferred_gradient_keeps_its_own_state(self):
+        # a gradient taken after later closure calls, and their gradients,
+        # holds the bytes of one taken at once
+        rng = np.random.default_rng(25)
+        net = mlp.init_params([1, 8, 8, 1], mlp.Activation("tanh"), 26)
+        Z = rng.uniform(-1, 1, (129, 1))
+        fg = _lsq_closure(net, Z, np.sin(3.0 * Z[:, 0]))
+        x = mlp.flatten_params(net)
+        at_once = fg(x)[1]()
+        _, deferred, _ = fg(x)
+        y = x + 0.1 * rng.standard_normal(x.size)
+        fg(y)[1]()
+        fg(y)
+        assert deferred().tobytes() == at_once.tobytes()
 
 
 class TestApproximationProbe:
@@ -305,7 +329,8 @@ class TestApproximationProbe:
                 diff = values - y
                 loss = float(np.mean(diff * diff))
                 bar_W, bar_b, _ = vjp(2.0 * diff / diff.size, None, False)
-                return loss, flat_reference((bar_W, bar_b)), loss
+                grad = flat_reference((bar_W, bar_b))
+                return loss, lambda: grad, loss
             return fg
 
         def split_layers(flat, net):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 import zlib
 from dataclasses import replace
 
@@ -97,7 +98,9 @@ class TestSmoothMax:
 
     def test_weights_are_the_gradient(self):
         rng = np.random.default_rng(2)
-        fg = lambda v: (*smooth_max(v, 0.3), None)
+        def fg(v):
+            value, weights = smooth_max(v, 0.3)
+            return value, lambda: weights, None
         err = finite_diff_gradcheck(rng.uniform(-1, 1, 12), fg, coords="all")
         assert err < 1e-5
 
@@ -280,7 +283,8 @@ class TestR0:
         def fg(x):
             value, g_u, g_phi = r0_value(g, kappa, x[:u.size].reshape(u.shape),
                                          x[u.size:].reshape(phi.shape))
-            return value, np.concatenate([g_u.reshape(-1), g_phi.reshape(-1)]), None
+            grad = np.concatenate([g_u.reshape(-1), g_phi.reshape(-1)])
+            return value, lambda: grad, None
 
         x = np.concatenate([u.reshape(-1), phi.reshape(-1)])
         assert finite_diff_gradcheck(x, fg, coords="all") < 1e-5
@@ -332,7 +336,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(mlp.Tape, "_input_grad_sweep", counted)
         problem, vars_ = random_problem(9, kind="convection", kappa=1, L=2, N=2)
-        _evaluate_core(vars_, problem)
+        _evaluate_core(vars_, problem)[1]()
         assert sweeps == [problem.box.samples.shape[0]] * 2
 
     def test_box_tapes_take_the_box_samples_themselves(self, monkeypatch):
@@ -350,6 +354,32 @@ class TestEvaluate:
         _evaluate_core(vars_, problem)
         assert [Z is problem.box.samples for Z in batches] == \
             [False] * 4 + [True] * 2
+
+    def test_backward_frees_each_tape_after_its_vjp(self, monkeypatch):
+        # every tape lives until the backward pass, which frees each
+        # experiment's tapes, then each box tape, once their VJP is added
+        tapes = []
+        alive_at_vjp = []
+        init, vjp = mlp.Tape.__init__, mlp.Tape.param_vjp
+
+        def recorded(tape, params, Z):
+            init(tape, params, Z)
+            tapes.append(weakref.ref(tape))
+
+        def checked(tape, *args, **kwargs):
+            alive_at_vjp.append([ref() is not None for ref in tapes])
+            return vjp(tape, *args, **kwargs)
+
+        monkeypatch.setattr(mlp.Tape, "__init__", recorded)
+        monkeypatch.setattr(mlp.Tape, "param_vjp", checked)
+        problem, vars_ = random_problem(10, kind="convection", kappa=1, L=2, N=2)
+        _, backward = _evaluate_core(vars_, problem)
+        assert [ref() is not None for ref in tapes] == [True] * 6
+        backward()
+        # experiment 0's two tapes, experiment 1's two, then the box tapes
+        assert alive_at_vjp == [[True] * 6] * 2 + [[False] * 2 + [True] * 4] * 2 \
+            + [[False] * 4 + [True] * 2, [False] * 5 + [True]]
+        assert [ref() is not None for ref in tapes] == [False] * 6
 
     def test_box_violation_detected(self):
         problem, vars_ = random_problem(7)
@@ -397,14 +427,32 @@ class TestGradient:
         layout = VarLayout(vars_)
         fg = make_closure(problem, layout)
         x = layout.pack(vars_)
-        _, grad, _ = fg(x)
+        grad = fg(x)[1]()
         kept = grad.copy()
         y = x.copy()
         y[-layout.net_sizes[0]:] *= 1.1
-        _, other, _ = fg(y)
+        other = fg(y)[1]()
         assert other is not grad
         assert grad.tobytes() == kept.tobytes()
         assert other.tobytes() != kept.tobytes()
+
+    def test_deferred_backward_keeps_its_own_state(self):
+        # a backward pass run after later closure calls, and their backward
+        # passes, returns the bytes of one run at once; it runs only once
+        problem, vars_ = random_problem(42, kind="burgers1d", kappa=1, N=2)
+        layout = VarLayout(vars_)
+        fg = make_closure(problem, layout)
+        x = layout.pack(vars_)
+        at_once = fg(x)[1]()
+        _, deferred, _ = fg(x)
+        y = x.copy()
+        y[:layout.u_size] *= 0.9
+        y[-layout.net_sizes[-1]:] *= 1.1
+        fg(y)[1]()
+        fg(y)
+        assert deferred().tobytes() == at_once.tobytes()
+        with pytest.raises(RuntimeError):
+            deferred()
 
     @pytest.mark.parametrize("kind,kappa,op_kind,N", [
         ("none", 0, "full", 1),
@@ -436,7 +484,7 @@ class TestGradient:
         # the phi gradient reduces to the quadratic r0 part (2 wx phi)
         problem, vars_ = random_problem(11, kind="convection", lam=0.0,
                                         mu=1.7, nu=0.0)
-        _, grad = _evaluate_core(vars_, problem)
+        grad = _evaluate_core(vars_, problem)[1]()
         layout = VarLayout(vars_)
         g_phi = grad[layout.u_size:layout.u_size + layout.phi_size] \
             .reshape(vars_.phi.shape)
@@ -475,7 +523,7 @@ class TestGradient:
 
         def grad_at(x_active):
             full = np.concatenate([x_active, x0[n_active:]])
-            return fg(full)[1][:n_active]
+            return fg(full)[1]()[:n_active]
 
         x = x0[:n_active].copy()
         g0 = grad_at(x)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ def quadratic_bowl(center=None):
     def fg(x):
         c = center if center is not None else np.zeros_like(x)
         d = x - c
-        return float(d @ d), 2.0 * d, float(d @ d)
+        g = 2.0 * d
+        return float(d @ d), lambda: g, float(d @ d)
 
     return fg
 
@@ -48,7 +51,8 @@ class TestMinimize:
 
         def fg(x):
             v = 0.5 * float(x @ h @ x) - float(b @ x)
-            return v, h @ x - b, v
+            g = h @ x - b
+            return v, lambda: g, v
 
         res = minimize(rng.standard_normal(n), fg,
                        OptimConfig(max_iters=300, grad_tol=0.0, rate=1.0,
@@ -64,7 +68,7 @@ class TestMinimize:
             v = float(x @ x) + float(np.sum(np.abs(x) ** 3))
             g = 2 * x + 3 * np.abs(x) * x
             calls.append((x.copy(), v, g.copy()))
-            return v, g, v
+            return v, lambda: g, v
 
         cfgo = OptimConfig(max_iters=60, grad_tol=0.0, rate=2.0,
                            method="gd_linesearch")
@@ -78,7 +82,7 @@ class TestMinimize:
             if np.max(np.abs(x)) > 4.0:
                 raise BoxViolationError("left the box")
             d = x - 3.0
-            return float(d @ d), 2.0 * d, float(d @ d)
+            return float(d @ d), lambda: 2.0 * d, float(d @ d)
 
         res = minimize(np.array([0.0, 1.0]), fg,
                        OptimConfig(max_iters=200, grad_tol=1e-10, rate=50.0,
@@ -92,7 +96,7 @@ class TestMinimize:
 
         def fg(x):
             calls.append(1)
-            return float(np.sum(np.cosh(x))), np.sinh(x), None
+            return float(np.sum(np.cosh(x))), lambda: np.sinh(x), None
 
         res = minimize(np.full(3, 5.0), fg,
                        OptimConfig(max_iters=100, grad_tol=0.0, rate=1e-4,
@@ -109,7 +113,7 @@ class TestMinimize:
         def fg(x):
             calls.append(1)
             v = float(np.sum(np.cosh(x) - 1.0))
-            return v, np.sinh(x), v
+            return v, lambda: np.sinh(x), v
 
         first = minimize(np.full(3, 0.8), fg, OptimConfig(max_iters=5, rate=0.05))
         config = OptimConfig(max_iters=20, grad_tol=0.0, rate=0.05, method=method)
@@ -131,7 +135,7 @@ class TestMinimize:
 
         def fg(x):
             calls.append(1)
-            return float(np.sum(np.cosh(x))), np.sinh(x), None
+            return float(np.sum(np.cosh(x))), lambda: np.sinh(x), None
 
         first = minimize(np.full(3, 5.0), fg, OptimConfig(max_iters=1, rate=1e-4))
         calls.clear()
@@ -159,7 +163,7 @@ class TestMinimize:
         def fg(x):
             v = float(np.sum(np.sin(x) ** 2 + 0.1 * x**2))
             g = np.sin(2 * x) + 0.2 * x
-            return v, g, v
+            return v, lambda: g, v
 
         res = minimize(rng.standard_normal(6), fg,
                        OptimConfig(max_iters=500, grad_tol=0.0, rate=0.05))
@@ -176,7 +180,7 @@ class TestMinimize:
 
         def fg(x):
             v = float(np.sum(np.cosh(x) - 1.0))
-            return v, np.sinh(x), v
+            return v, lambda: np.sinh(x), v
 
         x0 = rng.standard_normal(5)
         r1 = minimize(x0, fg, OptimConfig(max_iters=200, rate=0.01))
@@ -187,7 +191,8 @@ class TestMinimize:
     def test_divergence_detected(self):
         def fg(x):
             with np.errstate(over="ignore"):
-                return float(np.exp(x[0])), np.array([np.exp(x[0])]), None
+                g = np.array([np.exp(x[0])])
+            return float(g[0]), lambda: g, None
 
         # exp overflows to inf right at the starting point
         with pytest.raises(DivergedError) as info:
@@ -199,7 +204,7 @@ class TestMinimize:
         # a function where adaptive overshoots near the end
         def fg(x):
             v = float(x @ x)
-            return v, 2 * x, v
+            return v, lambda: 2 * x, v
 
         res = minimize(np.array([1.0]), fg,
                        OptimConfig(max_iters=37, rate=0.9))
@@ -216,6 +221,7 @@ def reference_adaptive(x0, fg, config):
     else:
         x = np.array(x0, dtype=float)
         value, grad, aux = fg(x)
+        grad = grad()
         calls = 1
     _check_finite(value, grad, 0)
     best_x, best_value, best_aux, best_grad = x.copy(), value, aux, grad
@@ -235,6 +241,7 @@ def reference_adaptive(x0, fg, config):
         vhat = v / (1.0 - BETA2**k)
         x = x - config.rate * mhat / (np.sqrt(vhat) + EPS)
         value, grad, aux = fg(x)
+        grad = grad()
         calls += 1
         _check_finite(value, grad, k)
         trace.append(aux)
@@ -272,7 +279,7 @@ class TestAdaptiveMatchesReference:
     formulas."""
 
     @staticmethod
-    def rugged(x):
+    def value_grad(x):
         # non-quadratic, coupled and heavy-scaled, so that any reordering
         # of a product or sum shows in the last bits over many iterations
         scale = 10.0 ** np.linspace(-2, 2, x.size)
@@ -281,7 +288,12 @@ class TestAdaptiveMatchesReference:
         v = float(np.sum(scale * (x**2 - shift) ** 2) + np.sum(1.0 - c))
         g = 4.0 * scale * (x**2 - shift) * x + 3.0 * np.sin(3.0 * x)
         g -= np.roll(2.0 * scale * (x**2 - shift), -1)
-        return v, g, v
+        return v, g
+
+    @classmethod
+    def rugged(cls, x):
+        v, g = cls.value_grad(x)
+        return v, lambda: g, v
 
     @pytest.mark.parametrize("rate", [1e-3, 0.05])
     def test_bit_identical_with_resume(self, rate):
@@ -315,6 +327,72 @@ class TestAdaptiveMatchesReference:
         assert all(x.tobytes() == kept.tobytes() for x, kept in seen)
 
 
+class Ledger:
+    """A closure under the protocol that records, for every call, its value,
+    how often its grad() ran and a weak reference to the state its grad
+    captured; on every entry it counts the earlier calls' states still
+    alive.  Points beyond |x|_inf = box raise BoxViolationError."""
+
+    def __init__(self, f, box=np.inf):
+        self.f = f
+        self.box = box
+        self.calls = []          # [value, grad() runs, weakref to the state]
+        self.raised = 0
+        self.live_on_entry = []
+
+    def __call__(self, x):
+        self.live_on_entry.append(
+            sum(ref() is not None for _, _, ref in self.calls))
+        if np.max(np.abs(x), initial=0.0) > self.box:
+            self.raised += 1
+            raise BoxViolationError("left the box")
+        value, g = self.f(x)
+        state = np.array(g)     # what a backward pass holds until it runs
+        entry = [value, 0, weakref.ref(state)]
+        self.calls.append(entry)
+
+        def grad():
+            entry[1] += 1
+            return state.copy()
+
+        return value, grad, value
+
+    def runs(self):
+        return [runs for _, runs, _ in self.calls]
+
+
+class TestDeferredGradient:
+    """grad() runs where minimize needs the gradient, once, and a trial's
+    deferred state is gone before the closure is entered again."""
+
+    def test_linesearch_runs_backward_for_accepted_trials_only(self):
+        ledger = Ledger(TestAdaptiveMatchesReference.value_grad, box=4.0)
+        res = minimize(np.array([0.0, 1.0, -0.5]), ledger,
+                       OptimConfig(max_iters=40, grad_tol=0.0, rate=50.0,
+                                   method="gd_linesearch"))
+        runs = ledger.runs()
+        # both kinds of rejection happened: box-violating and Armijo-failing
+        assert ledger.raised > 0 and runs.count(0) > 0
+        assert res.calls == len(runs) + ledger.raised
+        # the start and each accepted trial, in the trace's order, once each
+        assert set(runs) == {0, 1}
+        assert sum(runs) == res.iterations + 1
+        assert [v for v, n, _ in ledger.calls if n] == res.trace
+        assert ledger.live_on_entry == [0] * len(ledger.live_on_entry)
+
+    def test_adaptive_runs_backward_once_per_iterate(self):
+        ledger = Ledger(TestAdaptiveMatchesReference.value_grad)
+        res = minimize(np.full(5, 0.7), ledger, OptimConfig(max_iters=30, rate=0.05))
+        assert ledger.runs() == [1] * (res.iterations + 1) == [1] * res.calls
+        assert ledger.live_on_entry == [0] * len(ledger.live_on_entry)
+
+    def test_gradcheck_runs_backward_at_x_only(self):
+        ledger = Ledger(TestAdaptiveMatchesReference.value_grad)
+        err = finite_diff_gradcheck(np.array([0.5, -1.0, 2.0]), ledger, samples=3)
+        assert err < 1e-6
+        assert ledger.runs() == [1] + [0] * 6
+
+
 class TestFiniteDiffGradcheck:
     def test_pure_quadratic_near_exact(self):
         fg = quadratic_bowl()
@@ -325,14 +403,14 @@ class TestFiniteDiffGradcheck:
 
     def test_zero_objective_is_zero_error(self):
         def fg(x):
-            return 0.0, np.zeros_like(x), None
+            return 0.0, lambda: np.zeros_like(x), None
 
         err = finite_diff_gradcheck(np.ones(4), fg, samples=4)
         assert err == 0.0
 
     def test_detects_wrong_gradient(self):
         def fg(x):
-            return float(x @ x), 3.0 * x, None  # wrong factor
+            return float(x @ x), lambda: 3.0 * x, None  # wrong factor
 
         err = finite_diff_gradcheck(np.ones(3), fg, samples=3)
         assert err > 0.2
