@@ -11,10 +11,15 @@ jet_features stacks the nodewise network inputs [t, jets of all states];
 the objective, the warm-start fit, the study's error metrics and the limit
 oracle all take their rows from it.
 
-Fields are plain (nt, nx) arrays, indexed (t, x).  _norm_pow is the one
-nested trapezoidal norm over them: an L^2 norm over each spatial slice
-inside an L^e norm over time, returned as its e-th power.  The objective's
-residual and data terms and measurement.operator_gap all take it from here.
+Fields are plain (nt, nx) arrays, indexed (t, x).  A stack of them, such as
+the objective's (L, N, nt, nx) states, keeps any leading axes: a stencil
+applies per slice as one broadcast matmul (u @ D^T in space, D @ u in
+time), and jet_features and _norm_pow take the same leading axes.  A
+caller that already holds a stack's spatial derivatives (space_derivatives)
+passes them on, so each is computed once.  _norm_pow is the one nested
+trapezoidal norm: an L^2 norm over each spatial slice inside an L^e norm
+over time, returned as its e-th power.  The objective's residual and data
+terms and measurement.operator_gap all take it from here.
 """
 
 from __future__ import annotations
@@ -82,6 +87,13 @@ def _lattice(lo: float, hi: float, n: int) -> np.ndarray:
     return nodes
 
 
+@lru_cache(maxsize=None)
+def _node_weights(nt: int, dt: float, nx: int, dx: float) -> np.ndarray:
+    w = trapezoid_weights(nt, dt)[:, None] * trapezoid_weights(nx, dx)[None, :]
+    w.setflags(write=False)
+    return w
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform lattice over (0, t_end) x (x_lo, x_hi).
@@ -127,6 +139,10 @@ class Grid:
     def space_weights(self) -> np.ndarray:
         return trapezoid_weights(self.nx, self.dx)
 
+    def node_weights(self) -> np.ndarray:
+        """(nt, nx) trapezoid weights of the space-time nodes: wt * wx."""
+        return _node_weights(self.nt, self.dt, self.nx, self.dx)
+
     def time_derivative_matrix(self) -> np.ndarray:
         return first_difference_matrix(self.nt, self.dt)
 
@@ -138,27 +154,46 @@ class Grid:
         raise ValueError(f"unsupported spatial derivative order {order}")
 
 
-def jet_features(grid: Grid, kappa: int, u_states: np.ndarray) -> np.ndarray:
-    """Nodewise network inputs [t, u_1, D u_1, .., D^kappa u_1, u_2, ..],
-    shape (nt*nx, 1 + N * jet_dimension(kappa)), rows time-major.
+def space_derivatives(grid: Grid, u: np.ndarray, order: int,
+                      du=None) -> list:
+    """[D_1 u, .., D_order u]: the spatial derivatives of the fields u (any
+    leading axes, space last), each u @ D_o^T.  du, derivatives a caller
+    already holds in that layout, is returned as it is when it reaches
+    order."""
+    if du is not None and len(du) >= order:
+        return du
+    return [u @ grid.space_derivative_matrix(o).T for o in range(1, order + 1)]
 
-    u_states has shape (N, nt, nx).
+
+def jet_features(grid: Grid, kappa: int, u_states: np.ndarray,
+                 du=None) -> np.ndarray:
+    """Nodewise network inputs [t, u_1, D u_1, .., D^kappa u_1, u_2, ..],
+    shape (..., nt*nx, 1 + N * jet_dimension(kappa)), rows time-major.
+
+    u_states has shape (..., N, nt, nx); du, if given, holds its spatial
+    derivatives (space_derivatives) up to order kappa at least.
     """
-    _, nt, nx = u_states.shape
-    cols = [np.broadcast_to(grid.t[:, None], (nt, nx)).reshape(-1)]
-    for u in u_states:
-        cols.append(u.reshape(-1))
-        for order in range(1, kappa + 1):
-            cols.append((u @ grid.space_derivative_matrix(order).T).reshape(-1))
-    return np.stack(cols, axis=1)
+    *lead, N, nt, nx = u_states.shape
+    du = space_derivatives(grid, u_states, kappa, du)
+    comps = kappa + 1
+    out = np.empty((*lead, nt, nx, 1 + N * comps))
+    out[..., 0] = grid.t[:, None]
+    for n in range(N):
+        out[..., 1 + n * comps] = u_states[..., n, :, :]
+        for order in range(1, comps):
+            out[..., 1 + n * comps + order] = du[order - 1][..., n, :, :]
+    return out.reshape(*lead, nt * nx, out.shape[-1])
 
 
 def _norm_pow(wt, wx, fields, exponent):
-    """sum_t wt * (sum_{n,x} wx * field_n^2)^(e/2) for a stack of (nt,nx)."""
-    s = np.zeros(fields.shape[1])
-    for f in fields:
+    """sum_t wt * (sum_{n,x} wx * field_n^2)^(e/2) for a stack of (nt, nx)
+    fields (..., N, nt, nx): the values, shape (...), and the inner sums
+    over n and x, shape (..., nt)."""
+    s = np.zeros(fields.shape[:-3] + fields.shape[-2:-1])
+    for n in range(fields.shape[-3]):
+        f = fields[..., n, :, :]
         s += (f * f) @ wx
-    return float(np.sum(wt * s ** (exponent / 2.0))), s
+    return np.sum(wt * s ** (exponent / 2.0), axis=-1), s
 
 
 def write_field_csv(grid: Grid, values: np.ndarray, path) -> None:

@@ -187,8 +187,7 @@ def grad_sup_error(nets, z_visited: np.ndarray, f_name: str) -> float:
 
 
 def state_error(grid: Grid, u: np.ndarray, u_true: np.ndarray) -> float:
-    wtx = grid.time_weights()[:, None] * grid.space_weights()[None, :]
-    return float(np.sqrt(np.sum(wtx * (u - u_true) ** 2)))
+    return float(np.sqrt(np.sum(grid.node_weights() * (u - u_true) ** 2)))
 
 
 def param_error(grid: Grid, phi: np.ndarray, phi_true: np.ndarray) -> float:
@@ -301,26 +300,30 @@ def _lsq_closure(net, Z, y):
     return fg
 
 
-def prefit_net_to_residual(net, grid: Grid, kappa: int, kind: str,
-                           u_init: np.ndarray, phi_init, n: int,
-                           iters: int = 800) -> "mlp.MlpParams":
-    """Warm start for a network: least-squares fit to the apparent residual
-    du/dt - physics of the initialized state, evaluated on its own jets.
-    Gives the optimizer a starting function of the right scale instead of
-    asking it to climb out of the zero-function well."""
+def prefit_rows(grid: Grid, kappa: int, kind: str, u_init: np.ndarray,
+                phi_init: np.ndarray):
+    """The prefit's least-squares rows, built once per scale for every
+    restart: (Z, ys), Z the jets of the initialized states at the nodes the
+    PDE governs and ys[n] equation n's apparent residual du/dt - physics
+    there, both stacked over experiments, thinned to about 1500 rows and
+    contiguous."""
     interior = residual_columns(kind)
-    blocks = []
-    targets = []
-    for l in range(u_init.shape[0]):
-        feats = jet_features(grid, kappa, u_init[l])
-        blocks.append(feats.reshape(grid.nt, grid.nx, -1)[:, interior]
-                      .reshape(-1, feats.shape[1]))
-        resid = residual(grid, kind, u_init[l, n], phi_init[l, n])
-        targets.append(resid[:, interior].reshape(-1))
-    Z = np.concatenate(blocks, axis=0)
-    y = np.concatenate(targets)
+    feats = jet_features(grid, kappa, u_init)
+    Z = feats.reshape(-1, grid.nt, grid.nx, feats.shape[-1])[:, :, interior]
+    Z = Z.reshape(-1, feats.shape[-1])
     stride = max(1, Z.shape[0] // 1500)
-    Z, y = Z[::stride], y[::stride]
+    resid = residual(grid, kind, u_init, phi_init)[..., interior]
+    ys = [np.ascontiguousarray(resid[:, n].reshape(-1)[::stride])
+          for n in range(u_init.shape[1])]
+    return np.ascontiguousarray(Z[::stride]), ys
+
+
+def prefit_net_to_residual(net, Z: np.ndarray, y: np.ndarray,
+                           iters: int = 800) -> "mlp.MlpParams":
+    """Warm start for a network: least-squares fit to one equation's
+    apparent residual y on its rows Z (prefit_rows).  Gives the optimizer a
+    starting function of the right scale instead of asking it to climb out
+    of the zero-function well."""
     fg = _lsq_closure(net, Z, y)
     res = mlp.flatten_params(net)
     for rate, frac in ((1e-2, 0.6), (3e-3, 0.4)):
@@ -427,11 +430,12 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         if prev_vars is None:
             u_init = init_state_from_data(dataset, op)
             phi_init = initial_phi_estimate(grid, spec.kind, u_init)
+            Z, ys = prefit_rows(grid, spec.kappa, spec.kind, u_init, phi_init)
             for j in range(ocfg["restarts"]):
                 nets = [prefit_net_to_residual(
                     mlp.init_params(sizes, activation,
                                     cfg["network"]["init_seed"] + 101 * j + n),
-                    grid, spec.kappa, spec.kind, u_init, phi_init, n)
+                    Z, ys[n])
                     for n in range(N)]
                 candidates.append(Vars(u_init.copy(), phi_init.copy(), nets))
         else:

@@ -113,7 +113,7 @@ def operator_gap(op: MeasurementOp, corpus, r: float = 2.0) -> float:
     gap = 0.0
     for u in corpus:
         diff = op.apply_array(u) - u
-        gap = max(gap, _norm_pow(wt, wx, diff[None], r)[0] ** (1.0 / r))
+        gap = max(gap, float(_norm_pow(wt, wx, diff[None], r)[0]) ** (1.0 / r))
     return gap
 
 

@@ -36,33 +36,53 @@ the same objects.  A residual tape takes one reverse pass, a value-seeded
 VJP that also returns the input adjoints; only the box tapes run the
 input-gradient sweep, since the gradient-sup term needs the input gradients.
 
+An evaluation works on the whole (L, N, nt, nx) state stack at once.  It
+fetches the stencils from the grid, takes D_t u, D_x u and, where kappa,
+the r0 order or the physics needs it, D_xx u once each as broadcast
+matmuls, and hands those arrays to the jets, the physics term, the
+residual, r0 and the physics adjoint, which all take leading axes; the
+measurement operator and its adjoint run once on the stack.  Each slice of
+a stacked product or reduction gets the bits it would get alone, and each
+term still adds its experiments' parts in order, so with N = 1 the value
+and the gradient are those of a loop over experiments.  With N >= 2 the
+jet adjoints of one experiment's N tapes are summed before the chain rule,
+which may round differently.  Only the networks keep one tape per
+(experiment, network) on all nt*nx nodes: one tape over all L experiments
+outgrows the L2 cache at the study widths.  What depends only on the grid,
+the kind and the weights is built once per Problem: the residual
+quadrature's spatial weights and, for exponent 2, the residual and data
+terms' derivative weights.
+
 An evaluation is a forward pass and a deferred backward pass.  The forward
 pass builds the jets, checks the box, builds every tape, runs the box
 tapes' input-gradient sweeps (the gradient-sup value needs them) and
-computes every term of the breakdown, with the gradients r0_value and
-mlp.param_norm return alongside their values.  It hands back backward, a
-callable that runs everything that only feeds the gradient: the residual
-and data-fit weights, the d/dt, measurement and physics adjoints, the
-initial and boundary blocks, both kinds of parameter VJP, the chain rule
-into the jets and the box seeds.  backward performs the operations of a
-single pass in the same order, so the gradient is bit for bit the same.
-Until it runs, all L experiments' residual tapes and arrays are held; it
-frees each experiment's, and then each box tape's, as soon as their VJP
-is added, so a line-search trial that is rejected pays for its value only.
+computes every term of the breakdown, with the gradient mlp.param_norm
+returns alongside its value.  It hands back backward, a callable that runs
+everything that only feeds the gradient: the residual and data-fit
+weights, the d/dt, measurement and physics adjoints, the initial and
+boundary blocks, both kinds of parameter VJP, the chain rule into the
+jets, r0's gradient (r0_value returns it as its own deferred callable) and
+the box seeds.  backward performs the operations of a single pass in the
+same order, so the gradient is bit for bit the same.  Until it runs, every
+tape and the derivative stacks are held; it drops each stack once its last
+reader has run, each experiment's residual tapes once their VJPs are
+added, and then each box tape, so a line-search trial that is rejected
+pays for its value only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mlp
 from .errors import BoxViolationError
-from .grid import Grid, _norm_pow, jet_dimension, jet_features
+from .grid import (Grid, _norm_pow, jet_dimension, jet_features,
+                   space_derivatives)
 from .measurement import Dataset, MeasurementOp
-from .physics import physics_vjp, residual, residual_columns
+from .physics import physics_order, physics_vjp, residual, residual_columns
 
 
 @dataclass(frozen=True)
@@ -194,30 +214,37 @@ def state_norm_order(kappa: int) -> int:
     return min(kappa + 1, 2)
 
 
-def r0_value(grid: Grid, kappa: int, u: np.ndarray, phi: np.ndarray):
+def r0_value(grid: Grid, kappa: int, u: np.ndarray, phi: np.ndarray,
+             ut=None, du=None):
     """Quadratic core: spatial L^2 of the parameter fields phi plus the squared
     discrete state norm (state, time derivative, spatial derivatives up to
-    state_norm_order(kappa)); returns (value, g_u, g_phi), the gradients from
-    the value's own stencil products."""
+    state_norm_order(kappa)) of the (L, N, nt, nx) states u.  ut = D_t u and
+    du (grid.space_derivatives), if given, are reused.  Returns (value,
+    backward), backward a zero-argument callable that returns the gradients
+    (g_u, g_phi) from the value's own derivative stacks."""
     wx = grid.space_weights()
-    wtx = grid.time_weights()[:, None] * wx[None, :]
+    wtx = grid.node_weights()
     dtm = grid.time_derivative_matrix()
+    order = state_norm_order(kappa)
+    mats = [grid.space_derivative_matrix(o) for o in range(1, order + 1)]
+    if ut is None:
+        ut = dtm @ u
+    du = space_derivatives(grid, u, order, du)[:order]
     total = float(np.sum(wx * phi**2)) if phi.size else 0.0
-    mats = [grid.space_derivative_matrix(o)
-            for o in range(1, state_norm_order(kappa) + 1)]
-    g_u = 2.0 * wtx * u
-    for l in range(u.shape[0]):
-        for n in range(u.shape[1]):
-            field_ = u[l, n]
-            total += float(np.sum(wtx * field_**2))
-            du = dtm @ field_
-            total += float(np.sum(wtx * du**2))
-            g_u[l, n] += dtm.T @ (2.0 * wtx * du)
-            for mat in mats:
-                du = field_ @ mat.T
-                total += float(np.sum(wtx * du**2))
-                g_u[l, n] += (2.0 * wtx * du) @ mat
-    return total, g_u, 2.0 * wx * phi
+    # one weighted sum per (l, n) slice and component, added slice by slice
+    sums = np.stack([np.sum(wtx * v**2, axis=(-2, -1))
+                     for v in (u, ut, *du)], axis=-1)
+    for part in sums.reshape(-1).tolist():
+        total += part
+
+    def backward():
+        g_u = 2.0 * wtx * u
+        g_u += dtm.T @ (2.0 * wtx * ut)
+        for v, mat in zip(du, mats):
+            g_u += (2.0 * wtx * v) @ mat
+        return g_u, 2.0 * wx * phi
+
+    return total, backward
 
 
 @dataclass
@@ -264,7 +291,13 @@ class Vars:
 
 @dataclass
 class Problem:
-    """Everything fixed during one minimization."""
+    """Everything fixed during one minimization.
+
+    The constants every evaluation reads are built once, from the grid, the
+    kind and the weights: the residual quadrature's spatial weights
+    (wx_res, zero off the residual columns) and, for an exponent of 2, the
+    residual and data terms' derivative weights (res_weight, data_weight,
+    None otherwise; a higher exponent's depend on the point)."""
 
     grid: Grid
     dataset: Dataset
@@ -273,27 +306,47 @@ class Problem:
     kappa: int
     weights: Weights
     box: UBox
+    wx_res: np.ndarray = field(init=False, repr=False, compare=False)
+    res_weight: np.ndarray | None = field(init=False, repr=False, compare=False)
+    data_weight: np.ndarray | None = field(init=False, repr=False,
+                                           compare=False)
+
+    def __post_init__(self):
+        wt, wx = self.grid.time_weights(), self.grid.space_weights()
+        cols = residual_columns(self.kind)
+        self.wx_res = np.zeros_like(wx)
+        self.wx_res[cols] = wx[cols]
+        w = self.weights
+        self.res_weight = (_power_weight(wt, self.wx_res, None, 2.0, w.lam)
+                           if w.q == 2.0 else None)
+        self.data_weight = (_power_weight(wt, wx, None, 2.0, w.mu)
+                            if w.r == 2.0 else None)
 
 
 def _check_box(box: UBox, feats: np.ndarray) -> None:
-    worst = float(np.max(np.abs(feats)))
-    if worst > box.radius * (1.0 + 1e-12) + 1e-12:
-        raise BoxViolationError(
-            f"visited jet point left the box: |z|_inf = {worst:.6g} exceeds "
-            f"radius {box.radius:.6g}; enlarge the margin"
-        )
+    """Raise for the first experiment of the (L, rows, dim) jet stack whose
+    jets leave the box, quoting that experiment's largest entry."""
+    limit = box.radius * (1.0 + 1e-12) + 1e-12
+    for worst in np.max(np.abs(feats), axis=(-2, -1)).tolist():
+        if worst > limit:
+            raise BoxViolationError(
+                f"visited jet point left the box: |z|_inf = {worst:.6g} exceeds "
+                f"radius {box.radius:.6g}; enlarge the margin"
+            )
 
 
-def _power_weight(wt, wx, vec_sq_slice, exponent, scale):
+def _power_weight(wt, wx, vec_sq, exponent, scale):
     """Derivative prefactor of  scale * sum_t wt * S_t^(e/2)  w.r.t. the field,
-    divided by the field entry: scale*e*wt*S^{(e-2)/2}*wx  (see grid._norm_pow)."""
+    divided by the field entry: scale*e*wt*S^{(e-2)/2}*wx (see grid._norm_pow),
+    shape (..., nt, nx) for inner sums S of shape (..., nt); for e = 2 it
+    does not depend on S, which may be None."""
     if exponent == 2.0:
-        s_fac = np.ones_like(vec_sq_slice)
+        t_fac = wt
     else:
         with np.errstate(divide="ignore"):
-            s_fac = np.where(vec_sq_slice > 0.0,
-                             vec_sq_slice ** ((exponent - 2.0) / 2.0), 0.0)
-    return scale * exponent * (wt * s_fac)[:, None] * wx[None, :]
+            t_fac = wt * np.where(vec_sq > 0.0,
+                                  vec_sq ** ((exponent - 2.0) / 2.0), 0.0)
+    return scale * exponent * t_fac[..., None] * wx
 
 
 def _evaluate_core(vars_: Vars, problem: Problem):
@@ -305,91 +358,57 @@ def _evaluate_core(vars_: Vars, problem: Problem):
     w, box, kind, kappa = problem.weights, problem.box, problem.kind, problem.kappa
     u, phi = vars_.u, vars_.phi
     L, N = u.shape[0], u.shape[1]
+    nt, nx = grid.nt, grid.nx
     if ds.y.shape[:2] != (L, N):
         raise ValueError("dataset and variables disagree on (L, N)")
     if len(vars_.nets) != N:
         raise ValueError(f"{len(vars_.nets)} networks for {N} equations")
+    for net in vars_.nets:
+        if net.input_dim != box.dim:
+            raise ValueError(f"network input dim {net.input_dim} != box dim {box.dim}")
 
-    wt = grid.time_weights()
-    wx = grid.space_weights()
-    # the residual quadrature counts only the columns the PDE governs
-    cols = residual_columns(kind)
-    wx_res = np.zeros_like(wx)
-    wx_res[cols] = wx[cols]
+    wt, wx = grid.time_weights(), grid.space_weights()
+    # every state derivative any term reads, once over the whole stack
     dtm = grid.time_derivative_matrix()
-    jet_mats = [None] + [grid.space_derivative_matrix(o) for o in (1, 2)]
+    order = max(kappa, state_norm_order(kappa), physics_order(kind))
+    mats = [grid.space_derivative_matrix(o) for o in range(1, order + 1)]
+    ut = dtm @ u
+    du = [u @ mat.T for mat in mats]
+
+    # --- forward: every term's value ---------------------------------------
+    feats = jet_features(grid, kappa, u, du)
+    _check_box(box, feats)
+    # one residual tape per (experiment, network), on all nt*nx nodes
+    tapes = [[mlp.Tape(net, feats[l]) for net in vars_.nets] for l in range(L)]
+    f = np.array([[tape.values for tape in row] for row in tapes])
+    resid = residual(grid, kind, u, phi, f.reshape(u.shape), ut=ut, du=du)
+    res_vals, res_s = _norm_pow(wt, problem.wx_res, resid, w.q)
+    ddiff = op.apply_array(u) - ds.y
+    data_vals, data_s = _norm_pow(wt, wx, ddiff, w.r)
+    diff0 = u[:, :, 0, :] - ds.u0
+    dlo = u[:, :, :, 0] - ds.g_lo
+    dhi = u[:, :, :, -1] - ds.g_hi
+    init_vals = np.sum(diff0**2 @ wx, axis=-1)
+    bdry_vals = np.sum((dlo**2 + dhi**2) @ wt, axis=-1)
 
     bd = ObjectiveBreakdown()
-
-    def experiment_terms(l):
-        """Experiment l's data-fit and residual terms, added into bd; returns
-        the VJP that adds their gradient blocks."""
-        feats = jet_features(grid, kappa, u[l])
-        _check_box(box, feats)
-
-        tapes = [mlp.Tape(net, feats) for net in vars_.nets]
-        resid = np.stack([
-            residual(grid, kind, u[l, n], phi[l, n],
-                     tapes[n].values.reshape(grid.nt, grid.nx))
-            for n in range(N)])
-        res_val, res_s = _norm_pow(wt, wx_res, resid, w.q)
-        bd.residual_term += w.lam * res_val
-
-        diff0 = u[l, :, 0, :] - ds.u0[l]
-        bd.initial_term += w.lam * float(np.sum(diff0**2 @ wx))
-
-        dlo = u[l, :, :, 0] - ds.g_lo[l]
-        dhi = u[l, :, :, -1] - ds.g_hi[l]
-        bd.boundary_term += w.lam * float(np.sum((dlo**2 + dhi**2) @ wt))
-
-        meas = np.stack([op.apply_array(u[l, n]) for n in range(N)])
-        ddiff = meas - ds.y[l]
-        data_val, data_s = _norm_pow(wt, wx, ddiff, w.r)
-        bd.data_term += w.mu * data_val
-
-        def vjp(g_u, g_phi, g_nets):
-            wres = _power_weight(wt, wx_res, res_s, w.q, w.lam)
-            wdat = _power_weight(wt, wx, data_s, w.r, w.mu)
-            for n in range(N):
-                rw = wres * resid[n]
-                # d/dt block and measurement block
-                g_u[l, n] += dtm.T @ rw
-                g_u[l, n] += op.adjoint_array(wdat * ddiff[n])
-                g_phys_u, g_phys_phi = physics_vjp(grid, kind, u[l, n],
-                                                   phi[l, n], rw)
-                g_u[l, n] -= g_phys_u
-                g_phi[l, n] -= g_phys_phi
-                # initial / boundary blocks
-                g_u[l, n, 0, :] += 2.0 * w.lam * wx * diff0[n]
-                g_u[l, n, :, 0] += 2.0 * w.lam * wt * dlo[n]
-                g_u[l, n, :, -1] += 2.0 * w.lam * wt * dhi[n]
-                # network blocks: the residual holds -f(feats), so the value
-                # seeds carry the minus; one reverse pass gives the weight
-                # adjoints and those of the network inputs
-                g_net, g_in = tapes[n].param_vjp(val_seeds=(-rw).reshape(-1),
-                                                 want_input_grad=True)
-                g_nets[n] = g_nets[n] + g_net
-                # chain rule into the jet features [t, jet(u_1), ..., jet(u_N)]
-                g_jets = g_in.T[1:].reshape(N, kappa + 1, grid.nt, grid.nx)
-                for k in range(N):
-                    g_u[l, k] += g_jets[k, 0]
-                    for order in range(1, kappa + 1):
-                        g_u[l, k] += g_jets[k, order] @ jet_mats[order]
-
-        return vjp
+    # each term adds its experiments' parts in order
+    bd.residual_term = sum(w.lam * v for v in res_vals.tolist())
+    bd.initial_term = sum(w.lam * v for v in init_vals.tolist())
+    bd.boundary_term = sum(w.lam * v for v in bdry_vals.tolist())
+    bd.data_term = sum(w.mu * v for v in data_vals.tolist())
+    bd.r0_term, r0_backward = r0_value(grid, kappa, u, phi, ut=ut, du=du)
 
     def box_terms(n, net):
         """Network n's power norm and smooth gradient sup over the box, added
         into bd; returns the VJP that adds their parameter gradient."""
-        if net.input_dim != box.dim:
-            raise ValueError(f"network input dim {net.input_dim} != box dim {box.dim}")
         tape = mlp.Tape(net, box.samples)
         vals = tape.values
         bd.f_lrho_term += box.volume * float(
             np.sum(box.quad_weights * np.abs(vals) ** w.rho))
         gin = tape.input_grads
-        comp = np.argmax(np.abs(gin), axis=1)
-        gnorm = np.abs(gin[np.arange(gin.shape[0]), comp])
+        mag = np.abs(gin)
+        gnorm = np.max(mag, axis=1)
         soft_sup, omega = smooth_max(gnorm, w.tau)
         bd.f_gradsup_term += soft_sup
         bd.hard_gradsup = max(bd.hard_gradsup, float(np.max(gnorm)))
@@ -397,18 +416,17 @@ def _evaluate_core(vars_: Vars, problem: Problem):
         def vjp(g_nets):
             val_seeds = box.volume * box.quad_weights * w.rho \
                 * np.abs(vals) ** (w.rho - 1.0) * np.sign(vals)
-            sgn = np.sign(gin[np.arange(gin.shape[0]), comp])
+            rows = np.arange(gin.shape[0])
+            comp = np.argmax(mag, axis=1)
+            sgn = np.sign(gin[rows, comp])
             sgn[sgn == 0.0] = 1.0
             grad_seeds = np.zeros_like(gin)
-            grad_seeds[np.arange(gin.shape[0]), comp] = omega * sgn
+            grad_seeds[rows, comp] = omega * sgn
             g_net, _ = tape.param_vjp(val_seeds=val_seeds, grad_seeds=grad_seeds)
             g_nets[n] = g_nets[n] + g_net
 
         return vjp
 
-    # --- forward: every term's value ---------------------------------------
-    experiment_vjps = [experiment_terms(l) for l in range(L)]
-    bd.r0_term, r0_g_u, r0_g_phi = r0_value(grid, kappa, u, phi)
     box_vjps = [box_terms(n, net) for n, net in enumerate(vars_.nets)]
     theta_norm, g_theta = mlp.param_norm(vars_.nets, w.param_norm_p)
     bd.theta_norm_term = w.nu * theta_norm
@@ -418,19 +436,61 @@ def _evaluate_core(vars_: Vars, problem: Problem):
     ran = False
 
     def backward():
-        nonlocal ran
+        nonlocal ran, ut, du, resid, ddiff, r0_backward
         if ran:
             raise RuntimeError("the backward pass of an evaluation runs once")
         ran = True
         g_u = np.zeros_like(u)
         g_phi = np.zeros_like(phi)
-        # flat parameter gradient per network; the first VJP sets its shape
-        g_nets = [0.0] * N
-        # a VJP is dropped as soon as it has run, which frees its tapes
-        while experiment_vjps:
-            experiment_vjps.pop(0)(g_u, g_phi, g_nets)
+        wres = problem.res_weight
+        if wres is None:
+            wres = _power_weight(wt, problem.wx_res, res_s[:, None], w.q, w.lam)
+        wdat = problem.data_weight
+        if wdat is None:
+            wdat = _power_weight(wt, wx, data_s[:, None], w.r, w.mu)
+        rw = wres * resid
+        # d/dt block and measurement block
+        g_u += dtm.T @ rw
+        g_u += op.adjoint_array(wdat * ddiff)
+        resid = ddiff = None
+        g_phys_u, g_phys_phi = physics_vjp(grid, kind, u, phi, rw, du=du)
+        ut = du = None
+        g_u -= g_phys_u
+        g_phi -= g_phys_phi
+        del g_phys_u, g_phys_phi
+        # initial / boundary blocks
+        g_u[:, :, 0, :] += 2.0 * w.lam * wx * diff0
+        g_u[:, :, :, 0] += 2.0 * w.lam * wt * dlo
+        g_u[:, :, :, -1] += 2.0 * w.lam * wt * dhi
+        # network blocks: the residual holds -f(feats), so the value seeds
+        # carry the minus; one reverse pass per tape gives the weight
+        # adjoints and those of the network inputs, whose jet columns
+        # collect per experiment
+        seeds = (-rw).reshape(L, N, nt * nx)
+        g_nets = [0.0] * N   # flat gradient per network; the first VJP sets its shape
+        g_jets = np.empty((L, N * (kappa + 1), nt * nx))
+        for l in range(L):
+            for n in range(N):
+                g_net, g_in = tapes[l][n].param_vjp(val_seeds=seeds[l, n],
+                                                    want_input_grad=True)
+                g_nets[n] = g_nets[n] + g_net
+                if n == 0:
+                    g_jets[l] = g_in.T[1:]
+                else:
+                    g_jets[l] += g_in.T[1:]
+            # the experiment's tapes go as soon as their VJPs are added
+            tapes[l] = None
+        # chain rule into the jet features [t, jet(u_1), ..., jet(u_N)]
+        g_jets = g_jets.reshape(L, N, kappa + 1, nt, nx)
+        g_u += g_jets[:, :, 0]
+        for o in range(1, kappa + 1):
+            g_u += g_jets[:, :, o] @ mats[o - 1]
+        del g_jets, rw, seeds
+        r0_g_u, r0_g_phi = r0_backward()
+        r0_backward = None
         g_u += r0_g_u
         g_phi += r0_g_phi
+        # a box VJP is dropped as soon as it has run, which frees its tape
         while box_vjps:
             box_vjps.pop(0)(g_nets)
         g_nets = np.concatenate(g_nets)

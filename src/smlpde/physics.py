@@ -8,8 +8,14 @@ Supported per-equation terms on 1D grids:
                        product rule as a*u_xx + a_x*u_x + c*u)
   burgers1d          : -u * du/dx                (no parameter field)
 
-Parameter fields are a plain (L, N, slots, nx) array phi; the functions
-here take one equation's (slots, nx) block phi[l, n].
+Parameter fields are a plain (L, N, slots, nx) array phi.  The functions
+here take one equation's (nt, nx) state u with its (slots, nx) block phi,
+or a stack of them with the same leading axes on both, such as the whole
+(L, N, nt, nx) state array with its (L, N, slots, nx) fields; every slice
+of a stack gets the bits it would get alone.  A caller that already holds
+the time derivative ut = D_t u or the spatial derivatives du
+(grid.space_derivatives) passes them, and nothing is computed twice;
+physics_order(kind) is the spatial order a kind reads.
 
 The residual of equation n is du_n/dt - term_n - f_n, where f_n holds the
 values of that equation's network at the nodewise jet features
@@ -23,11 +29,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, space_derivatives
 
 PHYSICS_KINDS = ("none", "convection", "diffusion_reaction", "burgers1d")
 
 _SLOTS = {"none": 0, "convection": 1, "diffusion_reaction": 2, "burgers1d": 0}
+
+_ORDER = {"none": 0, "convection": 1, "diffusion_reaction": 2, "burgers1d": 1}
 
 
 def n_param_slots(kind: str) -> int:
@@ -36,45 +44,63 @@ def n_param_slots(kind: str) -> int:
     return _SLOTS[kind]
 
 
+def physics_order(kind: str) -> int:
+    """The highest spatial derivative order of the state in kind's term."""
+    if kind not in PHYSICS_KINDS:
+        raise ValueError(f"unknown physics kind {kind!r}")
+    return _ORDER[kind]
+
+
+def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mat @ v for every profile v of a (..., n) stack, each by the product
+    a lone vector gets."""
+    return (mat @ v[..., None])[..., 0]
+
+
 def apply_physics_array(grid: Grid, kind: str, u: np.ndarray,
-                        phi: np.ndarray) -> np.ndarray:
-    """Evaluate one equation's physical term on a (nt, nx) state array."""
+                        phi: np.ndarray, du=None) -> np.ndarray:
+    """Evaluate the physical term on (..., nt, nx) states u with their
+    (..., slots, nx) parameter slots phi."""
     if kind == "none":
         return np.zeros_like(u)
-    d1 = grid.space_derivative_matrix(1)
+    phi = np.asarray(phi, dtype=float)
+    du = space_derivatives(grid, u, physics_order(kind), du)
     if kind == "convection":
-        return phi[0][None, :] * (u @ d1.T)
+        return phi[..., 0, None, :] * du[0]
     if kind == "burgers1d":
-        return -u * (u @ d1.T)
+        return -u * du[0]
     if kind == "diffusion_reaction":
-        d2 = grid.space_derivative_matrix(2)
-        a, c = phi[0], phi[1]
-        ax = d1 @ a
-        return a[None, :] * (u @ d2.T) + ax[None, :] * (u @ d1.T) + c[None, :] * u
+        a, c = phi[..., 0, :], phi[..., 1, :]
+        ax = _matvec(grid.space_derivative_matrix(1), a)
+        return a[..., None, :] * du[1] + ax[..., None, :] * du[0] \
+            + c[..., None, :] * u
     raise ValueError(f"unknown physics kind {kind!r}")
 
 
 def physics_vjp(grid: Grid, kind: str, u: np.ndarray, phi: np.ndarray,
-                seed: np.ndarray):
+                seed: np.ndarray, du=None):
     """Gradients (g_u, g_phi) of sum(seed * apply_physics_array(grid, kind,
-    u, phi)) with respect to the (nt, nx) state u and the (slots, nx)
-    parameter slots phi."""
-    g_phi = np.zeros((n_param_slots(kind), grid.nx))
+    u, phi)) with respect to the (..., nt, nx) states u and the
+    (..., slots, nx) parameter slots phi."""
+    g_phi = np.zeros(u.shape[:-2] + (n_param_slots(kind), grid.nx))
     if kind == "none":
         return np.zeros_like(u), g_phi
+    phi = np.asarray(phi, dtype=float)
     d1 = grid.space_derivative_matrix(1)
-    ux = u @ d1.T
+    du = space_derivatives(grid, u, physics_order(kind), du)
+    ux = du[0]
     if kind == "convection":
-        g_phi[0] = np.sum(seed * ux, axis=0)
-        return (seed * phi[0][None, :]) @ d1, g_phi
+        g_phi[..., 0, :] = np.sum(seed * ux, axis=-2)
+        return (seed * phi[..., 0, None, :]) @ d1, g_phi
     if kind == "burgers1d":
         return -(seed * ux + (seed * u) @ d1), g_phi
     d2 = grid.space_derivative_matrix(2)
-    a, c = phi[0], phi[1]
-    g_phi[0] = np.sum(seed * (u @ d2.T), axis=0) + d1.T @ np.sum(seed * ux, axis=0)
-    g_phi[1] = np.sum(seed * u, axis=0)
-    g_u = (seed * a[None, :]) @ d2 + (seed * (d1 @ a)[None, :]) @ d1 \
-        + seed * c[None, :]
+    a, c = phi[..., 0, :], phi[..., 1, :]
+    g_phi[..., 0, :] = np.sum(seed * du[1], axis=-2) \
+        + _matvec(d1.T, np.sum(seed * ux, axis=-2))
+    g_phi[..., 1, :] = np.sum(seed * u, axis=-2)
+    g_u = (seed * a[..., None, :]) @ d2 \
+        + (seed * _matvec(d1, a)[..., None, :]) @ d1 + seed * c[..., None, :]
     return g_u, g_phi
 
 
@@ -86,11 +112,13 @@ def residual_columns(kind: str) -> slice:
 
 
 def residual(grid: Grid, kind: str, u: np.ndarray, phi: np.ndarray,
-             f: np.ndarray | None = None) -> np.ndarray:
-    """du/dt - physics - f for one equation's (nt, nx) state, its parameter
-    slots phi and the (nt, nx) values f of its network; f = None leaves the
-    network out."""
-    out = grid.time_derivative_matrix() @ u - apply_physics_array(grid, kind, u, phi)
+             f: np.ndarray | None = None, ut=None, du=None) -> np.ndarray:
+    """du/dt - physics - f for (..., nt, nx) states u, their parameter slots
+    phi and the values f of their networks, shaped like u; f = None leaves
+    the network out."""
+    if ut is None:
+        ut = grid.time_derivative_matrix() @ u
+    out = ut - apply_physics_array(grid, kind, u, phi, du)
     return out if f is None else out - f
 
 

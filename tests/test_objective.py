@@ -281,10 +281,10 @@ class TestR0:
         phi = rng.standard_normal((2, 1, 2, g.nx))
 
         def fg(x):
-            value, g_u, g_phi = r0_value(g, kappa, x[:u.size].reshape(u.shape),
-                                         x[u.size:].reshape(phi.shape))
-            grad = np.concatenate([g_u.reshape(-1), g_phi.reshape(-1)])
-            return value, lambda: grad, None
+            value, backward = r0_value(g, kappa, x[:u.size].reshape(u.shape),
+                                       x[u.size:].reshape(phi.shape))
+            return value, lambda: np.concatenate(
+                [part.reshape(-1) for part in backward()]), None
 
         x = np.concatenate([u.reshape(-1), phi.reshape(-1)])
         assert finite_diff_gradcheck(x, fg, coords="all") < 1e-5
