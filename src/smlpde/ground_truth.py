@@ -173,8 +173,7 @@ def simulate(spec: GroundTruthSpec, grid: Grid) -> np.ndarray:
 def trajectory_jet_sup(grid: Grid, kappa: int, u: np.ndarray) -> float:
     """Largest |jet component| over all experiments, states, and nodes: the
     jet features without their time column."""
-    return max(float(np.max(np.abs(jet_features(grid, kappa, u_l)[:, 1:])))
-               for u_l in u)
+    return float(np.max(np.abs(jet_features(grid, kappa, u)[..., 1:])))
 
 
 def make_dataset(grid: Grid, kappa: int, u_true: np.ndarray, op: MeasurementOp,
@@ -248,8 +247,8 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
     flat_keep = keep.reshape(-1)
 
     # visited jet points, stacked over experiments
-    z = np.concatenate([jet_features(grid, kappa, y_l)[flat_keep]
-                        for y_l in dataset.y])
+    z = jet_features(grid, kappa, dataset.y)[:, flat_keep]
+    z = z.reshape(-1, z.shape[-1])
     scale = max(1.0, float(np.max(np.abs(z))))
     sep_tol = 1e-9 * scale
     ii, jj, sep, ci, cj = _oracle_pairs(z, sep_tol)
@@ -260,8 +259,8 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
     def f_of(phi):
         """The values of the unknown term at the kept nodes: the residual
         without f under the (L, slots, nx) parameter fields phi."""
-        return np.concatenate([residual(grid, kind, u[l], phi[l])
-                               .reshape(-1)[flat_keep] for l in range(L)])
+        return residual(grid, kind, u, phi).reshape(L, -1)[:, flat_keep] \
+            .reshape(-1)
 
     # tiny Huber width so |v_i - v_j| is differentiable at ties
     mu_abs = 1e-9 * scale
@@ -307,10 +306,8 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
             # the values are the residual, du/dt - physics: seed its adjoint
             seeds = np.zeros((L, grid.nt * grid.nx))
             seeds[:, flat_keep] = g_v.reshape(L, -1)
-            g_phi = 2.0 * wx * phi
-            for l in range(L):
-                g_phi[l] -= physics_vjp(grid, kind, u[l], phi[l],
-                                        seeds[l].reshape(grid.nt, grid.nx))[1]
+            g_phi = 2.0 * wx * phi - physics_vjp(
+                grid, kind, u, phi, seeds.reshape(u.shape))[1]
             return value, g_phi.reshape(-1)
 
         rng = np.random.default_rng(tie_seed)

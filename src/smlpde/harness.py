@@ -401,8 +401,8 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     N = ds1.n_states
     box = derive_ubox(ds1, spec.kappa, wcfg["box_margin"])
     # all (t, jets) points of the reference trajectory, stacked over l
-    z_visited = np.concatenate([jet_features(grid, spec.kappa, u_l)
-                                for u_l in u_true])
+    z_visited = jet_features(grid, spec.kappa, u_true)
+    z_visited = z_visited.reshape(-1, z_visited.shape[-1])
     tau0 = _initial_tau(cfg, box)
     setup_s = time.perf_counter() - t_start
 

@@ -69,12 +69,9 @@ def apply_physics_array(grid: Grid, kind: str, u: np.ndarray,
         return phi[..., 0, None, :] * du[0]
     if kind == "burgers1d":
         return -u * du[0]
-    if kind == "diffusion_reaction":
-        a, c = phi[..., 0, :], phi[..., 1, :]
-        ax = _matvec(grid.space_derivative_matrix(1), a)
-        return a[..., None, :] * du[1] + ax[..., None, :] * du[0] \
-            + c[..., None, :] * u
-    raise ValueError(f"unknown physics kind {kind!r}")
+    a, c = phi[..., 0, :], phi[..., 1, :]
+    ax = _matvec(grid.space_derivative_matrix(1), a)
+    return a[..., None, :] * du[1] + ax[..., None, :] * du[0] + c[..., None, :] * u
 
 
 def physics_vjp(grid: Grid, kind: str, u: np.ndarray, phi: np.ndarray,

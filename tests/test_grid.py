@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from smlpde.grid import (Grid, _norm_pow, jet_dimension, jet_features,
-                         write_field_csv)
+                         space_derivatives, write_field_csv)
 
 
 def make_grid(nx=17, nt=9, t_end=1.0):
@@ -158,6 +158,21 @@ class TestJet:
         assert np.array_equal(z[:, 4:], -z[:, 1:4])
 
 
+    @pytest.mark.parametrize("kappa", [0, 1, 2])
+    def test_stack_matches_slices_bitwise(self, kappa):
+        # an (L, N, nt, nx) stack gives each experiment's rows bit for bit,
+        # whether the jets take their derivatives or are handed them
+        g = make_grid()
+        u = np.random.default_rng(2).standard_normal((3, 2, g.nt, g.nx))
+        whole = jet_features(g, kappa, u)
+        given = jet_features(g, kappa, u, space_derivatives(g, u, 2))
+        assert whole.shape == (3, g.nt * g.nx, 1 + 2 * jet_dimension(kappa))
+        for l in range(3):
+            alone = jet_features(g, kappa, u[l])
+            assert whole[l].tobytes() == alone.tobytes()
+            assert given[l].tobytes() == alone.tobytes()
+
+
 class TestBochnerNorm:
     def test_constant_unit_measure(self):
         g = make_grid()
@@ -168,6 +183,20 @@ class TestBochnerNorm:
         g = make_grid()
         f = field_of(g, lambda t, x: 0 * x)
         assert norm(g, f, 2) == 0.0
+
+    @pytest.mark.parametrize("exponent", [2.0, 3.0])
+    def test_stack_matches_slices_bitwise(self, exponent):
+        # one value and one row of inner sums per leading index, each with
+        # the bits of that (N, nt, nx) block alone
+        g = make_grid()
+        wt, wx = g.time_weights(), g.space_weights()
+        fields = np.random.default_rng(3).standard_normal((3, 2, g.nt, g.nx))
+        values, sums = _norm_pow(wt, wx, fields, exponent)
+        assert values.shape == (3,) and sums.shape == (3, g.nt)
+        for l in range(3):
+            value, inner = _norm_pow(wt, wx, fields[l], exponent)
+            assert values[l] == value
+            assert sums[l].tobytes() == inner.tobytes()
 
     def test_linear_profile_closed_form(self):
         # oracle: int_0^1 x^2 dx = 1/3, so the norm is 1/sqrt(3)

@@ -4,14 +4,15 @@ import subprocess
 import sys
 import weakref
 import zlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from smlpde import mlp
+from smlpde import mlp, objective
 from smlpde.errors import BoxViolationError
-from smlpde.grid import Grid
+from smlpde.grid import Grid, space_derivatives
 from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import (ObjectiveBreakdown, Problem, UBox, VarLayout,
                               Vars, Weights, _evaluate_core, _halton, build_box,
@@ -290,7 +291,128 @@ class TestR0:
         assert finite_diff_gradcheck(x, fg, coords="all") < 1e-5
 
 
+    @pytest.mark.parametrize("kappa", [0, 1])
+    def test_stack_matches_experiments_bitwise(self, kappa):
+        # each experiment's gradient blocks are those of that experiment
+        # alone, whether r0 takes the derivatives or is handed them; the
+        # value adds the same parts in another grouping
+        g = make_grid()
+        rng = np.random.default_rng(5)
+        u = smooth_state(rng, g, 3, 2)
+        phi = rng.standard_normal((3, 2, 1, g.nx))
+        ut = g.time_derivative_matrix() @ u
+        value, backward = r0_value(g, kappa, u, phi)
+        shared, shared_backward = r0_value(g, kappa, u, phi, ut=ut,
+                                           du=space_derivatives(g, u, 2))
+        assert shared == value
+        g_u, g_phi = backward()
+        for given, whole in zip(shared_backward(), (g_u, g_phi)):
+            assert given.tobytes() == whole.tobytes()
+        parts = 0.0
+        for l in range(3):
+            part, part_backward = r0_value(g, kappa, u[l:l + 1], phi[l:l + 1])
+            parts += part
+            one_u, one_phi = part_backward()
+            assert g_u[l:l + 1].tobytes() == one_u.tobytes()
+            assert g_phi[l:l + 1].tobytes() == one_phi.tobytes()
+        assert value == pytest.approx(parts, rel=1e-14)
+
+
+def experiment_half(problem, vars_, l):
+    """Experiment l of the problem and its variables as an L=1 problem."""
+    ds = problem.dataset
+    half = replace(ds, y=ds.y[l:l + 1], u0=ds.u0[l:l + 1],
+                   g_lo=ds.g_lo[l:l + 1], g_hi=ds.g_hi[l:l + 1])
+    return (replace(problem, dataset=half),
+            Vars(vars_.u[l:l + 1], vars_.phi[l:l + 1], vars_.nets))
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("kind,kappa,op_kind,N,q", [
+        ("convection", 0, "smooth", 1, 2.0),
+        ("burgers1d", 1, "subsample", 1, 3.0),
+        ("diffusion_reaction", 2, "full", 1, 2.0),
+        ("none", 1, "smooth", 2, 4.0),
+    ])
+    def test_experiments_match_their_halves(self, kind, kappa, op_kind, N, q):
+        # the stacked evaluation of L=2 experiments gives each experiment
+        # the terms and the state blocks it gets alone; the box and theta
+        # terms are shared, and the network gradient adds the experiments'
+        # residual parts to the shared part
+        amp = 0.25 if kappa >= 2 else 0.6
+        problem, vars_ = random_problem(16, kind=kind, kappa=kappa, N=N,
+                                        op_kind=op_kind, q=q, r=q, amp=amp)
+        layout = VarLayout(vars_)
+        bd, backward = _evaluate_core(vars_, problem)
+        grad = backward()
+        g_u = grad[:layout.u_size].reshape(vars_.u.shape)
+        g_phi = grad[layout.u_size:layout.u_size + layout.phi_size] \
+            .reshape(vars_.phi.shape)
+        g_net = grad[layout.u_size + layout.phi_size:]
+        halves = [experiment_half(problem, vars_, l) for l in range(2)]
+        parts = [_evaluate_core(v, p) for p, v in halves]
+        for name in ("residual_term", "initial_term", "boundary_term",
+                     "data_term"):
+            assert getattr(bd, name) == sum(getattr(b, name) for b, _ in parts)
+        for name in ("f_lrho_term", "f_gradsup_term", "theta_norm_term",
+                     "hard_gradsup"):
+            assert all(getattr(b, name) == getattr(bd, name) for b, _ in parts)
+        assert bd.r0_term == pytest.approx(parts[0][0].r0_term
+                                           + parts[1][0].r0_term, rel=1e-14)
+        shared = 0.0
+        for l, ((p, v), (_, half_backward)) in enumerate(zip(halves, parts)):
+            half = VarLayout(v)
+            half_grad = half_backward()
+            assert half_grad[:half.u_size].tobytes() == g_u[l].tobytes()
+            assert half_grad[half.u_size:half.u_size + half.phi_size] \
+                .tobytes() == g_phi[l].tobytes()
+            shared = shared + half_grad[half.u_size + half.phi_size:]
+        # without the residual term a network's gradient is its shared part
+        unfit = replace(problem, weights=replace(problem.weights, lam=0.0))
+        common = _evaluate_core(vars_, unfit)[1]()[layout.u_size
+                                                   + layout.phi_size:]
+        expect = shared - common
+        assert np.max(np.abs(g_net - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_rejected_trial_runs_no_backward_work(self, monkeypatch):
+        # a closure call whose backward pass never runs (a rejected
+        # line-search trial) makes no adjoint, no VJP and no r0 gradient
+        calls = Counter()
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def r0_counted(*args, **kwargs):
+            value, r0_backward = r0_value(*args, **kwargs)
+            return value, counted(r0_backward, "r0 gradient")
+
+        monkeypatch.setattr(objective, "physics_vjp",
+                            counted(objective.physics_vjp, "physics_vjp"))
+        monkeypatch.setattr(objective, "r0_value", r0_counted)
+        monkeypatch.setattr(MeasurementOp, "adjoint_array",
+                            counted(MeasurementOp.adjoint_array, "adjoint"))
+        monkeypatch.setattr(mlp.Tape, "param_vjp",
+                            counted(mlp.Tape.param_vjp, "param_vjp"))
+        problem, vars_ = random_problem(17, kind="convection", kappa=1, L=2,
+                                        N=2, op_kind="smooth")
+        layout = VarLayout(vars_)
+        fg = make_closure(problem, layout)
+        for _ in range(2):
+            fg(layout.pack(vars_))
+        assert calls == Counter()
+        backward = fg(layout.pack(vars_))[1]
+        backward()
+        # one physics adjoint, measurement adjoint and r0 gradient for the
+        # whole stack; a VJP per residual tape (L*N) and per box tape (N)
+        assert calls == Counter({"physics_vjp": 1, "adjoint": 1,
+                                 "r0 gradient": 1, "param_vjp": 2 * 2 + 2})
+        with pytest.raises(RuntimeError):
+            backward()
+        assert sum(calls.values()) == 9
+
     def test_total_is_sum_of_parts_random(self):
         rng = np.random.default_rng(1)
         for trial in range(100):

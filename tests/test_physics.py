@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smlpde import mlp
-from smlpde.grid import Grid, jet_features
+from smlpde.grid import Grid, jet_features, space_derivatives
 from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import Problem, Vars, Weights, _evaluate_core, build_box
 from smlpde.optimizer import finite_diff_gradcheck
@@ -91,6 +91,39 @@ class TestPhysicsVjp:
 
         x = rng.standard_normal(n_u + slots * g.nx)
         assert finite_diff_gradcheck(x, fg, coords="all") < 1e-5
+
+
+class TestStacks:
+    """The objective evaluates every experiment and equation at once: a
+    state stack with leading axes gets, slice by slice, the bits of the same
+    call on each (nt, nx) slice alone, with or without the derivatives
+    passed in."""
+
+    @pytest.mark.parametrize("kind", PHYSICS_KINDS)
+    def test_stack_matches_slices_bitwise(self, kind):
+        g = make_grid()
+        rng = np.random.default_rng(31)
+        u = rng.standard_normal((3, 2, g.nt, g.nx))
+        phi = rng.standard_normal((3, 2, n_param_slots(kind), g.nx))
+        seed = rng.standard_normal(u.shape)
+        f = rng.standard_normal(u.shape)
+        ut = g.time_derivative_matrix() @ u
+        du = space_derivatives(g, u, 2)
+
+        def outputs(u, phi, seed, f, ut=None, du=None):
+            return [apply_physics_array(g, kind, u, phi, du),
+                    *physics_vjp(g, kind, u, phi, seed, du),
+                    residual(g, kind, u, phi, f, ut=ut, du=du)]
+
+        stacked = outputs(u, phi, seed, f)
+        shared = outputs(u, phi, seed, f, ut, du)
+        for l in range(u.shape[0]):
+            for n in range(u.shape[1]):
+                alone = outputs(u[l, n], phi[l, n], seed[l, n], f[l, n])
+                for whole, given, one in zip(stacked, shared, alone):
+                    assert whole[l, n].shape == one.shape
+                    assert whole[l, n].tobytes() == one.tobytes()
+                    assert given[l, n].tobytes() == one.tobytes()
 
 
 class TestAffineCheck:
