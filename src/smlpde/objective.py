@@ -48,10 +48,11 @@ and the gradient are those of a loop over experiments.  With N >= 2 the
 jet adjoints of one experiment's N tapes are summed before the chain rule,
 which may round differently.  Only the networks keep one tape per
 (experiment, network) on all nt*nx nodes: one tape over all L experiments
-outgrows the L2 cache at the study widths.  What depends only on the grid,
-the kind and the weights is built once per Problem: the residual
-quadrature's spatial weights and, for exponent 2, the residual and data
-terms' derivative weights.
+would reassociate the weight-gradient sums, and at width 24 each of its
+(width, L*nt*nx) arrays would hold 2.4 MB, more than a 2 MB L2 cache.
+What depends only on the grid, the kind and the weights is built once
+per Problem: the residual quadrature's spatial weights and, for exponent 2,
+the residual and data terms' derivative weights.
 
 An evaluation is a forward pass and a deferred backward pass.  The forward
 pass builds the jets, checks the box, builds every tape, runs the box
@@ -436,7 +437,7 @@ def _evaluate_core(vars_: Vars, problem: Problem):
     ran = False
 
     def backward():
-        nonlocal ran, ut, du, resid, ddiff, r0_backward
+        nonlocal ran, du, resid, ddiff, r0_backward
         if ran:
             raise RuntimeError("the backward pass of an evaluation runs once")
         ran = True
@@ -454,7 +455,7 @@ def _evaluate_core(vars_: Vars, problem: Problem):
         g_u += op.adjoint_array(wdat * ddiff)
         resid = ddiff = None
         g_phys_u, g_phys_phi = physics_vjp(grid, kind, u, phi, rw, du=du)
-        ut = du = None
+        du = None
         g_u -= g_phys_u
         g_phi -= g_phys_phi
         del g_phys_u, g_phys_phi
