@@ -25,11 +25,13 @@ trials, whose backward pass never ran.  All CSV output uses 17
 significant digits so identical configurations reproduce byte-identical
 files.  The run manifest timings.json, beside report.csv, holds what is not
 reproducible: the wall seconds of every scale and the objective closure
-calls of its starts that did not diverge, the config text, the Python
-and numpy versions, and whether the heap was pinned.  The probe
-writes the same manifest, with the wall seconds and fit-closure calls of
-every width, as probe_timings.json, so that a study and a probe sharing an
-output directory keep both.
+calls of its starts that did not diverge, the process's peak resident MB
+after set-up and after each scale's report row, the config text, the
+Python and numpy versions, and whether the heap was pinned.  The probe
+writes the same manifest, with the wall seconds, fit-closure calls and
+peak resident MB of every width, as probe_timings.json, so that a study
+and a probe sharing an output directory keep both.  Where Python has no
+resource module the peaks read null.
 
 Every entry point (run_convergence_study, approximation_probe,
 gradcheck_from_config) first pins the C allocator's thresholds
@@ -54,6 +56,7 @@ import ctypes
 import json
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -71,6 +74,11 @@ from .objective import (ObjectiveBreakdown, Problem, UBox, VarLayout, Vars,
 from .optimizer import OptimConfig, finite_diff_gradcheck, minimize
 from .physics import n_param_slots, residual, residual_columns
 from .svg import line_chart
+
+try:
+    import resource
+except ImportError:  # no resource module (Windows)
+    resource = None
 
 
 # glibc's mallopt parameter numbers (malloc.h) and its own limits: 32 MiB is
@@ -110,6 +118,16 @@ def _trim_heap() -> None:
     malloc_trim = _libc("malloc_trim")
     if malloc_trim is not None:
         malloc_trim(0)
+
+
+def _peak_rss_mb():
+    """The process's peak resident size so far in MB (getrusage's
+    ru_maxrss, KiB on Linux and bytes on macOS), or None where there is no
+    resource module."""
+    if resource is None:
+        return None
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
@@ -166,23 +184,35 @@ def init_state_from_data(ds, op: MeasurementOp) -> np.ndarray:
 
 def f_sup_error(nets, z_visited: np.ndarray, f_name: str) -> float:
     """max over visited jet points of |f_theta - f_true| (f_true reads the
-    state value, column 1 of the jet layout)."""
-    target = f_true(f_name)(z_visited[:, 1])
+    state value, column 1 of the jet layout).
+
+    z_visited is the (L, rows, dim) stack jet_features returns.  Each
+    network runs one tape per experiment, so the largest tape holds one
+    experiment's rows; a maximum is exact in any order, so the result has
+    the bits of one tape over all L * rows rows."""
     worst = 0.0
-    for net in nets:
-        vals = mlp.forward_batch(net, z_visited)
-        worst = max(worst, float(np.max(np.abs(vals - target))))
+    for z in z_visited:
+        target = f_true(f_name)(z[:, 1])
+        for net in nets:
+            vals = mlp.Tape(net, z).values
+            worst = max(worst, float(np.max(np.abs(vals - target))))
     return worst
 
 
 def grad_sup_error(nets, z_visited: np.ndarray, f_name: str) -> float:
-    u_vals = z_visited[:, 1]
+    """| max over visited jet points of |grad_z f_theta| - sup of |f_true'| |,
+    the true sup taken on a 513-point lattice spanning the smallest to the
+    largest state value of the whole (L, rows, dim) stack z_visited.  The
+    networks' sup is taken one experiment's tape at a time, as in
+    f_sup_error, with the bits of one tape over all rows."""
+    u_vals = z_visited[..., 1]
     u_lattice = np.linspace(float(u_vals.min()), float(u_vals.max()), 513)
     true_sup = float(np.max(np.abs(f_true_deriv(f_name)(u_lattice))))
     fit_sup = 0.0
-    for net in nets:
-        g = mlp.grad_input_batch(net, z_visited)
-        fit_sup = max(fit_sup, float(np.max(np.abs(g))))
+    for z in z_visited:
+        for net in nets:
+            g = mlp.Tape(net, z).input_grads
+            fit_sup = max(fit_sup, float(np.max(np.abs(g))))
     return abs(fit_sup - true_sup)
 
 
@@ -400,11 +430,11 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
                        cfg["measurement"]["data_seed"])
     N = ds1.n_states
     box = derive_ubox(ds1, spec.kappa, wcfg["box_margin"])
-    # all (t, jets) points of the reference trajectory, stacked over l
+    # all (t, jets) points of the reference trajectory, (L, nt*nx, dim)
     z_visited = jet_features(grid, spec.kappa, u_true)
-    z_visited = z_visited.reshape(-1, z_visited.shape[-1])
     tau0 = _initial_tau(cfg, box)
     setup_s = time.perf_counter() - t_start
+    setup_peak = _peak_rss_mb()
 
     report = ConvergenceReport()
     stops = []   # how each start of each scale ended
@@ -465,8 +495,9 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
             if best is None or res.value < best[0]:
                 best = (res.value, layout.unpack(res.x), res.aux, res.trace,
                         res.iterations, stop)
-        scales.append({"m": m, "wall_s": time.perf_counter() - t_scale,
-                       "closure_calls": calls})
+        scale = {"m": m, "wall_s": time.perf_counter() - t_scale,
+                 "closure_calls": calls}
+        scales.append(scale)
         if best is None:
             # every start diverged: mark the row, keep the previous solution
             echo(f"[m={m}] optimization failed: {status}")
@@ -475,6 +506,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
                            float("nan"), float("nan"), float("nan"),
                            float("nan"), float("nan"), 0, status)
             report.rows.append(row)
+            scale["peak_rss_mb"] = _peak_rss_mb()
             continue
         _, vars_best, bd, trace, iterations, stop = best
         stop[-1] = 1
@@ -491,6 +523,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         report.rows.append(row)
         echo(f"[m={m}] total={bd.total:.6g} e_f={e_f:.4g} "
              f"state_err={serr:.4g} param_err={perr:.4g} iters={iterations}")
+        scale["peak_rss_mb"] = _peak_rss_mb()
 
     report.write_csv(os.path.join(out_dir, "report.csv"))
     with open(os.path.join(out_dir, "stops.csv"), "w", newline="") as fh:
@@ -503,7 +536,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     _write_final_vars(grid, prev_vars, out_dir)
     _write_timings(os.path.join(out_dir, "timings.json"), cfg, heap_pinned,
                    {"setup_s": setup_s, "wall_s": time.perf_counter() - t_start,
-                    "scales": scales})
+                    "setup_peak_rss_mb": setup_peak, "scales": scales})
     return report
 
 
@@ -672,7 +705,7 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
             rows.append(ProbeRow(width, float("nan"), float("nan"), grad_true,
                                  float("nan"), float("nan"), f"diverged({exc})"))
         widths.append({"width": width, "wall_s": time.perf_counter() - t_width,
-                       "fit_calls": calls})
+                       "fit_calls": calls, "peak_rss_mb": _peak_rss_mb()})
     good = [r for r in rows if np.isfinite(r.sup_error) and r.sup_error > 0]
     if len(good) >= 2:
         xs = np.log([r.width for r in good])

@@ -41,6 +41,13 @@ are bit-identical to that form.  Output-layer products with a (1, B) or
 (n, 1) factor are broadcasts.  Tape.values is a view of the output layer's
 row, not a copy.
 
+A hidden layer whose sigma' and sigma'' need only a = sigma(z) computes
+its activation over its pre-activation (Activation.value_over): for tanh,
+relu and leaky-relu P[i] and A[i+1] are one array, so a forward pass holds
+the hidden activations and the output row and no second copy of each
+hidden layer.  softplus and requ read z itself and keep P[i] beside
+A[i+1].
+
 Tape.param_vjp returns the parameter gradient as one flat vector in
 flatten_params order (W_1, b_1, W_2, b_2, ...), the layout fit and
 objective closures hand to the optimizer.  Each weight block is written by
@@ -104,8 +111,23 @@ class Activation:
         a = self.value(z)
         return self.curvature(z, a, self.slope(z, a))
 
+    def value_over(self, z):
+        """sigma(z), written over z where slope and curvature need only
+        a = sigma(z): tanh reads a alone, and relu and leaky-relu test
+        z > 0, which holds exactly where a > 0.  softplus and requ read z
+        itself, so they return a fresh array and leave z as it was.  The
+        bits are those of value(z)."""
+        if self.kind == "tanh":
+            return np.tanh(z, out=z)
+        if self.kind == "relu":
+            return np.maximum(z, 0.0, out=z)
+        if self.kind == "leaky-relu":
+            return np.multiply(z, LEAKY_SLOPE, out=z, where=z <= 0)
+        return self.value(z)
+
     def slope(self, z, a):
-        """sigma'(z), given a = sigma(z); tanh reads it off a."""
+        """sigma'(z), given a = sigma(z); tanh reads it off a.  Where
+        value_over wrote a over z, z is a."""
         if self.kind == "tanh":
             s = a * a
             return np.subtract(1.0, s, out=s if np.ndim(s) else None)
@@ -241,7 +263,13 @@ class Tape:
 
     A[0] is the batch Z as passed, (B, n_0); every later array the tape
     holds (A[1:], P, sigma', sigma'', the sweeps' adjoints) is feature-major,
-    (width, B).
+    (width, B).  The forward pass leaves A, with the hidden activations
+    A[1:], and P, whose last entry is the (1, B) output row.  P[i] is
+    A[i+1] for every hidden layer i when the activation's derivatives need
+    only a (tanh, relu, leaky-relu); for softplus and requ P[i] is the
+    separate pre-activation.  sigma' and sigma'' of each hidden layer are
+    added by the first sweep or VJP that needs them, and the input-gradient
+    sweep's ds and cs by input_grads or the first gradient-seeded VJP.
     """
 
     def __init__(self, params: MlpParams, Z: np.ndarray):
@@ -261,7 +289,7 @@ class Tape:
             pre += b[:, None]
             P.append(pre)
             if i < L - 1:
-                x = act.value(pre)
+                x = act.value_over(pre)
                 A.append(x)
         self.A, self.P = A, P
         self.values = P[-1][0]

@@ -6,6 +6,8 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from smlpde.harness import (_lsq_closure, _pin_heap, _staged_minimize,
                             _trim_heap, approximation_probe, build_grid,
                             build_gt_spec, fit_function_lsq,
                             gradcheck_from_config, run_convergence_study)
-from smlpde.ground_truth import simulate
+from smlpde.ground_truth import f_true, f_true_deriv, simulate
 from smlpde.optimizer import OptimConfig, finite_diff_gradcheck, minimize
 
 
@@ -87,6 +89,11 @@ class TestConvergenceStudySmall:
         assert all(s["closure_calls"] > 0 for s in manifest["scales"])
         assert 0 < manifest["setup_s"] < manifest["wall_s"]
         assert sum(s["wall_s"] for s in manifest["scales"]) < manifest["wall_s"]
+        # the process's peak resident MB after set-up and after each scale
+        peaks = ([manifest["setup_peak_rss_mb"]]
+                 + [s["peak_rss_mb"] for s in manifest["scales"]])
+        assert peaks[0] > 0
+        assert peaks == sorted(peaks)
 
     def test_degenerate_schedule_rows_stable(self, tmp_path):
         # growth 1 and fixed noise/operator: tau_m = tau0/m and
@@ -248,6 +255,82 @@ class TestVisitedJets:
         assert np.max(np.abs(z[:, 1])) <= np.max(np.abs(u_true)) + 1e-15
 
 
+def one_tape_sup_errors(nets, z_visited, f_name):
+    """(e_f, grad_sup_err) from one tape per network over all the stack's
+    rows, flattened."""
+    z = z_visited.reshape(-1, z_visited.shape[-1])
+    target = f_true(f_name)(z[:, 1])
+    e_f = max(float(np.max(np.abs(mlp.forward_batch(net, z) - target)))
+              for net in nets)
+    lattice = np.linspace(float(z[:, 1].min()), float(z[:, 1].max()), 513)
+    true_sup = float(np.max(np.abs(f_true_deriv(f_name)(lattice))))
+    fit_sup = max(float(np.max(np.abs(mlp.grad_input_batch(net, z))))
+                  for net in nets)
+    return e_f, abs(fit_sup - true_sup)
+
+
+def traced_peak(make):
+    """(peak bytes tracemalloc saw while make() ran, its result); numpy
+    reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = make()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestSupErrorsPerExperiment:
+    """f_sup_error and grad_sup_error take the (L, rows, dim) jet stack and
+    run one tape per experiment: the bits of one tape over all rows, at the
+    memory of one experiment's tape."""
+
+    @staticmethod
+    def stack_and_nets():
+        # three experiments of 65 x 65 jets, two equations' networks at the
+        # study's m=3 width
+        rng = np.random.default_rng(61)
+        z = rng.uniform(-1.2, 1.2, (3, 4225, 2))
+        z[..., 0] = rng.uniform(0.0, 1.0, (3, 4225))
+        nets = [mlp.init_params([2, 24, 24, 1], mlp.Activation("tanh"), s)
+                for s in (5, 6)]
+        return z, nets
+
+    @pytest.mark.parametrize("f_name", ["cubic", "sine"])
+    def test_bits_of_one_tape(self, f_name):
+        z, nets = self.stack_and_nets()
+        e_f, gse = one_tape_sup_errors(nets, z, f_name)
+        assert repr(harness.f_sup_error(nets, z, f_name)) == repr(e_f)
+        assert repr(harness.grad_sup_error(nets, z, f_name)) == repr(gse)
+
+    def test_lattice_spans_whole_stack(self):
+        # with zero networks the error is the sup of |f_true'| on the
+        # lattice; cubic's |1 - 3u^2| grows with |u|, and only the first
+        # experiment reaches the widest states
+        z, nets = self.stack_and_nets()
+        z[0, :, 1] *= 2.0
+        zero = [mlp.MlpParams([np.zeros_like(w) for w in net.weights],
+                              [np.zeros_like(b) for b in net.biases],
+                              net.activation) for net in nets]
+        whole = harness.grad_sup_error(zero, z, "cubic")
+        assert whole == one_tape_sup_errors(zero, z, "cubic")[1]
+        assert whole > harness.grad_sup_error(zero, z[1:], "cubic")
+
+    def test_peak_within_one_experiment(self):
+        z, nets = self.stack_and_nets()
+        net = nets[0]
+        target = f_true("cubic")(z[0, :, 1])
+        one_f, _ = traced_peak(
+            lambda: np.max(np.abs(mlp.Tape(net, z[0]).values - target)))
+        one_g, _ = traced_peak(
+            lambda: np.max(np.abs(mlp.Tape(net, z[0]).input_grads)))
+        slack = 256 * 1024
+        peak_f, _ = traced_peak(lambda: harness.f_sup_error(nets, z, "cubic"))
+        peak_g, _ = traced_peak(lambda: harness.grad_sup_error(nets, z, "cubic"))
+        assert peak_f <= one_f + slack
+        assert peak_g <= one_g + slack
+
+
 class TestLsqClosure:
     """The least-squares closure of the probe fits and the network prefit."""
 
@@ -382,6 +465,30 @@ class TestApproximationProbe:
             [sum(calls[:4]), sum(calls[4:])]
         for w in manifest["widths"]:
             assert 0 < w["wall_s"] <= manifest["wall_s"]
+        # the process's peak resident MB after each width
+        peaks = [w["peak_rss_mb"] for w in manifest["widths"]]
+        assert peaks[0] > 0
+        assert peaks == sorted(peaks)
+
+    def test_peak_rss_without_resource_is_null(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "resource", None)
+        cfg = default_config()
+        cfg.sections["probe"].update(widths=[4], train_iters=20)
+        cfg.sections["output"].update(dir=str(tmp_path))
+        approximation_probe(cfg, echo=lambda *_: None)
+        with open(tmp_path / "probe_timings.json") as fh:
+            assert json.load(fh)["widths"][0]["peak_rss_mb"] is None
+
+    @pytest.mark.parametrize("platform_name, mb", [("linux", 3072.0),
+                                                   ("darwin", 3.0)])
+    def test_peak_rss_units(self, monkeypatch, platform_name, mb):
+        # ru_maxrss counts KiB on Linux and bytes on macOS
+        usage = types.SimpleNamespace(ru_maxrss=3 << 20)
+        monkeypatch.setattr(harness, "resource", types.SimpleNamespace(
+            RUSAGE_SELF=0, getrusage=lambda who: usage))
+        monkeypatch.setattr(harness, "sys",
+                            types.SimpleNamespace(platform=platform_name))
+        assert harness._peak_rss_mb() == mb
 
     def test_probe_csv_written(self, tmp_path):
         cfg = default_config()

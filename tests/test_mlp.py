@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,11 +214,14 @@ class TestSecondOrderVjp:
                 assert a.tobytes() == b.tobytes()
 
 
-def reference_tape(net, Z):
+def reference_tape(net, Z, from_derivs=False):
     """The tape's feature-major formulas with a fresh temporary for every
     product, the output layer's products through matmul and every bias
     gradient through sum(axis=1): (values, input_grads, vjp) with
-    vjp(val_seeds, grad_seeds, want_input_grad) -> (bar_W, bar_b, bar_Z)."""
+    vjp(val_seeds, grad_seeds, want_input_grad) -> (bar_W, bar_b, bar_Z).
+    Every pre-activation is a fresh array the reference never writes over;
+    with from_derivs, sigma' and sigma'' are Activation.deriv and deriv2 of
+    it."""
     act = net.activation
     W, L = net.weights, net.depth
     X, P = [Z.T], []
@@ -225,9 +229,13 @@ def reference_tape(net, Z):
         P.append(w @ X[-1] + b[:, None])
         if i < L - 1:
             X.append(act.value(P[-1]))
-    sp = [1.0 - a * a if act.kind == "tanh" else act.slope(p, a)
-          for p, a in zip(P, X[1:])]
-    spp = [act.curvature(p, a, s) for p, a, s in zip(P, X[1:], sp)]
+    if from_derivs:
+        sp = [act.deriv(p) for p in P[:-1]]
+        spp = [act.deriv2(p) for p in P[:-1]]
+    else:
+        sp = [1.0 - a * a if act.kind == "tanh" else act.slope(p, a)
+              for p, a in zip(P, X[1:])]
+        spp = [act.curvature(p, a, s) for p, a, s in zip(P, X[1:], sp)]
     ds, cs = [None] * L, [None] * L
     ds[L - 1] = np.ones((1, Z.shape[0]))
     for i in range(L - 1, -1, -1):
@@ -370,6 +378,87 @@ class TestTapeMatchesReference:
                             assert bar_Z.tobytes() == expect_Z.tobytes()
                         else:
                             assert bar_Z is None
+
+
+OVER_PRE_ACTIVATION = ("tanh", "relu", "leaky-relu")
+
+
+class TestActivationOverPreActivation:
+    """tanh, relu and leaky-relu write each hidden activation over its
+    pre-activation, so P[i] is A[i+1]; softplus and requ keep both.  No
+    output moves a bit against Activation.value, deriv and deriv2 evaluated
+    on fresh arrays."""
+
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    def test_value_over(self, activation):
+        act = Activation(activation)
+        z = np.concatenate([np.linspace(-3.0, 3.0, 13), [0.0, -0.0, 1e-320,
+                                                         -1e-320]])
+        before = z.copy()
+        a = act.value_over(z)
+        assert a.tobytes() == act.value(before).tobytes()
+        assert (a is z) == (activation in OVER_PRE_ACTIVATION)
+        if activation not in OVER_PRE_ACTIVATION:
+            assert z.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    def test_which_arrays_are_shared(self, activation):
+        net = random_net([3, 6, 5, 1], 25, activation)
+        Z = np.random.default_rng(26).uniform(-1.5, 1.5, (9, 3))
+        tape = mlp.Tape(net, Z)
+        for i in range(net.depth - 1):
+            shared = tape.P[i] is tape.A[i + 1]
+            assert shared == (activation in OVER_PRE_ACTIVATION)
+            if not shared:
+                x = Z.T if i == 0 else tape.A[i]
+                expect = net.weights[i] @ x + net.biases[i][:, None]
+                assert tape.P[i].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_bits_of_value_deriv_deriv2(self, activation, depth):
+        rng = np.random.default_rng(51 + depth)
+        sizes = [3] + [8] * (depth - 1) + [1]
+        net = random_net(sizes, 29 * depth, activation)
+        for B in (1, 129, 4225):
+            Z = rng.uniform(-1.5, 1.5, (B, 3))
+            val_seeds = heavy_tailed(rng, B)
+            grad_seeds = heavy_tailed(rng, (B, 3))
+            values, input_grads, vjp = reference_tape(net, Z, from_derivs=True)
+            tape = mlp.Tape(net, Z)
+            assert tape.values.tobytes() == values.tobytes()
+            assert tape.input_grads.tobytes() == input_grads.tobytes()
+            grad, bar_Z = tape.param_vjp(val_seeds, None, True)
+            *layers, expect_Z = vjp(val_seeds, None, True)
+            assert grad.tobytes() == flat_reference(layers).tobytes()
+            assert bar_Z.tobytes() == expect_Z.tobytes()
+            grad, _ = tape.param_vjp(None, grad_seeds)
+            *layers, _ = vjp(None, grad_seeds, False)
+            assert grad.tobytes() == flat_reference(layers).tobytes()
+
+
+def traced_peak(make):
+    """(peak bytes tracemalloc saw while make() ran, its result); numpy
+    reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = make()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestTapeMemory:
+    def test_forward_holds_activations_and_output(self):
+        # the study's widest hidden layers (width 24 at m=3) on one
+        # experiment's 65 x 65 jets: the forward pass allocates the hidden
+        # activations and the output row, and no pre-activation besides
+        net = init_params([2, 24, 24, 1], Activation("tanh"), 3)
+        Z = np.random.default_rng(27).uniform(-1.0, 1.0, (4225, 2))
+        peak, tape = traced_peak(lambda: mlp.Tape(net, Z))
+        held = sum(a.nbytes for a in tape.A[1:]) + tape.P[-1].nbytes
+        assert held == (2 * 24 + 1) * 4225 * 8
+        assert peak <= held + 64 * 1024
 
 
 def assert_close_blockwise(got, expect, what):
