@@ -8,7 +8,7 @@ the penalty weights and data quality toward the full-measurement limit.
 
 from .errors import (BoxViolationError, ConfigError, DivergedError,
                      OracleInfeasibleError)
-from .grid import Grid, jet_dimension, jet_features
+from .grid import Grid, jet_features
 from .measurement import Dataset, MeasurementOp, add_noise, operator_gap
 from .mlp import Activation, MlpParams, init_params, lipschitz_bound, param_norm
 from .objective import (ObjectiveBreakdown, UBox, Vars, Weights, derive_ubox,

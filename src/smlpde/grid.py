@@ -9,7 +9,9 @@ quadratics, and every adjoint is a plain matrix transpose.
 
 jet_features stacks the nodewise network inputs [t, jets of all states];
 the objective, the warm-start fit, the study's error metrics and the limit
-oracle all take their rows from it.
+oracle all take their rows from it, and the reference trajectory's stack
+feeds the regularization box (objective.derive_ubox takes its radius and
+its dimension from that stack).
 
 Fields are plain (nt, nx) arrays, indexed (t, x).  A stack of them, such as
 the objective's (L, N, nt, nx) states, keeps any leading axes: a stencil
@@ -28,15 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-
-def jet_dimension(kappa: int) -> int:
-    """Number of derivative components per state up to order kappa: the
-    state and its spatial derivatives of orders 1..kappa (the second-order
-    stencils cap kappa at 2).  The time coordinate is not counted."""
-    if not 0 <= kappa <= 2:
-        raise ValueError(f"jet order must be 0, 1 or 2, got {kappa}")
-    return kappa + 1
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +161,7 @@ def space_derivatives(grid: Grid, u: np.ndarray, order: int,
 def jet_features(grid: Grid, kappa: int, u_states: np.ndarray,
                  du=None) -> np.ndarray:
     """Nodewise network inputs [t, u_1, D u_1, .., D^kappa u_1, u_2, ..],
-    shape (..., nt*nx, 1 + N * jet_dimension(kappa)), rows time-major.
+    shape (..., nt*nx, 1 + N * (kappa + 1)), rows time-major.
 
     u_states has shape (..., N, nt, nx); du, if given, holds its spatial
     derivatives (space_derivatives) up to order kappa at least.

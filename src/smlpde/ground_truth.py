@@ -7,7 +7,8 @@ bound demands it.  Boundary nodes are held at the initial profile's values
 whenever the physical term couples neighbours (for a pure reaction term
 every node evolves independently, so no boundary condition applies).
 make_dataset measures a given trajectory, so a study simulates once and
-measures the same trajectory at every scale.
+measures the same trajectory at every scale; it takes no jets, since the
+box is derived from the reference trajectory's jets (objective.derive_ubox).
 
 limit_oracle solves the reduced constrained problem on a tiny grid with
 full noiseless measurements: the state is pinned to the data, the unknown
@@ -170,13 +171,7 @@ def simulate(spec: GroundTruthSpec, grid: Grid) -> np.ndarray:
     return out
 
 
-def trajectory_jet_sup(grid: Grid, kappa: int, u: np.ndarray) -> float:
-    """Largest |jet component| over all experiments, states, and nodes: the
-    jet features without their time column."""
-    return float(np.max(np.abs(jet_features(grid, kappa, u)[..., 1:])))
-
-
-def make_dataset(grid: Grid, kappa: int, u_true: np.ndarray, op: MeasurementOp,
+def make_dataset(grid: Grid, u_true: np.ndarray, op: MeasurementOp,
                  noise_level: float, seed: int) -> Dataset:
     """Measure and perturb the (L, N, nt, nx) trajectory u_true, whose
     initial and boundary values the dataset carries exactly.
@@ -193,8 +188,7 @@ def make_dataset(grid: Grid, kappa: int, u_true: np.ndarray, op: MeasurementOp,
             y[l, n] = vals
     return Dataset(grid=grid, y=y, u0=u_true[:, :, 0].copy(),
                    g_lo=u_true[..., 0].copy(), g_hi=u_true[..., -1].copy(),
-                   noise_level=noise_level, seed=seed, op_kind=op.kind, m=op.m,
-                   ref_jet_sup=trajectory_jet_sup(grid, kappa, u_true))
+                   noise_level=noise_level, seed=seed, op_kind=op.kind, m=op.m)
 
 
 # --- reduced-problem oracle -----------------------------------------------------

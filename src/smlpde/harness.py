@@ -33,6 +33,16 @@ peak resident MB of every width, as probe_timings.json, so that a study
 and a probe sharing an output directory keep both.  Where Python has no
 resource module the peaks read null.
 
+The study and gradcheck_from_config share one reference set-up
+(_reference): the grid, the ground truth, its trajectory (simulated once),
+the trajectory's jet stack (taken once), the box derived from that stack
+and tau0.  The stack holds the visited jet points the report's errors are
+taken on.  Outside the objective and fit closures every network is
+evaluated through one mlp.Tape per (experiment, network), and
+f_sup_error reads both of its errors off that one tape.  The prefit and
+the probe's fits run their adaptive stages through one loop
+(_adaptive_stages), which hands the fit's one closure to every stage.
+
 Every entry point (run_convergence_study, approximation_probe,
 gradcheck_from_config) first pins the C allocator's thresholds
 (_pin_heap).  Each closure call allocates and frees numpy temporaries of
@@ -182,38 +192,32 @@ def init_state_from_data(ds, op: MeasurementOp) -> np.ndarray:
     return sm
 
 
-def f_sup_error(nets, z_visited: np.ndarray, f_name: str) -> float:
-    """max over visited jet points of |f_theta - f_true| (f_true reads the
-    state value, column 1 of the jet layout).
+def f_sup_error(nets, z_visited: np.ndarray, f_name: str):
+    """(e_f, grad_sup_err) of the networks on the visited jet points.
+
+    e_f is the max over visited jet points of |f_theta - f_true| (f_true
+    reads the state value, column 1 of the jet layout).  grad_sup_err is
+    | max over visited jet points of |grad_z f_theta| - sup of |f_true'| |,
+    the true sup taken on a 513-point lattice spanning the smallest to the
+    largest state value of the whole stack.
 
     z_visited is the (L, rows, dim) stack jet_features returns.  Each
-    network runs one tape per experiment, so the largest tape holds one
-    experiment's rows; a maximum is exact in any order, so the result has
-    the bits of one tape over all L * rows rows."""
-    worst = 0.0
-    for z in z_visited:
-        target = f_true(f_name)(z[:, 1])
-        for net in nets:
-            vals = mlp.Tape(net, z).values
-            worst = max(worst, float(np.max(np.abs(vals - target))))
-    return worst
-
-
-def grad_sup_error(nets, z_visited: np.ndarray, f_name: str) -> float:
-    """| max over visited jet points of |grad_z f_theta| - sup of |f_true'| |,
-    the true sup taken on a 513-point lattice spanning the smallest to the
-    largest state value of the whole (L, rows, dim) stack z_visited.  The
-    networks' sup is taken one experiment's tape at a time, as in
-    f_sup_error, with the bits of one tape over all rows."""
+    network runs one tape per experiment, which gives both maxima, so the
+    largest tape holds one experiment's rows and its input gradients; a
+    maximum is exact in any order, so the results have the bits of one
+    tape over all L * rows rows."""
     u_vals = z_visited[..., 1]
     u_lattice = np.linspace(float(u_vals.min()), float(u_vals.max()), 513)
     true_sup = float(np.max(np.abs(f_true_deriv(f_name)(u_lattice))))
-    fit_sup = 0.0
+    worst = fit_sup = 0.0
     for z in z_visited:
+        target = f_true(f_name)(z[:, 1])
         for net in nets:
-            g = mlp.Tape(net, z).input_grads
-            fit_sup = max(fit_sup, float(np.max(np.abs(g))))
-    return abs(fit_sup - true_sup)
+            tape = mlp.Tape(net, z)
+            worst = max(worst, float(np.max(np.abs(tape.values - target))))
+            fit_sup = max(fit_sup, float(np.max(np.abs(tape.input_grads))))
+            del tape   # before the next tape is built
+    return worst, abs(fit_sup - true_sup)
 
 
 def state_error(grid: Grid, u: np.ndarray, u_true: np.ndarray) -> float:
@@ -279,14 +283,36 @@ def _write_trace(path, m: int, trace) -> None:
 TAU0_FACTOR = 0.1
 
 
-def _initial_tau(cfg: ExperimentConfig, box: UBox) -> float:
-    """tau0 = TAU0_FACTOR * hard gradient-sup of the scale-1 initial network."""
-    sizes = network_sizes(cfg, box.dim, 1)
-    net = mlp.init_params(sizes, mlp.Activation(cfg["network"]["activation"]),
+@dataclass
+class _Reference:
+    """The configured experiment's reference set-up, shared by the study
+    and the gradient check: the grid, the ground truth, its trajectory
+    u_true (L, 1, nt, nx), the jet stack z_visited (L, nt*nx, dim) of every
+    (t, jets) point that trajectory visits, the box derived from it, and
+    tau0."""
+
+    grid: Grid
+    spec: GroundTruthSpec
+    u_true: np.ndarray
+    z_visited: np.ndarray
+    box: UBox
+    tau0: float
+
+
+def _reference(cfg: ExperimentConfig) -> _Reference:
+    """Simulate the reference trajectory once and take its jets once."""
+    grid = build_grid(cfg)
+    spec = build_gt_spec(cfg)
+    u_true = simulate(spec, grid)
+    z_visited = jet_features(grid, spec.kappa, u_true)
+    box = derive_ubox(grid, z_visited, cfg["weights"]["box_margin"])
+    # tau0 = TAU0_FACTOR * hard gradient-sup of the scale-1 initial network
+    net = mlp.init_params(network_sizes(cfg, box.dim, 1),
+                          mlp.Activation(cfg["network"]["activation"]),
                           cfg["network"]["init_seed"])
-    g = mlp.grad_input_batch(net, box.samples)
-    est = float(np.max(np.abs(g)))
-    return max(TAU0_FACTOR * est, 1e-6)
+    est = float(np.max(np.abs(mlp.Tape(net, box.samples).input_grads)))
+    return _Reference(grid, spec, u_true, z_visited, box,
+                      max(TAU0_FACTOR * est, 1e-6))
 
 
 def initial_phi_estimate(grid: Grid, kind: str, u_init: np.ndarray) -> np.ndarray:
@@ -296,21 +322,18 @@ def initial_phi_estimate(grid: Grid, kind: str, u_init: np.ndarray) -> np.ndarra
     projecting du/dt onto du/dx column by column gives a cheap, stable first
     guess (the reaction part of the residual biases it, but the optimizer
     only needs a starting point on the right side of zero)."""
-    L, N = u_init.shape[0], u_init.shape[1]
-    phi = np.zeros((L, N, n_param_slots(kind), grid.nx))
+    phi = np.zeros(u_init.shape[:2] + (n_param_slots(kind), grid.nx))
     if kind != "convection":
         return phi
-    dtm = grid.time_derivative_matrix()
-    d1 = grid.space_derivative_matrix(1)
-    wt = grid.time_weights()
-    for l in range(L):
-        for n in range(N):
-            dtu = dtm @ u_init[l, n]
-            ux = u_init[l, n] @ d1.T
-            num = np.sum(wt[:, None] * dtu * ux, axis=0)
-            den = np.sum(wt[:, None] * ux * ux, axis=0)
-            ridge = 0.1 * float(np.max(den)) + 1e-12
-            phi[l, n, 0] = num / (den + ridge)
+    # on the whole (L, N, nt, nx) stack; each (l, n) slice gets the bits
+    # it would get alone
+    dtu = grid.time_derivative_matrix() @ u_init
+    ux = u_init @ grid.space_derivative_matrix(1).T
+    wt = grid.time_weights()[:, None]
+    num = np.sum(wt * dtu * ux, axis=-2)
+    den = np.sum(wt * ux * ux, axis=-2)
+    ridge = 0.1 * np.max(den, axis=-1, keepdims=True) + 1e-12
+    phi[:, :, 0] = num / (den + ridge)
     return phi
 
 
@@ -354,12 +377,22 @@ def prefit_net_to_residual(net, Z: np.ndarray, y: np.ndarray,
     apparent residual y on its rows Z (prefit_rows).  Gives the optimizer a
     starting function of the right scale instead of asking it to climb out
     of the zero-function well."""
-    fg = _lsq_closure(net, Z, y)
-    res = mlp.flatten_params(net)
-    for rate, frac in ((1e-2, 0.6), (3e-3, 0.4)):
-        res = minimize(res, fg, OptimConfig(max_iters=max(1, int(iters * frac)),
-                                            grad_tol=0.0, rate=rate))
+    res, _ = _adaptive_stages(_lsq_closure(net, Z, y), mlp.flatten_params(net),
+                              iters, ((1e-2, 0.6), (3e-3, 0.4)))
     return mlp.unflatten_params(res.x, net)
+
+
+def _adaptive_stages(fg, x, iters: int, stages):
+    """Adaptive stages of a least-squares fit, each resuming the last:
+    stage (rate, share) runs max(1, int(iters * share)) iterations at rate
+    with no gradient tolerance.  Every stage is handed the one closure fg.
+    Returns the last stage's OptResult and the closure calls of all."""
+    calls = 0
+    for rate, share in stages:
+        x = minimize(x, fg, OptimConfig(max_iters=max(1, int(iters * share)),
+                                        grad_tol=0.0, rate=rate))
+        calls += x.calls
+    return x, calls
 
 
 def _staged_minimize(x0, fg, base: OptimConfig):
@@ -401,38 +434,31 @@ def _staged_minimize(x0, fg, base: OptimConfig):
     return res
 
 
-def _scale_problem(cfg: ExperimentConfig, spec: GroundTruthSpec, dataset,
-                   op: MeasurementOp, box: UBox, m: int, tau: float) -> Problem:
-    """The configured experiment's scale-m objective on dataset."""
+def _scale_problem(cfg: ExperimentConfig, ref: _Reference, dataset,
+                   op: MeasurementOp, m: int, tau: float) -> Problem:
+    """The configured experiment's scale-m objective on dataset, over the
+    reference set-up's box."""
     lam, mu, nu, _ = schedule_values(cfg, m)
     w = cfg["weights"]
     weights = Weights(lam=lam, mu=mu, nu=nu, q=w["q"], r=w["r"], rho=w["rho"],
                       param_norm_p=w["param_norm_p"], tau=tau)
-    return Problem(dataset.grid, dataset, op, spec.kind, spec.kappa, weights, box)
+    return Problem(dataset.grid, dataset, op, ref.spec.kind, ref.spec.kappa,
+                   weights, ref.box)
 
 
 def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceReport:
     heap_pinned = _pin_heap()
     t_start = time.perf_counter()
-    grid = build_grid(cfg)
-    spec = build_gt_spec(cfg)
     wcfg = cfg["weights"]
     ocfg = cfg["optimizer"]
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
 
-    phi_true = spec.phi_values(grid)
-
     # the reference trajectory, simulated once and measured at every scale
-    u_true = simulate(spec, grid)
-    op1 = MeasurementOp(cfg["measurement"]["family"], 1, grid)
-    ds1 = make_dataset(grid, spec.kappa, u_true, op1, 0.0,
-                       cfg["measurement"]["data_seed"])
-    N = ds1.n_states
-    box = derive_ubox(ds1, spec.kappa, wcfg["box_margin"])
-    # all (t, jets) points of the reference trajectory, (L, nt*nx, dim)
-    z_visited = jet_features(grid, spec.kappa, u_true)
-    tau0 = _initial_tau(cfg, box)
+    ref = _reference(cfg)
+    grid, spec, u_true = ref.grid, ref.spec, ref.u_true
+    N = u_true.shape[1]
+    phi_true = spec.phi_values(grid)
     setup_s = time.perf_counter() - t_start
     setup_peak = _peak_rss_mb()
 
@@ -446,13 +472,13 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         t_scale = time.perf_counter()
         calls = 0
         lam, mu, nu, noise = schedule_values(cfg, m)
-        tau_m = max(tau0 / m, 1e-9)
+        tau_m = max(ref.tau0 / m, 1e-9)
         op = MeasurementOp(cfg["measurement"]["family"], m, grid)
         seed_m = cfg["measurement"]["data_seed"] + 1009 * m
-        dataset = make_dataset(grid, spec.kappa, u_true, op, noise, seed_m)
+        dataset = make_dataset(grid, u_true, op, noise, seed_m)
         save_dataset(dataset, out_dir)
-        problem = _scale_problem(cfg, spec, dataset, op, box, m, tau_m)
-        sizes = network_sizes(cfg, box.dim, m)
+        problem = _scale_problem(cfg, ref, dataset, op, m, tau_m)
+        sizes = network_sizes(cfg, ref.box.dim, m)
         opt_config = OptimConfig(max_iters=ocfg["max_iters"],
                                  grad_tol=ocfg["grad_tol"])
 
@@ -514,8 +540,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         _write_trace(os.path.join(out_dir, f"trace_m{m}.csv"), m, trace)
 
         psi_hat = mlp.param_norm(vars_best.nets, wcfg["param_norm_p"])[0]
-        e_f = f_sup_error(vars_best.nets, z_visited, spec.f_name)
-        gse = grad_sup_error(vars_best.nets, z_visited, spec.f_name)
+        e_f, gse = f_sup_error(vars_best.nets, ref.z_visited, spec.f_name)
         serr = state_error(grid, vars_best.u, u_true)
         perr = param_error(grid, vars_best.phi, phi_true)
         row = ScaleRow(m, lam, mu, nu, noise, tau_m, sizes[1], bd, e_f, gse,
@@ -647,13 +672,8 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
     else:
         net = mlp.init_params(sizes, mlp.Activation(activation_kind), seed)
     fg = _lsq_closure(net, z_fit, target)
-    res = mlp.flatten_params(net)
-    calls = 0
-    for rate, frac in ((1e-2, 0.35), (3e-3, 0.25), (1e-3, 0.2)):
-        cfg = OptimConfig(max_iters=max(1, int(iters * frac)), grad_tol=0.0,
-                          rate=rate)
-        res = minimize(res, fg, cfg)
-        calls += res.calls
+    res, calls = _adaptive_stages(fg, mlp.flatten_params(net), iters,
+                                  ((1e-2, 0.35), (3e-3, 0.25), (1e-3, 0.2)))
     # Armijo polish: the adaptive method plateaus at its step scale
     cfg = OptimConfig(max_iters=max(1, int(iters * 0.2)), grad_tol=1e-13,
                       rate=1.0, method="gd_linesearch")
@@ -669,9 +689,9 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
     fitted.weights[-1] = coef[:-1][None, :]
     fitted.biases[-1] = coef[-1:]
     z_eval = np.linspace(lo, hi, 257)[:, None]
-    sup_err = float(np.max(np.abs(mlp.forward_batch(fitted, z_eval)
-                                  - fvec(z_eval[:, 0]))))
-    grad_fit = float(np.max(np.abs(mlp.grad_input_batch(fitted, z_eval))))
+    tape = mlp.Tape(fitted, z_eval)
+    sup_err = float(np.max(np.abs(tape.values - fvec(z_eval[:, 0]))))
+    grad_fit = float(np.max(np.abs(tape.input_grads)))
     return fitted, sup_err, grad_fit, mlp.param_norm([fitted], 2.0)[0], calls
 
 
@@ -734,23 +754,23 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     """Finite-difference audit of the assembled objective gradient at a
     scale-1 point of the configured experiment.
 
-    The point is near the study's scale-1 start but is not it: the data
-    carry noise seed data_seed (the study's scale 1 uses data_seed + 1009),
-    the states start from the data as in the study, the parameter fields
-    start at zero instead of the ridge estimate, the networks are freshly
-    initialized without the prefit, and tau is floored at 1e-4."""
+    It builds the study's reference set-up (_reference): the same
+    trajectory, jet stack, box and tau0.  The point is near the study's
+    scale-1 start but is not it: the data carry noise seed data_seed (the
+    study's scale 1 uses data_seed + 1009), the states start from the data
+    as in the study, the parameter fields start at zero instead of the
+    ridge estimate, the networks are freshly initialized without the
+    prefit, and tau is floored at 1e-4."""
     _pin_heap()
-    grid = build_grid(cfg)
-    spec = build_gt_spec(cfg)
+    ref = _reference(cfg)
+    grid, spec = ref.grid, ref.spec
     op = MeasurementOp(cfg["measurement"]["family"], 1, grid)
     noise = schedule_values(cfg, 1)[3]
-    dataset = make_dataset(grid, spec.kappa, simulate(spec, grid), op, noise,
+    dataset = make_dataset(grid, ref.u_true, op, noise,
                            cfg["measurement"]["data_seed"])
     N = dataset.n_states
-    box = derive_ubox(dataset, spec.kappa, cfg["weights"]["box_margin"])
-    problem = _scale_problem(cfg, spec, dataset, op, box, 1,
-                             max(_initial_tau(cfg, box), 1e-4))
-    nets = [mlp.init_params(network_sizes(cfg, box.dim, 1),
+    problem = _scale_problem(cfg, ref, dataset, op, 1, max(ref.tau0, 1e-4))
+    nets = [mlp.init_params(network_sizes(cfg, ref.box.dim, 1),
                             mlp.Activation(cfg["network"]["activation"]),
                             cfg["network"]["init_seed"] + n)
             for n in range(N)]

@@ -132,9 +132,9 @@ def add_noise(values: np.ndarray, level: float, seed: int) -> np.ndarray:
 class Dataset:
     """Measured data plus the given initial/boundary values, per experiment.
 
-    y has shape (L, N, nt, nx); u0 (L, N, nx); g_lo/g_hi (L, N, nt).
-    ref_jet_sup records the sup-norm over all jet components of the
-    trajectory the data came from (used to derive the regularization box).
+    y has shape (L, N, nt, nx); u0 (L, N, nx); g_lo/g_hi (L, N, nt).  A
+    dataset carries no box bound: the regularization box comes from the
+    reference trajectory's jets (objective.derive_ubox).
     """
 
     grid: Grid
@@ -146,7 +146,6 @@ class Dataset:
     seed: int = 0
     op_kind: str = "full"
     m: int = 1
-    ref_jet_sup: float | None = None
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)

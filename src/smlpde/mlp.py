@@ -1,17 +1,20 @@
 """Fully connected feed-forward networks with hand-rolled reverse mode.
 
 A network maps R^{n_0} -> R: every hidden layer applies z -> sigma(W z + b),
-the final layer is affine with no activation.  For a batch of inputs (one
-per row) the module provides
+the final layer is affine with no activation.  Every evaluation of a
+network goes through one Tape over a batch of inputs (one per row):
 
-  * forward_batch    -- the outputs,
-  * grad_input_batch -- the gradients of the output w.r.t. each input,
+  * Tape.values      -- the outputs, from the forward pass,
+  * Tape.input_grads -- the gradients of the output w.r.t. each input,
   * Tape.param_vjp   -- the parameter gradient of any linear functional of
                         (value, input-gradient), and optionally its input
                         gradient.  A gradient seed needs one extra adjoint
                         sweep through the input-gradient computation and
                         sigma''; it is what makes the gradient-sup
                         regularizer differentiable in the weights.
+
+A caller that needs both the outputs and the input gradients of the same
+rows reads both off one tape.
 
 The tape is feature-major.  Callers pass and receive batches one input
 per row: Z and A[0] (the batch as passed) are (B, n_0), Tape.values is
@@ -394,14 +397,6 @@ class Tape:
         if want_input_grad and bar_Z is None:
             bar_Z = np.zeros_like(self.A[0])
         return grad, bar_Z
-
-
-def forward_batch(params: MlpParams, Z) -> np.ndarray:
-    return Tape(params, Z).values
-
-
-def grad_input_batch(params: MlpParams, Z) -> np.ndarray:
-    return Tape(params, Z).input_grads.copy()
 
 
 def lipschitz_bound(params: MlpParams, l_sigma: float) -> float:

@@ -80,8 +80,7 @@ import numpy as np
 
 from . import mlp
 from .errors import BoxViolationError
-from .grid import (Grid, _norm_pow, jet_dimension, jet_features,
-                   space_derivatives)
+from .grid import Grid, _norm_pow, jet_features, space_derivatives
 from .measurement import Dataset, MeasurementOp
 from .physics import physics_order, physics_vjp, residual, residual_columns
 
@@ -172,17 +171,14 @@ def build_box(dim: int, radius: float, points_per_axis: int = 33,
     return UBox(dim=dim, radius=radius, samples=samples, quad_weights=weights)
 
 
-def derive_ubox(dataset: Dataset, kappa: int, margin: float) -> UBox:
-    """Box radius = t_end + margin * (jet sup of the reference trajectory),
-    with the grid and the number of states read from the dataset."""
+def derive_ubox(grid: Grid, z_ref: np.ndarray, margin: float) -> UBox:
+    """The box around the reference trajectory's jets z_ref (jet_features'
+    rows, any leading axes): radius t_end + margin * the largest |jet
+    component| outside the time column, dimension z_ref.shape[-1]."""
     if margin < 1.1:
         raise ValueError(f"margin must be >= 1.1, got {margin}")
-    bound = dataset.ref_jet_sup
-    if bound is None:
-        raise ValueError("no jet sup-norm bound available for the box radius")
-    dim = 1 + dataset.n_states * jet_dimension(kappa)
-    radius = dataset.grid.t_end + margin * float(bound)
-    return build_box(dim, radius)
+    radius = grid.t_end + margin * float(np.max(np.abs(z_ref[..., 1:])))
+    return build_box(z_ref.shape[-1], radius)
 
 
 def smooth_max(values, tau: float):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from smlpde.grid import (Grid, _norm_pow, jet_dimension, jet_features,
-                         space_derivatives, write_field_csv)
+from smlpde.grid import (Grid, _norm_pow, jet_features, space_derivatives,
+                         write_field_csv)
 
 
 def make_grid(nx=17, nt=9, t_end=1.0):
@@ -29,17 +29,6 @@ def norm(grid, values, exponent):
     """The nested norm of one field: the e-th root of _norm_pow."""
     wt, wx = grid.time_weights(), grid.space_weights()
     return _norm_pow(wt, wx, values[None], exponent)[0] ** (1.0 / exponent)
-
-
-class TestJetDimension:
-    def test_1d_each_order_single(self):
-        assert [jet_dimension(k) for k in range(3)] == [1, 2, 3]
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            jet_dimension(-1)
-        with pytest.raises(ValueError):
-            jet_dimension(3)  # the stencils stop at second order
 
 
 class TestGridInvariants:
@@ -153,7 +142,7 @@ class TestJet:
         f = field_of(g, lambda t, x: x)
         two = np.stack([f, -f])
         z = jet_features(g, 2, two)
-        assert z.shape[1] == 1 + 2 * jet_dimension(2)
+        assert z.shape[1] == 1 + 2 * 3   # t, then u, u_x, u_xx per state
         # the second state's block follows the first's
         assert np.array_equal(z[:, 4:], -z[:, 1:4])
 
@@ -166,7 +155,7 @@ class TestJet:
         u = np.random.default_rng(2).standard_normal((3, 2, g.nt, g.nx))
         whole = jet_features(g, kappa, u)
         given = jet_features(g, kappa, u, space_derivatives(g, u, 2))
-        assert whole.shape == (3, g.nt * g.nx, 1 + 2 * jet_dimension(kappa))
+        assert whole.shape == (3, g.nt * g.nx, 1 + 2 * (kappa + 1))
         for l in range(3):
             alone = jet_features(g, kappa, u[l])
             assert whole[l].tobytes() == alone.tobytes()

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from smlpde.errors import OracleInfeasibleError
-from smlpde.grid import Grid
+from smlpde.grid import Grid, jet_features
 from smlpde.ground_truth import (GroundTruthSpec, _oracle_pairs, f_true,
                                  limit_oracle, make_dataset, profile_array,
-                                 simulate, trajectory_jet_sup)
+                                 simulate)
 from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import (Problem, Vars, Weights, _evaluate_core,
                               derive_ubox, r0_value, smooth_max)
@@ -81,7 +81,7 @@ class TestMakeDataset:
                                u0_profiles=["sine:0.8"])
         op = MeasurementOp("full", 1, grid)
         u_true = simulate(spec, grid)
-        ds = make_dataset(grid, 0, u_true, op, 0.0, 3)
+        ds = make_dataset(grid, u_true, op, 0.0, 3)
         assert np.array_equal(ds.y[0, 0], u_true[0, 0])
         assert np.array_equal(ds.u0[0, 0], u_true[0, 0, 0])
         assert np.array_equal(ds.g_hi[0, 0], u_true[0, 0, :, -1])
@@ -91,8 +91,8 @@ class TestMakeDataset:
         spec = GroundTruthSpec(kind="none", f_name="cubic", L=2, kappa=0,
                                u0_profiles=["sine:0.8", "bump:0.5"])
         op = MeasurementOp("smooth", 2, grid)
-        a = make_dataset(grid, 0, simulate(spec, grid), op, 0.05, 11)
-        b = make_dataset(grid, 0, simulate(spec, grid), op, 0.05, 11)
+        a = make_dataset(grid, simulate(spec, grid), op, 0.05, 11)
+        b = make_dataset(grid, simulate(spec, grid), op, 0.05, 11)
         assert np.array_equal(a.y, b.y)
 
     def test_distinct_speeds_give_distinct_trajectories(self):
@@ -112,7 +112,7 @@ class TestMakeDataset:
         spec = GroundTruthSpec(kind="none", f_name="zero", L=1, kappa=0,
                                u0_profiles=["sine:1.0"])
         op = MeasurementOp("subsample", 1, grid)
-        ds = make_dataset(grid, 0, simulate(spec, grid), op, 0.1, 5)
+        ds = make_dataset(grid, simulate(spec, grid), op, 0.1, 5)
         dropped = op.mask == 0.0
         assert np.max(np.abs(ds.y[0, 0][:, dropped])) == 0.0
 
@@ -124,8 +124,8 @@ class TestMakeDataset:
                                u0_profiles=["sine:0.9"])
         op = MeasurementOp("full", 1, grid)
         u_true = simulate(spec, grid)
-        ds = make_dataset(grid, 0, u_true, op, 0.0, 0)
-        box = derive_ubox(ds, 0, 1.5)
+        ds = make_dataset(grid, u_true, op, 0.0, 0)
+        box = derive_ubox(grid, jet_features(grid, 0, u_true), 1.5)
         zero_net = mlp.MlpParams([np.zeros((2, 2)), np.zeros((1, 2))],
                                  [np.zeros(2), np.zeros(1)],
                                  mlp.Activation("tanh"))
@@ -140,16 +140,20 @@ class TestMakeDataset:
         assert bd.boundary_term < 1e-20
         assert bd.data_term < 1e-20
 
-    def test_jet_sup_recorded(self):
+class TestReferenceBox:
+    def test_radius_from_trajectory_jets(self):
+        # the box covers the reference trajectory's jets: for a standing
+        # sine the largest jet component is its slope pi
         grid = make_grid()
         spec = GroundTruthSpec(kind="none", f_name="zero", L=1, kappa=1,
                                u0_profiles=["sine:1.0"])
-        u_true = simulate(spec, grid)
-        ds = make_dataset(grid, 1, u_true, MeasurementOp("full", 1, grid), 0.0, 0)
-        assert ds.ref_jet_sup == pytest.approx(
-            trajectory_jet_sup(grid, 1, u_true))
+        z_ref = jet_features(grid, 1, simulate(spec, grid))
+        box = derive_ubox(grid, z_ref, 1.5)
+        jet_sup = float(np.max(np.abs(z_ref[..., 1:])))
+        assert box.dim == 3
+        assert box.radius == grid.t_end + 1.5 * jet_sup
         # sine slope pi is the largest first derivative
-        assert ds.ref_jet_sup == pytest.approx(np.pi, rel=0.05)
+        assert jet_sup == pytest.approx(np.pi, rel=0.05)
 
 
 class TestProfiles:
@@ -173,8 +177,7 @@ class TestLimitOracle:
         u = np.tile(h_of_t(grid.t)[:, None], (1, grid.nx))[None, None]
         return grid, Dataset(grid=grid, y=u, u0=u[:, :, 0, :],
                              g_lo=u[:, :, :, 0], g_hi=u[:, :, :, -1],
-                             op_kind="full", noise_level=0.0,
-                             ref_jet_sup=float(np.max(np.abs(u))))
+                             op_kind="full", noise_level=0.0)
 
     def test_reaction_values_reproduce_residual_exactly(self):
         # monotone spatially constant state: the time-derivative stencil is
@@ -199,8 +202,7 @@ class TestLimitOracle:
         u = (0.5 + np.outer(grid.t, slopes))[None, None]
         ds = Dataset(grid=grid, y=u, u0=u[:, :, 0, :],
                      g_lo=u[:, :, :, 0], g_hi=u[:, :, :, -1],
-                     op_kind="full", noise_level=0.0,
-                     ref_jet_sup=float(np.max(np.abs(u))))
+                     op_kind="full", noise_level=0.0)
         # at t=0 all columns share (t=0, u=0.5) but residuals are 1 vs 2
         with pytest.raises(OracleInfeasibleError):
             limit_oracle(ds, "none", kappa=0)
@@ -211,7 +213,7 @@ class TestLimitOracle:
                                phi_profiles=[["constant:0.6"],
                                              ["constant:-0.4"]],
                                u0_profiles=["sine:1.0", "bump:0.8"])
-        ds = make_dataset(grid, 0, simulate(spec, grid),
+        ds = make_dataset(grid, simulate(spec, grid),
                           MeasurementOp("full", 1, grid), 0.0, 0)
         a = limit_oracle(ds, "convection", kappa=0, tie_seed=1)
         b = limit_oracle(ds, "convection", kappa=0, tie_seed=2)

@@ -12,7 +12,7 @@ import types
 import numpy as np
 import pytest
 
-from smlpde import harness, mlp
+from smlpde import ground_truth, harness, mlp
 from smlpde.cli import main as cli_main
 from smlpde.config import default_config, format_config
 from smlpde.grid import jet_features
@@ -255,17 +255,48 @@ class TestVisitedJets:
         assert np.max(np.abs(z[:, 1])) <= np.max(np.abs(u_true)) + 1e-15
 
 
+class TestReferenceSetUp:
+    """The study and the gradient check share one reference set-up: the
+    trajectory's jet stack is taken once, and the box and the report's
+    errors read it."""
+
+    @staticmethod
+    def count_jets(monkeypatch):
+        """Patch the jet_features that harness and ground_truth call; the
+        returned list names the module of every call."""
+        calls = []
+        for module in (harness, ground_truth):
+            def counted(*args, _module=module, _fn=module.jet_features):
+                calls.append(_module.__name__.rsplit(".", 1)[1])
+                return _fn(*args)
+            monkeypatch.setattr(module, "jet_features", counted)
+        return calls
+
+    def test_study_takes_reference_jets_once(self, tmp_path, monkeypatch):
+        # the reference stack, then the prefit rows of the m=1 start; no
+        # dataset takes jets of its own
+        calls = self.count_jets(monkeypatch)
+        run_convergence_study(tiny_config(tmp_path / "run", m_max=2, iters=20),
+                              echo=lambda *_: None)
+        assert calls == ["harness", "harness"]
+
+    def test_gradcheck_takes_reference_jets_once(self, tmp_path, monkeypatch):
+        calls = self.count_jets(monkeypatch)
+        gradcheck_from_config(tiny_config(tmp_path / "run"),
+                              echo=lambda *_: None)
+        assert calls == ["harness"]
+
+
 def one_tape_sup_errors(nets, z_visited, f_name):
     """(e_f, grad_sup_err) from one tape per network over all the stack's
     rows, flattened."""
     z = z_visited.reshape(-1, z_visited.shape[-1])
     target = f_true(f_name)(z[:, 1])
-    e_f = max(float(np.max(np.abs(mlp.forward_batch(net, z) - target)))
-              for net in nets)
+    tapes = [mlp.Tape(net, z) for net in nets]
+    e_f = max(float(np.max(np.abs(tape.values - target))) for tape in tapes)
     lattice = np.linspace(float(z[:, 1].min()), float(z[:, 1].max()), 513)
     true_sup = float(np.max(np.abs(f_true_deriv(f_name)(lattice))))
-    fit_sup = max(float(np.max(np.abs(mlp.grad_input_batch(net, z))))
-                  for net in nets)
+    fit_sup = max(float(np.max(np.abs(tape.input_grads))) for tape in tapes)
     return e_f, abs(fit_sup - true_sup)
 
 
@@ -281,9 +312,9 @@ def traced_peak(make):
 
 
 class TestSupErrorsPerExperiment:
-    """f_sup_error and grad_sup_error take the (L, rows, dim) jet stack and
-    run one tape per experiment: the bits of one tape over all rows, at the
-    memory of one experiment's tape."""
+    """f_sup_error takes the (L, rows, dim) jet stack and reads e_f and
+    grad_sup_err off one tape per experiment and network: the bits of one
+    tape over all rows, at the memory of one experiment's tape."""
 
     @staticmethod
     def stack_and_nets():
@@ -299,9 +330,8 @@ class TestSupErrorsPerExperiment:
     @pytest.mark.parametrize("f_name", ["cubic", "sine"])
     def test_bits_of_one_tape(self, f_name):
         z, nets = self.stack_and_nets()
-        e_f, gse = one_tape_sup_errors(nets, z, f_name)
-        assert repr(harness.f_sup_error(nets, z, f_name)) == repr(e_f)
-        assert repr(harness.grad_sup_error(nets, z, f_name)) == repr(gse)
+        expect = one_tape_sup_errors(nets, z, f_name)
+        assert repr(harness.f_sup_error(nets, z, f_name)) == repr(expect)
 
     def test_lattice_spans_whole_stack(self):
         # with zero networks the error is the sup of |f_true'| on the
@@ -312,27 +342,39 @@ class TestSupErrorsPerExperiment:
         zero = [mlp.MlpParams([np.zeros_like(w) for w in net.weights],
                               [np.zeros_like(b) for b in net.biases],
                               net.activation) for net in nets]
-        whole = harness.grad_sup_error(zero, z, "cubic")
+        whole = harness.f_sup_error(zero, z, "cubic")[1]
         assert whole == one_tape_sup_errors(zero, z, "cubic")[1]
-        assert whole > harness.grad_sup_error(zero, z[1:], "cubic")
+        assert whole > harness.f_sup_error(zero, z[1:], "cubic")[1]
 
     def test_peak_within_one_experiment(self):
         z, nets = self.stack_and_nets()
-        net = nets[0]
-        target = f_true("cubic")(z[0, :, 1])
-        one_f, _ = traced_peak(
-            lambda: np.max(np.abs(mlp.Tape(net, z[0]).values - target)))
-        one_g, _ = traced_peak(
-            lambda: np.max(np.abs(mlp.Tape(net, z[0]).input_grads)))
-        slack = 256 * 1024
-        peak_f, _ = traced_peak(lambda: harness.f_sup_error(nets, z, "cubic"))
-        peak_g, _ = traced_peak(lambda: harness.grad_sup_error(nets, z, "cubic"))
-        assert peak_f <= one_f + slack
-        assert peak_g <= one_g + slack
+        # the peak of one experiment's tape with its input-gradient sweep
+        one, _ = traced_peak(
+            lambda: np.max(np.abs(mlp.Tape(nets[0], z[0]).input_grads)))
+        peak, _ = traced_peak(lambda: harness.f_sup_error(nets, z, "cubic"))
+        assert peak <= one + 256 * 1024
 
 
 class TestLsqClosure:
     """The least-squares closure of the probe fits and the network prefit."""
+
+    def test_each_fit_hands_one_closure_to_every_stage(self, monkeypatch):
+        # the prefit's two adaptive stages, and the probe fit's three and
+        # its polish, each see one closure object through harness.minimize
+        seen = []
+
+        def recording(x0, fg, config):
+            seen.append(fg)
+            return minimize(x0, fg, config)
+
+        monkeypatch.setattr(harness, "minimize", recording)
+        net = mlp.init_params([2, 4, 1], mlp.Activation("tanh"), 1)
+        Z = np.random.default_rng(2).uniform(-1, 1, (30, 2))
+        harness.prefit_net_to_residual(net, Z, np.sin(Z[:, 1]), iters=20)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        seen.clear()
+        fit_function_lsq("cubic", -1.0, 1.0, 4, 3, 20, 5)
+        assert len(seen) == 4 and all(fg is seen[0] for fg in seen)
 
     @pytest.mark.parametrize("activation", ["tanh", "softplus"])
     def test_gradient_matches_finite_differences(self, activation):
@@ -345,7 +387,7 @@ class TestLsqClosure:
         x = x + 0.3 * rng.standard_normal(x.size)
         loss, _, aux = fg(x)
         assert aux == loss
-        diff = mlp.forward_batch(mlp.unflatten_params(x, net), Z) - y
+        diff = mlp.Tape(mlp.unflatten_params(x, net), Z).values - y
         assert loss == float(np.mean(diff**2))
         # central differences on every coordinate
         assert finite_diff_gradcheck(x, fg, coords="all") < 1e-6

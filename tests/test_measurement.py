@@ -152,7 +152,7 @@ class TestBoundaryTrace:
         g = make_grid()
         tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
         u = fn(tt, xx)[None, None]
-        ds = make_dataset(g, 0, u, MeasurementOp("full", 1, g), 0.0, 0)
+        ds = make_dataset(g, u, MeasurementOp("full", 1, g), 0.0, 0)
         assert ds.g_lo.shape == ds.g_hi.shape == (1, 1, g.nt)
         return g, ds.g_lo[0, 0], ds.g_hi[0, 0]
 

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from smlpde import mlp
-from smlpde.mlp import (Activation, MlpParams, flatten_params, forward_batch,
-                        grad_input_batch, grow_params, init_params,
-                        lipschitz_bound, param_norm, unflatten_params,
-                        write_params_csv)
+from smlpde.mlp import (Activation, MlpParams, flatten_params, grow_params,
+                        init_params, lipschitz_bound, param_norm,
+                        unflatten_params, write_params_csv)
 
 
 def random_net(sizes, seed, activation="tanh", scale=0.6):
@@ -23,8 +22,8 @@ def random_net(sizes, seed, activation="tanh", scale=0.6):
 
 
 def forward(net, z):
-    """The network's output at one input vector, through the batch API."""
-    return float(forward_batch(net, np.asarray(z, dtype=float)[None, :])[0])
+    """The network's output at one input vector, through a tape."""
+    return float(mlp.Tape(net, np.asarray(z, dtype=float)[None, :]).values[0])
 
 
 def backprop(net, z, seed):
@@ -89,13 +88,13 @@ class TestGradInput:
     def test_affine_layer_returns_weights(self):
         net = MlpParams([np.array([[2.0, -1.0]])], [np.array([0.7])],
                         Activation("relu"))
-        g = grad_input_batch(net, np.array([[0.4, 0.9]]))
+        g = mlp.Tape(net, np.array([[0.4, 0.9]])).input_grads
         assert np.array_equal(g, [[2.0, -1.0]])
 
     def test_zero_weights_zero_gradient(self):
         net = MlpParams([np.zeros((3, 2)), np.zeros((1, 3))],
                         [np.ones(3), np.array([1.0])], Activation("tanh"))
-        g = grad_input_batch(net, np.array([[1.0, 2.0]]))
+        g = mlp.Tape(net, np.array([[1.0, 2.0]])).input_grads
         assert np.array_equal(g, [[0.0, 0.0]])
 
     @pytest.mark.parametrize("activation", ["tanh", "softplus", "requ", "relu",
@@ -104,7 +103,7 @@ class TestGradInput:
         net = random_net([4, 6, 5, 1], 11, activation)
         rng = np.random.default_rng(5)
         Z = rng.uniform(-1, 1, (5, 4))
-        G = grad_input_batch(net, Z)
+        G = mlp.Tape(net, Z).input_grads
         h = 1e-5
         for z, g in zip(Z, G):
             for i in range(4):
@@ -133,7 +132,8 @@ class TestBackprop:
         net = random_net([3, 5, 4, 1], 3)
         z = np.array([0.2, -0.4, 0.9])
         _, bz = backprop(net, z, 1.0)
-        assert np.max(np.abs(bz - grad_input_batch(net, z[None, :])[0])) <= 1e-12
+        g = mlp.Tape(net, z[None, :]).input_grads[0]
+        assert np.max(np.abs(bz - g)) <= 1e-12
 
     @pytest.mark.parametrize("activation", ["tanh", "softplus", "requ"])
     def test_param_grads_match_finite_differences(self, activation):
@@ -594,8 +594,8 @@ class TestLipschitzBound:
             bound = lipschitz_bound(net, 1.0)
             z1 = rng.uniform(-2, 2, (500, 3))
             z2 = rng.uniform(-2, 2, (500, 3))
-            f1 = mlp.forward_batch(net, z1)
-            f2 = mlp.forward_batch(net, z2)
+            f1 = mlp.Tape(net, z1).values
+            f2 = mlp.Tape(net, z2).values
             gap = np.max(np.abs(z1 - z2), axis=1)
             ok = gap > 0
             slopes = np.abs(f1 - f2)[ok] / gap[ok]
@@ -711,8 +711,7 @@ class TestInitAndGrowth:
         grown = grow_params(net, [3, 7, 7, 1], 10)
         rng = np.random.default_rng(11)
         Z = rng.uniform(-2, 2, (50, 3))
-        assert np.array_equal(mlp.forward_batch(net, Z),
-                              mlp.forward_batch(grown, Z))
+        assert np.array_equal(mlp.Tape(net, Z).values, mlp.Tape(grown, Z).values)
 
     def test_growth_units_are_trainable(self):
         net = random_net([2, 3, 3, 1], 12)

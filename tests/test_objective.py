@@ -113,38 +113,33 @@ class TestSmoothMax:
 
 
 class TestUBox:
+    @staticmethod
+    def reference_jets(g, sup, dim=2):
+        """A (1, nt*nx, dim) jet stack as jet_features lays it out: the time
+        column, which reaches t_end, then jet components whose largest
+        magnitude is sup."""
+        z = np.zeros((1, g.nt * g.nx, dim))
+        z[0, :, 0] = np.repeat(g.t, g.nx)
+        z[0, -1, 1:] = -sup
+        return z
+
     def test_radius_formula_zero_reference(self):
+        # the time column is not a jet component: it sets no radius
         g = make_grid(t_end=1.0)
-        ds = Dataset(grid=g, y=np.zeros((1, 1, g.nt, g.nx)),
-                     u0=np.zeros((1, 1, g.nx)), g_lo=np.zeros((1, 1, g.nt)),
-                     g_hi=np.zeros((1, 1, g.nt)), ref_jet_sup=0.0)
-        box = derive_ubox(ds, 0, 1.1)
+        box = derive_ubox(g, self.reference_jets(g, 0.0), 1.1)
         assert box.radius == pytest.approx(1.0)
         assert box.dim == 2
 
     def test_radius_formula_margin(self):
         g = make_grid(t_end=1.0)
-        ds = Dataset(grid=g, y=np.zeros((1, 1, g.nt, g.nx)),
-                     u0=np.zeros((1, 1, g.nx)), g_lo=np.zeros((1, 1, g.nt)),
-                     g_hi=np.zeros((1, 1, g.nt)), ref_jet_sup=2.0)
-        box = derive_ubox(ds, 0, 1.5)
+        box = derive_ubox(g, self.reference_jets(g, 2.0, dim=3), 1.5)
         assert box.radius == pytest.approx(4.0)
+        assert box.dim == 3
 
     def test_margin_below_threshold_rejected(self):
         g = make_grid()
-        ds = Dataset(grid=g, y=np.zeros((1, 1, g.nt, g.nx)),
-                     u0=np.zeros((1, 1, g.nx)), g_lo=np.zeros((1, 1, g.nt)),
-                     g_hi=np.zeros((1, 1, g.nt)), ref_jet_sup=1.0)
         with pytest.raises(ValueError):
-            derive_ubox(ds, 0, 0.9)
-
-    def test_missing_bound_rejected(self):
-        g = make_grid()
-        ds = Dataset(grid=g, y=np.zeros((1, 1, g.nt, g.nx)),
-                     u0=np.zeros((1, 1, g.nx)), g_lo=np.zeros((1, 1, g.nt)),
-                     g_hi=np.zeros((1, 1, g.nt)))
-        with pytest.raises(ValueError):
-            derive_ubox(ds, 0, 1.5)
+            derive_ubox(g, self.reference_jets(g, 1.0), 0.9)
 
     def test_sample_determinism(self):
         a = build_box(3, 2.0, sample_budget=500)
@@ -526,17 +521,15 @@ class TestEvaluate:
             n1 = random_net([2, 4, 1], int(rng.integers(1e6)))
             n2 = random_net([2, 4, 1], int(rng.integers(1e6)))
             # midpoint in FUNCTION values via sample vectors
-            v1 = mlp.forward_batch(n1, box.samples)
-            v2 = mlp.forward_batch(n2, box.samples)
+            t1, t2 = mlp.Tape(n1, box.samples), mlp.Tape(n2, box.samples)
+            v1, v2 = t1.values, t2.values
             quad = lambda v: float(np.sum(box.quad_weights * v**2))
             if np.max(np.abs(v1 - v2)) > 1e-8:
                 assert quad(0.5 * (v1 + v2)) < 0.5 * (quad(v1) + quad(v2)) - 1e-15
             # gradient-sup surrogate is convex (midpoint <= average)
-            g1 = np.max(np.abs(mlp.grad_input_batch(n1, box.samples)), axis=1)
-            g2 = np.max(np.abs(mlp.grad_input_batch(n2, box.samples)), axis=1)
-            gm = np.max(np.abs(0.5 * (mlp.grad_input_batch(n1, box.samples)
-                                      + mlp.grad_input_batch(n2, box.samples))),
-                        axis=1)
+            g1 = np.max(np.abs(t1.input_grads), axis=1)
+            g2 = np.max(np.abs(t2.input_grads), axis=1)
+            gm = np.max(np.abs(0.5 * (t1.input_grads + t2.input_grads)), axis=1)
             assert float(np.max(gm)) <= 0.5 * (float(np.max(g1))
                                                + float(np.max(g2))) + 1e-12
 

@@ -163,7 +163,7 @@ class TestAffineCheck:
 def net_residual(g, kind, kappa, u, net):
     """The residual of a one-state system whose network sees the jets of u,
     evaluated the way the objective does."""
-    f = mlp.forward_batch(net, jet_features(g, kappa, u[None]))
+    f = mlp.Tape(net, jet_features(g, kappa, u[None])).values
     return residual(g, kind, u, NO_PHI, f.reshape(g.nt, g.nx))
 
 

@@ -27,13 +27,13 @@ SRC = Path(smlpde.__file__).parent
 
 ALLOWED = {
     # hypotheses of the convergence theorem, to be written per scale by the
-    # study (ROADMAP.md, direction 3)
+    # study (ROADMAP.md, direction 4)
     "measurement.operator_gap": "gap of K_m to the identity",
     "mlp.lipschitz_bound": "network Lipschitz bound against the box",
     "mlp.Activation.lipschitz_on": "activation constant for lipschitz_bound",
     "physics.affine_check": "affine dependence of the physics on phi",
     # the reduced limit problem that the study converges to (ROADMAP.md,
-    # direction 2)
+    # direction 3)
     "ground_truth.limit_oracle": "reference solution of the limit problem",
     # counted by the study benchmark's span recorder (studybench/spans.py)
     "mlp.Activation.deriv": "benchmark counter mlp.deriv_calls",
