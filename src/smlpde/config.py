@@ -92,7 +92,6 @@ SCHEMA = {
         "interval_lo": ("float", -2.0),
         "interval_hi": ("float", 2.0),
         "widths": ("int_list", [4, 8, 16, 32]),
-        "probe_depth": ("int", 3),
         "train_iters": ("int", 6000),
         "probe_seed": ("int", 3),
     },
@@ -260,8 +259,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     if any(a >= b for a, b in zip(widths, widths[1:])):
         raise ConfigError("probe widths must increase (each fit widens the "
                           "last, and the rate fit needs distinct widths)")
-    if probe["probe_depth"] < 2:
-        raise ConfigError("probe_depth must be >= 2 (depth 1 is a linear model)")
     if probe["train_iters"] < 1:
         raise ConfigError("probe train_iters must be >= 1")
     if not probe["interval_lo"] < probe["interval_hi"]:

@@ -37,11 +37,15 @@ The study and gradcheck_from_config share one reference set-up
 (_reference): the grid, the ground truth, its trajectory (simulated once),
 the trajectory's jet stack (taken once), the box derived from that stack
 and tau0.  The stack holds the visited jet points the report's errors are
-taken on.  Outside the objective and fit closures every network is
-evaluated through one mlp.Tape per (experiment, network), and
-f_sup_error reads both of its errors off that one tape.  The prefit and
-the probe's fits run their adaptive stages through one loop
-(_adaptive_stages), which hands the fit's one closure to every stage.
+taken on.  They also share the builder of scale m's schedule row,
+measurement operator, dataset and objective (_scale) and that of the
+scale-1 starts (_first_starts), so the gradient check audits the point
+where the study's first minimization starts.  Outside the objective and
+fit closures every network is evaluated through one mlp.Tape per
+(experiment, network), and f_sup_error reads both of its errors off that
+one tape.  The prefit and the probe's fits run their adaptive stages
+through one loop (_adaptive_stages), which hands the fit's one closure to
+every stage.
 
 Every entry point (run_convergence_study, approximation_probe,
 gradcheck_from_config) first pins the C allocator's thresholds
@@ -158,15 +162,6 @@ def build_gt_spec(cfg: ExperimentConfig) -> GroundTruthSpec:
                            L=gt["n_experiments"], kappa=gt["kappa"],
                            phi_profiles=phi_profiles,
                            u0_profiles=list(gt["u0_profiles"]))
-
-
-def schedule_values(cfg: ExperimentConfig, m: int):
-    s = cfg["schedule"]
-    lam = s["lambda0"] * s["growth"] ** m
-    mu = s["mu0"] * s["growth"] ** m
-    nu = s["nu0"] * s["nu_decay"] ** (-m)
-    noise = cfg["measurement"]["noise0"] / m
-    return lam, mu, nu, noise
 
 
 def network_sizes(cfg: ExperimentConfig, input_dim: int, m: int):
@@ -434,22 +429,50 @@ def _staged_minimize(x0, fg, base: OptimConfig):
     return res
 
 
-def _scale_problem(cfg: ExperimentConfig, ref: _Reference, dataset,
-                   op: MeasurementOp, m: int, tau: float) -> Problem:
-    """The configured experiment's scale-m objective on dataset, over the
-    reference set-up's box."""
-    lam, mu, nu, _ = schedule_values(cfg, m)
-    w = cfg["weights"]
-    weights = Weights(lam=lam, mu=mu, nu=nu, q=w["q"], r=w["r"], rho=w["rho"],
-                      param_norm_p=w["param_norm_p"], tau=tau)
-    return Problem(dataset.grid, dataset, op, ref.spec.kind, ref.spec.kappa,
+def _scale(cfg: ExperimentConfig, ref: _Reference, m: int) -> Problem:
+    """Scale m of the configured study: its objective over the reference
+    set-up's box.  The Problem carries the scale's schedule row (lambda_m,
+    mu_m, nu_m and tau_m in its weights, noise_m as its dataset's
+    noise_level), its measurement operator and its dataset, the reference
+    trajectory measured with noise seed data_seed + 1009 * m."""
+    s, w, meas = cfg["schedule"], cfg["weights"], cfg["measurement"]
+    weights = Weights(lam=s["lambda0"] * s["growth"] ** m,
+                      mu=s["mu0"] * s["growth"] ** m,
+                      nu=s["nu0"] * s["nu_decay"] ** (-m), q=w["q"], r=w["r"],
+                      rho=w["rho"], param_norm_p=w["param_norm_p"],
+                      tau=max(ref.tau0 / m, 1e-9))
+    op = MeasurementOp(meas["family"], m, ref.grid)
+    dataset = make_dataset(ref.grid, ref.u_true, op, meas["noise0"] / m,
+                           meas["data_seed"] + 1009 * m)
+    return Problem(ref.grid, dataset, op, ref.spec.kind, ref.spec.kappa,
                    weights, ref.box)
+
+
+def _first_starts(cfg: ExperimentConfig, ref: _Reference, problem: Problem,
+                  restarts: int) -> list:
+    """The scale-1 starts on problem (_scale's m = 1): each holds the states
+    initialized from the data, the ridge estimate of the parameter fields
+    and, for start j, one network per equation n seeded init_seed + 101 * j
+    + n and prefitted to that equation's apparent residual on rows built
+    once for all starts."""
+    grid, kind = ref.grid, ref.spec.kind
+    u_init = init_state_from_data(problem.dataset, problem.op)
+    phi_init = initial_phi_estimate(grid, kind, u_init)
+    Z, ys = prefit_rows(grid, ref.spec.kappa, kind, u_init, phi_init)
+    sizes = network_sizes(cfg, ref.box.dim, 1)
+    activation = mlp.Activation(cfg["network"]["activation"])
+    seed = cfg["network"]["init_seed"]
+    return [Vars(u_init.copy(), phi_init.copy(),
+                 [prefit_net_to_residual(
+                     mlp.init_params(sizes, activation, seed + 101 * j + n),
+                     Z, y)
+                  for n, y in enumerate(ys)])
+            for j in range(restarts)]
 
 
 def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceReport:
     heap_pinned = _pin_heap()
     t_start = time.perf_counter()
-    wcfg = cfg["weights"]
     ocfg = cfg["optimizer"]
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -466,44 +489,28 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     stops = []   # how each start of each scale ended
     scales = []  # per scale: wall seconds to the end of its starts, calls
     prev_vars = None
-    activation = mlp.Activation(cfg["network"]["activation"])
+    opt_config = OptimConfig(max_iters=ocfg["max_iters"],
+                             grad_tol=ocfg["grad_tol"])
     for m in range(1, cfg["schedule"]["m_max"] + 1):
         _trim_heap()
         t_scale = time.perf_counter()
         calls = 0
-        lam, mu, nu, noise = schedule_values(cfg, m)
-        tau_m = max(ref.tau0 / m, 1e-9)
-        op = MeasurementOp(cfg["measurement"]["family"], m, grid)
-        seed_m = cfg["measurement"]["data_seed"] + 1009 * m
-        dataset = make_dataset(grid, u_true, op, noise, seed_m)
-        save_dataset(dataset, out_dir)
-        problem = _scale_problem(cfg, ref, dataset, op, m, tau_m)
+        problem = _scale(cfg, ref, m)
+        save_dataset(problem.dataset, out_dir)
         sizes = network_sizes(cfg, ref.box.dim, m)
-        opt_config = OptimConfig(max_iters=ocfg["max_iters"],
-                                 grad_tol=ocfg["grad_tol"])
-
-        candidates = []
+        w = problem.weights
+        head = (m, w.lam, w.mu, w.nu, problem.dataset.noise_level, w.tau,
+                sizes[1])
         if prev_vars is None:
-            u_init = init_state_from_data(dataset, op)
-            phi_init = initial_phi_estimate(grid, spec.kind, u_init)
-            Z, ys = prefit_rows(grid, spec.kappa, spec.kind, u_init, phi_init)
-            for j in range(ocfg["restarts"]):
-                nets = [prefit_net_to_residual(
-                    mlp.init_params(sizes, activation,
-                                    cfg["network"]["init_seed"] + 101 * j + n),
-                    Z, ys[n])
-                    for n in range(N)]
-                candidates.append(Vars(u_init.copy(), phi_init.copy(), nets))
+            candidates = _first_starts(cfg, ref, problem, ocfg["restarts"])
         else:
             nets = [mlp.grow_params(prev_vars.nets[n], sizes,
                                     cfg["network"]["init_seed"] + 977 * m + n)
                     for n in range(N)]
-            candidates.append(Vars(prev_vars.u.copy(), prev_vars.phi.copy(), nets))
+            candidates = [Vars(prev_vars.u.copy(), prev_vars.phi.copy(), nets)]
 
         best = None
         status = "ok"
-        iterations = 0
-        trace = None
         for j, vars0 in enumerate(candidates):
             layout = VarLayout(vars0)
             fg = make_closure(problem, layout)
@@ -527,8 +534,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         if best is None:
             # every start diverged: mark the row, keep the previous solution
             echo(f"[m={m}] optimization failed: {status}")
-            row = ScaleRow(m, lam, mu, nu, noise, tau_m, sizes[1],
-                           ObjectiveBreakdown(),
+            row = ScaleRow(*head, ObjectiveBreakdown(),
                            float("nan"), float("nan"), float("nan"),
                            float("nan"), float("nan"), 0, status)
             report.rows.append(row)
@@ -539,12 +545,12 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         prev_vars = vars_best
         _write_trace(os.path.join(out_dir, f"trace_m{m}.csv"), m, trace)
 
-        psi_hat = mlp.param_norm(vars_best.nets, wcfg["param_norm_p"])[0]
+        psi_hat = mlp.param_norm(vars_best.nets, w.param_norm_p)[0]
         e_f, gse = f_sup_error(vars_best.nets, ref.z_visited, spec.f_name)
         serr = state_error(grid, vars_best.u, u_true)
         perr = param_error(grid, vars_best.phi, phi_true)
-        row = ScaleRow(m, lam, mu, nu, noise, tau_m, sizes[1], bd, e_f, gse,
-                       serr, perr, psi_hat, iterations, "ok")
+        row = ScaleRow(*head, bd, e_f, gse, serr, perr, psi_hat, iterations,
+                       "ok")
         report.rows.append(row)
         echo(f"[m={m}] total={bd.total:.6g} e_f={e_f:.4g} "
              f"state_err={serr:.4g} param_err={perr:.4g} iters={iterations}")
@@ -613,7 +619,7 @@ def _write_error_chart(report: ConvergenceReport, path) -> None:
                 ("state error", ms, [max(r.state_err, 1e-16) for r in rows]),
                 ("parameter error", ms, [max(r.param_err, 1e-16) for r in rows])],
                title="errors vs measurement scale",
-               xlabel="scale m", ylabel="error", logy=True)
+               xlabel="scale m", ylabel="error")
 
 
 def _write_final_vars(grid: Grid, vars_, out_dir) -> None:
@@ -696,11 +702,12 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
 
 
 def approximation_probe(cfg: ExperimentConfig, echo=print):
-    """Fit networks of increasing width to a library function and record how
-    the uniform error, the gradient sup-norm, and the parameter norm scale."""
+    """Fit networks of increasing width, of the study's depth and
+    activation, to a library function and record how the uniform error, the
+    gradient sup-norm, and the parameter norm scale."""
     heap_pinned = _pin_heap()
     t_start = time.perf_counter()
-    p = cfg["probe"]
+    p, net = cfg["probe"], cfg["network"]
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
     lo, hi = p["interval_lo"], p["interval_hi"]
@@ -714,8 +721,8 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
         calls = None
         try:
             prev_net, sup_err, grad_fit, pnorm, calls = fit_function_lsq(
-                p["f_name"], lo, hi, width, p["probe_depth"], p["train_iters"],
-                p["probe_seed"], cfg["network"]["activation"], init_net=prev_net)
+                p["f_name"], lo, hi, width, net["depth"], p["train_iters"],
+                p["probe_seed"], net["activation"], init_net=prev_net)
             rows.append(ProbeRow(width, sup_err, grad_fit, grad_true,
                                  abs(grad_fit - grad_true), pnorm))
             echo(f"[width={width}] sup_err={sup_err:.4g} "
@@ -751,31 +758,18 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
 
 
 def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
-    """Finite-difference audit of the assembled objective gradient at a
-    scale-1 point of the configured experiment.
+    """Finite-difference audit of the assembled objective gradient at the
+    point where the study's first minimization starts.
 
-    It builds the study's reference set-up (_reference): the same
-    trajectory, jet stack, box and tau0.  The point is near the study's
-    scale-1 start but is not it: the data carry noise seed data_seed (the
-    study's scale 1 uses data_seed + 1009), the states start from the data
-    as in the study, the parameter fields start at zero instead of the
-    ridge estimate, the networks are freshly initialized without the
-    prefit, and tau is floored at 1e-4."""
+    It builds what the study builds for that point, with the same
+    builders: the reference set-up (_reference), the scale-1 objective and
+    data (_scale) and the first of the scale-1 starts (_first_starts), its
+    states from the data, its parameter fields from the ridge estimate and
+    its networks seeded init_seed + n and prefitted.  No file is written."""
     _pin_heap()
     ref = _reference(cfg)
-    grid, spec = ref.grid, ref.spec
-    op = MeasurementOp(cfg["measurement"]["family"], 1, grid)
-    noise = schedule_values(cfg, 1)[3]
-    dataset = make_dataset(grid, ref.u_true, op, noise,
-                           cfg["measurement"]["data_seed"])
-    N = dataset.n_states
-    problem = _scale_problem(cfg, ref, dataset, op, 1, max(ref.tau0, 1e-4))
-    nets = [mlp.init_params(network_sizes(cfg, ref.box.dim, 1),
-                            mlp.Activation(cfg["network"]["activation"]),
-                            cfg["network"]["init_seed"] + n)
-            for n in range(N)]
-    vars0 = Vars(init_state_from_data(dataset, op),
-                 np.zeros((spec.L, N, n_param_slots(spec.kind), grid.nx)), nets)
+    problem = _scale(cfg, ref, 1)
+    vars0 = _first_starts(cfg, ref, problem, 1)[0]
     layout = VarLayout(vars0)
     fg = make_closure(problem, layout)
     err = finite_diff_gradcheck(layout.pack(vars0), fg, samples=60)

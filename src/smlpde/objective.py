@@ -50,9 +50,8 @@ which may round differently.  Only the networks keep one tape per
 (experiment, network) on all nt*nx nodes: one tape over all L experiments
 would reassociate the weight-gradient sums, and at width 24 each of its
 (width, L*nt*nx) arrays would hold 2.4 MB, more than a 2 MB L2 cache.
-What depends only on the grid, the kind and the weights is built once
-per Problem: the residual quadrature's spatial weights and, for exponent 2,
-the residual and data terms' derivative weights.
+What depends only on the grid and the kind is built once per Problem:
+the residual quadrature's spatial weights.
 
 An evaluation is a forward pass and a deferred backward pass.  The forward
 pass builds the jets, checks the box, builds every tape, runs the box
@@ -290,11 +289,9 @@ class Vars:
 class Problem:
     """Everything fixed during one minimization.
 
-    The constants every evaluation reads are built once, from the grid, the
-    kind and the weights: the residual quadrature's spatial weights
-    (wx_res, zero off the residual columns) and, for an exponent of 2, the
-    residual and data terms' derivative weights (res_weight, data_weight,
-    None otherwise; a higher exponent's depend on the point)."""
+    The residual quadrature's spatial weights (wx_res, zero off the
+    residual columns), which every evaluation reads, are built once from the
+    grid and the kind."""
 
     grid: Grid
     dataset: Dataset
@@ -304,20 +301,12 @@ class Problem:
     weights: Weights
     box: UBox
     wx_res: np.ndarray = field(init=False, repr=False, compare=False)
-    res_weight: np.ndarray | None = field(init=False, repr=False, compare=False)
-    data_weight: np.ndarray | None = field(init=False, repr=False,
-                                           compare=False)
 
     def __post_init__(self):
-        wt, wx = self.grid.time_weights(), self.grid.space_weights()
+        wx = self.grid.space_weights()
         cols = residual_columns(self.kind)
         self.wx_res = np.zeros_like(wx)
         self.wx_res[cols] = wx[cols]
-        w = self.weights
-        self.res_weight = (_power_weight(wt, self.wx_res, None, 2.0, w.lam)
-                           if w.q == 2.0 else None)
-        self.data_weight = (_power_weight(wt, wx, None, 2.0, w.mu)
-                            if w.r == 2.0 else None)
 
 
 def _check_box(box: UBox, feats: np.ndarray) -> None:
@@ -336,7 +325,7 @@ def _power_weight(wt, wx, vec_sq, exponent, scale):
     """Derivative prefactor of  scale * sum_t wt * S_t^(e/2)  w.r.t. the field,
     divided by the field entry: scale*e*wt*S^{(e-2)/2}*wx (see grid._norm_pow),
     shape (..., nt, nx) for inner sums S of shape (..., nt); for e = 2 it
-    does not depend on S, which may be None."""
+    does not depend on S."""
     if exponent == 2.0:
         t_fac = wt
     else:
@@ -439,12 +428,8 @@ def _evaluate_core(vars_: Vars, problem: Problem):
         ran = True
         g_u = np.zeros_like(u)
         g_phi = np.zeros_like(phi)
-        wres = problem.res_weight
-        if wres is None:
-            wres = _power_weight(wt, problem.wx_res, res_s[:, None], w.q, w.lam)
-        wdat = problem.data_weight
-        if wdat is None:
-            wdat = _power_weight(wt, wx, data_s[:, None], w.r, w.mu)
+        wres = _power_weight(wt, problem.wx_res, res_s[:, None], w.q, w.lam)
+        wdat = _power_weight(wt, wx, data_s[:, None], w.r, w.mu)
         rw = wres * resid
         # d/dt block and measurement block
         g_u += dtm.T @ rw

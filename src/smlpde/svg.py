@@ -16,13 +16,11 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def line_chart(path, series, title: str, xlabel: str, ylabel: str,
-               logy: bool = False) -> None:
-    """series: list of (label, xs, ys) triples; ys must be finite."""
+def line_chart(path, series, title: str, xlabel: str, ylabel: str) -> None:
+    """A chart of series, a list of (label, xs, ys) triples, with a log10
+    y axis; ys must be finite."""
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if logy:
-        ys_all = [math.log10(max(y, 1e-300)) for y in ys_all]
+    ys_all = [math.log10(max(y, 1e-300)) for _, _, ys in series for y in ys]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -37,8 +35,7 @@ def line_chart(path, series, title: str, xlabel: str, ylabel: str,
         return _ML + pw * (x - x_lo) / (x_hi - x_lo)
 
     def py(y):
-        if logy:
-            y = math.log10(max(y, 1e-300))
+        y = math.log10(max(y, 1e-300))
         return _MT + ph * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     parts = [
@@ -61,11 +58,10 @@ def line_chart(path, series, title: str, xlabel: str, ylabel: str,
                      f'font-size="11">{tx:.3g}</text>')
     for ty in _ticks(y_lo, y_hi):
         yy = _MT + ph * (1.0 - (ty - y_lo) / (y_hi - y_lo))
-        label = f"1e{ty:.2f}" if logy else f"{ty:.3g}"
         parts.append(f'<line x1="{_ML - 5}" y1="{yy:.1f}" x2="{_ML}" '
                      f'y2="{yy:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_ML - 8}" y="{yy + 4:.1f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{label}</text>')
+                     f'font-family="sans-serif" font-size="11">1e{ty:.2f}</text>')
     parts.append(f'<text x="{_ML + pw / 2:.1f}" y="{_H - 12}" '
                  f'text-anchor="middle" font-family="sans-serif" '
                  f'font-size="13">{xlabel}</text>')

@@ -9,7 +9,7 @@ from smlpde.errors import ConfigError
 # refused like any other unknown key
 REMOVED_KEYS = {"rate", "gradcheck_samples", "gradcheck_step", "tau0_factor",
                 "box_points_per_axis", "box_sample_budget", "fit_points",
-                "eval_points"}
+                "eval_points", "probe_depth"}
 
 
 class TestRoundTrip:
@@ -110,6 +110,7 @@ class TestValidation:
         "[weights]\nbox_points_per_axis = 1\n",
         "[weights]\nbox_sample_budget = 0\n",
         "[network]\nwidth0 = 0\n",
+        "[network]\ndepth = 1\n",
         "[measurement]\nnoise0 = -0.1\n",
         "[weights]\nparam_norm_p = 0.5\n",
         "[optimizer]\ngradcheck_step = 0.01\n",
@@ -146,7 +147,7 @@ class TestValidation:
         "[probe]\nprobe_seed = -1\n",
     ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0",
             "nx4", "nt2", "t_end0", "x_hi_le_x_lo", "box_points1",
-            "box_budget0", "net_width0", "noise_negative", "p0.5",
+            "box_budget0", "net_width0", "net_depth1", "noise_negative", "p0.5",
             "gradcheck_step_large", "gradcheck_step_small",
             "gradcheck_samples0", "f_true_unknown", "f_name_unknown",
             "profile_unknown", "profile_param_not_number", "profile_nonfinite",

@@ -281,10 +281,34 @@ class TestReferenceSetUp:
         assert calls == ["harness", "harness"]
 
     def test_gradcheck_takes_reference_jets_once(self, tmp_path, monkeypatch):
+        # the reference stack, then the prefit rows, as in the study
         calls = self.count_jets(monkeypatch)
         gradcheck_from_config(tiny_config(tmp_path / "run"),
                               echo=lambda *_: None)
-        assert calls == ["harness"]
+        assert calls == ["harness", "harness"]
+
+    def test_gradcheck_audits_the_study_start(self, tmp_path, monkeypatch):
+        # the flat point the gradient check audits is the x0 of the study's
+        # first minimization, bit for bit, and both closures agree there
+        seen = {}
+        staged = harness._staged_minimize
+
+        def first_start(x0, fg, config):
+            seen.setdefault("study", (x0.copy(), fg(x0)[0]))
+            return staged(x0, fg, config)
+
+        def audit(x, fg, samples):
+            seen["check"] = (x.copy(), fg(x)[0])
+            return 0.0
+
+        monkeypatch.setattr(harness, "_staged_minimize", first_start)
+        monkeypatch.setattr(harness, "finite_diff_gradcheck", audit)
+        cfg = tiny_config(tmp_path / "run", m_max=1, iters=20)
+        run_convergence_study(cfg, echo=lambda *_: None)
+        gradcheck_from_config(cfg, echo=lambda *_: None)
+        (x_study, v_study), (x_check, v_check) = seen["study"], seen["check"]
+        assert x_check.tobytes() == x_study.tobytes()
+        assert v_check == v_study
 
 
 def one_tape_sup_errors(nets, z_visited, f_name):
