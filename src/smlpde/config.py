@@ -175,8 +175,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """parse_config_text on the file at path; a path that cannot be read
+    (missing, a directory, unreadable) or text that is not UTF-8 is a
+    ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {str(path)!r}: "
+                          f"{exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{str(path)!r} is not UTF-8 text: {exc.reason} "
+                          f"at byte {exc.start}") from None
+    return parse_config_text(text)
 
 
 def _validate(cfg: ExperimentConfig) -> None:

@@ -78,7 +78,7 @@ import numpy as np
 
 from . import mlp
 from .config import ExperimentConfig, format_config
-from .errors import BoxViolationError, DivergedError
+from .errors import BoxViolationError, ConfigError, DivergedError
 from .grid import Grid, jet_features, write_field_csv
 from .ground_truth import (GroundTruthSpec, f_true, f_true_deriv, make_dataset,
                            simulate)
@@ -142,6 +142,19 @@ def _peak_rss_mb():
         return None
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return rss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def _output_dir(cfg: ExperimentConfig) -> str:
+    """[output] dir, created if missing.  A path that cannot be a directory
+    (it names a file, or lies under one) is a ConfigError, raised before
+    any work."""
+    out_dir = cfg["output"]["dir"]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[output] dir {out_dir!r} cannot be created: "
+                          f"{exc.strerror}") from None
+    return out_dir
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid:
@@ -335,15 +348,17 @@ def initial_phi_estimate(grid: Grid, kind: str, u_init: np.ndarray) -> np.ndarra
 def _lsq_closure(net, Z, y):
     """Closure over flat parameters shaped like net: the mean squared error
     of the network at the inputs Z against y, its gradient as a deferred
-    parameter VJP, and the error again as aux."""
+    parameter VJP, and the error again as aux.  The mean is np.mean's own
+    pairwise sum and division by the row count, without its Python
+    wrapper."""
+    n = y.size
 
     def fg(flat):
         params = mlp.unflatten_params(flat, net)
         tape = mlp.Tape(params, Z)
         diff = tape.values - y
-        # np.mean's own pairwise sum and division, without its Python wrapper
-        loss = float(np.add.reduce(diff * diff) / diff.size)
-        return loss, lambda: tape.param_vjp(2.0 * diff / diff.size)[0], loss
+        loss = float(np.add.reduce(diff * diff) / n)
+        return loss, lambda: tape.param_vjp(2.0 * diff / n)[0], loss
 
     return fg
 
@@ -474,8 +489,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     heap_pinned = _pin_heap()
     t_start = time.perf_counter()
     ocfg = cfg["optimizer"]
-    out_dir = cfg["output"]["dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(cfg)
 
     # the reference trajectory, simulated once and measured at every scale
     ref = _reference(cfg)
@@ -708,8 +722,7 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
     heap_pinned = _pin_heap()
     t_start = time.perf_counter()
     p, net = cfg["probe"], cfg["network"]
-    out_dir = cfg["output"]["dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(cfg)
     lo, hi = p["interval_lo"], p["interval_hi"]
     u_dense = np.linspace(lo, hi, 2049)
     grad_true = float(np.max(np.abs(f_true_deriv(p["f_name"])(u_dense))))

@@ -44,6 +44,16 @@ are bit-identical to that form.  Output-layer products with a (1, B) or
 (n, 1) factor are broadcasts.  Tape.values is a view of the output layer's
 row, not a copy.
 
+A layer with one input column (the first layer of a network on R^1, as in
+the approximation probe) computes W_i @ A[i] as the broadcast product
+W_i * A[i], (width, 1) times (1, B), which skips the matmul's dispatch.
+Each entry of a matmul with K = 1 is that one product, so the bits are the
+matmul's, up to the sign of an exact zero: the matmul's accumulator starts
+at +0.0 and turns a -0.0 product into +0.0, where the broadcast keeps
+-0.0.  Once the bias is added the two differ only where the bias entry is
+-0.0 as well, which no fit reaches: biases start at +0.0, and an
+optimizer step x - s is -0.0 only where x is -0.0.
+
 A hidden layer whose sigma' and sigma'' need only a = sigma(z) computes
 its activation over its pre-activation (Activation.value_over): for tanh,
 relu and leaky-relu P[i] and A[i+1] are one array, so a forward pass holds
@@ -66,8 +76,9 @@ shape and finiteness at construction (init_params, grow_params, copy) and
 records the flat layout (each layer's offsets and shape) once.
 unflatten_params, which fit and objective closures call on every
 evaluation, takes its slices from the template's layout and checks the
-flat vector once, for its length and for finiteness, instead of
-re-checking every layer.
+flat vector once, for its length and for finiteness (one
+np.logical_and.reduce over np.isfinite), instead of re-checking every
+layer.
 
 The theoretical Lipschitz constant  L_sigma^{depth-1} * prod_l |W_l|_inf
 (induced infinity norm, i.e. max row sum) is exposed as lipschitz_bound.
@@ -133,7 +144,8 @@ class Activation:
         value_over wrote a over z, z is a."""
         if self.kind == "tanh":
             s = a * a
-            return np.subtract(1.0, s, out=s if np.ndim(s) else None)
+            return np.subtract(1.0, s,
+                               out=s if isinstance(s, np.ndarray) else None)
         if self.kind == "softplus":
             return 1.0 / (1.0 + np.exp(-z))
         if self.kind == "relu":
@@ -275,6 +287,8 @@ class Tape:
     sweep's ds and cs by input_grads or the first gradient-seeded VJP.
     """
 
+    _cs = _ds = _slopes = _curvatures = None
+
     def __init__(self, params: MlpParams, Z: np.ndarray):
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != params.input_dim:
@@ -282,24 +296,24 @@ class Tape:
                 f"input batch shape {Z.shape} incompatible with n_0={params.input_dim}"
             )
         self.params = params
-        act = params.activation
-        L = params.depth
+        weights, biases = params.weights, params.biases
+        value_over = params.activation.value_over
+        last = len(weights) - 1
         A = [Z]
         P = []
         x = Z.T
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            pre = w @ x
-            pre += b[:, None]
+        for i in range(last + 1):
+            w = weights[i]
+            # a one-column layer is a broadcast product: one product per
+            # entry, as in the matmul
+            pre = w * x if w.shape[1] == 1 else w @ x
+            pre += biases[i][:, None]
             P.append(pre)
-            if i < L - 1:
-                x = act.value_over(pre)
+            if i < last:
+                x = value_over(pre)
                 A.append(x)
         self.A, self.P = A, P
-        self.values = P[-1][0]
-        self._cs = None
-        self._ds = None
-        self._slopes = None
-        self._curvatures = None
+        self.values = pre[0]
 
     def _hidden_slopes(self):
         """sigma'(P[i]) of every hidden layer i."""
@@ -446,7 +460,7 @@ def unflatten_params(flat: np.ndarray, template: MlpParams) -> MlpParams:
     size, layers = template._layout
     if flat.size != size:
         raise ValueError("flat vector length does not match template")
-    if not np.isfinite(flat).all():
+    if not np.logical_and.reduce(np.isfinite(flat)):
         raise ValueError("non-finite parameter entries")
     params = MlpParams.__new__(MlpParams)
     params.weights, params.biases = _layer_views(flat, layers)

@@ -4,11 +4,15 @@ Two deterministic methods:
 
   adaptive      : moment-estimated steps (decay BETA1/BETA2, offset EPS)
                   with best-so-far tracking; the returned point is the best
-                  iterate seen, never a later worse one.  The moments and
-                  the step are updated in place, in buffers allocated once
-                  per call, in the operation order of the plain formulas
-                  (BETA1*m + (1-BETA1)*g, BETA2*v + ((1-BETA2)*g)*g,
-                  rate*mhat / (sqrt(vhat) + EPS)), so every bit is theirs.
+                  iterate seen, never a later worse one.  The moments m and
+                  v are the two rows of one (2, n) array, and the step's
+                  temporaries the rows of another, both allocated once per
+                  call, so one ufunc call updates both moments (the decays
+                  and gains are (2, 1) columns) and a step costs 10 ufunc
+                  calls.  The updates are made in place in the operation
+                  order of the plain formulas (BETA1*m + (1-BETA1)*g,
+                  BETA2*v + ((1-BETA2)*g)*g, rate*mhat / (sqrt(vhat) + EPS)),
+                  so every bit is theirs.
                   Each iterate x is a fresh array that nothing writes into,
                   because a fit closure hands views of it out as network
                   layers; the best iterate and its gradient are therefore
@@ -30,7 +34,9 @@ adaptive iterate and for every accepted line-search trial.  A trial the
 search rejects never runs its backward pass: its grad is dropped, with
 everything it holds, before the next trial is evaluated.  Any non-finite
 value or gradient at an iterate raises DivergedError carrying the iterate
-index.
+index.  The gradient tolerance compares the sup-norm
+np.maximum.reduce(np.abs(g)) (0 for an empty gradient), numpy's max
+without its Python wrapper.
 
 x0 is either a point, which is evaluated first, or the OptResult of an
 earlier stage, whose x, value, grad and aux are the start as they stand: a
@@ -93,7 +99,7 @@ def _check_finite(value, grad, iteration):
     if not math.isfinite(value):
         raise DivergedError(f"objective became non-finite at iteration {iteration}",
                             iteration)
-    if not np.isfinite(grad).all():
+    if not np.logical_and.reduce(np.isfinite(grad)):
         raise DivergedError(f"gradient became non-finite at iteration {iteration}",
                             iteration)
 
@@ -116,36 +122,37 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
     result = OptResult(best_x, best_value, best_aux, trace)
 
     if config.method == "adaptive":
-        # the moments and the step's temporaries, allocated once per call
-        m = np.zeros_like(x)
-        v = np.zeros_like(x)
-        step = np.empty_like(x)
-        denom = np.empty_like(x)
+        # m and v are the rows of one array, and so are the step's
+        # temporaries: one ufunc call updates both rows, or one of them
+        moments = np.zeros((2, x.size))
+        work = np.empty_like(moments)
+        work_m, work_v = work
+        # the decays, gains and bias corrections as (2, 1) columns
+        decays = np.array([[BETA1], [BETA2]])
+        gains = np.array([[1.0 - BETA1], [1.0 - BETA2]])
+        corr = np.empty((2, 1))
         for k in range(1, config.max_iters + 1):
             # no gradient passes a tolerance <= 0: skip its sup-norm then
-            if config.grad_tol > 0 and \
-                    np.max(np.abs(grad), initial=0.0) < config.grad_tol:
+            if config.grad_tol > 0 and np.maximum.reduce(
+                    np.abs(grad), initial=0.0) < config.grad_tol:
                 result.converged = True
                 result.stop_reason = "gradient tolerance reached"
                 break
-            # m = BETA1*m + (1-BETA1)*grad
-            m *= BETA1
-            np.multiply(1.0 - BETA1, grad, out=step)
-            m += step
-            # v = BETA2*v + ((1-BETA2)*grad)*grad
-            v *= BETA2
-            np.multiply(1.0 - BETA2, grad, out=step)
-            step *= grad
-            v += step
+            # m = BETA1*m + (1-BETA1)*grad, v = BETA2*v + ((1-BETA2)*grad)*grad
+            moments *= decays
+            np.multiply(gains, grad, out=work)
+            work_v *= grad
+            moments += work
             # step = rate * mhat / (sqrt(vhat) + EPS)
-            np.divide(v, 1.0 - BETA2**k, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += EPS
-            np.divide(m, 1.0 - BETA1**k, out=step)
-            step *= config.rate
-            step /= denom
+            corr[0] = 1.0 - BETA1**k
+            corr[1] = 1.0 - BETA2**k
+            np.divide(moments, corr, out=work)
+            np.sqrt(work_v, out=work_v)
+            work_v += EPS
+            work_m *= config.rate
+            work_m /= work_v
             # a fresh x: a fit closure hands views of it out as layers
-            x = x - step
+            x = x - work_m
             value, grad, aux = fg(x)
             grad = grad()
             calls += 1
@@ -162,8 +169,8 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
         calls_left = (np.inf if config.max_calls is None
                       else config.max_calls - 1)
         for k in range(1, config.max_iters + 1):
-            if config.grad_tol > 0 and \
-                    np.max(np.abs(grad), initial=0.0) < config.grad_tol:
+            if config.grad_tol > 0 and np.maximum.reduce(
+                    np.abs(grad), initial=0.0) < config.grad_tol:
                 result.converged = True
                 result.stop_reason = "gradient tolerance reached"
                 break
@@ -180,7 +187,7 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
                     value_new, grad_new, aux_new = fg(x_new)
                 except BoxViolationError:
                     value_new = np.inf
-                if np.isfinite(value_new) and \
+                if math.isfinite(value_new) and \
                         value_new <= value - ARMIJO_SLOPE * alpha * gsq:
                     accepted = True
                     break

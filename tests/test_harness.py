@@ -464,10 +464,11 @@ class TestApproximationProbe:
         assert err16 < err4
 
     def test_fit_path_matches_reference(self, tmp_path, monkeypatch):
-        # the flat-gradient VJP, the layout-driven unflatten and the
-        # in-place adaptive step change no byte of the probe's outputs
-        # against the plain formulas: layers through MlpParams, the
-        # reference tape, flattened layer gradients, out-of-place moments
+        # the flat-gradient VJP, the layout-driven unflatten, the in-place
+        # adaptive step and the Armijo polish change no byte of the probe's
+        # outputs against the plain formulas: layers through MlpParams, the
+        # reference tape (a matmul first layer), flattened layer gradients,
+        # out-of-place moments and the plain line search
         from test_mlp import flat_reference, reference_tape
         from test_optimizer import reference_minimize
 
@@ -643,3 +644,46 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text("[grid]\nnx = banana\n", encoding="utf-8")
         assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2:")
+        assert err.count("\n") == 1
+
+    @staticmethod
+    def assert_one_config_error(err):
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_exit_code(self, case, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b"[grid]\nnx = 17 # \xff\xfe\n")
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        self.assert_one_config_error(err)
+        assert repr(str(path)) in err
+
+    @pytest.mark.parametrize("under", [False, True])
+    @pytest.mark.parametrize("command", ["run", "probe"])
+    def test_output_dir_not_a_directory(self, command, under, tmp_path,
+                                        capsys, monkeypatch):
+        # [output] dir names a file, or a path under one: exit 2 before any
+        # work, the reference simulation or the first fit
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("work began before the output dir was made")
+
+        monkeypatch.setattr(harness, "_reference", no_work)
+        monkeypatch.setattr(harness, "fit_function_lsq", no_work)
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n", encoding="utf-8")
+        cfg = tiny_config(blocker / "out" if under else blocker)
+        path = tmp_path / "exp.cfg"
+        path.write_text(format_config(cfg), encoding="utf-8")
+        assert cli_main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        self.assert_one_config_error(err)
+        assert err.startswith("config error: [output] dir ")
+        assert blocker.read_text(encoding="utf-8") == "a file\n"

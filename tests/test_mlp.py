@@ -1,5 +1,6 @@
 import csv
 import inspect
+import itertools
 import json
 import math
 import tracemalloc
@@ -346,19 +347,21 @@ SEED_CASES = (("values", True, False), ("grads", False, True),
 class TestTapeMatchesReference:
     """Tape's in-place products, broadcasts, row-sum bias gradients and flat
     gradient writes change no bit of any output against the plain
-    feature-major formulas, flattened."""
+    feature-major formulas, flattened.  Inputs of one column (n_0 = 1, the
+    probe's networks) and width-1 hidden layers take the tape's broadcast
+    product where the reference multiplies by matmul."""
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_bit_identical(self, activation, depth):
         rng = np.random.default_rng(31 + depth)
-        for width in (1, 2, 8):
-            sizes = [3] + [width] * (depth - 1) + [1]
+        for n0, width in itertools.product((3, 1), (1, 2, 8)):
+            sizes = [n0] + [width] * (depth - 1) + [1]
             net = random_net(sizes, 17 * depth + width, activation)
             for B in (1, 9, 129):
-                Z = rng.uniform(-1.5, 1.5, (B, 3))
+                Z = rng.uniform(-1.5, 1.5, (B, n0))
                 val_seeds = heavy_tailed(rng, B)
-                grad_seeds = heavy_tailed(rng, (B, 3))
+                grad_seeds = heavy_tailed(rng, (B, n0))
                 values, input_grads, vjp = reference_tape(net, Z)
                 tape = mlp.Tape(net, Z)
                 assert tape.values.tobytes() == values.tobytes()

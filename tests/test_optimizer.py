@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from smlpde.errors import BoxViolationError, DivergedError
-from smlpde.optimizer import (BETA1, BETA2, EPS, OptimConfig, OptResult,
+from smlpde.optimizer import (ARMIJO_SHRINK, ARMIJO_SLOPE, BETA1, BETA2, EPS,
+                              MAX_BACKTRACKS, OptimConfig, OptResult,
                               _check_finite, finite_diff_gradcheck, minimize)
 
 
@@ -200,6 +201,32 @@ class TestMinimize:
                      OptimConfig(max_iters=50, rate=1.0))
         assert info.value.iteration is not None
 
+    @pytest.mark.parametrize("method,bad", [("adaptive", "objective"),
+                                            ("adaptive", "gradient"),
+                                            ("gd_linesearch", "gradient")])
+    def test_divergence_at_an_iterate(self, method, bad):
+        # the third call, iterate 2, returns a non-finite value or gradient;
+        # (a line-search trial with a non-finite value is only rejected)
+        calls = []
+
+        def fg(x):
+            calls.append(1)
+            v, g = float(x @ x), 2.0 * x
+            if len(calls) == 3:
+                if bad == "objective":
+                    v = np.nan
+                else:
+                    g[1] = np.inf
+            return v, lambda: g, v
+
+        with pytest.raises(DivergedError,
+                           match=f"^{bad} became non-finite at iteration 2$"
+                           ) as info:
+            minimize(np.array([1.0, -2.0, 0.5]), fg,
+                     OptimConfig(max_iters=10, grad_tol=0.0, rate=0.25,
+                                 method=method))
+        assert info.value.iteration == 2 and len(calls) == 3
+
     def test_returns_best_not_last(self):
         # a function where adaptive overshoots near the end
         def fg(x):
@@ -256,12 +283,76 @@ def reference_adaptive(x0, fg, config):
     return result
 
 
+def reference_linesearch(x0, fg, config):
+    """The Armijo descent written plainly: a fresh array for every trial,
+    np.max(np.abs(.)) for the sup-norm and _check_finite at every accepted
+    iterate; the loop the program's gd_linesearch must match bit for bit."""
+    if isinstance(x0, OptResult):
+        x = np.array(x0.x, dtype=float)
+        value, grad, aux = x0.value, x0.grad, x0.aux
+        calls = 0
+    else:
+        x = np.array(x0, dtype=float)
+        value, grad, aux = fg(x)
+        grad = grad()
+        calls = 1
+    _check_finite(value, grad, 0)
+    best_x, best_value, best_aux, best_grad = x.copy(), value, aux, grad
+    trace = [aux]
+    result = OptResult(best_x, best_value, best_aux, trace)
+    # the start counts against the budget, evaluated here or resumed
+    budget = np.inf if config.max_calls is None else config.max_calls - 1
+    step = config.rate
+    for k in range(1, config.max_iters + 1):
+        if config.grad_tol > 0 and \
+                np.max(np.abs(grad), initial=0.0) < config.grad_tol:
+            result.converged = True
+            result.stop_reason = "gradient tolerance reached"
+            break
+        gsq = float(grad @ grad)
+        alpha = step
+        accepted = None
+        for _ in range(MAX_BACKTRACKS):
+            if budget <= 0:
+                break
+            budget -= 1
+            calls += 1
+            trial = x - alpha * grad
+            try:
+                t_value, t_grad, t_aux = fg(trial)
+            except BoxViolationError:
+                t_value, t_grad, t_aux = np.inf, None, None
+            if np.isfinite(t_value) and \
+                    t_value <= value - ARMIJO_SLOPE * alpha * gsq:
+                accepted = (trial, t_value, t_grad, t_aux)
+                break
+            alpha = alpha * ARMIJO_SHRINK
+        if accepted is None:
+            result.stop_reason = ("call budget" if budget <= 0
+                                  else "line search stalled")
+            break
+        x, value, grad, aux = accepted
+        grad = grad()
+        _check_finite(value, grad, k)
+        trace.append(aux)
+        result.iterations = k
+        step = 2.0 * alpha
+        if value < best_value:
+            best_x, best_value = x.copy(), value
+            best_aux, best_grad = aux, grad
+    else:
+        result.stop_reason = "iteration cap"
+    result.x, result.value, result.aux = best_x, best_value, best_aux
+    result.grad, result.calls = best_grad, calls
+    return result
+
+
 def reference_minimize(x0, fg, config):
-    """minimize with the adaptive method replaced by reference_adaptive;
-    the line search is the program's own."""
+    """minimize through the plain references: reference_adaptive or
+    reference_linesearch."""
     if config.method == "adaptive":
         return reference_adaptive(x0, fg, config)
-    return minimize(x0, fg, config)
+    return reference_linesearch(x0, fg, config)
 
 
 def assert_results_identical(got, expect):
@@ -325,6 +416,61 @@ class TestAdaptiveMatchesReference:
 
         minimize(np.full(5, 0.7), fg, OptimConfig(max_iters=20, rate=0.05))
         assert all(x.tobytes() == kept.tobytes() for x, kept in seen)
+
+
+class TestLinesearchMatchesReference:
+    """gd_linesearch changes no bit against the plain Armijo descent:
+    rejected box-violating and Armijo-failing trials, the call budget, a
+    resumed start and the gradient tolerance."""
+
+    @staticmethod
+    def boxed(x):
+        # trials beyond |x|_inf = 2 raise, as the objective's box check does
+        if np.max(np.abs(x)) > 2.0:
+            raise BoxViolationError("left the box")
+        return TestAdaptiveMatchesReference.rugged(x)
+
+    def test_box_violating_trials(self):
+        ledger = Ledger(TestAdaptiveMatchesReference.value_grad, box=2.0)
+        x0 = np.random.default_rng(41).uniform(-1.5, 1.5, 12)
+        cfg = OptimConfig(max_iters=120, grad_tol=0.0, rate=5.0,
+                          method="gd_linesearch")
+        minimize(x0, ledger, cfg)
+        # both kinds of rejection happen on this run
+        assert ledger.raised > 0 and ledger.runs().count(0) > 0
+        assert_results_identical(minimize(x0, self.boxed, cfg),
+                                 reference_linesearch(x0, self.boxed, cfg))
+
+    @pytest.mark.parametrize("max_calls", [1, 2, 7, 150])
+    def test_call_budget(self, max_calls):
+        x0 = np.random.default_rng(42).uniform(-1.5, 1.5, 12)
+        cfg = OptimConfig(max_iters=400, grad_tol=0.0, rate=5.0,
+                          method="gd_linesearch", max_calls=max_calls)
+        res = minimize(x0, self.boxed, cfg)
+        assert res.stop_reason == "call budget" and res.calls == max_calls
+        assert_results_identical(res,
+                                 reference_linesearch(x0, self.boxed, cfg))
+
+    @pytest.mark.parametrize("max_calls", [None, 40])
+    def test_resumed_start(self, max_calls):
+        # an adaptive stage, then the descent from its result, as in the
+        # probe's polish and the study's second stage
+        x0 = np.random.default_rng(43).uniform(-1.5, 1.5, 12)
+        first = minimize(x0, TestAdaptiveMatchesReference.rugged,
+                         OptimConfig(max_iters=50, grad_tol=0.0, rate=0.05))
+        cfg = OptimConfig(max_iters=60, grad_tol=0.0, rate=1.0,
+                          method="gd_linesearch", max_calls=max_calls)
+        assert_results_identical(minimize(first, self.boxed, cfg),
+                                 reference_linesearch(first, self.boxed, cfg))
+
+    def test_gradient_tolerance(self):
+        fg = quadratic_bowl(center=np.array([3.0, -1.0, 0.5]))
+        cfg = OptimConfig(max_iters=500, grad_tol=1e-9, rate=1.0,
+                          method="gd_linesearch")
+        res = minimize(np.zeros(3), fg, cfg)
+        assert res.converged
+        assert_results_identical(res,
+                                 reference_linesearch(np.zeros(3), fg, cfg))
 
 
 class Ledger:
