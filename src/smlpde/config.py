@@ -216,6 +216,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if n_exp < 1:
         raise ConfigError("n_experiments must be >= 1")
     slots = n_param_slots(gt["kind"])
+    for key in ["phi1_profiles", "phi2_profiles"][slots:]:
+        if gt[key]:
+            raise ConfigError(f"{key} must be empty: kind {gt['kind']!r} reads "
+                              f"{slots} parameter field(s)")
     for key in ["u0_profiles"] + ["phi1_profiles", "phi2_profiles"][:slots]:
         if len(gt[key]) != n_exp:
             raise ConfigError(f"{key} has {len(gt[key])} entries for "

@@ -21,17 +21,20 @@ calls made, the sup-norm of the final gradient and `best`, 1 for the start
 whose point the scale's report row and the next warm start carry and 0
 for the others.  Each iteration and the evaluated start run one backward
 pass, so closure_calls - iterations - 1 counts the rejected line-search
-trials, whose backward pass never ran.  All CSV output uses 17
-significant digits so identical configurations reproduce byte-identical
-files.  The run manifest timings.json, beside report.csv, holds what is not
-reproducible: the wall seconds of every scale and the objective closure
-calls of its starts that did not diverge, the process's peak resident MB
-after set-up and after each scale's report row, the config text, the
-Python and numpy versions, and whether the heap was pinned.  The probe
-writes the same manifest, with the wall seconds, fit-closure calls and
-peak resident MB of every width, as probe_timings.json, so that a study
-and a probe sharing an output directory keep both.  Where Python has no
-resource module the peaks read null.
+trials, whose backward pass never ran.  The report row of a scale whose
+every start diverged reads NaN in its breakdown, error and psi_hat
+columns.  Every table is written by grid.write_csv, the one place the CSV
+format is decided: 17 significant digits, so identical configurations
+reproduce byte-identical files, and one line ending.  The run manifest
+timings.json, beside report.csv, holds what is not reproducible: the wall
+seconds of every scale and the objective closure calls of its starts that
+did not diverge, the process's peak resident MB after set-up and after
+each scale's report row, the config text, the Python and numpy versions,
+and whether the heap was pinned.  The probe writes the same manifest,
+with the wall seconds, fit-closure calls and peak resident MB of every
+width, as probe_timings.json, so that a study and a probe sharing an
+output directory keep both.  Where Python has no resource module the
+peaks read null.
 
 The study and gradcheck_from_config share one reference set-up
 (_reference): the grid, the ground truth, its trajectory (simulated once),
@@ -65,21 +68,20 @@ alone.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import json
 import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import mlp
 from .config import ExperimentConfig, format_config
 from .errors import BoxViolationError, ConfigError, DivergedError
-from .grid import Grid, jet_features, write_field_csv
+from .grid import Grid, jet_features, write_csv, write_field_csv
 from .ground_truth import (GroundTruthSpec, f_true, f_true_deriv, make_dataset,
                            simulate)
 from .measurement import MeasurementOp, save_dataset
@@ -255,37 +257,16 @@ class ScaleRow:
     iterations: int
     status: str
 
-    CSV_HEADER = ("m,lambda,mu,nu,noise,tau,width,total,residual,initial,"
-                  "boundary,data,r0,f_lrho,f_gradsup,theta_norm,hard_gradsup,"
-                  "e_f,grad_sup_err,state_err,param_err,psi_hat,iterations,status")
+    # report.csv's columns: the fields in order, the breakdown's spread out
+    CSV_HEADER = ("m", "lambda", "mu", "nu", "noise", "tau", "width",
+                  *ObjectiveBreakdown.CSV_HEADER, "e_f", "grad_sup_err",
+                  "state_err", "param_err", "psi_hat", "iterations", "status")
 
-    def csv_row(self) -> str:
-        bd = self.breakdown
-        nums = [self.lam, self.mu, self.nu, self.noise, self.tau]
-        head = [str(self.m)] + [f"{v:.17g}" for v in nums] + [str(self.width)]
-        body = [bd.csv_row()]
-        tail = [f"{v:.17g}" for v in (self.e_f, self.grad_sup_err,
-                                      self.state_err, self.param_err,
-                                      self.psi_hat)]
-        return ",".join(head + body + tail + [str(self.iterations), self.status])
-
-
-@dataclass
-class ConvergenceReport:
-    rows: list = field(default_factory=list)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(ScaleRow.CSV_HEADER + "\n")
-            for row in self.rows:
-                fh.write(row.csv_row() + "\n")
-
-
-def _write_trace(path, m: int, trace) -> None:
-    with open(path, "w") as fh:
-        fh.write("m,iter," + type(trace[0]).csv_header() + "\n")
-        for it, bd in enumerate(trace):
-            fh.write(f"{m},{it}," + bd.csv_row() + "\n")
+    def cells(self) -> list:
+        return [self.m, self.lam, self.mu, self.nu, self.noise, self.tau,
+                self.width, *self.breakdown.cells(), self.e_f,
+                self.grad_sup_err, self.state_err, self.param_err,
+                self.psi_hat, self.iterations, self.status]
 
 
 TAU0_FACTOR = 0.1
@@ -485,7 +466,9 @@ def _first_starts(cfg: ExperimentConfig, ref: _Reference, problem: Problem,
             for j in range(restarts)]
 
 
-def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceReport:
+def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
+    """The study over m = 1..m_max; returns its report rows (ScaleRow), one
+    per scale, as report.csv holds them."""
     heap_pinned = _pin_heap()
     t_start = time.perf_counter()
     ocfg = cfg["optimizer"]
@@ -499,7 +482,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
     setup_s = time.perf_counter() - t_start
     setup_peak = _peak_rss_mb()
 
-    report = ConvergenceReport()
+    report = []  # one ScaleRow per scale
     stops = []   # how each start of each scale ended
     scales = []  # per scale: wall seconds to the end of its starts, calls
     prev_vars = None
@@ -536,8 +519,8 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
                 continue
             calls += res.calls
             # the best column is 0 until the scale's winner is known
-            stop = [m, j, res.stop_reason, res.iterations, f"{res.value:.17g}",
-                    res.calls, f"{float(np.max(np.abs(res.grad))):.17g}", 0]
+            stop = [m, j, res.stop_reason, res.iterations, res.value,
+                    res.calls, float(np.max(np.abs(res.grad))), 0]
             stops.append(stop)
             if best is None or res.value < best[0]:
                 best = (res.value, layout.unpack(res.x), res.aux, res.trace,
@@ -548,16 +531,19 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         if best is None:
             # every start diverged: mark the row, keep the previous solution
             echo(f"[m={m}] optimization failed: {status}")
-            row = ScaleRow(*head, ObjectiveBreakdown(),
-                           float("nan"), float("nan"), float("nan"),
-                           float("nan"), float("nan"), 0, status)
-            report.rows.append(row)
+            nan = float("nan")
+            failed = ObjectiveBreakdown(**{f.name: nan
+                                           for f in fields(ObjectiveBreakdown)})
+            row = ScaleRow(*head, failed, nan, nan, nan, nan, nan, 0, status)
+            report.append(row)
             scale["peak_rss_mb"] = _peak_rss_mb()
             continue
         _, vars_best, bd, trace, iterations, stop = best
         stop[-1] = 1
         prev_vars = vars_best
-        _write_trace(os.path.join(out_dir, f"trace_m{m}.csv"), m, trace)
+        write_csv(os.path.join(out_dir, f"trace_m{m}.csv"),
+                  ("m", "iter", *ObjectiveBreakdown.CSV_HEADER),
+                  ([m, it, *bd.cells()] for it, bd in enumerate(trace)))
 
         psi_hat = mlp.param_norm(vars_best.nets, w.param_norm_p)[0]
         e_f, gse = f_sup_error(vars_best.nets, ref.z_visited, spec.f_name)
@@ -565,17 +551,16 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> ConvergenceRepor
         perr = param_error(grid, vars_best.phi, phi_true)
         row = ScaleRow(*head, bd, e_f, gse, serr, perr, psi_hat, iterations,
                        "ok")
-        report.rows.append(row)
+        report.append(row)
         echo(f"[m={m}] total={bd.total:.6g} e_f={e_f:.4g} "
              f"state_err={serr:.4g} param_err={perr:.4g} iters={iterations}")
         scale["peak_rss_mb"] = _peak_rss_mb()
 
-    report.write_csv(os.path.join(out_dir, "report.csv"))
-    with open(os.path.join(out_dir, "stops.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "start", "outcome", "iterations", "value",
-                         "closure_calls", "grad_inf", "best"])
-        writer.writerows(stops)
+    write_csv(os.path.join(out_dir, "report.csv"), ScaleRow.CSV_HEADER,
+              (row.cells() for row in report))
+    write_csv(os.path.join(out_dir, "stops.csv"),
+              ("m", "start", "outcome", "iterations", "value", "closure_calls",
+               "grad_inf", "best"), stops)
     _write_schedule_check(cfg, report, os.path.join(out_dir, "schedule_check.csv"))
     _write_error_chart(report, os.path.join(out_dir, "f_error.svg"))
     _write_final_vars(grid, prev_vars, out_dir)
@@ -598,15 +583,15 @@ def _write_timings(path, cfg, heap_pinned: bool, timings: dict) -> None:
         fh.write("\n")
 
 
-def _write_schedule_check(cfg, report: ConvergenceReport, path) -> None:
+def _write_schedule_check(cfg, report: list, path) -> None:
     """Post-hoc schedule diagnostics: nu_m * psi_hat(m) should vanish and,
     given a probe slope estimate, lambda_m * m^(-beta_hat*q) should too."""
     beta_hat = cfg["schedule"]["beta_hat"]
     q = cfg["weights"]["q"]
-    lines = ["m,lambda_m,nu_m,psi_hat,nu_psi,lambda_m_rate,flag"]
+    rows = []
     prev_nu_psi = None
     prev_rate = None
-    for row in report.rows:
+    for row in report:
         nu_psi = row.nu * row.psi_hat
         rate = row.lam * row.m ** (-beta_hat * q) if beta_hat > 0 else float("nan")
         flags = []
@@ -616,15 +601,14 @@ def _write_schedule_check(cfg, report: ConvergenceReport, path) -> None:
             flags.append("lambda_rate_increased")
         prev_nu_psi = nu_psi if np.isfinite(nu_psi) else prev_nu_psi
         prev_rate = rate
-        lines.append(
-            f"{row.m},{row.lam:.17g},{row.nu:.17g},{row.psi_hat:.17g},"
-            f"{nu_psi:.17g},{rate:.17g}," + ";".join(flags))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append([row.m, row.lam, row.nu, row.psi_hat, nu_psi, rate,
+                     ";".join(flags)])
+    write_csv(path, ("m", "lambda_m", "nu_m", "psi_hat", "nu_psi",
+                     "lambda_m_rate", "flag"), rows)
 
 
-def _write_error_chart(report: ConvergenceReport, path) -> None:
-    rows = [r for r in report.rows if np.isfinite(r.e_f)]
+def _write_error_chart(report: list, path) -> None:
+    rows = [r for r in report if np.isfinite(r.e_f)]
     if not rows:
         return
     ms = [r.m for r in rows]
@@ -650,10 +634,7 @@ def _write_final_vars(grid: Grid, vars_, out_dir) -> None:
         for n in range(N):
             for s in range(slots):
                 path = os.path.join(out_dir, f"phi_final_l{l + 1}_s{s + 1}.csv")
-                with open(path, "w") as fh:
-                    fh.write("x,value\n")
-                    for xv, pv in zip(grid.x, vars_.phi[l, n, s]):
-                        fh.write(f"{xv:.17g},{pv:.17g}\n")
+                write_csv(path, ("x", "value"), zip(grid.x, vars_.phi[l, n, s]))
     for n, net in enumerate(vars_.nets):
         mlp.write_params_csv(net,
                              os.path.join(out_dir, f"f_params_final_n{n + 1}.csv"),
@@ -754,16 +735,10 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
         beta_hat = -float(slope)
     else:
         beta_hat = float("nan")
-    with open(os.path.join(out_dir, "probe.csv"), "w") as fh:
-        fh.write("width,sup_error,grad_sup_fit,grad_sup_true,grad_sup_err,"
-                 "param_norm,status\n")
-        for r in rows:
-            fh.write(f"{r.width},{r.sup_error:.17g},{r.grad_sup_fit:.17g},"
-                     f"{r.grad_sup_true:.17g},{r.grad_sup_err:.17g},"
-                     f"{r.param_norm:.17g},{r.status}\n")
-    with open(os.path.join(out_dir, "probe_summary.csv"), "w") as fh:
-        fh.write("beta_hat\n")
-        fh.write(f"{beta_hat:.17g}\n")
+    write_csv(os.path.join(out_dir, "probe.csv"),
+              [f.name for f in fields(ProbeRow)], (astuple(r) for r in rows))
+    write_csv(os.path.join(out_dir, "probe_summary.csv"), ("beta_hat",),
+              [(beta_hat,)])
     echo(f"fitted approximation-rate slope beta_hat = {beta_hat:.4g}")
     _write_timings(os.path.join(out_dir, "probe_timings.json"), cfg, heap_pinned,
                    {"wall_s": time.perf_counter() - t_start, "widths": widths})

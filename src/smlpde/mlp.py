@@ -86,12 +86,13 @@ The theoretical Lipschitz constant  L_sigma^{depth-1} * prod_l |W_l|_inf
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .grid import write_csv
 
 LEAKY_SLOPE = 0.01
 
@@ -493,15 +494,14 @@ def param_norm(nets, p: float = 2.0):
 
 def write_params_csv(params: MlpParams, csv_path, meta_path) -> None:
     """Flat `layer,row,col,value` CSV (bias entries use col=-1) plus a meta file."""
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["layer", "row", "col", "value"])
-        for li, (wm, bv) in enumerate(zip(params.weights, params.biases), start=1):
-            for r in range(wm.shape[0]):
-                for c in range(wm.shape[1]):
-                    w.writerow([li, r, c, f"{wm[r, c]:.17g}"])
-            for r in range(bv.shape[0]):
-                w.writerow([li, r, -1, f"{bv[r]:.17g}"])
+    rows = []
+    for li, (wm, bv) in enumerate(zip(params.weights, params.biases), start=1):
+        for r in range(wm.shape[0]):
+            for c in range(wm.shape[1]):
+                rows.append((li, r, c, wm[r, c]))
+        for r in range(bv.shape[0]):
+            rows.append((li, r, -1, bv[r]))
+    write_csv(csv_path, ("layer", "row", "col", "value"), rows)
     with open(meta_path, "w") as fh:
         json.dump({"layer_sizes": list(params.layer_sizes),
                    "activation": params.activation.kind}, fh, indent=1)

@@ -261,18 +261,15 @@ class ObjectiveBreakdown:
 
     PART_NAMES = ("residual_term", "initial_term", "boundary_term", "data_term",
                   "r0_term", "f_lrho_term", "f_gradsup_term", "theta_norm_term")
+    # the columns of cells(), in the report and the per-iteration traces
+    CSV_HEADER = ("total", "residual", "initial", "boundary", "data", "r0",
+                  "f_lrho", "f_gradsup", "theta_norm", "hard_gradsup")
 
     def parts(self):
         return [getattr(self, name) for name in self.PART_NAMES]
 
-    @staticmethod
-    def csv_header():
-        return ("total,residual,initial,boundary,data,r0,"
-                "f_lrho,f_gradsup,theta_norm,hard_gradsup")
-
-    def csv_row(self):
-        vals = [self.total] + self.parts() + [self.hard_gradsup]
-        return ",".join(f"{v:.17g}" for v in vals)
+    def cells(self) -> list:
+        return [self.total, *self.parts(), self.hard_gradsup]
 
 
 @dataclass
@@ -501,7 +498,7 @@ class VarLayout:
     def pack(self, vars_: Vars) -> np.ndarray:
         parts = [vars_.u.reshape(-1), vars_.phi.reshape(-1)]
         parts += [mlp.flatten_params(n) for n in vars_.nets]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate(parts)
 
     def unpack(self, x: np.ndarray) -> Vars:
         if x.size != self.size:

@@ -222,24 +222,21 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
 def finite_diff_gradcheck(x: np.ndarray, fg, samples: int = 50,
                           coords=None) -> float:
     """Worst relative error of the analytic gradient against central
-    differences, of step 1e-5 * max(1, |x_i|), on randomly chosen
-    coordinates (or an explicit list, or "all").  Errors on entries far
-    below the gradient scale are measured against 0.1% of the gradient
-    sup-norm so that roundoff in negligible coordinates is not misread as
-    disagreement; exact 0-vs-0 counts as 0.  The backward pass runs at x
-    only: the points x +- h cost their values alone.
+    differences, of step 1e-5 * max(1, |x_i|), on `samples` randomly
+    chosen coordinates, or on every one when coords is "all".  Errors on
+    entries far below the gradient scale are measured against 0.1% of the
+    gradient sup-norm so that roundoff in negligible coordinates is not
+    misread as disagreement; exact 0-vs-0 counts as 0.  The backward pass
+    runs at x only: the points x +- h cost their values alone.
     """
     x = np.asarray(x, dtype=float)
     _, grad, _ = fg(x)
     grad = grad()
-    if coords is None:
-        rng = np.random.default_rng(0)
-        n = min(samples, x.size)
-        idx = rng.choice(x.size, size=n, replace=False)
-    elif isinstance(coords, str) and coords == "all":
+    if coords == "all":
         idx = np.arange(x.size)
     else:
-        idx = np.asarray(coords, dtype=int)
+        rng = np.random.default_rng(0)
+        idx = rng.choice(x.size, size=min(samples, x.size), replace=False)
     gscale = float(np.max(np.abs(grad))) if grad.size else 0.0
     floor = 1e-3 * gscale
     worst = 0.0

@@ -145,6 +145,9 @@ class TestValidation:
         "[measurement]\ndata_seed = -1\n",
         "[network]\ninit_seed = -1\n",
         "[probe]\nprobe_seed = -1\n",
+        "[ground_truth]\nphi2_profiles = constant:1\n",
+        "[ground_truth]\nkind = burgers1d\n",
+        "[ground_truth]\nkind = none\n",
     ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0",
             "nx4", "nt2", "t_end0", "x_hi_le_x_lo", "box_points1",
             "box_budget0", "net_width0", "net_depth1", "noise_negative", "p0.5",
@@ -157,7 +160,9 @@ class TestValidation:
             "probe_depth1", "fit_points0", "eval_points1",
             "train_iters_negative", "interval_reversed", "interval_hi_inf",
             "widths_decreasing", "widths_repeated", "data_seed_negative",
-            "init_seed_negative", "probe_seed_negative"])
+            "init_seed_negative", "probe_seed_negative",
+            "phi2_profiles_convection", "phi1_profiles_burgers",
+            "phi1_profiles_none"])
     def test_cross_field_errors_exit_2(self, text, tmp_path, capsys):
         # each of these used to pass parsing and fail later with a traceback,
         # except the removed keys, which used to be checked settings

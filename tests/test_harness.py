@@ -15,12 +15,13 @@ import pytest
 from smlpde import ground_truth, harness, mlp
 from smlpde.cli import main as cli_main
 from smlpde.config import default_config, format_config
-from smlpde.grid import jet_features
+from smlpde.grid import jet_features, write_csv
 from smlpde.harness import (_lsq_closure, _pin_heap, _staged_minimize,
                             _trim_heap, approximation_probe, build_grid,
                             build_gt_spec, fit_function_lsq,
                             gradcheck_from_config, run_convergence_study)
 from smlpde.ground_truth import f_true, f_true_deriv, simulate
+from smlpde.objective import ObjectiveBreakdown
 from smlpde.optimizer import OptimConfig, finite_diff_gradcheck, minimize
 
 
@@ -48,7 +49,7 @@ class TestConvergenceStudySmall:
         spec = build_gt_spec(cfg)
         u_true = simulate(spec, grid)
         data_range = float(np.max(u_true) - np.min(u_true))
-        for row in report.rows:
+        for row in report:
             assert row.status == "ok"
             assert row.e_f < 0.05 * data_range
 
@@ -104,7 +105,7 @@ class TestConvergenceStudySmall:
         cfg = tiny_config(tmp_path / "run", m_max=3, iters=400)
         cfg.sections["schedule"].update(growth=1.0, nu_decay=1.0)
         report = run_convergence_study(cfg, echo=lambda *_: None)
-        e_fs = [r.e_f for r in report.rows[1:]]
+        e_fs = [r.e_f for r in report[1:]]
         assert max(e_fs) - min(e_fs) < 0.05 * max(max(e_fs), 1e-9)
 
     def test_stops_one_row_per_start(self, tmp_path, monkeypatch):
@@ -146,7 +147,7 @@ class TestConvergenceStudySmall:
             assert int(r["iterations"]) > 0
             assert int(r["closure_calls"]) > int(r["iterations"])
             assert (r["value"], r["grad_inf"]) in returned
-        for row, scale in zip(report.rows, scales):
+        for row, scale in zip(report, scales):
             ends = [r for r in rows if r["m"] == str(row.m)]
             assert min(float(r["value"]) for r in ends) == row.breakdown.total
             assert sum(int(r["closure_calls"]) for r in ends) \
@@ -165,7 +166,7 @@ class TestConvergenceStudySmall:
         cfg = tiny_config(tmp_path / "run", m_max=2, iters=40)
         cfg.sections["optimizer"].update(restarts=2)
         report = run_convergence_study(cfg, echo=lambda *_: None)
-        assert all(row.status.startswith("diverged(") for row in report.rows)
+        assert all(row.status.startswith("diverged(") for row in report)
         with open(tmp_path / "run" / "stops.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["m"], r["start"]) for r in rows] == \
@@ -174,6 +175,16 @@ class TestConvergenceStudySmall:
             assert r["outcome"].startswith("diverged: visited jet point left")
             assert r["iterations"] == r["value"] == r["closure_calls"] \
                 == r["grad_inf"] == ""
+        # a failed scale's objective reads NaN, not the zeros of an empty
+        # breakdown, beside its NaN errors
+        with open(tmp_path / "run" / "report.csv", newline="") as fh:
+            report_rows = list(csv.DictReader(fh))
+        assert [r["m"] for r in report_rows] == ["1", "2"]
+        for r in report_rows:
+            for col in ObjectiveBreakdown.CSV_HEADER + (
+                    "e_f", "grad_sup_err", "state_err", "param_err", "psi_hat"):
+                assert r[col] == "nan", col
+            assert r["iterations"] == "0"
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "a", m_max=2, iters=150)
@@ -192,6 +203,47 @@ class TestConvergenceStudySmall:
                 a = (tmp_path / "a" / name).read_bytes()
                 b = (tmp_path / "b" / name).read_bytes()
                 assert a == b, name
+
+
+class TestCsvFormat:
+    def test_every_table_shares_one_format(self, tmp_path):
+        # a study and a probe share the output directory; every table ends
+        # its lines in "\n" alone and every line has the header's fields
+        cfg = tiny_config(tmp_path, m_max=2, iters=40)
+        cfg.sections["optimizer"].update(restarts=2)
+        cfg.sections["probe"].update(widths=[4, 8], train_iters=100)
+        run_convergence_study(cfg, echo=lambda *_: None)
+        approximation_probe(cfg, echo=lambda *_: None)
+        names = sorted(n for n in os.listdir(tmp_path) if n.endswith(".csv"))
+        for prefix in ("report.csv", "stops.csv", "trace_m", "schedule_check",
+                       "y_", "u_final_", "f_params_final_", "probe.csv",
+                       "probe_summary.csv"):
+            assert any(n.startswith(prefix) for n in names), prefix
+        for name in names:
+            data = (tmp_path / name).read_bytes()
+            assert b"\r" not in data, name
+            assert data.endswith(b"\n"), name
+            header, *lines = data[:-1].split(b"\n")
+            assert lines, name
+            for line in lines:
+                assert line.count(b",") == header.count(b","), (name, line)
+
+    @pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb"])
+    def test_cell_that_would_shift_columns_raises(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="comma or a line break"):
+            write_csv(path, ("x", "y"), [(1.0, 2), (0.5, cell)])
+        with pytest.raises(ValueError, match="comma or a line break"):
+            write_csv(path, ("x", cell), [])
+        assert not path.exists()
+
+    def test_cell_formats(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b", "c", "d"),
+                  [(0.1, np.float64(1 / 3), 7, "ok"), (float("nan"), -0.0, -1, "")])
+        assert path.read_bytes() == (b"a,b,c,d\n"
+                                     b"0.10000000000000001,0.33333333333333331,7,ok\n"
+                                     b"nan,-0,-1,\n")
 
 
 def kink_objective(calls):

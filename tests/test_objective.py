@@ -679,5 +679,5 @@ class TestLayout:
 
     def test_breakdown_csv_shape(self):
         bd = ObjectiveBreakdown(total=1.0, residual_term=0.5, r0_term=0.5)
-        header = ObjectiveBreakdown.csv_header()
-        assert len(header.split(",")) == len(bd.csv_row().split(","))
+        header = ObjectiveBreakdown.CSV_HEADER
+        assert len(header) == len(bd.cells())

@@ -42,9 +42,9 @@ ALLOWED = {
 
 
 SHARED = {
-    "harness.ScaleRow.csv_row": "harness.ConvergenceReport.write_csv",
+    "harness.ScaleRow.cells": "harness.run_convergence_study",
     "mlp.MlpParams.copy": "objective.VarLayout.__init__",
-    "objective.ObjectiveBreakdown.csv_row": "harness._write_trace",
+    "objective.ObjectiveBreakdown.cells": "harness.ScaleRow.cells",
 }
 
 
