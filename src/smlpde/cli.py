@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .config import default_config, format_config, parse_config
-from .errors import ConfigError
+from .errors import BoxViolationError, ConfigError, DivergedError
 from .harness import approximation_probe, gradcheck_from_config, run_convergence_study
 
 
@@ -50,6 +50,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (BoxViolationError, DivergedError) as exc:
+        # a start the gradient check cannot evaluate; the study records
+        # such a start as diverged and goes on
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,6 +6,19 @@ keys, malformed values, and duplicates are errors that carry the line
 number - so a typo can never silently fall back to a default.  The full
 schema with defaults is what `smlpde print-default-config` emits, and
 printing a parsed config reproduces that canonical text byte for byte.
+
+A parsed config is valid when the run's objects build from it: the grid
+(build_grid), the ground truth (build_gt_spec), each profile, the
+objective's Weights (q, r, rho, param_norm_p), the network's Activation,
+an OptimConfig with max_iters and the probe's f_true.  Each object owns its
+rules, and the ValueError one raises becomes a ConfigError naming the
+[section].  The measurement family is checked against
+measurement.MEASUREMENT_KINDS and box_margin against
+objective.MIN_BOX_MARGIN, without building a measurement operator or a
+box.  _validate keeps only the rules no object enforces: finite floats
+(param_norm_p may be inf), nonnegative seeds and noise0, positive schedule
+keys with m_max >= 1, restarts, width0 and depth, the probe's widths,
+train_iters and interval, the kappa range and finite profile values.
 """
 
 from __future__ import annotations
@@ -16,9 +29,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import Grid
-from .ground_truth import F_TRUE_LIBRARY, profile_array
-from .mlp import ACTIVATION_KINDS
-from .physics import PHYSICS_KINDS, n_param_slots
+from .ground_truth import GroundTruthSpec, f_true, profile_array
+from .measurement import MEASUREMENT_KINDS
+from .mlp import Activation
+from .objective import MIN_BOX_MARGIN, Weights
+from .optimizer import OptimConfig
 
 
 def _parse_str_list(text):
@@ -190,6 +205,37 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
+def build_grid(cfg: ExperimentConfig) -> Grid:
+    g = cfg["grid"]
+    return Grid(nx=g["nx"], nt=g["nt"], x_lo=g["x_lo"], x_hi=g["x_hi"],
+                t_end=g["t_end"])
+
+
+def build_gt_spec(cfg: ExperimentConfig) -> GroundTruthSpec:
+    gt = cfg["ground_truth"]
+    return GroundTruthSpec(kind=gt["kind"], f_name=gt["f_true"],
+                           L=gt["n_experiments"], kappa=gt["kappa"],
+                           phi_profiles=[list(gt["phi1_profiles"]),
+                                         list(gt["phi2_profiles"])],
+                           u0_profiles=list(gt["u0_profiles"]))
+
+
+def _build(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError a ConfigError led by where."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from None
+
+
+# the lower bounds that no object the run builds enforces
+_MINIMUM = {("measurement", "noise0"): 0, ("measurement", "data_seed"): 0,
+            ("network", "init_seed"): 0, ("probe", "probe_seed"): 0,
+            ("schedule", "m_max"): 1, ("optimizer", "restarts"): 1,
+            ("network", "width0"): 1, ("network", "depth"): 2,
+            ("probe", "train_iters"): 1}
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     for sec, keys in SCHEMA.items():
         for key, (type_tag, _) in keys.items():
@@ -199,84 +245,42 @@ def _validate(cfg: ExperimentConfig) -> None:
             # param_norm_p = inf selects the max-norm of the parameters
             if not (key == "param_norm_p" and value == np.inf):
                 raise ConfigError(f"[{sec}] {key} must be finite, got {value!r}")
-    g = cfg["grid"]
-    try:
-        grid = Grid(nx=g["nx"], nt=g["nt"], x_lo=g["x_lo"], x_hi=g["x_hi"],
-                    t_end=g["t_end"])
-    except ValueError as exc:
-        raise ConfigError(f"[grid] {exc}") from None
+    grid = _build("[grid]", build_grid, cfg)
+    _build("[ground_truth]", build_gt_spec, cfg)
     gt = cfg["ground_truth"]
-    if gt["kind"] not in PHYSICS_KINDS:
-        raise ConfigError(f"unknown physics kind {gt['kind']!r}")
-    if gt["f_true"] not in F_TRUE_LIBRARY:
-        raise ConfigError(f"unknown ground-truth nonlinearity {gt['f_true']!r}")
     if not 0 <= gt["kappa"] <= 2:
-        raise ConfigError("kappa must be 0, 1 or 2 (stencils go up to order 2)")
-    n_exp = gt["n_experiments"]
-    if n_exp < 1:
-        raise ConfigError("n_experiments must be >= 1")
-    slots = n_param_slots(gt["kind"])
-    for key in ["phi1_profiles", "phi2_profiles"][slots:]:
-        if gt[key]:
-            raise ConfigError(f"{key} must be empty: kind {gt['kind']!r} reads "
-                              f"{slots} parameter field(s)")
-    for key in ["u0_profiles"] + ["phi1_profiles", "phi2_profiles"][:slots]:
-        if len(gt[key]) != n_exp:
-            raise ConfigError(f"{key} has {len(gt[key])} entries for "
-                              f"n_experiments = {n_exp}")
+        raise ConfigError("[ground_truth] kappa must be 0, 1 or 2 (stencils "
+                          "go up to order 2)")
+    for key in ("u0_profiles", "phi1_profiles", "phi2_profiles"):
         for spec in gt[key]:
-            try:
-                finite = np.all(np.isfinite(profile_array(spec, grid)))
-            except ValueError as exc:
-                raise ConfigError(f"{key} entry {spec!r}: {exc}") from None
-            if not finite:
-                raise ConfigError(f"{key} entry {spec!r} has non-finite values")
+            values = _build(f"[ground_truth] {key} entry {spec!r}:",
+                            profile_array, spec, grid)
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"[ground_truth] {key} entry {spec!r} has "
+                                  "non-finite values")
     w = cfg["weights"]
-    for key in ("q", "r", "rho"):
-        if w[key] < 2:
-            raise ConfigError(f"weights key {key!r} must be >= 2 "
-                              "(the objective gradient needs it)")
-    for sec, key in (("measurement", "data_seed"), ("network", "init_seed"),
-                     ("probe", "probe_seed")):
-        if cfg[sec][key] < 0:
-            raise ConfigError(f"[{sec}] {key} must be >= 0 (it seeds numpy)")
-    if w["param_norm_p"] < 1:
-        raise ConfigError("param_norm_p must be >= 1 (or inf)")
-    meas = cfg["measurement"]
-    if meas["family"] not in ("full", "subsample", "smooth"):
-        raise ConfigError(f"unknown measurement family {meas['family']!r}")
-    if meas["noise0"] < 0:
-        raise ConfigError("noise0 must be >= 0")
-    sched = cfg["schedule"]
+    _build("[weights]", Weights, q=w["q"], r=w["r"], rho=w["rho"],
+           param_norm_p=w["param_norm_p"])
+    if w["box_margin"] < MIN_BOX_MARGIN:
+        raise ConfigError(f"[weights] box_margin must be >= {MIN_BOX_MARGIN}")
+    if cfg["measurement"]["family"] not in MEASUREMENT_KINDS:
+        raise ConfigError("[measurement] unknown measurement family "
+                          f"{cfg['measurement']['family']!r}")
+    for (sec, key), low in _MINIMUM.items():
+        if cfg[sec][key] < low:
+            raise ConfigError(f"[{sec}] {key} must be >= {low}")
     for key in ("lambda0", "mu0", "nu0", "growth", "nu_decay"):
-        if sched[key] <= 0:
-            raise ConfigError(f"schedule key {key!r} must be positive")
-    if sched["m_max"] < 1:
-        raise ConfigError("m_max must be >= 1")
-    opt = cfg["optimizer"]
-    if opt["max_iters"] < 0:
-        raise ConfigError("optimizer max_iters must be >= 0")
-    if opt["restarts"] < 1:
-        raise ConfigError("optimizer restarts must be >= 1")
-    net = cfg["network"]
-    if net["width0"] < 1:
-        raise ConfigError("network width0 must be >= 1")
-    if net["depth"] < 2:
-        raise ConfigError("network depth must be >= 2")
-    if net["activation"] not in ACTIVATION_KINDS:
-        raise ConfigError(f"unknown activation {net['activation']!r}")
+        if cfg["schedule"][key] <= 0:
+            raise ConfigError(f"[schedule] {key} must be positive")
+    _build("[optimizer]", OptimConfig, max_iters=cfg["optimizer"]["max_iters"])
+    _build("[network]", Activation, cfg["network"]["activation"])
     probe = cfg["probe"]
-    if probe["f_name"] not in F_TRUE_LIBRARY:
-        raise ConfigError(f"unknown probe function {probe['f_name']!r}")
+    _build("[probe]", f_true, probe["f_name"])
     widths = probe["widths"]
-    if not widths or min(widths) < 1:
-        raise ConfigError("probe widths must be a nonempty list of positive ints")
-    if any(a >= b for a, b in zip(widths, widths[1:])):
-        raise ConfigError("probe widths must increase (each fit widens the "
-                          "last, and the rate fit needs distinct widths)")
-    if probe["train_iters"] < 1:
-        raise ConfigError("probe train_iters must be >= 1")
+    if not widths or widths[0] < 1 \
+            or any(a >= b for a, b in zip(widths, widths[1:])):
+        raise ConfigError("[probe] widths must be a nonempty increasing list "
+                          "of positive ints (each fit widens the last, and "
+                          "the rate fit needs distinct widths)")
     if not probe["interval_lo"] < probe["interval_hi"]:
-        raise ConfigError("probe interval_lo must be below interval_hi")
-    if cfg["weights"]["box_margin"] < 1.1:
-        raise ConfigError("box_margin must be >= 1.1")
+        raise ConfigError("[probe] interval_lo must be below interval_hi")

@@ -86,29 +86,32 @@ class GroundTruthSpec:
     f_name: str
     L: int
     kappa: int = 0
-    phi_profiles: list = field(default_factory=list)   # per l: list per slot
+    phi_profiles: list = field(default_factory=list)   # per slot: per l
     u0_profiles: list = field(default_factory=list)    # per l
 
     def __post_init__(self):
         if self.L < 1:
-            raise ValueError("need at least one experiment")
+            raise ValueError(f"n_experiments must be >= 1, got {self.L}")
         slots = n_param_slots(self.kind)
-        if slots and len(self.phi_profiles) != self.L:
-            raise ValueError("one phi profile list per experiment required")
-        for per_l in self.phi_profiles:
-            if len(per_l) != slots:
-                raise ValueError(f"kind {self.kind!r} needs {slots} profile(s) per l")
+        counts = [len(profiles) for profiles in self.phi_profiles]
+        counts += [0] * (slots - len(counts))  # a slot given no list
+        for s, count in enumerate(counts):
+            need = self.L if s < slots else 0
+            if count != need:
+                raise ValueError(f"phi{s + 1}_profiles has {count} entries, "
+                                 f"kind {self.kind!r} with n_experiments = "
+                                 f"{self.L} needs {need}")
         if len(self.u0_profiles) != self.L:
-            raise ValueError("one u0 profile per experiment required")
-        if self.f_name not in F_TRUE_LIBRARY:
-            raise ValueError(f"unknown nonlinearity {self.f_name!r}")
+            raise ValueError(f"u0_profiles has {len(self.u0_profiles)} "
+                             f"entries for n_experiments = {self.L}")
+        f_true(self.f_name)
 
     def phi_values(self, grid: Grid) -> np.ndarray:
         slots = n_param_slots(self.kind)
         vals = np.zeros((self.L, 1, slots, grid.nx))
-        for l in range(self.L):
-            for s in range(slots):
-                vals[l, :, s, :] = profile_array(self.phi_profiles[l][s], grid)
+        for s in range(slots):
+            for l in range(self.L):
+                vals[l, :, s, :] = profile_array(self.phi_profiles[s][l], grid)
         return vals
 
 

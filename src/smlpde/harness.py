@@ -79,7 +79,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import mlp
-from .config import ExperimentConfig, format_config
+from .config import ExperimentConfig, build_grid, build_gt_spec, format_config
 from .errors import BoxViolationError, ConfigError, DivergedError
 from .grid import Grid, jet_features, write_csv, write_field_csv
 from .ground_truth import (GroundTruthSpec, f_true, f_true_deriv, make_dataset,
@@ -157,26 +157,6 @@ def _output_dir(cfg: ExperimentConfig) -> str:
         raise ConfigError(f"[output] dir {out_dir!r} cannot be created: "
                           f"{exc.strerror}") from None
     return out_dir
-
-
-def build_grid(cfg: ExperimentConfig) -> Grid:
-    g = cfg["grid"]
-    return Grid(nx=g["nx"], nt=g["nt"], x_lo=g["x_lo"], x_hi=g["x_hi"],
-                t_end=g["t_end"])
-
-
-def build_gt_spec(cfg: ExperimentConfig) -> GroundTruthSpec:
-    gt = cfg["ground_truth"]
-    slots = n_param_slots(gt["kind"])
-    phi_profiles = []
-    if slots:
-        lists = [gt["phi1_profiles"], gt["phi2_profiles"]][:slots]
-        for l in range(gt["n_experiments"]):
-            phi_profiles.append([lst[l] for lst in lists])
-    return GroundTruthSpec(kind=gt["kind"], f_name=gt["f_true"],
-                           L=gt["n_experiments"], kappa=gt["kappa"],
-                           phi_profiles=phi_profiles,
-                           u0_profiles=list(gt["u0_profiles"]))
 
 
 def network_sizes(cfg: ExperimentConfig, input_dim: int, m: int):

@@ -73,7 +73,7 @@ pays for its value only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -170,12 +170,16 @@ def build_box(dim: int, radius: float, points_per_axis: int = 33,
     return UBox(dim=dim, radius=radius, samples=samples, quad_weights=weights)
 
 
+# the smallest margin derive_ubox accepts ([weights] box_margin)
+MIN_BOX_MARGIN = 1.1
+
+
 def derive_ubox(grid: Grid, z_ref: np.ndarray, margin: float) -> UBox:
     """The box around the reference trajectory's jets z_ref (jet_features'
     rows, any leading axes): radius t_end + margin * the largest |jet
     component| outside the time column, dimension z_ref.shape[-1]."""
-    if margin < 1.1:
-        raise ValueError(f"margin must be >= 1.1, got {margin}")
+    if margin < MIN_BOX_MARGIN:
+        raise ValueError(f"margin must be >= {MIN_BOX_MARGIN}, got {margin}")
     radius = grid.t_end + margin * float(np.max(np.abs(z_ref[..., 1:])))
     return build_box(z_ref.shape[-1], radius)
 
@@ -259,17 +263,19 @@ class ObjectiveBreakdown:
     theta_norm_term: float = 0.0
     hard_gradsup: float = 0.0
 
-    PART_NAMES = ("residual_term", "initial_term", "boundary_term", "data_term",
-                  "r0_term", "f_lrho_term", "f_gradsup_term", "theta_norm_term")
-    # the columns of cells(), in the report and the per-iteration traces
-    CSV_HEADER = ("total", "residual", "initial", "boundary", "data", "r0",
-                  "f_lrho", "f_gradsup", "theta_norm", "hard_gradsup")
-
     def parts(self):
         return [getattr(self, name) for name in self.PART_NAMES]
 
     def cells(self) -> list:
         return [self.total, *self.parts(), self.hard_gradsup]
+
+
+# the terms are the *_term fields; the columns of cells(), in the report and
+# the per-iteration traces, are the fields in order, named without _term
+ObjectiveBreakdown.PART_NAMES = tuple(
+    f.name for f in fields(ObjectiveBreakdown) if f.name.endswith("_term"))
+ObjectiveBreakdown.CSV_HEADER = tuple(
+    f.name.removesuffix("_term") for f in fields(ObjectiveBreakdown))
 
 
 @dataclass

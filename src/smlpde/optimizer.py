@@ -79,7 +79,8 @@ class OptimConfig:
         if self.method not in ("adaptive", "gd_linesearch"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.rate <= 0 or self.max_iters < 0:
-            raise ValueError("rate must be positive and max_iters >= 0")
+            raise ValueError(f"need rate > 0 and max_iters >= 0, got rate = "
+                             f"{self.rate}, max_iters = {self.max_iters}")
 
 
 @dataclass

@@ -31,24 +31,24 @@ import numpy as np
 
 from .grid import Grid, space_derivatives
 
-PHYSICS_KINDS = ("none", "convection", "diffusion_reaction", "burgers1d")
+# kind -> (parameter slots, highest spatial derivative order of the state)
+PHYSICS_KINDS = {"none": (0, 0), "convection": (1, 1),
+                 "diffusion_reaction": (2, 2), "burgers1d": (0, 1)}
 
-_SLOTS = {"none": 0, "convection": 1, "diffusion_reaction": 2, "burgers1d": 0}
 
-_ORDER = {"none": 0, "convection": 1, "diffusion_reaction": 2, "burgers1d": 1}
+def _kind_entry(kind: str) -> tuple:
+    if kind not in PHYSICS_KINDS:
+        raise ValueError(f"unknown physics kind {kind!r}")
+    return PHYSICS_KINDS[kind]
 
 
 def n_param_slots(kind: str) -> int:
-    if kind not in PHYSICS_KINDS:
-        raise ValueError(f"unknown physics kind {kind!r}")
-    return _SLOTS[kind]
+    return _kind_entry(kind)[0]
 
 
 def physics_order(kind: str) -> int:
     """The highest spatial derivative order of the state in kind's term."""
-    if kind not in PHYSICS_KINDS:
-        raise ValueError(f"unknown physics kind {kind!r}")
-    return _ORDER[kind]
+    return _kind_entry(kind)[1]
 
 
 def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -148,6 +148,12 @@ class TestValidation:
         "[ground_truth]\nphi2_profiles = constant:1\n",
         "[ground_truth]\nkind = burgers1d\n",
         "[ground_truth]\nkind = none\n",
+        "[ground_truth]\nkind = diffusion_reaction\nphi2_profiles = "
+        "constant:1, constant:1, constant:1, constant:1\n",
+        "[ground_truth]\nkind = diffusion_reaction\nphi2_profiles = "
+        "constant:1, constant:1\n",
+        "[ground_truth]\nu0_profiles = sine:1.0, sine:0.8, bump:1.0, bump:0.5\n",
+        "[ground_truth]\nn_experiments = 0\n",
     ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0",
             "nx4", "nt2", "t_end0", "x_hi_le_x_lo", "box_points1",
             "box_budget0", "net_width0", "net_depth1", "noise_negative", "p0.5",
@@ -162,7 +168,9 @@ class TestValidation:
             "widths_decreasing", "widths_repeated", "data_seed_negative",
             "init_seed_negative", "probe_seed_negative",
             "phi2_profiles_convection", "phi1_profiles_burgers",
-            "phi1_profiles_none"])
+            "phi1_profiles_none", "phi2_longer_than_phi1",
+            "phi2_shorter_than_phi1", "u0_profiles_too_many",
+            "n_experiments0"])
     def test_cross_field_errors_exit_2(self, text, tmp_path, capsys):
         # each of these used to pass parsing and fail later with a traceback,
         # except the removed keys, which used to be checked settings
@@ -171,6 +179,8 @@ class TestValidation:
         assert cli_main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
-        key = text.splitlines()[1].partition(" =")[0]
+        section, line = text.splitlines()[:2]
+        assert section in err
+        key = line.partition(" =")[0]
         if key in REMOVED_KEYS:
             assert f"unknown key '{key}'" in err

@@ -65,7 +65,7 @@ class TestSimulate:
         grid = Grid(nx=33, nt=17, x_lo=0.0, x_hi=1.0, t_end=0.1)
         spec = GroundTruthSpec(kind="diffusion_reaction", f_name="zero", L=1,
                                kappa=2,
-                               phi_profiles=[["constant:0.1", "constant:0.0"]],
+                               phi_profiles=[["constant:0.1"], ["constant:0.0"]],
                                u0_profiles=["sine:1.0"])
         u = simulate(spec, grid)
         # heat equation: sine mode decays like exp(-a pi^2 t)
@@ -99,8 +99,8 @@ class TestMakeDataset:
         grid = make_grid(t_end=0.4)
         spec = GroundTruthSpec(
             kind="convection", f_name="zero", L=3, kappa=0,
-            phi_profiles=[["constant:0.3"], ["constant:-0.2"],
-                          ["constant:0.1"]],
+            phi_profiles=[["constant:0.3", "constant:-0.2",
+                           "constant:0.1"]],
             u0_profiles=["bump:1.0", "bump:1.0", "bump:1.0"])
         u = simulate(spec, grid)
         for a in range(3):
@@ -210,8 +210,8 @@ class TestLimitOracle:
     def test_convection_tie_seeds_agree(self):
         grid = Grid(nx=7, nt=7, x_lo=0.0, x_hi=1.0, t_end=0.5)
         spec = GroundTruthSpec(kind="convection", f_name="cubic", L=2, kappa=0,
-                               phi_profiles=[["constant:0.6"],
-                                             ["constant:-0.4"]],
+                               phi_profiles=[["constant:0.6",
+                                              "constant:-0.4"]],
                                u0_profiles=["sine:1.0", "bump:0.8"])
         ds = make_dataset(grid, simulate(spec, grid),
                           MeasurementOp("full", 1, grid), 0.0, 0)

@@ -14,11 +14,11 @@ import pytest
 
 from smlpde import ground_truth, harness, mlp
 from smlpde.cli import main as cli_main
-from smlpde.config import default_config, format_config
+from smlpde.config import (build_grid, build_gt_spec, default_config,
+                           format_config)
 from smlpde.grid import jet_features, write_csv
 from smlpde.harness import (_lsq_closure, _pin_heap, _staged_minimize,
-                            _trim_heap, approximation_probe, build_grid,
-                            build_gt_spec, fit_function_lsq,
+                            _trim_heap, approximation_probe, fit_function_lsq,
                             gradcheck_from_config, run_convergence_study)
 from smlpde.ground_truth import f_true, f_true_deriv, simulate
 from smlpde.objective import ObjectiveBreakdown
@@ -691,6 +691,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: forward simulation diverged")
         assert err.count("\n") == 1
+
+    def test_gradcheck_start_outside_box_exit_code(self, tmp_path, capsys):
+        # noise this large puts the data-started states' jets outside the
+        # box derived from the true trajectory
+        cfg = default_config()
+        cfg.sections["grid"].update(nx=17, nt=17)
+        cfg.sections["measurement"].update(noise0=3.0)
+        cfg.sections["schedule"].update(m_max=1)
+        cfg.sections["optimizer"].update(max_iters=4, restarts=1)
+        cfg.sections["output"].update(dir=str(tmp_path / "out"))
+        path = tmp_path / "exp.cfg"
+        path.write_text(format_config(cfg), encoding="utf-8")
+        assert cli_main(["gradcheck", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gradcheck: visited jet point left the box")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
