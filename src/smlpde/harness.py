@@ -50,6 +50,13 @@ one tape.  The prefit and the probe's fits run their adaptive stages
 through one loop (_adaptive_stages), which hands the fit's one closure to
 every stage.
 
+Every minimization goes through this module's globals make_closure and
+minimize: each objective closure is made by harness.make_closure, and
+every optimizer run, of an objective or a fit closure, is a call of
+harness.minimize.  The benchmark (studybench/worker.py) binds its
+closure-call counts, stage times and failure counts over these two names,
+so a closure made or minimized by any other path would go uncounted.
+
 Every entry point (run_convergence_study, approximation_probe,
 gradcheck_from_config) first pins the C allocator's thresholds
 (_pin_heap).  Each closure call allocates and frees numpy temporaries of

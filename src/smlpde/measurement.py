@@ -35,28 +35,22 @@ def subsample_stride(nx: int, m: int) -> int:
     return max(1, math.ceil(nx / (4 * m)))
 
 
-def _fold_index(p: int, n: int) -> int:
-    """Edge-symmetric reflection of an out-of-range index into [0, n)."""
-    while p < 0 or p >= n:
-        if p < 0:
-            p = -1 - p
-        else:
-            p = 2 * n - 1 - p
-    return p
-
-
 def gaussian_smoothing_matrix(grid: Grid, sigma_len: float) -> np.ndarray:
-    """Row-stochastic blur matrix with symmetric boundary folding."""
+    """Row-stochastic blur matrix with symmetric boundary folding: an index
+    outside [0, nx) is reflected about the edge it crossed (-1 -> 0,
+    nx -> nx - 1), which repeats with period 2 nx.  Each row adds its
+    kernel weights in offset order."""
     nx = grid.nx
     sigma = sigma_len / grid.dx
     radius = int(math.ceil(3.0 * sigma))
     offsets = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     kernel /= kernel.sum()
+    rows = np.arange(nx)[:, None]
+    cols = (rows + offsets) % (2 * nx)
+    cols = np.where(cols < nx, cols, 2 * nx - 1 - cols)
     mat = np.zeros((nx, nx))
-    for i in range(nx):
-        for off, k in zip(offsets, kernel):
-            mat[i, _fold_index(i + off, nx)] += k
+    np.add.at(mat, (rows, cols), kernel)
     return mat
 
 

@@ -19,30 +19,35 @@ rows reads both off one tape.
 The tape is feature-major.  Callers pass and receive batches one input
 per row: Z and A[0] (the batch as passed) are (B, n_0), Tape.values is
 (B,), and input_grads and the VJP's bar_Z are (B, n_0) transposed views.
-Every array the tape makes itself -- each hidden pre-activation P[i],
-activation A[i+1], sigma', sigma'' and sweep adjoint -- is (width, B), so
-the forward pass is P[i] = W_i @ A[i] + b_i[:, None] (with Z^T for A[0]),
-bias gradients are row sums of the adjoint and weight gradients are
+Every array the tape makes itself -- each hidden activation A[i+1],
+sigma', sigma'' and sweep adjoint -- is (width, B), so the forward pass is
+A[i+1] = sigma(W_i @ A[i] + b_i[:, None]) (with Z^T for A[0]), bias
+gradients are row sums of the adjoint and weight gradients are
 bar_P @ A[i]^T (bar_P @ Z for the first layer).  Hidden layers are 1-32
 wide and batches hold up to a few thousand rows: with the batch on the
 last axis, every elementwise product, broadcast and bias sum runs its
 inner loop over B contiguous entries instead of over one short row B
 times, and each bias sum is numpy's pairwise sum of one contiguous row.
 
-A tape computes sigma' of each hidden layer at most once, on the first
-input-gradient sweep or VJP that needs it, and sigma'' at most once, on
-the first gradient-seeded VJP; later sweeps and VJPs on the same tape
-reuse them.  Activation.slope and Activation.curvature take the stored
-activation a = sigma(z) along with z, so tanh needs no further tanh
-evaluation: sigma' = 1 - a*a and sigma'' = -2*a*sigma', the same
-expressions Activation.deriv and deriv2 evaluate.
+Each activation has one formula for sigma (Activation.value_over, which
+writes it over the pre-activation), and sigma' and sigma'' are read off
+the activation a = sigma(z) alone (Activation.slope and curvature): tanh
+1 - a*a and -2*a*sigma', softplus 1 - e^-a and sigma'(1 - sigma'), requ
+2*sqrt(a) and 2*[a > 0], relu and leaky-relu their slope where a > 0 and
+0.  So a forward pass holds the hidden activations and the output row and
+no pre-activation, and a tape keeps besides them only sigma' of each
+hidden layer, computed once by the first input-gradient sweep or VJP
+that needs it, and the sweep's results cs.  The gradient-seeded VJP of
+the box terms, the one reader of the sweep's d_i = c_{i+1} * sigma'_i and
+of sigma'', forms each where it reads it.  Activation.deriv and deriv2
+are slope and curvature of value(z).
 
 The tape writes in place where the fresh-temporary form would allocate
-(b added into W @ A, 1 - a*a in a*a's buffer, sigma' and sigma'' scaling
-fresh products) and keeps every product's operation order, so its outputs
-are bit-identical to that form.  Output-layer products with a (1, B) or
-(n, 1) factor are broadcasts.  Tape.values is a view of the output layer's
-row, not a copy.
+(b added into W @ A, sigma over its pre-activation, 1 - a*a in a*a's
+buffer, sigma' and sigma'' scaling fresh products) and keeps every
+product's operation order, so its outputs are bit-identical to that form.
+Output-layer products with a (1, B) or (n, 1) factor are broadcasts.
+Tape.values is a view of the output layer's row, not a copy.
 
 A layer with one input column (the first layer of a network on R^1, as in
 the approximation probe) computes W_i @ A[i] as the broadcast product
@@ -53,13 +58,6 @@ at +0.0 and turns a -0.0 product into +0.0, where the broadcast keeps
 -0.0.  Once the bias is added the two differ only where the bias entry is
 -0.0 as well, which no fit reaches: biases start at +0.0, and an
 optimizer step x - s is -0.0 only where x is -0.0.
-
-A hidden layer whose sigma' and sigma'' need only a = sigma(z) computes
-its activation over its pre-activation (Activation.value_over): for tanh,
-relu and leaky-relu P[i] and A[i+1] are one array, so a forward pass holds
-the hidden activations and the output row and no second copy of each
-hidden layer.  softplus and requ read z itself and keep P[i] beside
-A[i+1].
 
 Tape.param_vjp returns the parameter gradient as one flat vector in
 flatten_params order (W_1, b_1, W_2, b_2, ...), the layout fit and
@@ -108,63 +106,56 @@ class Activation:
             raise ValueError(f"unknown activation {self.kind!r}")
 
     def value(self, z):
-        if self.kind == "tanh":
-            return np.tanh(z)
-        if self.kind == "softplus":
-            # stable log(1 + e^z)
-            return np.logaddexp(0.0, z)
-        if self.kind == "relu":
-            return np.maximum(z, 0.0)
-        if self.kind == "leaky-relu":
-            return np.where(z > 0, z, LEAKY_SLOPE * z)
-        return np.where(z > 0, z, 0.0) ** 2  # requ
+        return self.value_over(np.array(z, dtype=float))
 
     def deriv(self, z):
-        return self.slope(z, self.value(z))
+        return self.slope(self.value(z))
 
     def deriv2(self, z):
         a = self.value(z)
-        return self.curvature(z, a, self.slope(z, a))
+        return self.curvature(a, self.slope(a))
 
     def value_over(self, z):
-        """sigma(z), written over z where slope and curvature need only
-        a = sigma(z): tanh reads a alone, and relu and leaky-relu test
-        z > 0, which holds exactly where a > 0.  softplus and requ read z
-        itself, so they return a fresh array and leave z as it was.  The
-        bits are those of value(z)."""
+        """sigma(z), written over the float array z and returned."""
         if self.kind == "tanh":
             return np.tanh(z, out=z)
+        if self.kind == "softplus":
+            # stable log(1 + e^z)
+            return np.logaddexp(0.0, z, out=z)
         if self.kind == "relu":
             return np.maximum(z, 0.0, out=z)
         if self.kind == "leaky-relu":
             return np.multiply(z, LEAKY_SLOPE, out=z, where=z <= 0)
-        return self.value(z)
+        np.maximum(z, 0.0, out=z)  # requ
+        return np.square(z, out=z)
 
-    def slope(self, z, a):
-        """sigma'(z), given a = sigma(z); tanh reads it off a.  Where
-        value_over wrote a over z, z is a."""
+    def slope(self, a):
+        """sigma'(z), read off the activation a = sigma(z).  relu,
+        leaky-relu and requ test a > 0, which holds where z > 0 (for requ,
+        where z^2 does not underflow to 0)."""
         if self.kind == "tanh":
             s = a * a
             return np.subtract(1.0, s,
                                out=s if isinstance(s, np.ndarray) else None)
         if self.kind == "softplus":
-            return 1.0 / (1.0 + np.exp(-z))
+            # 1 - e^-a = e^z / (1 + e^z)
+            return -np.expm1(-a)
         if self.kind == "relu":
             # subgradient at the kink fixed to 0 for determinism
-            return np.where(z > 0, 1.0, 0.0)
+            return np.where(a > 0, 1.0, 0.0)
         if self.kind == "leaky-relu":
-            return np.where(z > 0, 1.0, LEAKY_SLOPE)
-        return 2.0 * np.maximum(z, 0.0)  # requ
+            return np.where(a > 0, 1.0, LEAKY_SLOPE)
+        return 2.0 * np.sqrt(a)  # requ: sqrt(z^2) is z while z^2 is normal
 
-    def curvature(self, z, a, slope):
+    def curvature(self, a, slope):
         """sigma''(z), given a = sigma(z) and slope = sigma'(z)."""
         if self.kind == "tanh":
             return -2.0 * a * slope
         if self.kind == "softplus":
             return slope * (1.0 - slope)
         if self.kind in ("relu", "leaky-relu"):
-            return np.zeros_like(np.asarray(z, dtype=float))
-        return np.where(z > 0, 2.0, 0.0)  # requ
+            return np.zeros_like(a)
+        return np.where(a > 0, 2.0, 0.0)  # requ
 
     def lipschitz_on(self, interval) -> float:
         """Lipschitz constant of sigma on [lo, hi]."""
@@ -278,17 +269,15 @@ class Tape:
     """Forward + input-gradient sweep for a batch of inputs, kept for VJPs.
 
     A[0] is the batch Z as passed, (B, n_0); every later array the tape
-    holds (A[1:], P, sigma', sigma'', the sweeps' adjoints) is feature-major,
-    (width, B).  The forward pass leaves A, with the hidden activations
-    A[1:], and P, whose last entry is the (1, B) output row.  P[i] is
-    A[i+1] for every hidden layer i when the activation's derivatives need
-    only a (tanh, relu, leaky-relu); for softplus and requ P[i] is the
-    separate pre-activation.  sigma' and sigma'' of each hidden layer are
-    added by the first sweep or VJP that needs them, and the input-gradient
-    sweep's ds and cs by input_grads or the first gradient-seeded VJP.
+    holds is feature-major, (width, B).  The forward pass leaves A, with
+    the activation A[i+1] of each hidden layer i written over its
+    pre-activation, and values, the output row.  sigma' of each hidden
+    layer is added by the first sweep or VJP that needs it, and cs, the
+    input-gradient sweep's c_i = W_i^T d_i, by input_grads or the first
+    gradient-seeded VJP.
     """
 
-    _cs = _ds = _slopes = _curvatures = None
+    _cs = _slopes = None
 
     def __init__(self, params: MlpParams, Z: np.ndarray):
         Z = np.asarray(Z, dtype=float)
@@ -301,7 +290,6 @@ class Tape:
         value_over = params.activation.value_over
         last = len(weights) - 1
         A = [Z]
-        P = []
         x = Z.T
         for i in range(last + 1):
             w = weights[i]
@@ -309,27 +297,17 @@ class Tape:
             # entry, as in the matmul
             pre = w * x if w.shape[1] == 1 else w @ x
             pre += biases[i][:, None]
-            P.append(pre)
             if i < last:
                 x = value_over(pre)
                 A.append(x)
-        self.A, self.P = A, P
+        self.A = A
         self.values = pre[0]
 
     def _hidden_slopes(self):
-        """sigma'(P[i]) of every hidden layer i."""
+        """sigma' of every hidden layer, read off its activation A[i+1]."""
         if self._slopes is None:
-            act = self.params.activation
-            self._slopes = [act.slope(p, a) for p, a in zip(self.P, self.A[1:])]
+            self._slopes = [self.params.activation.slope(a) for a in self.A[1:]]
         return self._slopes
-
-    def _hidden_curvatures(self):
-        """sigma''(P[i]) of every hidden layer i."""
-        if self._curvatures is None:
-            act = self.params.activation
-            self._curvatures = [act.curvature(p, a, s) for p, a, s in
-                                zip(self.P, self.A[1:], self._hidden_slopes())]
-        return self._curvatures
 
     def _input_grad_sweep(self):
         if self._cs is not None:
@@ -337,17 +315,15 @@ class Tape:
         weights = self.params.weights
         sp = self._hidden_slopes()
         L = len(weights)
-        B = self.A[0].shape[0]
-        ds = [None] * L
         cs = [None] * L
-        ds[L - 1] = np.ones((1, B))
+        d = np.ones((1, self.A[0].shape[0]))
         for i in range(L - 1, -1, -1):
             # every column of W_{L-1}^T @ ones((1, B)) is W_{L-1}'s one row,
             # which broadcasting reads; only the input gradient needs all B
-            cs[i] = weights[i].T if 0 < i == L - 1 else weights[i].T @ ds[i]
+            cs[i] = weights[i].T if 0 < i == L - 1 else weights[i].T @ d
             if i > 0:
-                ds[i - 1] = cs[i] * sp[i - 1]
-        self._cs, self._ds = cs, ds
+                d = cs[i] * sp[i - 1]
+        self._cs = cs
 
     @property
     def input_grads(self) -> np.ndarray:
@@ -371,20 +347,20 @@ class Tape:
         grad = np.zeros(self.params._layout[0])
         w_grads, b_grads = _layer_views(grad, self.params._layout[1])
 
-        seeded = []   # the gradient-seed sweep's adjoint of each P[i], i < L-1
+        seeded = []   # the gradient-seed sweep's adjoint of each hidden layer
         if grad_seeds is not None:
             self._input_grad_sweep()
-            spp = self._hidden_curvatures()
+            cs, act = self._cs, self.params.activation
             bar_c = np.asarray(grad_seeds, dtype=float).T
             for i in range(L):
-                # cs[i] = W_i^T @ ds[i]
-                np.matmul(self._ds[i], bar_c.T, out=w_grads[i])
+                # c_i = W_i^T @ d_i, with d_{L-1} = 1 and d_i = c_{i+1} * sigma'_i
+                d = cs[i + 1] * sp[i] if i < L - 1 else np.ones((1, bar_c.shape[1]))
+                np.matmul(d, bar_c.T, out=w_grads[i])
                 if i < L - 1:
-                    # ds[i] = cs[i+1] * sigma'(P[i])
                     bar_d = weights[i] @ bar_c
                     bar_c = bar_d * sp[i]
-                    bar_d *= self._cs[i + 1]
-                    bar_d *= spp[i]
+                    bar_d *= cs[i + 1]
+                    bar_d *= act.curvature(self.A[i + 1], sp[i])
                     seeded.append(bar_d)
 
         bar_P = (None if val_seeds is None

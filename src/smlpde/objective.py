@@ -79,7 +79,8 @@ import numpy as np
 
 from . import mlp
 from .errors import BoxViolationError
-from .grid import Grid, _norm_pow, jet_features, space_derivatives
+from .grid import (Grid, _norm_pow, jet_features, space_derivatives,
+                   trapezoid_weights)
 from .measurement import Dataset, MeasurementOp
 from .physics import physics_order, physics_vjp, residual, residual_columns
 
@@ -150,8 +151,7 @@ def build_box(dim: int, radius: float, points_per_axis: int = 33,
         raise ValueError("box needs dim >= 1 and positive radius")
     if dim <= 2:
         axis = np.linspace(-radius, radius, points_per_axis)
-        w1 = np.full(points_per_axis, 1.0 / (points_per_axis - 1))
-        w1[0] = w1[-1] = 0.5 / (points_per_axis - 1)
+        w1 = trapezoid_weights(points_per_axis, 1.0 / (points_per_axis - 1))
         if dim == 1:
             samples = axis[:, None]
             weights = w1

@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import functools
+import importlib
 import json
 import os
 import platform
@@ -623,38 +624,102 @@ class TestPinHeap:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the pinned thresholds are glibc's")
     def test_entry_point_keeps_freed_pages(self, tmp_path):
-        # after an entry point, freed 800 KB arrays stay in the heap: a
+        # after each entry point, freed 800 KB arrays stay in the heap: a
         # fresh round of them takes no new pages from the kernel (unpinned,
         # glibc mmaps or trims them and each round faults about 2,000 pages)
         src = os.path.dirname(os.path.dirname(os.path.abspath(mlp.__file__)))
-        code = ("import resource\n"
-                "import numpy as np\n"
-                "from smlpde.config import default_config\n"
-                "from smlpde.harness import approximation_probe\n"
-                "cfg = default_config()\n"
-                "cfg.sections['probe'].update(f_name='zero', widths=[4],\n"
-                "                             train_iters=50)\n"
-                f"cfg.sections['output'].update(dir={str(tmp_path)!r})\n"
-                "approximation_probe(cfg, echo=lambda *_: None)\n"
-                "def round_():\n"
-                "    arrays = [np.ones(100_000) for _ in range(10)]\n"
-                "    del arrays\n"
-                "for _ in range(3):\n"
-                "    round_()\n"
-                "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-                "for _ in range(20):\n"
-                "    round_()\n"
-                "end = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-                "print((end - start) / 20)\n")
+        cfg = tiny_config(tmp_path, m_max=1, iters=20)
+        cfg.sections["probe"].update(f_name="zero", widths=[4], train_iters=50)
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert float(out) < 10
+        for entry in ("approximation_probe", "run_convergence_study",
+                      "gradcheck_from_config"):
+            code = ("import resource\n"
+                    "import numpy as np\n"
+                    "from smlpde.config import parse_config_text\n"
+                    f"from smlpde.harness import {entry}\n"
+                    f"cfg = parse_config_text({format_config(cfg)!r})\n"
+                    f"{entry}(cfg, echo=lambda *_: None)\n"
+                    "def round_():\n"
+                    "    arrays = [np.ones(100_000) for _ in range(10)]\n"
+                    "    del arrays\n"
+                    "for _ in range(3):\n"
+                    "    round_()\n"
+                    "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                    "for _ in range(20):\n"
+                    "    round_()\n"
+                    "end = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                    "print((end - start) / 20)\n")
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 check=True, capture_output=True, text=True).stdout
+            assert float(out) < 10, entry
 
     def test_no_mallopt_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
         assert _pin_heap() is False
         _trim_heap()
+
+
+STUDYBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "studybench")
+
+
+class TestBenchmarkContract:
+    """The benchmark binds studybench/spans.py's tracing over every public
+    smlpde function and mlp.Tape's operations, and studybench/worker.py's
+    Hooks over harness.make_closure and harness.minimize.  A program change
+    that renames what they bind, or minimizes outside those two globals,
+    makes the benchmark's tags and counts read wrong without any error, so
+    the tiny study and probe run here under both, unedited."""
+
+    @pytest.fixture
+    def bench(self, monkeypatch):
+        monkeypatch.syspath_prepend(STUDYBENCH)
+        return importlib.import_module("spans"), importlib.import_module("worker")
+
+    @staticmethod
+    def run_traced(bench, timed, entry, cfg):
+        """entry(cfg) under the tracing and the hooks, installed in the
+        worker's order; returns (the recorder's layer metrics, tape tags,
+        hooks)."""
+        spans, worker = bench
+        rec = spans.Recorder()
+        restore_tracing = spans.install_tracing(rec)
+        try:
+            hooks = worker.Hooks(timed, rec)
+            restore_hooks = hooks.install(harness)
+            try:
+                entry(cfg, echo=lambda *_: None)
+            finally:
+                restore_hooks()
+        finally:
+            restore_tracing()
+        tags = {tag for name, tag in zip(rec.names, rec.tags) if name == "mlp.Tape"}
+        return spans.layer_metrics(rec), tags, hooks
+
+    def test_study(self, bench, tmp_path):
+        cfg = tiny_config(tmp_path, m_max=2, iters=20)
+        layers, tags, hooks = self.run_traced(
+            bench, "objective", harness.run_convergence_study, cfg)
+        assert tags == {"residual", "box", "fit"}
+        assert layers["mlp.deriv_calls"] == 0
+        assert layers["objective.closure_samples"] == hooks.calls["objective"]
+        with open(tmp_path / "timings.json") as fh:
+            scales = json.load(fh)["scales"]
+        assert hooks.calls["objective"] == sum(s["closure_calls"] for s in scales)
+        assert hooks.calls["fit"] > 0
+        assert hooks.minimize_failed == 0
+
+    def test_probe(self, bench, tmp_path):
+        cfg = tiny_config(tmp_path)
+        cfg.sections["probe"].update(f_name="zero", widths=[4, 8], train_iters=40)
+        layers, tags, hooks = self.run_traced(
+            bench, "fit", harness.approximation_probe, cfg)
+        assert tags == {"fit"}
+        assert layers["mlp.deriv_calls"] == 0
+        with open(tmp_path / "probe_timings.json") as fh:
+            widths = json.load(fh)["widths"]
+        assert hooks.calls["fit"] == sum(w["fit_calls"] for w in widths)
+        assert hooks.calls["objective"] == 0
 
 
 class TestGradcheckEntry:

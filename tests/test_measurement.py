@@ -6,7 +6,8 @@ import pytest
 from smlpde.grid import Grid
 from smlpde.ground_truth import make_dataset
 from smlpde.measurement import (Dataset, MeasurementOp, add_noise,
-                                operator_gap, save_dataset, subsample_stride)
+                                gaussian_smoothing_matrix, operator_gap,
+                                save_dataset, subsample_stride)
 
 
 def make_grid(nx=17, nt=9):
@@ -68,6 +69,42 @@ class TestApply:
             means_out = out.mean(axis=1)
             assert np.max(np.abs(means_in - means_out)) \
                 <= 1e-10 * max(1.0, np.max(np.abs(means_in)))
+
+
+def fold_index(p, n):
+    """Edge-symmetric reflection of an out-of-range index into [0, n)."""
+    while p < 0 or p >= n:
+        p = -1 - p if p < 0 else 2 * n - 1 - p
+    return p
+
+
+def smoothing_matrix_by_loop(grid, sigma_len):
+    """The blur matrix one entry at a time: each row, each kernel offset
+    in turn, folded at the edges one reflection at a time."""
+    sigma = sigma_len / grid.dx
+    radius = int(math.ceil(3.0 * sigma))
+    offsets = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    kernel /= kernel.sum()
+    mat = np.zeros((grid.nx, grid.nx))
+    for i in range(grid.nx):
+        for off, k in zip(offsets, kernel):
+            mat[i, fold_index(i + off, grid.nx)] += k
+    return mat
+
+
+class TestSmoothingMatrix:
+    @pytest.mark.parametrize("nx", [5, 6, 9, 17, 33, 65, 129])
+    def test_matches_loop_bit_for_bit(self, nx):
+        # every scale's sigma (x_hi - x_lo) / 4m for m = 1..8, and one as
+        # wide as the domain, whose offsets reach past 2 nx and fold more
+        # than once; wide kernels add into one entry several times
+        g = make_grid(nx=nx)
+        for m in (1, 2, 3, 4, 5, 6, 7, 8, 0.25):
+            sigma = (g.x_hi - g.x_lo) / (4.0 * m)
+            got = gaussian_smoothing_matrix(g, sigma)
+            assert got.tobytes() == smoothing_matrix_by_loop(g, sigma).tobytes()
+            assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-14
 
 
 class TestOperatorGap:

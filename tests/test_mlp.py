@@ -14,6 +14,32 @@ from smlpde.mlp import (Activation, MlpParams, flatten_params, grow_params,
                         unflatten_params, write_params_csv)
 
 
+# sigma, sigma' and sigma'' of every kind as functions of the pre-activation
+# z, written out independently of Activation, which reads sigma' and sigma''
+# off a = sigma(z)
+SIGMA = {
+    "tanh": np.tanh,
+    "softplus": lambda z: np.logaddexp(0.0, z),
+    "relu": lambda z: np.maximum(z, 0.0),
+    "leaky-relu": lambda z: np.where(z > 0, z, mlp.LEAKY_SLOPE * z),
+    "requ": lambda z: np.where(z > 0, z, 0.0) ** 2,
+}
+SLOPE = {
+    "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
+    "softplus": lambda z: 1.0 / (1.0 + np.exp(-z)),
+    "relu": lambda z: np.where(z > 0, 1.0, 0.0),
+    "leaky-relu": lambda z: np.where(z > 0, 1.0, mlp.LEAKY_SLOPE),
+    "requ": lambda z: 2.0 * np.maximum(z, 0.0),
+}
+CURVATURE = {
+    "tanh": lambda z: -2.0 * np.tanh(z) * SLOPE["tanh"](z),
+    "softplus": lambda z: SLOPE["softplus"](z) * (1.0 - SLOPE["softplus"](z)),
+    "relu": np.zeros_like,
+    "leaky-relu": np.zeros_like,
+    "requ": lambda z: np.where(z > 0, 2.0, 0.0),
+}
+
+
 def random_net(sizes, seed, activation="tanh", scale=0.6):
     rng = np.random.default_rng(seed)
     ws = [scale * rng.standard_normal((o, i))
@@ -234,9 +260,9 @@ def reference_tape(net, Z, from_derivs=False):
         sp = [act.deriv(p) for p in P[:-1]]
         spp = [act.deriv2(p) for p in P[:-1]]
     else:
-        sp = [1.0 - a * a if act.kind == "tanh" else act.slope(p, a)
-              for p, a in zip(P, X[1:])]
-        spp = [act.curvature(p, a, s) for p, a, s in zip(P, X[1:], sp)]
+        sp = [1.0 - a * a if act.kind == "tanh" else act.slope(a)
+              for a in X[1:]]
+        spp = [act.curvature(a, s) for a, s in zip(X[1:], sp)]
     ds, cs = [None] * L, [None] * L
     ds[L - 1] = np.ones((1, Z.shape[0]))
     for i in range(L - 1, -1, -1):
@@ -277,18 +303,20 @@ def reference_tape(net, Z, from_derivs=False):
 
 def row_major_reference(net, Z):
     """The same maths with one input per row of every array, (B, width),
-    written independently of the tape's layout.  It rounds differently
-    (other gemm orders, bias sums down a column), so the tape matches it
-    within rounding only; same return as reference_tape."""
-    act = net.activation
+    written independently of the tape's layout and of Activation, with
+    sigma, sigma' and sigma'' of the pre-activation.  It rounds differently
+    (other gemm orders, bias sums down a column, softplus' sigma' from z),
+    so the tape matches it within rounding only; same return as
+    reference_tape."""
+    kind = net.activation.kind
     W, L = net.weights, net.depth
     A, P = [Z], []
     for i, (w, b) in enumerate(zip(W, net.biases)):
         P.append(A[-1] @ w.T + b)
         if i < L - 1:
-            A.append(act.value(P[-1]))
-    sp = [act.slope(p, a) for p, a in zip(P, A[1:])]
-    spp = [act.curvature(p, a, s) for p, a, s in zip(P, A[1:], sp)]
+            A.append(SIGMA[kind](P[-1]))
+    sp = [SLOPE[kind](p) for p in P[:-1]]
+    spp = [CURVATURE[kind](p) for p in P[:-1]]
     ds, cs = [None] * L, [None] * L
     ds[L - 1] = np.ones((Z.shape[0], 1))
     for i in range(L - 1, -1, -1):
@@ -383,14 +411,11 @@ class TestTapeMatchesReference:
                             assert bar_Z is None
 
 
-OVER_PRE_ACTIVATION = ("tanh", "relu", "leaky-relu")
-
-
 class TestActivationOverPreActivation:
-    """tanh, relu and leaky-relu write each hidden activation over its
-    pre-activation, so P[i] is A[i+1]; softplus and requ keep both.  No
-    output moves a bit against Activation.value, deriv and deriv2 evaluated
-    on fresh arrays."""
+    """Every kind writes each hidden activation over its pre-activation,
+    and sigma' and sigma'' read the activation alone.  No output moves a
+    bit against Activation.value, deriv and deriv2 evaluated on fresh
+    arrays."""
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     def test_value_over(self, activation):
@@ -398,24 +423,50 @@ class TestActivationOverPreActivation:
         z = np.concatenate([np.linspace(-3.0, 3.0, 13), [0.0, -0.0, 1e-320,
                                                          -1e-320]])
         before = z.copy()
+        expect = SIGMA[activation](z)
+        assert act.value(z).tobytes() == expect.tobytes()
+        assert z.tobytes() == before.tobytes()
         a = act.value_over(z)
-        assert a.tobytes() == act.value(before).tobytes()
-        assert (a is z) == (activation in OVER_PRE_ACTIVATION)
-        if activation not in OVER_PRE_ACTIVATION:
-            assert z.tobytes() == before.tobytes()
+        assert a is z
+        assert a.tobytes() == expect.tobytes()
+
+    def test_derivatives_from_activation(self):
+        # softplus: sigma' = -expm1(-a) against 1 / (1 + e^-z), and
+        # sigma'' = sigma'(1 - sigma'), whose 1 - sigma' cancels where
+        # sigma' is near 1 (from z as from a), so its error is counted in
+        # the last place of sigma', the factor it is formed from
+        z = np.linspace(-700.0, 700.0, 200_001)
+        act = Activation("softplus")
+        slope = act.slope(act.value(z))
+        ulp = np.spacing(SLOPE["softplus"](z))
+        assert np.max(np.abs(slope - SLOPE["softplus"](z)) / ulp) <= 4
+        curvature = act.curvature(act.value(z), slope)
+        assert np.max(np.abs(curvature - CURVATURE["softplus"](z)) / ulp) <= 4
+        # requ: sqrt(z * z) is z exactly wherever z * z is a normal number
+        # (|z| from 1.5e-154 to 1.3e154)
+        z = np.concatenate([np.geomspace(1.5e-154, 1.3e154, 100_001),
+                            np.random.default_rng(0).uniform(0.0, 4.0, 10_000)])
+        act = Activation("requ")
+        a = act.value(z)
+        assert act.slope(a).tobytes() == (2.0 * z).tobytes()
+        assert np.all(act.curvature(a, act.slope(a)) == 2.0)
+        assert not np.any(act.slope(act.value(-z)))
+        assert not np.any(act.curvature(act.value(-z), 0.0 * z))
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
-    def test_which_arrays_are_shared(self, activation):
+    def test_what_a_tape_holds(self, activation):
+        # after a forward pass, the input-gradient sweep and both kinds of
+        # VJP: the batch, one activation per hidden layer, the output row,
+        # sigma' per hidden layer and the sweep's results
         net = random_net([3, 6, 5, 1], 25, activation)
-        Z = np.random.default_rng(26).uniform(-1.5, 1.5, (9, 3))
+        rng = np.random.default_rng(26)
+        Z = rng.uniform(-1.5, 1.5, (9, 3))
         tape = mlp.Tape(net, Z)
-        for i in range(net.depth - 1):
-            shared = tape.P[i] is tape.A[i + 1]
-            assert shared == (activation in OVER_PRE_ACTIVATION)
-            if not shared:
-                x = Z.T if i == 0 else tape.A[i]
-                expect = net.weights[i] @ x + net.biases[i][:, None]
-                assert tape.P[i].tobytes() == expect.tobytes()
+        tape.input_grads
+        tape.param_vjp(rng.standard_normal(9), rng.standard_normal((9, 3)), True)
+        assert set(vars(tape)) == {"params", "A", "values", "_slopes", "_cs"}
+        assert [a.shape for a in tape.A[1:]] == [(6, 9), (5, 9)]
+        assert [s.shape for s in tape._slopes] == [(6, 9), (5, 9)]
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     @pytest.mark.parametrize("depth", [2, 3, 4])
@@ -454,14 +505,18 @@ def traced_peak(make):
 class TestTapeMemory:
     def test_forward_holds_activations_and_output(self):
         # the study's widest hidden layers (width 24 at m=3) on one
-        # experiment's 65 x 65 jets: the forward pass allocates the hidden
-        # activations and the output row, and no pre-activation besides
-        net = init_params([2, 24, 24, 1], Activation("tanh"), 3)
+        # experiment's 65 x 65 jets: for every kind the forward pass
+        # allocates the hidden activations and the output row, and no
+        # pre-activation besides; leaky-relu's z <= 0 mask takes one byte
+        # per entry of a layer for the while
         Z = np.random.default_rng(27).uniform(-1.0, 1.0, (4225, 2))
-        peak, tape = traced_peak(lambda: mlp.Tape(net, Z))
-        held = sum(a.nbytes for a in tape.A[1:]) + tape.P[-1].nbytes
-        assert held == (2 * 24 + 1) * 4225 * 8
-        assert peak <= held + 64 * 1024
+        for kind in mlp.ACTIVATION_KINDS:
+            net = init_params([2, 24, 24, 1], Activation(kind), 3)
+            peak, tape = traced_peak(lambda: mlp.Tape(net, Z))
+            held = sum(a.nbytes for a in tape.A[1:]) + tape.values.nbytes
+            assert held == (2 * 24 + 1) * 4225 * 8
+            mask = 24 * 4225 if kind == "leaky-relu" else 0
+            assert peak <= held + mask + 64 * 1024, kind
 
 
 def assert_close_blockwise(got, expect, what):
@@ -541,6 +596,9 @@ class TestBenchmarkContract:
         assert np.allclose(act.deriv(z), 1.0 - np.tanh(z) ** 2)
         assert np.allclose(act.deriv2(z),
                            -2.0 * np.tanh(z) * (1.0 - np.tanh(z) ** 2))
+        # sigma' and sigma'' are read off the activation, not z
+        assert names(Activation.slope) == ["self", "a"]
+        assert names(Activation.curvature) == ["self", "a", "slope"]
 
 
 class TestNoCallerArrayMutated:
@@ -548,11 +606,14 @@ class TestNoCallerArrayMutated:
     def test_slope_leaves_activation_values(self, activation):
         act = Activation(activation)
         z = np.linspace(-2.0, 2.0, 11)
+        kept = z.copy()
         a = act.value(z)
         before = a.copy()
-        act.slope(z, a)
+        act.curvature(a, act.slope(a))
         act.deriv(z)
+        act.deriv2(z)
         assert a.tobytes() == before.tobytes()
+        assert z.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     def test_param_vjp_leaves_seeds_and_weights(self, activation):

@@ -191,6 +191,18 @@ class TestUBox:
         assert (tmp_path / "timings.json").exists()
         assert (tmp_path / "probe_timings.json").exists()
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 33, 65, 399])
+    def test_lattice_weights_are_trapezoid_rule(self, n):
+        # the trapezoid rule on [0, 1] with n nodes, normalized; in 2-D its
+        # outer product, row-major like the samples
+        w1 = np.full(n, 1.0 / (n - 1))
+        w1[0] = w1[-1] = 0.5 / (n - 1)
+        box = build_box(1, 1.0, points_per_axis=n)
+        assert box.quad_weights.tobytes() == (w1 / w1.sum()).tobytes()
+        w2 = np.multiply.outer(w1, w1).reshape(-1)
+        box = build_box(2, 1.0, points_per_axis=n)
+        assert box.quad_weights.tobytes() == (w2 / w2.sum()).tobytes()
+
     def test_lattice_weights_integrate(self):
         box = build_box(2, 1.0, points_per_axis=33)
         # weighted mean of z1^2 over [-1,1]^2 should be 1/3 (trapezoid exact-ish)
