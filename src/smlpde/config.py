@@ -8,7 +8,8 @@ schema with defaults is what `smlpde print-default-config` emits, and
 printing a parsed config reproduces that canonical text byte for byte.
 
 A parsed config is valid when the run's objects build from it: the grid
-(build_grid), the ground truth (build_gt_spec), each profile, the
+(build_grid), the ground truth (build_gt_spec, one experiment per entry of
+u0_profiles, which every phi list of the kind matches), each profile, the
 objective's Weights (q, r, rho, param_norm_p), the network's Activation,
 an OptimConfig with max_iters and the probe's f_true.  Each object owns its
 rules, and the ValueError one raises becomes a ConfigError naming the
@@ -64,7 +65,6 @@ SCHEMA = {
     "ground_truth": {
         "kind": ("str", "convection"),
         "f_true": ("str", "cubic"),
-        "n_experiments": ("int", 3),
         "kappa": ("int", 0),
         "phi1_profiles": ("str_list", ["constant:0.9", "constant:-0.6", "constant:0.25"]),
         "phi2_profiles": ("str_list", []),
@@ -214,7 +214,7 @@ def build_grid(cfg: ExperimentConfig) -> Grid:
 def build_gt_spec(cfg: ExperimentConfig) -> GroundTruthSpec:
     gt = cfg["ground_truth"]
     return GroundTruthSpec(kind=gt["kind"], f_name=gt["f_true"],
-                           L=gt["n_experiments"], kappa=gt["kappa"],
+                           kappa=gt["kappa"],
                            phi_profiles=[list(gt["phi1_profiles"]),
                                          list(gt["phi2_profiles"])],
                            u0_profiles=list(gt["u0_profiles"]))

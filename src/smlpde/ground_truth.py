@@ -82,16 +82,18 @@ def profile_array(spec: str, grid: Grid) -> np.ndarray:
 
 @dataclass
 class GroundTruthSpec:
+    """The manufactured system: one experiment per initial profile, each
+    parameter slot with one profile per experiment."""
+
     kind: str
     f_name: str
-    L: int
     kappa: int = 0
     phi_profiles: list = field(default_factory=list)   # per slot: per l
     u0_profiles: list = field(default_factory=list)    # per l
 
     def __post_init__(self):
         if self.L < 1:
-            raise ValueError(f"n_experiments must be >= 1, got {self.L}")
+            raise ValueError("u0_profiles must name at least one experiment")
         slots = n_param_slots(self.kind)
         counts = [len(profiles) for profiles in self.phi_profiles]
         counts += [0] * (slots - len(counts))  # a slot given no list
@@ -99,12 +101,14 @@ class GroundTruthSpec:
             need = self.L if s < slots else 0
             if count != need:
                 raise ValueError(f"phi{s + 1}_profiles has {count} entries, "
-                                 f"kind {self.kind!r} with n_experiments = "
-                                 f"{self.L} needs {need}")
-        if len(self.u0_profiles) != self.L:
-            raise ValueError(f"u0_profiles has {len(self.u0_profiles)} "
-                             f"entries for n_experiments = {self.L}")
+                                 f"kind {self.kind!r} with {self.L} "
+                                 f"u0_profiles needs {need}")
         f_true(self.f_name)
+
+    @property
+    def L(self) -> int:
+        """The number of experiments: one per initial profile."""
+        return len(self.u0_profiles)
 
     def phi_values(self, grid: Grid) -> np.ndarray:
         slots = n_param_slots(self.kind)
@@ -174,10 +178,11 @@ def simulate(spec: GroundTruthSpec, grid: Grid) -> np.ndarray:
     return out
 
 
-def make_dataset(grid: Grid, u_true: np.ndarray, op: MeasurementOp,
+def make_dataset(u_true: np.ndarray, op: MeasurementOp,
                  noise_level: float, seed: int) -> Dataset:
-    """Measure and perturb the (L, N, nt, nx) trajectory u_true, whose
-    initial and boundary values the dataset carries exactly.
+    """Measure with op and perturb the (L, N, nt, nx) trajectory u_true on
+    op's grid, whose initial and boundary values the dataset carries
+    exactly.
 
     Noise is added after measuring; for a subsampling operator the noisy
     field is masked again so that dropped nodes carry no data at all.
@@ -189,9 +194,9 @@ def make_dataset(grid: Grid, u_true: np.ndarray, op: MeasurementOp,
             if op.kind == "subsample":
                 vals = op.apply_array(vals)
             y[l, n] = vals
-    return Dataset(grid=grid, y=y, u0=u_true[:, :, 0].copy(),
+    return Dataset(op=op, y=y, u0=u_true[:, :, 0].copy(),
                    g_lo=u_true[..., 0].copy(), g_hi=u_true[..., -1].copy(),
-                   noise_level=noise_level, seed=seed, op_kind=op.kind, m=op.m)
+                   noise_level=noise_level, seed=seed)
 
 
 # --- reduced-problem oracle -----------------------------------------------------
@@ -215,21 +220,26 @@ def _oracle_pairs(z: np.ndarray, sep_tol: float):
     return ii[good], jj[good], sep[good], ii[~good], jj[~good]
 
 
+# the oracle's largest grid in space-time nodes, and the temperature of its
+# smooth divided-difference sup
+ORACLE_MAX_NODES = 81
+ORACLE_DD_TAU = 1e-3
+
+
 def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
-                 tie_seed: int = 0, max_nodes: int = 81,
-                 dd_tau: float = 1e-3) -> OracleResult:
+                 tie_seed: int = 0) -> OracleResult:
     """Reduced-problem minimizer with the state pinned to the measured data.
 
-    Requires a tiny grid (<= max_nodes space-time nodes), full noiseless
-    measurements, and kind `none` or `convection`.  The state part of the
-    value is the objective's r0_value of the pinned state.
+    Requires a tiny grid (<= ORACLE_MAX_NODES space-time nodes), full
+    noiseless measurements, and kind `none` or `convection`.  The state
+    part of the value is the objective's r0_value of the pinned state.
     """
     grid = dataset.grid
-    if grid.nt * grid.nx > max_nodes:
-        raise ValueError(f"oracle grids are capped at {max_nodes} nodes")
+    if grid.nt * grid.nx > ORACLE_MAX_NODES:
+        raise ValueError(f"oracle grids are capped at {ORACLE_MAX_NODES} nodes")
     if kind not in ("none", "convection"):
         raise ValueError("oracle supports kinds 'none' and 'convection'")
-    if dataset.op_kind != "full" or dataset.noise_level != 0.0:
+    if dataset.op.kind != "full" or dataset.noise_level != 0.0:
         raise ValueError("oracle needs full noiseless measurements")
     L, N = dataset.n_experiments, dataset.n_states
     if N != 1:
@@ -271,7 +281,7 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
             return lrho, 0.0, 0.0, g_v
         diff = v[ii] - v[jj]
         smooth_abs = np.sqrt(diff * diff + mu_abs * mu_abs)
-        dd_soft, omega = smooth_max(smooth_abs / sep, dd_tau)
+        dd_soft, omega = smooth_max(smooth_abs / sep, ORACLE_DD_TAU)
         slope = diff / smooth_abs
         np.add.at(g_v, ii, omega * slope / sep)
         np.add.at(g_v, jj, -omega * slope / sep)

@@ -41,9 +41,11 @@ The study and gradcheck_from_config share one reference set-up
 the trajectory's jet stack (taken once), the box derived from that stack
 and tau0.  The stack holds the visited jet points the report's errors are
 taken on.  They also share the builder of scale m's schedule row,
-measurement operator, dataset and objective (_scale) and that of the
-scale-1 starts (_first_starts), so the gradient check audits the point
-where the study's first minimization starts.  Outside the objective and
+dataset (which owns K_m) and objective (_scale) and that of a scale's
+fresh starts (_first_starts), so the gradient check audits the point
+where the study's first minimization starts.  A scale's layer sizes are
+set once (network_sizes): its report row's width, its fresh starts and the
+widened warm start all read them.  Outside the objective and
 fit closures every network is evaluated through one mlp.Tape per
 (experiment, network), and f_sup_error reads both of its errors off that
 one tape.  The prefit and the probe's fits run their adaptive stages
@@ -91,7 +93,7 @@ from .errors import BoxViolationError, ConfigError, DivergedError
 from .grid import Grid, jet_features, write_csv, write_field_csv
 from .ground_truth import (GroundTruthSpec, f_true, f_true_deriv, make_dataset,
                            simulate)
-from .measurement import MeasurementOp, save_dataset
+from .measurement import MeasurementOp, save_dataset, subsample_stride
 from .objective import (ObjectiveBreakdown, Problem, UBox, VarLayout, Vars,
                         Weights, derive_ubox, make_closure)
 from .optimizer import OptimConfig, finite_diff_gradcheck, minimize
@@ -172,13 +174,14 @@ def network_sizes(cfg: ExperimentConfig, input_dim: int, m: int):
     return [input_dim] + [width] * (net["depth"] - 1) + [1]
 
 
-def init_state_from_data(ds, op: MeasurementOp) -> np.ndarray:
-    """Warm start for the states: measured data, subsampled nodes filled by
-    linear interpolation, then one light binomial smoothing pass in space."""
+def init_state_from_data(ds) -> np.ndarray:
+    """Warm start for the states: measured data, the nodes a subsampling
+    operator drops filled by linear interpolation between the kept columns,
+    then one light binomial smoothing pass in space."""
     u = ds.y.copy()
     grid = ds.grid
-    if op.kind == "subsample":
-        keep = np.nonzero(op.mask > 0)[0]
+    if ds.op.kind == "subsample":
+        keep = np.arange(0, grid.nx, subsample_stride(grid.nx, ds.op.m))
         for l in range(u.shape[0]):
             for n in range(u.shape[1]):
                 for it in range(grid.nt):
@@ -416,8 +419,8 @@ def _scale(cfg: ExperimentConfig, ref: _Reference, m: int) -> Problem:
     """Scale m of the configured study: its objective over the reference
     set-up's box.  The Problem carries the scale's schedule row (lambda_m,
     mu_m, nu_m and tau_m in its weights, noise_m as its dataset's
-    noise_level), its measurement operator and its dataset, the reference
-    trajectory measured with noise seed data_seed + 1009 * m."""
+    noise_level) and its dataset: the reference trajectory measured by K_m,
+    the dataset's op, with noise seed data_seed + 1009 * m."""
     s, w, meas = cfg["schedule"], cfg["weights"], cfg["measurement"]
     weights = Weights(lam=s["lambda0"] * s["growth"] ** m,
                       mu=s["mu0"] * s["growth"] ** m,
@@ -425,24 +428,23 @@ def _scale(cfg: ExperimentConfig, ref: _Reference, m: int) -> Problem:
                       rho=w["rho"], param_norm_p=w["param_norm_p"],
                       tau=max(ref.tau0 / m, 1e-9))
     op = MeasurementOp(meas["family"], m, ref.grid)
-    dataset = make_dataset(ref.grid, ref.u_true, op, meas["noise0"] / m,
+    dataset = make_dataset(ref.u_true, op, meas["noise0"] / m,
                            meas["data_seed"] + 1009 * m)
-    return Problem(ref.grid, dataset, op, ref.spec.kind, ref.spec.kappa,
-                   weights, ref.box)
+    return Problem(dataset, ref.spec.kind, ref.spec.kappa, weights, ref.box)
 
 
 def _first_starts(cfg: ExperimentConfig, ref: _Reference, problem: Problem,
-                  restarts: int) -> list:
-    """The scale-1 starts on problem (_scale's m = 1): each holds the states
+                  sizes: list, restarts: int) -> list:
+    """The fresh starts on problem, a scale with no warm start (scale 1, or
+    a scale after one whose every start diverged): each holds the states
     initialized from the data, the ridge estimate of the parameter fields
-    and, for start j, one network per equation n seeded init_seed + 101 * j
-    + n and prefitted to that equation's apparent residual on rows built
-    once for all starts."""
+    and, for start j, one network per equation n of the scale's layer sizes
+    (network_sizes), seeded init_seed + 101 * j + n and prefitted to that
+    equation's apparent residual on rows built once for all starts."""
     grid, kind = ref.grid, ref.spec.kind
-    u_init = init_state_from_data(problem.dataset, problem.op)
+    u_init = init_state_from_data(problem.dataset)
     phi_init = initial_phi_estimate(grid, kind, u_init)
     Z, ys = prefit_rows(grid, ref.spec.kappa, kind, u_init, phi_init)
-    sizes = network_sizes(cfg, ref.box.dim, 1)
     activation = mlp.Activation(cfg["network"]["activation"])
     seed = cfg["network"]["init_seed"]
     return [Vars(u_init.copy(), phi_init.copy(),
@@ -486,7 +488,8 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
         head = (m, w.lam, w.mu, w.nu, problem.dataset.noise_level, w.tau,
                 sizes[1])
         if prev_vars is None:
-            candidates = _first_starts(cfg, ref, problem, ocfg["restarts"])
+            candidates = _first_starts(cfg, ref, problem, sizes,
+                                       ocfg["restarts"])
         else:
             nets = [mlp.grow_params(prev_vars.nets[n], sizes,
                                     cfg["network"]["init_seed"] + 977 * m + n)
@@ -744,7 +747,8 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     _pin_heap()
     ref = _reference(cfg)
     problem = _scale(cfg, ref, 1)
-    vars0 = _first_starts(cfg, ref, problem, 1)[0]
+    vars0 = _first_starts(cfg, ref, problem,
+                          network_sizes(cfg, ref.box.dim, 1), 1)[0]
     layout = VarLayout(vars0)
     fg = make_closure(problem, layout)
     err = finite_diff_gradcheck(layout.pack(vars0), fg, samples=60)

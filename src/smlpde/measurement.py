@@ -1,11 +1,12 @@
 """Measurement operators, noise injection, and datasets.
 
-A measurement operator acts linearly on grid fields, per time slice:
+A measurement operator K_m is one (nx, nx) matrix that acts on grid
+fields, per time slice; its adjoint is the transpose:
 
-  full      : identity (the injective limit operator)
-  subsample : multiply by a 0/1 keep-mask with spatial stride
-              max(1, ceil(nx / (4 m))); dropped nodes read as zero, so all
-              scales share one codomain
+  full      : the identity (the injective limit operator)
+  subsample : the diagonal 0/1 keep-mask with spatial stride
+              subsample_stride(nx, m) = max(1, ceil(nx / (4 m))); dropped
+              nodes read as zero, so all scales share one codomain
   smooth    : Gaussian blur with standard deviation (x_hi-x_lo)/(4 m),
               kernel truncated at three widths, renormalized to unit sum,
               and folded at the boundary by edge-symmetric reflection (the
@@ -56,6 +57,9 @@ def gaussian_smoothing_matrix(grid: Grid, sigma_len: float) -> np.ndarray:
 
 @dataclass
 class MeasurementOp:
+    """K_m on the grid's fields: one (nx, nx) matrix for every family, the
+    identity, a diagonal keep-mask or the blur, applied to each time slice."""
+
     kind: str
     m: int
     grid: Grid
@@ -65,33 +69,22 @@ class MeasurementOp:
             raise ValueError(f"unknown measurement kind {self.kind!r}")
         if self.m < 1:
             raise ValueError(f"scale index must be >= 1, got {self.m}")
-        if self.kind == "subsample":
-            stride = subsample_stride(self.grid.nx, self.m)
-            mask = np.zeros(self.grid.nx)
-            mask[::stride] = 1.0
-            self.mask = mask
-            self.matrix = None
-        elif self.kind == "smooth":
+        nx = self.grid.nx
+        if self.kind == "smooth":
             sigma = (self.grid.x_hi - self.grid.x_lo) / (4.0 * self.m)
             self.matrix = gaussian_smoothing_matrix(self.grid, sigma)
-            self.mask = None
+        elif self.kind == "subsample":
+            keep = np.zeros(nx)
+            keep[::subsample_stride(nx, self.m)] = 1.0
+            self.matrix = np.diag(keep)
         else:
-            self.mask = None
-            self.matrix = None
+            self.matrix = np.eye(nx)
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         """Apply along the last (spatial) axis; works on any leading shape."""
-        if self.kind == "full":
-            return values.copy()
-        if self.kind == "subsample":
-            return values * self.mask
         return values @ self.matrix.T
 
     def adjoint_array(self, values: np.ndarray) -> np.ndarray:
-        if self.kind == "full":
-            return values.copy()
-        if self.kind == "subsample":
-            return values * self.mask
         return values @ self.matrix
 
 
@@ -124,22 +117,21 @@ def add_noise(values: np.ndarray, level: float, seed: int) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Measured data plus the given initial/boundary values, per experiment.
+    """Measured data plus the given initial/boundary values, per experiment,
+    and the operator op that measured the data; its grid is op.grid.
 
     y has shape (L, N, nt, nx); u0 (L, N, nx); g_lo/g_hi (L, N, nt).  A
     dataset carries no box bound: the regularization box comes from the
     reference trajectory's jets (objective.derive_ubox).
     """
 
-    grid: Grid
+    op: MeasurementOp
     y: np.ndarray
     u0: np.ndarray
     g_lo: np.ndarray
     g_hi: np.ndarray
     noise_level: float = 0.0
     seed: int = 0
-    op_kind: str = "full"
-    m: int = 1
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -154,6 +146,10 @@ class Dataset:
             raise ValueError("boundary trace shape mismatch")
 
     @property
+    def grid(self) -> Grid:
+        return self.op.grid
+
+    @property
     def n_experiments(self) -> int:
         return self.y.shape[0]
 
@@ -165,13 +161,14 @@ class Dataset:
 def save_dataset(ds: Dataset, out_dir) -> None:
     """Per-experiment CSV files `y_l{l}_m{m}.csv` plus a JSON manifest."""
     os.makedirs(out_dir, exist_ok=True)
+    m = ds.op.m
     for l in range(ds.n_experiments):
         for n in range(ds.n_states):
             suffix = f"_n{n + 1}" if ds.n_states > 1 else ""
-            path = os.path.join(out_dir, f"y_l{l + 1}{suffix}_m{ds.m}.csv")
+            path = os.path.join(out_dir, f"y_l{l + 1}{suffix}_m{m}.csv")
             write_field_csv(ds.grid, ds.y[l, n], path)
-    manifest = {"kind": ds.op_kind, "m": ds.m, "level": ds.noise_level,
+    manifest = {"kind": ds.op.kind, "m": m, "level": ds.noise_level,
                 "seed": ds.seed, "L": ds.n_experiments, "N": ds.n_states}
-    with open(os.path.join(out_dir, f"manifest_m{ds.m}.json"), "w") as fh:
+    with open(os.path.join(out_dir, f"manifest_m{m}.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")

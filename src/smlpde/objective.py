@@ -81,7 +81,7 @@ from . import mlp
 from .errors import BoxViolationError
 from .grid import (Grid, _norm_pow, jet_features, space_derivatives,
                    trapezoid_weights)
-from .measurement import Dataset, MeasurementOp
+from .measurement import Dataset
 from .physics import physics_order, physics_vjp, residual, residual_columns
 
 
@@ -113,10 +113,14 @@ class Weights:
 class UBox:
     """Zero-centered sup-norm ball in jet space with a fixed sample set."""
 
-    dim: int
     radius: float
     samples: np.ndarray          # (S, dim)
     quad_weights: np.ndarray     # (S,), sums to 1; quadrature for the power norm
+
+    @property
+    def dim(self) -> int:
+        """The jet-space dimension: the samples' column count."""
+        return self.samples.shape[1]
 
     @property
     def volume(self) -> float:
@@ -167,7 +171,7 @@ def build_box(dim: int, radius: float, points_per_axis: int = 33,
     samples = np.ascontiguousarray(samples)
     samples.setflags(write=False)
     weights.setflags(write=False)
-    return UBox(dim=dim, radius=radius, samples=samples, quad_weights=weights)
+    return UBox(radius=radius, samples=samples, quad_weights=weights)
 
 
 # the smallest margin derive_ubox accepts ([weights] box_margin)
@@ -290,15 +294,14 @@ class Vars:
 
 @dataclass
 class Problem:
-    """Everything fixed during one minimization.
+    """Everything fixed during one minimization.  The dataset owns the grid
+    and the measurement operator (dataset.grid, dataset.op).
 
     The residual quadrature's spatial weights (wx_res, zero off the
     residual columns), which every evaluation reads, are built once from the
     grid and the kind."""
 
-    grid: Grid
     dataset: Dataset
-    op: MeasurementOp
     kind: str
     kappa: int
     weights: Weights
@@ -306,7 +309,7 @@ class Problem:
     wx_res: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        wx = self.grid.space_weights()
+        wx = self.dataset.grid.space_weights()
         cols = residual_columns(self.kind)
         self.wx_res = np.zeros_like(wx)
         self.wx_res[cols] = wx[cols]
@@ -327,14 +330,11 @@ def _check_box(box: UBox, feats: np.ndarray) -> None:
 def _power_weight(wt, wx, vec_sq, exponent, scale):
     """Derivative prefactor of  scale * sum_t wt * S_t^(e/2)  w.r.t. the field,
     divided by the field entry: scale*e*wt*S^{(e-2)/2}*wx (see grid._norm_pow),
-    shape (..., nt, nx) for inner sums S of shape (..., nt); for e = 2 it
-    does not depend on S."""
-    if exponent == 2.0:
-        t_fac = wt
-    else:
-        with np.errstate(divide="ignore"):
-            t_fac = wt * np.where(vec_sq > 0.0,
-                                  vec_sq ** ((exponent - 2.0) / 2.0), 0.0)
+    shape (..., nt, nx) for inner sums S of shape (..., nt), and 0 where
+    S_t = 0 (there the field vanishes on wx's support)."""
+    with np.errstate(divide="ignore"):
+        t_fac = wt * np.where(vec_sq > 0.0,
+                              vec_sq ** ((exponent - 2.0) / 2.0), 0.0)
     return scale * exponent * t_fac[..., None] * wx
 
 
@@ -343,19 +343,12 @@ def _evaluate_core(vars_: Vars, problem: Problem):
     zero-argument callable, run at most once, that returns the gradient
     flat in VarLayout's pack order (states, parameter fields, then the
     networks) as a fresh vector."""
-    grid, ds, op = problem.grid, problem.dataset, problem.op
+    ds = problem.dataset
+    grid, op = ds.grid, ds.op
     w, box, kind, kappa = problem.weights, problem.box, problem.kind, problem.kappa
     u, phi = vars_.u, vars_.phi
     L, N = u.shape[0], u.shape[1]
     nt, nx = grid.nt, grid.nx
-    if ds.y.shape[:2] != (L, N):
-        raise ValueError("dataset and variables disagree on (L, N)")
-    if len(vars_.nets) != N:
-        raise ValueError(f"{len(vars_.nets)} networks for {N} equations")
-    for net in vars_.nets:
-        if net.input_dim != box.dim:
-            raise ValueError(f"network input dim {net.input_dim} != box dim {box.dim}")
-
     wt, wx = grid.time_weights(), grid.space_weights()
     # every state derivative any term reads, once over the whole stack
     dtm = grid.time_derivative_matrix()
@@ -522,7 +515,18 @@ class VarLayout:
 
 def make_closure(problem: Problem, layout: VarLayout):
     """Objective closure x -> (value, backward pass, breakdown), the
-    backward pass a callable returning the flat gradient."""
+    backward pass a callable returning the flat gradient.  The layout is
+    checked against the problem here, once: its (L, N) against the
+    dataset's, one network per equation, each taking the box's dimension."""
+    L, N = layout.u_shape[:2]
+    if problem.dataset.y.shape[:2] != (L, N):
+        raise ValueError("dataset and variables disagree on (L, N)")
+    if len(layout.net_templates) != N:
+        raise ValueError(f"{len(layout.net_templates)} networks for {N} equations")
+    for net in layout.net_templates:
+        if net.input_dim != problem.box.dim:
+            raise ValueError(f"network input dim {net.input_dim} != box dim "
+                             f"{problem.box.dim}")
 
     def fg(x: np.ndarray):
         bd, backward = _evaluate_core(layout.unpack(x), problem)

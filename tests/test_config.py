@@ -5,11 +5,12 @@ from smlpde.config import (default_config, format_config, parse_config,
                            parse_config_text)
 from smlpde.errors import ConfigError
 
-# settings that became constants of the program: a config naming one is
-# refused like any other unknown key
+# settings that became constants of the program, or that another setting
+# decides (n_experiments is the length of u0_profiles): a config naming one
+# is refused like any other unknown key
 REMOVED_KEYS = {"rate", "gradcheck_samples", "gradcheck_step", "tau0_factor",
                 "box_points_per_axis", "box_sample_budget", "fit_points",
-                "eval_points", "probe_depth"}
+                "eval_points", "probe_depth", "n_experiments"}
 
 
 class TestRoundTrip:
@@ -153,7 +154,9 @@ class TestValidation:
         "[ground_truth]\nkind = diffusion_reaction\nphi2_profiles = "
         "constant:1, constant:1\n",
         "[ground_truth]\nu0_profiles = sine:1.0, sine:0.8, bump:1.0, bump:0.5\n",
-        "[ground_truth]\nn_experiments = 0\n",
+        "[ground_truth]\nu0_profiles =\nphi1_profiles =\n",
+        "[ground_truth]\nphi1_profiles = constant:1, constant:1, constant:1, "
+        "constant:1\n",
     ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0",
             "nx4", "nt2", "t_end0", "x_hi_le_x_lo", "box_points1",
             "box_budget0", "net_width0", "net_depth1", "noise_negative", "p0.5",
@@ -170,7 +173,7 @@ class TestValidation:
             "phi2_profiles_convection", "phi1_profiles_burgers",
             "phi1_profiles_none", "phi2_longer_than_phi1",
             "phi2_shorter_than_phi1", "u0_profiles_too_many",
-            "n_experiments0"])
+            "u0_profiles_empty", "phi1_profiles_too_many"])
     def test_cross_field_errors_exit_2(self, text, tmp_path, capsys):
         # each of these used to pass parsing and fail later with a traceback,
         # except the removed keys, which used to be checked settings

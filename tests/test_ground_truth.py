@@ -16,10 +16,37 @@ def make_grid(nx=17, nt=17, t_end=1.0):
     return Grid(nx=nx, nt=nt, x_lo=0.0, x_hi=1.0, t_end=t_end)
 
 
+def full_dataset(grid, u, noise_level=0.0):
+    """The identity's measurement y = u of the (L, N, nt, nx) states u, with
+    u's own initial and boundary values."""
+    return Dataset(op=MeasurementOp("full", 1, grid), y=u, u0=u[:, :, 0, :],
+                   g_lo=u[:, :, :, 0], g_hi=u[:, :, :, -1],
+                   noise_level=noise_level)
+
+
+class TestSpec:
+    def test_profiles_count_the_experiments(self):
+        spec = GroundTruthSpec(kind="convection", f_name="zero",
+                               phi_profiles=[["constant:0.3", "constant:0.1"]],
+                               u0_profiles=["sine:1.0", "bump:1.0"])
+        assert spec.L == 2
+        assert simulate(spec, make_grid(nx=9, nt=5)).shape[0] == 2
+
+    @pytest.mark.parametrize("u0,phi1", [
+        ([], []),
+        (["sine:1.0", "bump:1.0"], ["constant:0.3"]),
+        (["sine:1.0"], ["constant:0.3", "constant:0.1"]),
+    ], ids=["no_experiment", "phi_short", "phi_long"])
+    def test_profile_lengths_rejected(self, u0, phi1):
+        with pytest.raises(ValueError):
+            GroundTruthSpec(kind="convection", f_name="zero",
+                            phi_profiles=[phi1], u0_profiles=u0)
+
+
 class TestSimulate:
     def test_exponential_decay(self):
         grid = Grid(nx=5, nt=65, x_lo=0.0, x_hi=1.0, t_end=1.0)
-        spec = GroundTruthSpec(kind="none", f_name="decay", L=1, kappa=0,
+        spec = GroundTruthSpec(kind="none", f_name="decay", kappa=0,
                                u0_profiles=["constant:1.0"])
         u = simulate(spec, grid)
         assert np.max(np.abs(u[0, 0, -1] - np.exp(-1.0))) < 1e-9
@@ -28,7 +55,7 @@ class TestSimulate:
         errs = []
         for nt in (17, 33, 65):
             grid = Grid(nx=5, nt=nt, x_lo=0.0, x_hi=1.0, t_end=1.0)
-            spec = GroundTruthSpec(kind="none", f_name="decay", L=1, kappa=0,
+            spec = GroundTruthSpec(kind="none", f_name="decay", kappa=0,
                                    u0_profiles=["constant:1.0"])
             u = simulate(spec, grid)
             errs.append(np.max(np.abs(u[0, 0, -1] - np.exp(-1.0))))
@@ -37,14 +64,14 @@ class TestSimulate:
 
     def test_zero_nonlinearity_constant_in_time(self):
         grid = make_grid()
-        spec = GroundTruthSpec(kind="none", f_name="zero", L=1, kappa=0,
+        spec = GroundTruthSpec(kind="none", f_name="zero", kappa=0,
                                u0_profiles=["sine:1.0"])
         u = simulate(spec, grid)
         assert np.max(np.abs(u[0, 0] - u[0, 0, 0][None, :])) < 1e-14
 
     def test_zero_speed_convection_is_static(self):
         grid = make_grid()
-        spec = GroundTruthSpec(kind="convection", f_name="zero", L=1, kappa=0,
+        spec = GroundTruthSpec(kind="convection", f_name="zero", kappa=0,
                                phi_profiles=[["constant:0.0"]],
                                u0_profiles=["bump:1.0"])
         u = simulate(spec, grid)
@@ -54,7 +81,7 @@ class TestSimulate:
         grid = Grid(nx=65, nt=65, x_lo=0.0, x_hi=1.0, t_end=0.5)
         for prof, speed in (("sine:1.0", "constant:0.3"),
                             ("bump:1.0", "constant:-0.3")):
-            spec = GroundTruthSpec(kind="convection", f_name="zero", L=1,
+            spec = GroundTruthSpec(kind="convection", f_name="zero",
                                    kappa=0, phi_profiles=[[speed]],
                                    u0_profiles=[prof])
             u = simulate(spec, grid)
@@ -63,7 +90,7 @@ class TestSimulate:
 
     def test_diffusion_decays(self):
         grid = Grid(nx=33, nt=17, x_lo=0.0, x_hi=1.0, t_end=0.1)
-        spec = GroundTruthSpec(kind="diffusion_reaction", f_name="zero", L=1,
+        spec = GroundTruthSpec(kind="diffusion_reaction", f_name="zero",
                                kappa=2,
                                phi_profiles=[["constant:0.1"], ["constant:0.0"]],
                                u0_profiles=["sine:1.0"])
@@ -77,28 +104,28 @@ class TestSimulate:
 class TestMakeDataset:
     def test_noiseless_full_equals_truth(self):
         grid = make_grid()
-        spec = GroundTruthSpec(kind="none", f_name="cubic", L=1, kappa=0,
+        spec = GroundTruthSpec(kind="none", f_name="cubic", kappa=0,
                                u0_profiles=["sine:0.8"])
         op = MeasurementOp("full", 1, grid)
         u_true = simulate(spec, grid)
-        ds = make_dataset(grid, u_true, op, 0.0, 3)
+        ds = make_dataset(u_true, op, 0.0, 3)
         assert np.array_equal(ds.y[0, 0], u_true[0, 0])
         assert np.array_equal(ds.u0[0, 0], u_true[0, 0, 0])
         assert np.array_equal(ds.g_hi[0, 0], u_true[0, 0, :, -1])
 
     def test_reproducible(self):
         grid = make_grid()
-        spec = GroundTruthSpec(kind="none", f_name="cubic", L=2, kappa=0,
+        spec = GroundTruthSpec(kind="none", f_name="cubic", kappa=0,
                                u0_profiles=["sine:0.8", "bump:0.5"])
         op = MeasurementOp("smooth", 2, grid)
-        a = make_dataset(grid, simulate(spec, grid), op, 0.05, 11)
-        b = make_dataset(grid, simulate(spec, grid), op, 0.05, 11)
+        a = make_dataset(simulate(spec, grid), op, 0.05, 11)
+        b = make_dataset(simulate(spec, grid), op, 0.05, 11)
         assert np.array_equal(a.y, b.y)
 
     def test_distinct_speeds_give_distinct_trajectories(self):
         grid = make_grid(t_end=0.4)
         spec = GroundTruthSpec(
-            kind="convection", f_name="zero", L=3, kappa=0,
+            kind="convection", f_name="zero", kappa=0,
             phi_profiles=[["constant:0.3", "constant:-0.2",
                            "constant:0.1"]],
             u0_profiles=["bump:1.0", "bump:1.0", "bump:1.0"])
@@ -109,22 +136,22 @@ class TestMakeDataset:
 
     def test_subsample_noise_masked(self):
         grid = make_grid()
-        spec = GroundTruthSpec(kind="none", f_name="zero", L=1, kappa=0,
+        spec = GroundTruthSpec(kind="none", f_name="zero", kappa=0,
                                u0_profiles=["sine:1.0"])
         op = MeasurementOp("subsample", 1, grid)
-        ds = make_dataset(grid, simulate(spec, grid), op, 0.1, 5)
-        dropped = op.mask == 0.0
+        ds = make_dataset(simulate(spec, grid), op, 0.1, 5)
+        dropped = np.diag(op.matrix) == 0.0
         assert np.max(np.abs(ds.y[0, 0][:, dropped])) == 0.0
 
     def test_consistency_of_manufactured_data(self):
         # truth vars with f matching the true law keep every data-fit term
         # at the discretization level
         grid = Grid(nx=33, nt=33, x_lo=0.0, x_hi=1.0, t_end=0.5)
-        spec = GroundTruthSpec(kind="none", f_name="zero", L=1, kappa=0,
+        spec = GroundTruthSpec(kind="none", f_name="zero", kappa=0,
                                u0_profiles=["sine:0.9"])
         op = MeasurementOp("full", 1, grid)
         u_true = simulate(spec, grid)
-        ds = make_dataset(grid, u_true, op, 0.0, 0)
+        ds = make_dataset(u_true, op, 0.0, 0)
         box = derive_ubox(grid, jet_features(grid, 0, u_true), 1.5)
         zero_net = mlp.MlpParams([np.zeros((2, 2)), np.zeros((1, 2))],
                                  [np.zeros(2), np.zeros(1)],
@@ -132,7 +159,7 @@ class TestMakeDataset:
         vars_ = Vars(u_true.copy(),
                      np.zeros((1, 1, 0, grid.nx)),
                      [zero_net])
-        problem = Problem(grid, ds, op, "none", 0, Weights(lam=1, mu=1, nu=0), box)
+        problem = Problem(ds, "none", 0, Weights(lam=1, mu=1, nu=0), box)
         bd, _ = _evaluate_core(vars_, problem)
         tol = 10 * (grid.dx**2 + grid.dt**2)
         assert bd.residual_term < tol
@@ -145,7 +172,7 @@ class TestReferenceBox:
         # the box covers the reference trajectory's jets: for a standing
         # sine the largest jet component is its slope pi
         grid = make_grid()
-        spec = GroundTruthSpec(kind="none", f_name="zero", L=1, kappa=1,
+        spec = GroundTruthSpec(kind="none", f_name="zero", kappa=1,
                                u0_profiles=["sine:1.0"])
         z_ref = jet_features(grid, 1, simulate(spec, grid))
         box = derive_ubox(grid, z_ref, 1.5)
@@ -175,9 +202,7 @@ class TestLimitOracle:
     def tiny_dataset_spatially_constant(self, h_of_t):
         grid = Grid(nx=5, nt=7, x_lo=0.0, x_hi=1.0, t_end=1.0)
         u = np.tile(h_of_t(grid.t)[:, None], (1, grid.nx))[None, None]
-        return grid, Dataset(grid=grid, y=u, u0=u[:, :, 0, :],
-                             g_lo=u[:, :, :, 0], g_hi=u[:, :, :, -1],
-                             op_kind="full", noise_level=0.0)
+        return grid, full_dataset(grid, u)
 
     def test_reaction_values_reproduce_residual_exactly(self):
         # monotone spatially constant state: the time-derivative stencil is
@@ -200,20 +225,18 @@ class TestLimitOracle:
         # point (0, 0.5) but the time slopes disagree
         slopes = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
         u = (0.5 + np.outer(grid.t, slopes))[None, None]
-        ds = Dataset(grid=grid, y=u, u0=u[:, :, 0, :],
-                     g_lo=u[:, :, :, 0], g_hi=u[:, :, :, -1],
-                     op_kind="full", noise_level=0.0)
+        ds = full_dataset(grid, u)
         # at t=0 all columns share (t=0, u=0.5) but residuals are 1 vs 2
         with pytest.raises(OracleInfeasibleError):
             limit_oracle(ds, "none", kappa=0)
 
     def test_convection_tie_seeds_agree(self):
         grid = Grid(nx=7, nt=7, x_lo=0.0, x_hi=1.0, t_end=0.5)
-        spec = GroundTruthSpec(kind="convection", f_name="cubic", L=2, kappa=0,
+        spec = GroundTruthSpec(kind="convection", f_name="cubic", kappa=0,
                                phi_profiles=[["constant:0.6",
                                               "constant:-0.4"]],
                                u0_profiles=["sine:1.0", "bump:0.8"])
-        ds = make_dataset(grid, simulate(spec, grid),
+        ds = make_dataset(simulate(spec, grid),
                           MeasurementOp("full", 1, grid), 0.0, 0)
         a = limit_oracle(ds, "convection", kappa=0, tie_seed=1)
         b = limit_oracle(ds, "convection", kappa=0, tie_seed=2)
@@ -226,8 +249,7 @@ class TestLimitOracle:
         # function terms must be the objective's r0 of the pinned state
         grid = Grid(nx=5, nt=5, x_lo=0.0, x_hi=1.0, t_end=1.0)
         u = np.outer(np.exp(-grid.t), 1.0 + grid.x)[None, None]
-        ds = Dataset(grid=grid, y=u, u0=u[:, :, 0, :], g_lo=u[:, :, :, 0],
-                     g_hi=u[:, :, :, -1], op_kind="full", noise_level=0.0)
+        ds = full_dataset(grid, u)
         res = limit_oracle(ds, "none", kappa=0)
         v, z = res.f_values, res.jet_points
         scale = max(1.0, float(np.max(np.abs(z))))
@@ -241,15 +263,13 @@ class TestLimitOracle:
     def test_oracle_rejects_big_grids(self):
         grid = Grid(nx=33, nt=33, x_lo=0.0, x_hi=1.0, t_end=1.0)
         u = np.zeros((1, 1, grid.nt, grid.nx))
-        ds = Dataset(grid=grid, y=u, u0=u[:, :, 0, :], g_lo=u[:, :, :, 0],
-                     g_hi=u[:, :, :, -1], op_kind="full", noise_level=0.0)
+        ds = full_dataset(grid, u)
         with pytest.raises(ValueError):
             limit_oracle(ds, "none")
 
     def test_oracle_rejects_noisy_data(self):
         grid = Grid(nx=5, nt=5, x_lo=0.0, x_hi=1.0, t_end=1.0)
         u = np.zeros((1, 1, grid.nt, grid.nx))
-        ds = Dataset(grid=grid, y=u, u0=u[:, :, 0, :], g_lo=u[:, :, :, 0],
-                     g_hi=u[:, :, :, -1], op_kind="full", noise_level=0.01)
+        ds = full_dataset(grid, u, noise_level=0.01)
         with pytest.raises(ValueError):
             limit_oracle(ds, "none")

@@ -17,6 +17,7 @@ from smlpde import ground_truth, harness, mlp
 from smlpde.cli import main as cli_main
 from smlpde.config import (build_grid, build_gt_spec, default_config,
                            format_config)
+from smlpde.errors import DivergedError
 from smlpde.grid import jet_features, write_csv
 from smlpde.harness import (_lsq_closure, _pin_heap, _staged_minimize,
                             _trim_heap, approximation_probe, fit_function_lsq,
@@ -30,7 +31,7 @@ def tiny_config(out_dir, m_max=2, iters=300):
     cfg = default_config()
     cfg.sections["grid"].update(nx=17, nt=13)
     cfg.sections["ground_truth"].update(
-        kind="none", f_true="zero", n_experiments=1,
+        kind="none", f_true="zero",
         phi1_profiles=[], u0_profiles=["sine:0.8"])
     cfg.sections["measurement"].update(family="full", noise0=0.0)
     cfg.sections["schedule"].update(m_max=m_max)
@@ -186,6 +187,26 @@ class TestConvergenceStudySmall:
                     "e_f", "grad_sup_err", "state_err", "param_err", "psi_hat"):
                 assert r[col] == "nan", col
             assert r["iterations"] == "0"
+
+    def test_fresh_start_takes_the_scales_width(self, tmp_path, monkeypatch):
+        # the only start of m = 1 diverges, so m = 2 starts afresh; its
+        # networks have width_2 = 2 * width0, the width its report row names
+        staged = harness._staged_minimize
+        runs = []
+
+        def first_diverges(x0, fg, config):
+            runs.append(1)
+            if len(runs) == 1:
+                raise DivergedError("forced")
+            return staged(x0, fg, config)
+
+        monkeypatch.setattr(harness, "_staged_minimize", first_diverges)
+        cfg = tiny_config(tmp_path / "run", m_max=2, iters=20)
+        report = run_convergence_study(cfg, echo=lambda *_: None)
+        assert [row.status for row in report] == ["diverged(forced)", "ok"]
+        assert report[1].width == 8
+        with open(tmp_path / "run" / "f_params_final_n1.json") as fh:
+            assert json.load(fh)["layer_sizes"] == [2, 8, 8, 1]
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "a", m_max=2, iters=150)
@@ -720,6 +741,20 @@ class TestBenchmarkContract:
             widths = json.load(fh)["widths"]
         assert hooks.calls["fit"] == sum(w["fit_calls"] for w in widths)
         assert hooks.calls["objective"] == 0
+
+
+    def test_workload_configs_build(self, monkeypatch, tmp_path):
+        # every workload's config text parses, so no key it sets has gone;
+        # a study workload's reference set-up and scale-1 objective build
+        monkeypatch.syspath_prepend(STUDYBENCH)
+        workloads = importlib.import_module("workloads")
+        assert workloads.WORKLOADS
+        for workload in workloads.WORKLOADS.values():
+            cfg = workloads.build_config(workload, 1, str(tmp_path))
+            if workload.entry == "study":
+                ref = harness._reference(cfg)
+                problem = harness._scale(cfg, ref, 1)
+                assert problem.dataset.y.shape == ref.u_true.shape
 
 
 class TestGradcheckEntry:

@@ -71,6 +71,52 @@ class TestApply:
                 <= 1e-10 * max(1.0, np.max(np.abs(means_in)))
 
 
+def by_family(kind, m, grid, values, adjoint=False):
+    """K_m (or its adjoint) by each family's own formula: a copy, a product
+    with the keep-mask, or the blur matrix."""
+    if kind == "full":
+        return values.copy()
+    if kind == "subsample":
+        mask = np.zeros(grid.nx)
+        mask[::subsample_stride(grid.nx, m)] = 1.0
+        return values * mask
+    mat = gaussian_smoothing_matrix(grid, (grid.x_hi - grid.x_lo) / (4.0 * m))
+    return values @ mat if adjoint else values @ mat.T
+
+
+class TestOneMatrix:
+    """Every family is one (nx, nx) matrix; apply and adjoint multiply by it
+    and by its transpose."""
+
+    @pytest.mark.parametrize("kind", ["full", "subsample", "smooth"])
+    def test_equals_the_family_formula(self, kind):
+        g = make_grid()
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal((2, 3, g.nt, g.nx))
+        for m in (1, 2, 3):
+            op = MeasurementOp(kind, m, g)
+            assert op.matrix.shape == (g.nx, g.nx)
+            for adjoint, got in ((False, op.apply_array(u)),
+                                 (True, op.adjoint_array(u))):
+                want = by_family(kind, m, g, u, adjoint)
+                assert np.array_equal(got, want)
+                if kind == "smooth":
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["full", "subsample", "smooth"])
+    def test_adjoint_identity(self, kind):
+        # <K u, v> = <u, K^T v> over a stack of time slices
+        g = make_grid()
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((2, g.nt, g.nx))
+        v = rng.standard_normal((2, g.nt, g.nx))
+        for m in (1, 2, 3):
+            op = MeasurementOp(kind, m, g)
+            lhs = float(np.sum(op.apply_array(u) * v))
+            rhs = float(np.sum(u * op.adjoint_array(v)))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
 def fold_index(p, n):
     """Edge-symmetric reflection of an out-of-range index into [0, n)."""
     while p < 0 or p >= n:
@@ -189,7 +235,7 @@ class TestBoundaryTrace:
         g = make_grid()
         tt, xx = np.meshgrid(g.t, g.x, indexing="ij")
         u = fn(tt, xx)[None, None]
-        ds = make_dataset(g, u, MeasurementOp("full", 1, g), 0.0, 0)
+        ds = make_dataset(u, MeasurementOp("full", 1, g), 0.0, 0)
         assert ds.g_lo.shape == ds.g_hi.shape == (1, 1, g.nt)
         return g, ds.g_lo[0, 0], ds.g_hi[0, 0]
 
@@ -212,16 +258,17 @@ class TestDataset:
     def test_shape_validation(self):
         g = make_grid()
         with pytest.raises(ValueError):
-            Dataset(grid=g, y=np.zeros((1, 1, g.nt, g.nx + 1)),
+            Dataset(op=MeasurementOp("full", 1, g),
+                    y=np.zeros((1, 1, g.nt, g.nx + 1)),
                     u0=np.zeros((1, 1, g.nx)), g_lo=np.zeros((1, 1, g.nt)),
                     g_hi=np.zeros((1, 1, g.nt)))
 
     def test_save_files(self, tmp_path):
         g = make_grid(nx=5, nt=3)
-        ds = Dataset(grid=g, y=np.zeros((2, 1, g.nt, g.nx)),
+        ds = Dataset(op=MeasurementOp("smooth", 3, g),
+                     y=np.zeros((2, 1, g.nt, g.nx)),
                      u0=np.zeros((2, 1, g.nx)), g_lo=np.zeros((2, 1, g.nt)),
-                     g_hi=np.zeros((2, 1, g.nt)), m=3, op_kind="smooth",
-                     noise_level=0.05, seed=9)
+                     g_hi=np.zeros((2, 1, g.nt)), noise_level=0.05, seed=9)
         save_dataset(ds, tmp_path)
         assert (tmp_path / "y_l1_m3.csv").exists()
         assert (tmp_path / "y_l2_m3.csv").exists()

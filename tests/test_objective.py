@@ -60,7 +60,8 @@ def random_problem(seed, kind="none", kappa=0, L=2, N=1, op_kind="full",
     phi = 0.4 * rng.standard_normal((L, N, slots, grid.nx))
     D = 1 + N * (kappa + 1)
     nets = [random_net([D, 5, 1], seed + 10 + n) for n in range(N)]
-    ds = Dataset(grid=grid, y=smooth_state(rng, grid, L, N, amp),
+    ds = Dataset(op=MeasurementOp(op_kind, 2, grid),
+                 y=smooth_state(rng, grid, L, N, amp),
                  u0=u[:, :, 0, :] + 0.05, g_lo=u[:, :, :, 0] - 0.02,
                  g_hi=u[:, :, :, -1] + 0.02)
     jets = [np.max(np.abs(u))]
@@ -69,8 +70,7 @@ def random_problem(seed, kind="none", kappa=0, L=2, N=1, op_kind="full",
     radius = grid.t_end + 1.6 * max(jets)
     box = build_box(D, radius, points_per_axis=9, sample_budget=256)
     w = Weights(lam=lam, mu=mu, nu=nu, q=q, r=r, rho=rho, tau=0.05)
-    op = MeasurementOp(op_kind, 2, grid)
-    problem = Problem(grid, ds, op, kind, kappa, w, box)
+    problem = Problem(ds, kind, kappa, w, box)
     return problem, Vars(u, phi, nets)
 
 
@@ -216,10 +216,13 @@ def box_terms(net, box, rho=2.0, tau=0.01):
     weighted out."""
     g = make_grid(nx=5, nt=3, t_end=box.radius)   # the jets (t, 0) lie in the box
     u = np.zeros((1, 1, g.nt, g.nx))
-    ds = Dataset(grid=g, y=u, u0=u[:, :, 0], g_lo=u[..., 0], g_hi=u[..., -1])
-    problem = Problem(g, ds, MeasurementOp("full", 1, g), "none", 0,
+    ds = Dataset(op=MeasurementOp("full", 1, g), y=u, u0=u[:, :, 0],
+                 g_lo=u[..., 0], g_hi=u[..., -1])
+    problem = Problem(ds, "none", 0,
                       Weights(lam=0.0, mu=0.0, nu=0.0, rho=rho, tau=tau), box)
-    bd, _ = _evaluate_core(Vars(u, np.zeros((1, 1, 0, g.nx)), [net]), problem)
+    vars_ = Vars(u, np.zeros((1, 1, 0, g.nx)), [net])
+    layout = VarLayout(vars_)   # make_closure checks the network's input dim
+    bd = make_closure(problem, layout)(layout.pack(vars_))[2]
     assert bd.total == bd.f_lrho_term + bd.f_gradsup_term
     return bd.f_lrho_term, bd.f_gradsup_term, bd.hard_gradsup
 
@@ -249,7 +252,7 @@ class TestFRegularizer:
 
     def test_dim_mismatch(self):
         box = build_box(3, 1.0, sample_budget=64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="input dim 2 != box dim 3"):
             box_terms(const_net(1.0, 2), box)
 
 
@@ -510,6 +513,14 @@ class TestEvaluate:
             + [[False] * 4 + [True] * 2, [False] * 5 + [True]]
         assert [ref() is not None for ref in tapes] == [False] * 6
 
+    def test_closure_refuses_other_experiments(self):
+        # a layout whose (L, N) is not the dataset's is refused when the
+        # closure is made, before any evaluation
+        problem, vars_ = random_problem(7)
+        one = Vars(vars_.u[:1], vars_.phi[:1], vars_.nets)
+        with pytest.raises(ValueError, match=r"disagree on \(L, N\)"):
+            make_closure(problem, VarLayout(one))
+
     def test_box_violation_detected(self):
         problem, vars_ = random_problem(7)
         tiny = build_box(2, 1e-3, points_per_axis=5)
@@ -615,7 +626,7 @@ class TestGradient:
         layout = VarLayout(vars_)
         g_phi = grad[layout.u_size:layout.u_size + layout.phi_size] \
             .reshape(vars_.phi.shape)
-        wx = problem.grid.space_weights()
+        wx = problem.dataset.grid.space_weights()
         expected = 2.0 * wx[None, None, None, :] * vars_.phi
         assert np.allclose(g_phi, expected, rtol=0, atol=1e-14)
 

@@ -4,7 +4,8 @@ import pytest
 from smlpde import mlp
 from smlpde.grid import Grid, jet_features, space_derivatives
 from smlpde.measurement import Dataset, MeasurementOp
-from smlpde.objective import Problem, Vars, Weights, _evaluate_core, build_box
+from smlpde.objective import (Problem, VarLayout, Vars, Weights, build_box,
+                              make_closure)
 from smlpde.optimizer import finite_diff_gradcheck
 from smlpde.physics import (PHYSICS_KINDS, affine_check, apply_physics_array,
                             n_param_slots, physics_vjp, residual)
@@ -201,11 +202,13 @@ class TestResidual:
         # one equation without a network: the objective refuses it
         g = make_grid(nx=5, nt=3)
         u = np.zeros((1, 1, g.nt, g.nx))
-        ds = Dataset(grid=g, y=u, u0=u[:, :, 0], g_lo=u[..., 0], g_hi=u[..., -1])
-        problem = Problem(g, ds, MeasurementOp("full", 1, g), "none", 0,
-                          Weights(), build_box(2, 2.0, points_per_axis=3))
-        with pytest.raises(ValueError):
-            _evaluate_core(Vars(u, np.zeros((1, 1, 0, g.nx)), []), problem)
+        ds = Dataset(op=MeasurementOp("full", 1, g), y=u, u0=u[:, :, 0],
+                     g_lo=u[..., 0], g_hi=u[..., -1])
+        problem = Problem(ds, "none", 0, Weights(),
+                          build_box(2, 2.0, points_per_axis=3))
+        with pytest.raises(ValueError, match="0 networks for 1 equations"):
+            make_closure(problem,
+                         VarLayout(Vars(u, np.zeros((1, 1, 0, g.nx)), [])))
 
     def test_network_input_dim_mismatch(self):
         g = make_grid()
