@@ -376,6 +376,12 @@ def _adaptive_stages(fg, x, iters: int, stages):
     return x, calls
 
 
+# the study's step scale: _staged_minimize's adaptive stage runs at three
+# times it, and the first trial of its Armijo descent is as long as one
+# adaptive step at 0.3 times it
+STUDY_RATE = 1e-3
+
+
 def _staged_minimize(x0, fg, base: OptimConfig):
     """Minimize one scale: an adaptive stage, then an Armijo descent.
 
@@ -476,7 +482,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
     scales = []  # per scale: wall seconds to the end of its starts, calls
     prev_vars = None
     opt_config = OptimConfig(max_iters=ocfg["max_iters"],
-                             grad_tol=ocfg["grad_tol"])
+                             grad_tol=ocfg["grad_tol"], rate=STUDY_RATE)
     for m in range(1, cfg["schedule"]["m_max"] + 1):
         _trim_heap()
         t_scale = time.perf_counter()

@@ -5,12 +5,13 @@ from smlpde.config import (default_config, format_config, parse_config,
                            parse_config_text)
 from smlpde.errors import ConfigError
 
-# settings that became constants of the program, or that another setting
-# decides (n_experiments is the length of u0_profiles): a config naming one
-# is refused like any other unknown key
+# settings that became constants of the program (the grid's space
+# dimension d is 1), or that another setting decides (n_experiments is the
+# length of u0_profiles): a config naming one is refused like any other
+# unknown key
 REMOVED_KEYS = {"rate", "gradcheck_samples", "gradcheck_step", "tau0_factor",
                 "box_points_per_axis", "box_sample_budget", "fit_points",
-                "eval_points", "probe_depth", "n_experiments"}
+                "eval_points", "probe_depth", "n_experiments", "d"}
 
 
 class TestRoundTrip:

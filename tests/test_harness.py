@@ -1,6 +1,5 @@
 import csv
 import ctypes
-import functools
 import importlib
 import json
 import os
@@ -160,11 +159,10 @@ class TestConvergenceStudySmall:
             assert float(winner["value"]) == row.breakdown.total
 
     def test_stops_record_diverged_starts(self, tmp_path, monkeypatch):
-        # a step scale (OptimConfig.rate) this large throws the states out
-        # of the box at once, so every start diverges and every scale starts
-        # over from scratch; stages that set their own rate keep it
-        monkeypatch.setattr(harness, "OptimConfig",
-                            functools.partial(OptimConfig, rate=1.0))
+        # a study step scale this large throws the states out of the box
+        # at once, so every start diverges and every scale starts over from
+        # scratch; the prefit's stages set their own rates and keep them
+        monkeypatch.setattr(harness, "STUDY_RATE", 1.0)
         cfg = tiny_config(tmp_path / "run", m_max=2, iters=40)
         cfg.sections["optimizer"].update(restarts=2)
         report = run_convergence_study(cfg, echo=lambda *_: None)

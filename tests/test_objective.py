@@ -163,8 +163,9 @@ class TestUBox:
 
     def test_box_needs_no_scipy(self, tmp_path):
         # a fresh interpreter builds a 3-D box, runs a tiny study with a 3-D
-        # box and the approximation probe without importing scipy, whose
-        # import alone would add about 49 MB to the peak resident size
+        # box, the approximation probe and the gradient check without
+        # importing scipy, whose import alone would add about 49 MB to the
+        # peak resident size; the run manifests record no scipy version
         src = os.path.dirname(os.path.dirname(os.path.abspath(mlp.__file__)))
         cfg_text = ("[grid]\nnx = 17\nnt = 13\n"
                     "[ground_truth]\nkind = burgers1d\nkappa = 1\n"
@@ -175,12 +176,14 @@ class TestUBox:
         code = ("import sys\n"
                 "from smlpde.config import parse_config_text\n"
                 "from smlpde.harness import (approximation_probe,\n"
+                "                            gradcheck_from_config,\n"
                 "                            run_convergence_study)\n"
                 "from smlpde.objective import build_box\n"
                 "assert build_box(3, 2.0, sample_budget=64).samples.shape == (64, 3)\n"
                 f"cfg = parse_config_text({cfg_text!r})\n"
                 "run_convergence_study(cfg, echo=lambda *_: None)\n"
                 "approximation_probe(cfg, echo=lambda *_: None)\n"
+                "gradcheck_from_config(cfg, echo=lambda *_: None)\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

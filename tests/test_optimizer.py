@@ -5,8 +5,9 @@ import pytest
 
 from smlpde.errors import BoxViolationError, DivergedError
 from smlpde.optimizer import (ARMIJO_SHRINK, ARMIJO_SLOPE, BETA1, BETA2, EPS,
-                              MAX_BACKTRACKS, OptimConfig, OptResult,
-                              _check_finite, finite_diff_gradcheck, minimize)
+                              MAX_BACKTRACKS, STEP_RULES, OptimConfig,
+                              OptResult, _check_finite, finite_diff_gradcheck,
+                              minimize)
 
 
 def quadratic_bowl(center=None):
@@ -236,6 +237,28 @@ class TestMinimize:
         res = minimize(np.array([1.0]), fg,
                        OptimConfig(max_iters=37, rate=0.9))
         assert res.value <= min(res.trace) + 1e-15
+
+
+class TestStepRules:
+    """One table, STEP_RULES, names the methods: OptimConfig accepts its
+    keys only, and minimize runs the rule it names."""
+
+    def test_unknown_method_refused(self):
+        assert "sgd" not in STEP_RULES
+        with pytest.raises(ValueError, match="unknown method 'sgd'"):
+            OptimConfig(method="sgd")
+
+    def test_methods_are_the_tables_keys(self, monkeypatch):
+        assert set(STEP_RULES) == {"adaptive", "gd_linesearch"}
+        # a rule added to the table is accepted and dispatched: this one
+        # spends two calls and then stops the run
+        def stalls(n, fg, config):
+            return lambda k, x, value, grad: (2, "stalled")
+
+        monkeypatch.setitem(STEP_RULES, "stall", stalls)
+        res = minimize(np.ones(2), quadratic_bowl(), OptimConfig(method="stall"))
+        assert (res.stop_reason, res.iterations, res.calls) == ("stalled", 0, 3)
+        assert not res.converged and res.trace == [2.0]
 
 
 def reference_adaptive(x0, fg, config):
