@@ -1,22 +1,22 @@
 """Line-oriented experiment configuration.
 
-Format: `key = value` lines grouped under `[section]` headers, with `#`
-comments and blank lines allowed.  Parsing is strict - unknown sections or
-keys, malformed values, and duplicates are errors that carry the line
-number - so a typo can never silently fall back to a default.  The full
-schema with defaults is what `smlpde print-default-config` emits, and
-printing a parsed config reproduces that canonical text byte for byte.
+Format: `key = value` lines grouped under `[section]` headers, with blank
+lines allowed; a `#` comment may fill a line or end any line, a header's
+included.  Parsing is strict - unknown sections or keys, malformed values,
+and duplicates are errors that carry the line number - so a typo can never
+silently fall back to a default.  The full schema with defaults is what
+`smlpde print-default-config` emits, and printing a parsed config
+reproduces that canonical text byte for byte.
 
 A parsed config is valid when the run's objects build from it: the grid
 (build_grid), the ground truth (build_gt_spec, one experiment per entry of
 u0_profiles, which every phi list of the kind matches), each profile, the
 objective's Weights (q, r, rho, param_norm_p), the network's Activation,
-an OptimConfig with max_iters and the probe's f_true.  Each object owns its
-rules, and the ValueError one raises becomes a ConfigError naming the
-[section].  The measurement family is checked against
-measurement.MEASUREMENT_KINDS and box_margin against
-objective.MIN_BOX_MARGIN, without building a measurement operator or a
-box.  _validate keeps only the rules no object enforces: finite floats
+an OptimConfig with max_iters, the scale-1 MeasurementOp of the family
+and the probe's f_true.  Each object owns its rules, and the ValueError
+one raises becomes a ConfigError naming the [section].  box_margin is
+checked against objective.MIN_BOX_MARGIN without building a box.
+_validate keeps only the rules no object enforces: finite floats
 (param_norm_p may be inf), nonnegative seeds and noise0, positive schedule
 keys with m_max >= 1, restarts, width0 and depth, the probe's widths,
 train_iters and interval, the kappa range and finite profile values.
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid
 from .ground_truth import GroundTruthSpec, f_true, profile_array
-from .measurement import MEASUREMENT_KINDS
+from .measurement import MeasurementOp
 from .mlp import Activation
 from .objective import MIN_BOX_MARGIN, Weights
 from .optimizer import OptimConfig
@@ -156,8 +156,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     seen = set()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
@@ -172,7 +172,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("key outside any [section]", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.split("#", 1)[0].strip()
+        value = value.strip()
         if key not in SCHEMA[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
         if (section, key) in seen:
@@ -263,9 +263,8 @@ def _validate(cfg: ExperimentConfig) -> None:
            param_norm_p=w["param_norm_p"])
     if w["box_margin"] < MIN_BOX_MARGIN:
         raise ConfigError(f"[weights] box_margin must be >= {MIN_BOX_MARGIN}")
-    if cfg["measurement"]["family"] not in MEASUREMENT_KINDS:
-        raise ConfigError("[measurement] unknown measurement family "
-                          f"{cfg['measurement']['family']!r}")
+    _build("[measurement]", MeasurementOp, cfg["measurement"]["family"], 1,
+           grid)
     for (sec, key), low in _MINIMUM.items():
         if cfg[sec][key] < low:
             raise ConfigError(f"[{sec}] {key} must be >= {low}")

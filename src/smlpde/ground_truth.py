@@ -241,7 +241,7 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
         raise ValueError("oracle supports kinds 'none' and 'convection'")
     if dataset.op.kind != "full" or dataset.noise_level != 0.0:
         raise ValueError("oracle needs full noiseless measurements")
-    L, N = dataset.n_experiments, dataset.n_states
+    L, N = dataset.y.shape[:2]
     if N != 1:
         raise NotImplementedError("oracle supports N=1")
 

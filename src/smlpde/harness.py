@@ -68,11 +68,10 @@ until the thresholds happen to rise; every call then page-faults its
 buffers in again, and a study spent about a third of its time in minor
 faults, by an amount that depended on the order of earlier allocations.
 Pinned at glibc's own ceilings, freed blocks stay in the heap and are
-reused.  The study trims the heap between scales (_trim_heap), so the
-blocks one scale freed do not stay resident under the next, wider one.
-This is glibc-only: where the C library has no mallopt or malloc_trim the
-helpers do nothing.  Merely importing this module leaves the allocator
-alone.
+reused, also by the next, wider scale: the study does not trim the heap
+between scales, since a trim left its peak resident size unchanged.
+This is glibc-only: where the C library has no mallopt the pin does
+nothing.  Merely importing this module leaves the allocator alone.
 """
 
 from __future__ import annotations
@@ -132,17 +131,6 @@ def _pin_heap() -> bool:
     done = [mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
             mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)]
     return all(done)
-
-
-def _trim_heap() -> None:
-    """Hand the free pages inside the heap back to the kernel (glibc's
-    malloc_trim); a no-op where there is no malloc_trim.  Under the pinned
-    thresholds a scale's freed blocks stay resident, and the next scale's
-    wider arrays reuse only some of them, so without a trim between scales
-    the peak resident size depends on where the earlier blocks lie."""
-    malloc_trim = _libc("malloc_trim")
-    if malloc_trim is not None:
-        malloc_trim(0)
 
 
 def _peak_rss_mb():
@@ -484,7 +472,6 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
     opt_config = OptimConfig(max_iters=ocfg["max_iters"],
                              grad_tol=ocfg["grad_tol"], rate=STUDY_RATE)
     for m in range(1, cfg["schedule"]["m_max"] + 1):
-        _trim_heap()
         t_scale = time.perf_counter()
         calls = 0
         problem = _scale(cfg, ref, m)

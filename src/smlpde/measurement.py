@@ -149,26 +149,19 @@ class Dataset:
     def grid(self) -> Grid:
         return self.op.grid
 
-    @property
-    def n_experiments(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.y.shape[1]
-
 
 def save_dataset(ds: Dataset, out_dir) -> None:
     """Per-experiment CSV files `y_l{l}_m{m}.csv` plus a JSON manifest."""
     os.makedirs(out_dir, exist_ok=True)
     m = ds.op.m
-    for l in range(ds.n_experiments):
-        for n in range(ds.n_states):
-            suffix = f"_n{n + 1}" if ds.n_states > 1 else ""
+    L, N = ds.y.shape[:2]
+    for l in range(L):
+        for n in range(N):
+            suffix = f"_n{n + 1}" if N > 1 else ""
             path = os.path.join(out_dir, f"y_l{l + 1}{suffix}_m{m}.csv")
             write_field_csv(ds.grid, ds.y[l, n], path)
     manifest = {"kind": ds.op.kind, "m": m, "level": ds.noise_level,
-                "seed": ds.seed, "L": ds.n_experiments, "N": ds.n_states}
+                "seed": ds.seed, "L": L, "N": N}
     with open(os.path.join(out_dir, f"manifest_m{m}.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -213,10 +213,6 @@ class MlpParams:
     def depth(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases], self.activation)
-
 
 def init_params(layer_sizes, activation: Activation, seed: int) -> MlpParams:
     """Uniform weights in +-1/sqrt(fan_in), zero biases, deterministic."""

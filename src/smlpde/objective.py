@@ -488,7 +488,7 @@ class VarLayout:
     def __init__(self, template: Vars):
         self.u_shape = template.u.shape
         self.phi_shape = template.phi.shape
-        self.net_templates = [n.copy() for n in template.nets]
+        self.net_templates = list(template.nets)
         self.u_size = int(np.prod(self.u_shape))
         self.phi_size = int(np.prod(self.phi_shape))
         self.net_sizes = [mlp.flatten_params(n).size for n in template.nets]

@@ -66,6 +66,21 @@ class TestStrictness:
         cfg = parse_config_text(text)
         assert cfg["grid"]["nx"] == 33
 
+    def test_comment_after_section_header(self):
+        cfg = parse_config_text("[grid]  # the grid\nnx = 33\n")
+        assert cfg["grid"]["nx"] == 33
+        with pytest.raises(ConfigError) as info:
+            parse_config_text("[grid\nnx = 33\n")
+        assert "malformed section header" in str(info.value)
+
+    def test_commented_headers_round_trip(self):
+        text = format_config(default_config())
+        commented = "\n".join(f"{line}  # {line[1:-1]}"
+                              if line.startswith("[") else line
+                              for line in text.splitlines())
+        assert commented != text
+        assert format_config(parse_config_text(commented)) == text
+
 
 class TestValidation:
     def test_schedule_sequence_documented(self):
@@ -88,6 +103,13 @@ class TestValidation:
     def test_nonpositive_schedule(self):
         with pytest.raises(ConfigError):
             parse_config_text("[schedule]\ngrowth = 0.0\n")
+
+    def test_unknown_family_names_value(self):
+        # MeasurementOp owns the family rule; the config names its section
+        with pytest.raises(ConfigError) as info:
+            parse_config_text("[measurement]\nfamily = blur\n")
+        assert "[measurement]" in str(info.value)
+        assert "'blur'" in str(info.value)
 
     def test_infinite_param_norm_p_accepted(self):
         # the only float key where inf is valid: the max-norm of the parameters
@@ -158,6 +180,7 @@ class TestValidation:
         "[ground_truth]\nu0_profiles =\nphi1_profiles =\n",
         "[ground_truth]\nphi1_profiles = constant:1, constant:1, constant:1, "
         "constant:1\n",
+        "[measurement]\nfamily = blur\n",
     ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0",
             "nx4", "nt2", "t_end0", "x_hi_le_x_lo", "box_points1",
             "box_budget0", "net_width0", "net_depth1", "noise_negative", "p0.5",
@@ -174,7 +197,7 @@ class TestValidation:
             "phi2_profiles_convection", "phi1_profiles_burgers",
             "phi1_profiles_none", "phi2_longer_than_phi1",
             "phi2_shorter_than_phi1", "u0_profiles_too_many",
-            "u0_profiles_empty", "phi1_profiles_too_many"])
+            "u0_profiles_empty", "phi1_profiles_too_many", "family_unknown"])
     def test_cross_field_errors_exit_2(self, text, tmp_path, capsys):
         # each of these used to pass parsing and fail later with a traceback,
         # except the removed keys, which used to be checked settings

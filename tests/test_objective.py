@@ -102,7 +102,7 @@ class TestSmoothMax:
         def fg(v):
             value, weights = smooth_max(v, 0.3)
             return value, lambda: weights, None
-        err = finite_diff_gradcheck(rng.uniform(-1, 1, 12), fg, coords="all")
+        err = finite_diff_gradcheck(rng.uniform(-1, 1, 12), fg, samples=12)
         assert err < 1e-5
 
     def test_invalid(self):
@@ -301,7 +301,7 @@ class TestR0:
                 [part.reshape(-1) for part in backward()]), None
 
         x = np.concatenate([u.reshape(-1), phi.reshape(-1)])
-        assert finite_diff_gradcheck(x, fg, coords="all") < 1e-5
+        assert finite_diff_gradcheck(x, fg, samples=x.size) < 1e-5
 
 
     @pytest.mark.parametrize("kappa", [0, 1])
@@ -617,7 +617,8 @@ class TestGradient:
                                         N=N)
         layout = VarLayout(vars_)
         fg = make_closure(problem, layout)
-        err = finite_diff_gradcheck(layout.pack(vars_), fg, coords="all")
+        err = finite_diff_gradcheck(layout.pack(vars_), fg,
+                                    samples=layout.size)
         assert err < 1e-5
 
     def test_data_term_has_no_phi_gradient(self):
@@ -643,7 +644,8 @@ class TestGradient:
         problem, vars_ = random_problem(13, q=3.0, r=4.0, rho=3.0)
         layout = VarLayout(vars_)
         fg = make_closure(problem, layout)
-        err = finite_diff_gradcheck(layout.pack(vars_), fg, coords="all")
+        err = finite_diff_gradcheck(layout.pack(vars_), fg,
+                                    samples=layout.size)
         assert err < 1e-5
 
     def test_tiny_convex_instance_reaches_stationarity(self):

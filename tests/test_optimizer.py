@@ -583,3 +583,31 @@ class TestFiniteDiffGradcheck:
 
         err = finite_diff_gradcheck(np.ones(3), fg, samples=3)
         assert err > 0.2
+
+    def test_full_audit_finds_each_wrong_coordinate(self):
+        # samples=x.size checks every coordinate: a gradient wrong in any one
+        # of them reads as wrong, and the reading is the worst error of a
+        # plain loop over all coordinates
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(9)
+        scale = np.arange(1.0, x.size + 1.0)
+        for i in range(x.size):
+            def fg(v, i=i):
+                grad = 2.0 * scale * v
+                grad[i] += 1.0  # wrong in coordinate i only
+                return float(scale @ (v * v)), lambda: grad, None
+
+            grad = fg(x)[1]()
+            floor = 1e-3 * float(np.max(np.abs(grad)))
+            errors = []
+            for j in range(x.size):
+                h = 1e-5 * max(1.0, abs(x[j]))
+                xp, xm = x.copy(), x.copy()
+                xp[j] += h
+                xm[j] -= h
+                fd = (fg(xp)[0] - fg(xm)[0]) / (2.0 * h)
+                errors.append(abs(fd - grad[j])
+                              / max(abs(fd), abs(grad[j]), floor))
+            err = finite_diff_gradcheck(x, fg, samples=x.size)
+            assert err > 1e-3
+            assert err == max(errors)

@@ -43,7 +43,6 @@ ALLOWED = {
 
 SHARED = {
     "harness.ScaleRow.cells": "harness.run_convergence_study",
-    "mlp.MlpParams.copy": "objective.VarLayout.__init__",
     "objective.ObjectiveBreakdown.cells": "harness.ScaleRow.cells",
 }
 
