@@ -12,10 +12,11 @@ A parsed config is valid when the run's objects build from it: the grid
 (build_grid), the ground truth (build_gt_spec, one experiment per entry of
 u0_profiles, which every phi list of the kind matches), each profile, the
 objective's Weights (q, r, rho, param_norm_p), the network's Activation,
-an OptimConfig with max_iters, the scale-1 MeasurementOp of the family
-and the probe's f_true.  Each object owns its rules, and the ValueError
-one raises becomes a ConfigError naming the [section].  box_margin is
-checked against objective.MIN_BOX_MARGIN without building a box.
+an OptimConfig with max_iters and grad_tol, the scale-1 MeasurementOp of
+the family and the probe's f_true.  Each object owns its rules, and the
+ValueError one raises becomes a ConfigError naming the [section].
+box_margin is checked against objective.MIN_BOX_MARGIN without building a
+box.
 _validate keeps only the rules no object enforces: finite floats
 (param_norm_p may be inf), nonnegative seeds and noise0, positive schedule
 keys with m_max >= 1, restarts, width0 and depth, the probe's widths,
@@ -271,7 +272,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key in ("lambda0", "mu0", "nu0", "growth", "nu_decay"):
         if cfg["schedule"][key] <= 0:
             raise ConfigError(f"[schedule] {key} must be positive")
-    _build("[optimizer]", OptimConfig, max_iters=cfg["optimizer"]["max_iters"])
+    _build("[optimizer]", OptimConfig, max_iters=cfg["optimizer"]["max_iters"],
+           grad_tol=cfg["optimizer"]["grad_tol"])
     _build("[network]", Activation, cfg["network"]["activation"])
     probe = cfg["probe"]
     _build("[probe]", f_true, probe["f_name"])

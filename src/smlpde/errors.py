@@ -2,11 +2,8 @@
 
 
 class DivergedError(RuntimeError):
-    """An iteration produced a non-finite or unbounded quantity."""
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
+    """An iteration produced a non-finite or unbounded quantity; the
+    message names the iteration."""
 
 
 class BoxViolationError(RuntimeError):
@@ -19,10 +16,10 @@ class OracleInfeasibleError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A config that fails strict parsing (at .line) or diverges in simulation."""
+    """A config that fails strict parsing or diverges in simulation; given
+    the config line at fault, the message starts with `line N: `."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line

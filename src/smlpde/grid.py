@@ -29,10 +29,14 @@ a header line, then one line per row, cells joined by commas, floats with
 byte-identical files, and every line ended by "\\n" on every platform.
 write_field_csv writes a field in that format through its own per-row
 f-string, because a study writes one file per measured and final field.
+write_json is the one JSON format of the run manifests, dataset manifests
+and network meta files: indent 1, keys in the order given, one closing
+line ending.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -211,6 +215,13 @@ def write_csv(path, header, rows) -> None:
         lines.append(line + "\n")
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
+
+
+def write_json(path, obj) -> None:
+    """Write obj as JSON: indent 1, keys in the order given, then "\\n"."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
 
 
 def write_field_csv(grid: Grid, values: np.ndarray, path) -> None:

@@ -77,7 +77,6 @@ nothing.  Merely importing this module leaves the allocator alone.
 from __future__ import annotations
 
 import ctypes
-import json
 import os
 import platform
 import sys
@@ -89,10 +88,10 @@ import numpy as np
 from . import mlp
 from .config import ExperimentConfig, build_grid, build_gt_spec, format_config
 from .errors import BoxViolationError, ConfigError, DivergedError
-from .grid import Grid, jet_features, write_csv, write_field_csv
+from .grid import Grid, jet_features, write_csv, write_field_csv, write_json
 from .ground_truth import (GroundTruthSpec, f_true, f_true_deriv, make_dataset,
                            simulate)
-from .measurement import MeasurementOp, save_dataset, subsample_stride
+from .measurement import MeasurementOp, save_dataset
 from .objective import (ObjectiveBreakdown, Problem, UBox, VarLayout, Vars,
                         Weights, derive_ubox, make_closure)
 from .optimizer import OptimConfig, finite_diff_gradcheck, minimize
@@ -169,7 +168,7 @@ def init_state_from_data(ds) -> np.ndarray:
     u = ds.y.copy()
     grid = ds.grid
     if ds.op.kind == "subsample":
-        keep = np.arange(0, grid.nx, subsample_stride(grid.nx, ds.op.m))
+        keep = np.flatnonzero(np.diag(ds.op.matrix))
         for l in range(u.shape[0]):
             for n in range(u.shape[1]):
                 for it in range(grid.nt):
@@ -489,7 +488,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
                     for n in range(N)]
             candidates = [Vars(prev_vars.u.copy(), prev_vars.phi.copy(), nets)]
 
-        best = None
+        best = None   # (result, layout, stop row) of the best start
         status = "ok"
         for j, vars0 in enumerate(candidates):
             layout = VarLayout(vars0)
@@ -505,9 +504,8 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
             stop = [m, j, res.stop_reason, res.iterations, res.value,
                     res.calls, float(np.max(np.abs(res.grad))), 0]
             stops.append(stop)
-            if best is None or res.value < best[0]:
-                best = (res.value, layout.unpack(res.x), res.aux, res.trace,
-                        res.iterations, stop)
+            if best is None or res.value < best[0].value:
+                best = (res, layout, stop)
         scale = {"m": m, "wall_s": time.perf_counter() - t_scale,
                  "closure_calls": calls}
         scales.append(scale)
@@ -518,25 +516,22 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
             failed = ObjectiveBreakdown(**{f.name: nan
                                            for f in fields(ObjectiveBreakdown)})
             row = ScaleRow(*head, failed, nan, nan, nan, nan, nan, 0, status)
-            report.append(row)
-            scale["peak_rss_mb"] = _peak_rss_mb()
-            continue
-        _, vars_best, bd, trace, iterations, stop = best
-        stop[-1] = 1
-        prev_vars = vars_best
-        write_csv(os.path.join(out_dir, f"trace_m{m}.csv"),
-                  ("m", "iter", *ObjectiveBreakdown.CSV_HEADER),
-                  ([m, it, *bd.cells()] for it, bd in enumerate(trace)))
-
-        psi_hat = mlp.param_norm(vars_best.nets, w.param_norm_p)[0]
-        e_f, gse = f_sup_error(vars_best.nets, ref.z_visited, spec.f_name)
-        serr = state_error(grid, vars_best.u, u_true)
-        perr = param_error(grid, vars_best.phi, phi_true)
-        row = ScaleRow(*head, bd, e_f, gse, serr, perr, psi_hat, iterations,
-                       "ok")
+        else:
+            res, layout, stop = best
+            stop[-1] = 1
+            prev_vars = layout.unpack(res.x)
+            write_csv(os.path.join(out_dir, f"trace_m{m}.csv"),
+                      ("m", "iter", *ObjectiveBreakdown.CSV_HEADER),
+                      ([m, it, *bd.cells()] for it, bd in enumerate(res.trace)))
+            psi_hat = mlp.param_norm(prev_vars.nets, w.param_norm_p)[0]
+            e_f, gse = f_sup_error(prev_vars.nets, ref.z_visited, spec.f_name)
+            serr = state_error(grid, prev_vars.u, u_true)
+            perr = param_error(grid, prev_vars.phi, phi_true)
+            row = ScaleRow(*head, res.aux, e_f, gse, serr, perr, psi_hat,
+                           res.iterations, "ok")
+            echo(f"[m={m}] total={res.value:.6g} e_f={e_f:.4g} state_err="
+                 f"{serr:.4g} param_err={perr:.4g} iters={res.iterations}")
         report.append(row)
-        echo(f"[m={m}] total={bd.total:.6g} e_f={e_f:.4g} "
-             f"state_err={serr:.4g} param_err={perr:.4g} iters={iterations}")
         scale["peak_rss_mb"] = _peak_rss_mb()
 
     write_csv(os.path.join(out_dir, "report.csv"), ScaleRow.CSV_HEADER,
@@ -557,13 +552,10 @@ def _write_timings(path, cfg, heap_pinned: bool, timings: dict) -> None:
     """Run manifest: the timings, the config text, the Python and numpy
     versions and whether the heap was pinned.  No study or probe imports
     scipy, so its version is not recorded."""
-    manifest = {"config": format_config(cfg),
-                "versions": {"python": platform.python_version(),
-                             "numpy": np.__version__},
-                "heap_pinned": heap_pinned, **timings}
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    write_json(path, {"config": format_config(cfg),
+                      "versions": {"python": platform.python_version(),
+                                   "numpy": np.__version__},
+                      "heap_pinned": heap_pinned, **timings})
 
 
 def _write_schedule_check(cfg, report: list, path) -> None:

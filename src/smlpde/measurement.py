@@ -20,14 +20,13 @@ trapezoidal norm of grid._norm_pow that the objective's data term uses.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, _norm_pow, write_field_csv
+from .grid import Grid, _norm_pow, write_field_csv, write_json
 
 MEASUREMENT_KINDS = ("full", "subsample", "smooth")
 
@@ -160,8 +159,6 @@ def save_dataset(ds: Dataset, out_dir) -> None:
             suffix = f"_n{n + 1}" if N > 1 else ""
             path = os.path.join(out_dir, f"y_l{l + 1}{suffix}_m{m}.csv")
             write_field_csv(ds.grid, ds.y[l, n], path)
-    manifest = {"kind": ds.op.kind, "m": m, "level": ds.noise_level,
-                "seed": ds.seed, "L": L, "N": N}
-    with open(os.path.join(out_dir, f"manifest_m{m}.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, f"manifest_m{m}.json"),
+               {"L": L, "N": N, "kind": ds.op.kind, "level": ds.noise_level,
+                "m": m, "seed": ds.seed})

@@ -6,12 +6,14 @@ network goes through one Tape over a batch of inputs (one per row):
 
   * Tape.values      -- the outputs, from the forward pass,
   * Tape.input_grads -- the gradients of the output w.r.t. each input,
-  * Tape.param_vjp   -- the parameter gradient of any linear functional of
-                        (value, input-gradient), and optionally its input
-                        gradient.  A gradient seed needs one extra adjoint
-                        sweep through the input-gradient computation and
-                        sigma''; it is what makes the gradient-sup
-                        regularizer differentiable in the weights.
+  * Tape.param_vjp   -- the parameter gradient of a linear functional of
+                        the values (value seeds, always given) and
+                        optionally of the input gradients (gradient seeds),
+                        and optionally its input gradient.  A gradient seed
+                        needs one extra adjoint sweep through the
+                        input-gradient computation and sigma''; it is what
+                        makes the gradient-sup regularizer differentiable
+                        in the weights.
 
 A caller that needs both the outputs and the input gradients of the same
 rows reads both off one tape.
@@ -64,13 +66,13 @@ flatten_params order (W_1, b_1, W_2, b_2, ...), the layout fit and
 objective closures hand to the optimizer.  Each weight block is written by
 matmul into its slice, each bias block by a row sum into its slice, and a
 second contribution (the gradient seeds' sweep and the value adjoint meet
-in every weight block) is added in place; a block no seed reaches stays 0.
+in every weight block) is added in place.
 The vector is allocated fresh on every call and never reused: the
 optimizer keeps the gradient of its best iterate by reference, so a buffer
 shared between calls would silently overwrite it.
 
 Parameters are validated where they enter: MlpParams checks each layer's
-shape and finiteness at construction (init_params, grow_params, copy) and
+shape and finiteness at construction (init_params, grow_params) and
 records the flat layout (each layer's offsets and shape) once.
 unflatten_params, which fit and objective closures call on every
 evaluation, takes its slices from the template's layout and checks the
@@ -84,13 +86,12 @@ The theoretical Lipschitz constant  L_sigma^{depth-1} * prod_l |W_l|_inf
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import write_csv
+from .grid import write_csv, write_json
 
 LEAKY_SLOPE = 0.01
 
@@ -326,16 +327,16 @@ class Tape:
         self._input_grad_sweep()
         return self._cs[0].T
 
-    def param_vjp(self, val_seeds=None, grad_seeds=None, want_input_grad=False):
+    def param_vjp(self, val_seeds, grad_seeds=None, want_input_grad=False):
         """Parameter gradient of sum_b [val_seeds_b * f(z_b)
-        + grad_seeds_b . grad_z f(z_b)], either seed block may be None, as
-        one fresh vector in flatten_params order; and with want_input_grad
-        the gradient of the same sum with respect to the inputs.
+        + grad_seeds_b . grad_z f(z_b)] as one fresh vector in
+        flatten_params order; and with want_input_grad the gradient of the
+        same sum with respect to the inputs.
 
-        val_seeds is (B,), grad_seeds and bar_Z are (B, n_0).  Returns
-        (grad, bar_Z), bar_Z None unless want_input_grad.  Each block of
-        grad takes its first contribution by a product written into it and
-        a later one by addition; a block no seed reaches is 0.
+        val_seeds is (B,) and required; grad_seeds, if given, and bar_Z are
+        (B, n_0).  Returns (grad, bar_Z), bar_Z None unless want_input_grad.
+        Each block of grad takes its first contribution by a product
+        written into it and a later one by addition.
         """
         weights = self.params.weights
         L = len(weights)
@@ -359,16 +360,12 @@ class Tape:
                     bar_d *= act.curvature(self.A[i + 1], sp[i])
                     seeded.append(bar_d)
 
-        bar_P = (None if val_seeds is None
-                 else np.asarray(val_seeds, dtype=float).reshape(1, -1))
+        bar_P = np.asarray(val_seeds, dtype=float).reshape(1, -1)
         bar_Z = None
         for i in range(L - 1, -1, -1):
             if i < len(seeded):
-                if bar_P is not None:
-                    seeded[i] += bar_P
+                seeded[i] += bar_P
                 bar_P = seeded[i]
-            if bar_P is None:
-                continue
             x = self.A[i].T if i else self.A[0]
             if grad_seeds is None:
                 np.matmul(bar_P, x, out=w_grads[i])
@@ -381,8 +378,6 @@ class Tape:
                 bar_P *= sp[i - 1]
             elif want_input_grad:
                 bar_Z = (weights[0].T @ bar_P).T
-        if want_input_grad and bar_Z is None:
-            bar_Z = np.zeros_like(self.A[0])
         return grad, bar_Z
 
 
@@ -474,7 +469,5 @@ def write_params_csv(params: MlpParams, csv_path, meta_path) -> None:
         for r in range(bv.shape[0]):
             rows.append((li, r, -1, bv[r]))
     write_csv(csv_path, ("layer", "row", "col", "value"), rows)
-    with open(meta_path, "w") as fh:
-        json.dump({"layer_sizes": list(params.layer_sizes),
-                   "activation": params.activation.kind}, fh, indent=1)
-        fh.write("\n")
+    write_json(meta_path, {"layer_sizes": list(params.layer_sizes),
+                           "activation": params.activation.kind})

@@ -72,6 +72,7 @@ pays for its value only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -156,13 +157,9 @@ def build_box(dim: int, radius: float, points_per_axis: int = 33,
     if dim <= 2:
         axis = np.linspace(-radius, radius, points_per_axis)
         w1 = trapezoid_weights(points_per_axis, 1.0 / (points_per_axis - 1))
-        if dim == 1:
-            samples = axis[:, None]
-            weights = w1
-        else:
-            xx, yy = np.meshgrid(axis, axis, indexing="ij")
-            samples = np.stack([xx.reshape(-1), yy.reshape(-1)], axis=1)
-            weights = np.multiply.outer(w1, w1).reshape(-1)
+        lattice = np.meshgrid(*[axis] * dim, indexing="ij")
+        samples = np.stack([c.reshape(-1) for c in lattice], axis=1)
+        weights = functools.reduce(np.multiply.outer, [w1] * dim).reshape(-1)
     else:
         unit = _halton(dim, sample_budget)
         samples = (2.0 * unit - 1.0) * radius
@@ -491,7 +488,7 @@ class VarLayout:
         self.net_templates = list(template.nets)
         self.u_size = int(np.prod(self.u_shape))
         self.phi_size = int(np.prod(self.phi_shape))
-        self.net_sizes = [mlp.flatten_params(n).size for n in template.nets]
+        self.net_sizes = [n._layout[0] for n in template.nets]
         self.size = self.u_size + self.phi_size + sum(self.net_sizes)
 
     def pack(self, vars_: Vars) -> np.ndarray:

@@ -38,8 +38,8 @@ trace.  grad() runs at most once per closure call: minimize calls it for
 an evaluated start and a step rule for each iterate it returns, so a
 rejected trial never runs its backward pass, and its grad is dropped, with
 everything it holds, before the next trial is evaluated.  A non-finite
-value or gradient at an iterate raises DivergedError carrying the iterate
-index.  The gradient tolerance compares the sup-norm
+value or gradient at an iterate raises DivergedError, whose message names
+the iterate index.  The gradient tolerance compares the sup-norm
 np.maximum.reduce(np.abs(g)) (0 for an empty gradient).
 
 x0 is either a point, which is evaluated first, or the OptResult of an
@@ -79,11 +79,9 @@ class OptResult:
 
 def _check_finite(value, grad, iteration):
     if not math.isfinite(value):
-        raise DivergedError(f"objective became non-finite at iteration {iteration}",
-                            iteration)
+        raise DivergedError(f"objective became non-finite at iteration {iteration}")
     if not np.logical_and.reduce(np.isfinite(grad)):
-        raise DivergedError(f"gradient became non-finite at iteration {iteration}",
-                            iteration)
+        raise DivergedError(f"gradient became non-finite at iteration {iteration}")
 
 
 def _adaptive(n, fg, config):
@@ -171,9 +169,12 @@ class OptimConfig:
     def __post_init__(self):
         if self.method not in STEP_RULES:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.rate <= 0 or self.max_iters < 0:
-            raise ValueError(f"need rate > 0 and max_iters >= 0, got rate = "
-                             f"{self.rate}, max_iters = {self.max_iters}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.grad_tol < 0:
+            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        if self.rate <= 0:
+            raise ValueError(f"rate must be > 0, got {self.rate}")
 
 
 def minimize(x0, fg, config: OptimConfig) -> OptResult:
@@ -195,7 +196,7 @@ def minimize(x0, fg, config: OptimConfig) -> OptResult:
     grad_tol = config.grad_tol
     stop_reason = "iteration cap"
     for k in range(1, config.max_iters + 1):
-        # no gradient passes a tolerance <= 0: skip its sup-norm then
+        # no gradient passes a tolerance of 0: skip its sup-norm then
         if grad_tol > 0 and np.maximum.reduce(
                 np.abs(grad), initial=0.0) < grad_tol:
             stop_reason = "gradient tolerance reached"

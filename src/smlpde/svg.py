@@ -11,8 +11,6 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

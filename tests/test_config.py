@@ -181,6 +181,7 @@ class TestValidation:
         "[ground_truth]\nphi1_profiles = constant:1, constant:1, constant:1, "
         "constant:1\n",
         "[measurement]\nfamily = blur\n",
+        "[optimizer]\ngrad_tol = -1\n",
     ], ids=["d2", "q1.5", "n_experiments4", "kappa3", "gelu", "width0",
             "nx4", "nt2", "t_end0", "x_hi_le_x_lo", "box_points1",
             "box_budget0", "net_width0", "net_depth1", "noise_negative", "p0.5",
@@ -197,7 +198,8 @@ class TestValidation:
             "phi2_profiles_convection", "phi1_profiles_burgers",
             "phi1_profiles_none", "phi2_longer_than_phi1",
             "phi2_shorter_than_phi1", "u0_profiles_too_many",
-            "u0_profiles_empty", "phi1_profiles_too_many", "family_unknown"])
+            "u0_profiles_empty", "phi1_profiles_too_many", "family_unknown",
+            "grad_tol_negative"])
     def test_cross_field_errors_exit_2(self, text, tmp_path, capsys):
         # each of these used to pass parsing and fail later with a traceback,
         # except the removed keys, which used to be checked settings
@@ -211,3 +213,6 @@ class TestValidation:
         key = line.partition(" =")[0]
         if key in REMOVED_KEYS:
             assert f"unknown key '{key}'" in err
+        elif section == "[optimizer]":
+            # OptimConfig names the field at fault, not a rate no config sets
+            assert key in err and "rate" not in err

@@ -17,11 +17,12 @@ from smlpde.cli import main as cli_main
 from smlpde.config import (build_grid, build_gt_spec, default_config,
                            format_config)
 from smlpde.errors import DivergedError
-from smlpde.grid import jet_features, write_csv
+from smlpde.grid import Grid, jet_features, write_csv
 from smlpde.harness import (_lsq_closure, _pin_heap, _staged_minimize,
                             approximation_probe, fit_function_lsq,
                             gradcheck_from_config, run_convergence_study)
 from smlpde.ground_truth import f_true, f_true_deriv, simulate
+from smlpde.measurement import Dataset, MeasurementOp
 from smlpde.objective import ObjectiveBreakdown
 from smlpde.optimizer import OptimConfig, finite_diff_gradcheck, minimize
 
@@ -325,6 +326,32 @@ class TestVisitedJets:
         assert z.shape == (grid.nt * grid.nx, 2)
         assert z[:, 0].min() == 0.0 and z[:, 0].max() == grid.t_end
         assert np.max(np.abs(z[:, 1])) <= np.max(np.abs(u_true)) + 1e-15
+
+
+class TestInitStateFromData:
+    """The states' warm start: the columns a subsampling K_m drops are
+    filled by linear interpolation between those it keeps, flat beyond the
+    last, before one binomial smoothing pass in space."""
+
+    @pytest.mark.parametrize("nx,m,kept", [(17, 1, [0, 5, 10, 15]),
+                                           (9, 8, list(range(9)))])
+    def test_subsample_fill(self, nx, m, kept):
+        grid = Grid(nx=nx, nt=5, x_lo=0.0, x_hi=1.0, t_end=1.0)
+        op = MeasurementOp("subsample", m, grid)
+        keep = np.flatnonzero(np.diag(op.matrix))
+        assert keep.tolist() == kept
+        rng = np.random.default_rng(nx + m)
+        y = op.apply_array(rng.standard_normal((2, 1, grid.nt, nx)))
+        ds = Dataset(op, y, y[:, :, 0], y[..., 0], y[..., -1])
+        filled = np.array([[[np.interp(grid.x, grid.x[keep], row[keep])
+                             for row in field] for field in exp]
+                           for exp in y])
+        expect = filled.copy()
+        expect[..., 1:-1] = (0.25 * filled[..., :-2] + 0.5 * filled[..., 1:-1]
+                             + 0.25 * filled[..., 2:])
+        got = harness.init_state_from_data(ds)
+        assert got.tobytes() == expect.tobytes()
+        assert np.array_equal(got[..., -1], y[..., kept[-1]])
 
 
 class TestReferenceSetUp:

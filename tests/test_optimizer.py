@@ -197,10 +197,10 @@ class TestMinimize:
             return float(g[0]), lambda: g, None
 
         # exp overflows to inf right at the starting point
-        with pytest.raises(DivergedError) as info:
+        with pytest.raises(DivergedError,
+                           match="^objective became non-finite at iteration 0$"):
             minimize(np.array([800.0]), fg,
                      OptimConfig(max_iters=50, rate=1.0))
-        assert info.value.iteration is not None
 
     @pytest.mark.parametrize("method,bad", [("adaptive", "objective"),
                                             ("adaptive", "gradient"),
@@ -221,12 +221,11 @@ class TestMinimize:
             return v, lambda: g, v
 
         with pytest.raises(DivergedError,
-                           match=f"^{bad} became non-finite at iteration 2$"
-                           ) as info:
+                           match=f"^{bad} became non-finite at iteration 2$"):
             minimize(np.array([1.0, -2.0, 0.5]), fg,
                      OptimConfig(max_iters=10, grad_tol=0.0, rate=0.25,
                                  method=method))
-        assert info.value.iteration == 2 and len(calls) == 3
+        assert len(calls) == 3
 
     def test_returns_best_not_last(self):
         # a function where adaptive overshoots near the end

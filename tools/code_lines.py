@@ -19,7 +19,7 @@ _SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
          tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def _docstring_lines(tree):
+def docstring_lines(tree):
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
@@ -37,7 +37,7 @@ def code_lines(source: str) -> int:
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _SKIP:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - _docstring_lines(ast.parse(source)))
+    return len(lines - docstring_lines(ast.parse(source)))
 
 
 def main(argv):
