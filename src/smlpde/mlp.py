@@ -33,21 +33,34 @@ times, and each bias sum is numpy's pairwise sum of one contiguous row.
 
 Each activation has one formula for sigma (Activation.value_over, which
 writes it over the pre-activation), and sigma' and sigma'' are read off
-the activation a = sigma(z) alone (Activation.slope and curvature): tanh
-1 - a*a and -2*a*sigma', softplus 1 - e^-a and sigma'(1 - sigma'), requ
-2*sqrt(a) and 2*[a > 0], relu and leaky-relu their slope where a > 0 and
-0.  So a forward pass holds the hidden activations and the output row and
-no pre-activation, and a tape keeps besides them only sigma' of each
-hidden layer, computed once by the first input-gradient sweep or VJP
-that needs it, and the sweep's results cs.  The gradient-seeded VJP of
-the box terms, the one reader of the sweep's d_i = c_{i+1} * sigma'_i and
-of sigma'', forms each where it reads it.  Activation.deriv and deriv2
-are slope and curvature of value(z).
+the activation a = sigma(z) alone (Activation.slope, which can write
+over a, and curvature): tanh 1 - a*a and -2*a*sigma', softplus 1 - e^-a
+and sigma'(1 - sigma'), requ 2*sqrt(a) and 2*[a > 0], relu and leaky-relu
+their slope where a > 0 and 0.  So a forward pass holds the hidden
+activations and the output row and no pre-activation.  The input-gradient
+sweep adds sigma' of each hidden layer and its results cs.  The
+gradient-seeded VJP of the box terms, the one reader of the sweep's
+d_i = c_{i+1} * sigma'_i and of sigma'', forms each where it reads it.
+Activation.deriv and deriv2 are slope and curvature of value(z).
+
+A tape serves one VJP, which consumes it: reverse mode reads a layer only
+until its sweep has passed it.  On a tape that has not run the
+input-gradient sweep, a value-seeded VJP (the residual and fit tapes)
+writes sigma' over the activation whose weight gradient it has just taken,
+multiplies it into the adjoint and drops it; after the sweep it drops each
+activation with its cached sigma'.  A gradient-seeded VJP drops each
+c_{i+1} once its first sweep has read it, and each activation, sigma' and
+seeded adjoint once the second sweep has.  So the reverse sweep holds at
+most one hidden layer more than the tape held when it started, and
+afterwards the tape keeps only params, values and the batch A[0]: a
+second VJP, or an input_grads read that would need the sweep again,
+raises RuntimeError.
 
 The tape writes in place where the fresh-temporary form would allocate
 (b added into W @ A, sigma over its pre-activation, 1 - a*a in a*a's
-buffer, sigma' and sigma'' scaling fresh products) and keeps every
-product's operation order, so its outputs are bit-identical to that form.
+buffer, sigma' over the activation it is read from, sigma' and sigma''
+scaling fresh products) and keeps every product's operation order, so its
+outputs are bit-identical to that form.
 Output-layer products with a (1, B) or (n, 1) factor are broadcasts.
 Tape.values is a view of the output layer's row, not a copy.
 
@@ -130,23 +143,26 @@ class Activation:
         np.maximum(z, 0.0, out=z)  # requ
         return np.square(z, out=z)
 
-    def slope(self, a):
-        """sigma'(z), read off the activation a = sigma(z).  relu,
+    def slope(self, a, out=None):
+        """sigma'(z), read off the activation a = sigma(z), written into
+        out if given (which may be a itself) and returned.  relu,
         leaky-relu and requ test a > 0, which holds where z > 0 (for requ,
         where z^2 does not underflow to 0)."""
         if self.kind == "tanh":
-            s = a * a
+            s = np.multiply(a, a, out=out)
             return np.subtract(1.0, s,
                                out=s if isinstance(s, np.ndarray) else None)
         if self.kind == "softplus":
             # 1 - e^-a = e^z / (1 + e^z)
-            return -np.expm1(-a)
-        if self.kind == "relu":
-            # subgradient at the kink fixed to 0 for determinism
-            return np.where(a > 0, 1.0, 0.0)
-        if self.kind == "leaky-relu":
-            return np.where(a > 0, 1.0, LEAKY_SLOPE)
-        return 2.0 * np.sqrt(a)  # requ: sqrt(z^2) is z while z^2 is normal
+            return np.negative(np.expm1(np.negative(a, out=out), out=out),
+                               out=out)
+        if self.kind == "requ":
+            # sqrt(z^2) is z while z^2 is normal
+            return np.multiply(np.sqrt(a, out=out), 2.0, out=out)
+        # relu and leaky-relu: 1 where a > 0, else 0 (the subgradient at the
+        # kink fixed for determinism), which leaky-relu raises to LEAKY_SLOPE
+        s = np.greater(a, 0.0, out=np.empty_like(a) if out is None else out)
+        return s if self.kind == "relu" else np.maximum(s, LEAKY_SLOPE, out=s)
 
     def curvature(self, a, slope):
         """sigma''(z), given a = sigma(z) and slope = sigma'(z)."""
@@ -263,18 +279,21 @@ def grow_params(params: MlpParams, new_sizes, seed: int) -> MlpParams:
 
 
 class Tape:
-    """Forward + input-gradient sweep for a batch of inputs, kept for VJPs.
+    """Forward + input-gradient sweep for a batch of inputs, kept for one
+    VJP.
 
     A[0] is the batch Z as passed, (B, n_0); every later array the tape
     holds is feature-major, (width, B).  The forward pass leaves A, with
     the activation A[i+1] of each hidden layer i written over its
-    pre-activation, and values, the output row.  sigma' of each hidden
-    layer is added by the first sweep or VJP that needs it, and cs, the
-    input-gradient sweep's c_i = W_i^T d_i, by input_grads or the first
-    gradient-seeded VJP.
+    pre-activation, and values, the output row.  input_grads, or a
+    gradient-seeded VJP, adds sigma' of each hidden layer and cs, the
+    input-gradient sweep's c_i = W_i^T d_i.  The VJP frees each hidden
+    layer as its reverse sweep passes it and leaves params, values and
+    A = [A[0]].
     """
 
     _cs = _slopes = None
+    _spent = False   # set by the one VJP, which consumes the hidden layers
 
     def __init__(self, params: MlpParams, Z: np.ndarray):
         Z = np.asarray(Z, dtype=float)
@@ -300,17 +319,14 @@ class Tape:
         self.A = A
         self.values = pre[0]
 
-    def _hidden_slopes(self):
-        """sigma' of every hidden layer, read off its activation A[i+1]."""
-        if self._slopes is None:
-            self._slopes = [self.params.activation.slope(a) for a in self.A[1:]]
-        return self._slopes
-
     def _input_grad_sweep(self):
         if self._cs is not None:
             return
-        weights = self.params.weights
-        sp = self._hidden_slopes()
+        if self._spent:
+            raise RuntimeError("the tape's VJP has freed the hidden layers "
+                               "the input-gradient sweep reads")
+        weights, slope = self.params.weights, self.params.activation.slope
+        sp = self._slopes = [slope(a) for a in self.A[1:]]
         L = len(weights)
         cs = [None] * L
         d = np.ones((1, self.A[0].shape[0]))
@@ -327,6 +343,28 @@ class Tape:
         self._input_grad_sweep()
         return self._cs[0].T
 
+    def _seed_sweep(self, grad_seeds, w_grads):
+        """The gradient seeds' sweep through the input-gradient computation:
+        writes its part of each weight gradient into w_grads, drops each
+        c_{i+1} once read and returns the adjoint it leaves on each hidden
+        layer's pre-activation."""
+        weights, act = self.params.weights, self.params.activation
+        sp, cs, L = self._slopes, self._cs, len(weights)
+        seeded = []
+        bar_c = np.asarray(grad_seeds, dtype=float).T
+        for i in range(L):
+            # c_i = W_i^T @ d_i, with d_{L-1} = 1 and d_i = c_{i+1} * sigma'_i
+            d = cs[i + 1] * sp[i] if i < L - 1 else np.ones((1, bar_c.shape[1]))
+            np.matmul(d, bar_c.T, out=w_grads[i])
+            if i < L - 1:
+                bar_d = weights[i] @ bar_c
+                bar_c = bar_d * sp[i]
+                bar_d *= cs[i + 1]
+                cs[i + 1] = None
+                bar_d *= act.curvature(self.A[i + 1], sp[i])
+                seeded.append(bar_d)
+        return seeded
+
     def param_vjp(self, val_seeds, grad_seeds=None, want_input_grad=False):
         """Parameter gradient of sum_b [val_seeds_b * f(z_b)
         + grad_seeds_b . grad_z f(z_b)] as one fresh vector in
@@ -337,36 +375,35 @@ class Tape:
         (B, n_0).  Returns (grad, bar_Z), bar_Z None unless want_input_grad.
         Each block of grad takes its first contribution by a product
         written into it and a later one by addition.
-        """
-        weights = self.params.weights
-        L = len(weights)
-        sp = self._hidden_slopes()
-        grad = np.zeros(self.params._layout[0])
-        w_grads, b_grads = _layer_views(grad, self.params._layout[1])
 
-        seeded = []   # the gradient-seed sweep's adjoint of each hidden layer
+        The VJP consumes the tape: the reverse sweep frees each hidden layer
+        once it has passed it.  Where no input-gradient sweep left sigma',
+        it is written over the activation the weight gradient has just
+        read.  Afterwards the tape holds params, values and the batch A[0];
+        a second VJP, or an input_grads read the sweep has not already
+        answered, raises RuntimeError.
+        """
+        if self._spent:
+            raise RuntimeError("a tape runs one VJP, which has consumed it")
         if grad_seeds is not None:
             self._input_grad_sweep()
-            cs, act = self._cs, self.params.activation
-            bar_c = np.asarray(grad_seeds, dtype=float).T
-            for i in range(L):
-                # c_i = W_i^T @ d_i, with d_{L-1} = 1 and d_i = c_{i+1} * sigma'_i
-                d = cs[i + 1] * sp[i] if i < L - 1 else np.ones((1, bar_c.shape[1]))
-                np.matmul(d, bar_c.T, out=w_grads[i])
-                if i < L - 1:
-                    bar_d = weights[i] @ bar_c
-                    bar_c = bar_d * sp[i]
-                    bar_d *= cs[i + 1]
-                    bar_d *= act.curvature(self.A[i + 1], sp[i])
-                    seeded.append(bar_d)
+        self._spent = True
+        weights, act, A = self.params.weights, self.params.activation, self.A
+        L, sp = len(weights), self._slopes
+        grad = np.zeros(self.params._layout[0])
+        w_grads, b_grads = _layer_views(grad, self.params._layout[1])
+        # the gradient-seed sweep's adjoint of each hidden layer
+        seeded = ([] if grad_seeds is None
+                  else self._seed_sweep(grad_seeds, w_grads))
+        self._slopes = self._cs = None
 
         bar_P = np.asarray(val_seeds, dtype=float).reshape(1, -1)
         bar_Z = None
         for i in range(L - 1, -1, -1):
             if i < len(seeded):
                 seeded[i] += bar_P
-                bar_P = seeded[i]
-            x = self.A[i].T if i else self.A[0]
+                bar_P = seeded.pop()
+            x = A[i].T if i else A[0]
             if grad_seeds is None:
                 np.matmul(bar_P, x, out=w_grads[i])
             else:
@@ -375,7 +412,9 @@ class Tape:
             if i > 0:
                 bar_P = (weights[i].T * bar_P if i == L - 1
                          else weights[i].T @ bar_P)
-                bar_P *= sp[i - 1]
+                # sigma'_{i-1}: cached by the sweep, or written over A[i]
+                bar_P *= sp.pop() if sp else act.slope(A[i], out=A[i])
+                del A[i]
             elif want_input_grad:
                 bar_Z = (weights[0].T @ bar_P).T
         return grad, bar_Z

@@ -65,9 +65,13 @@ jets, r0's gradient (r0_value returns it as its own deferred callable) and
 the box seeds.  backward performs the operations of a single pass in the
 same order, so the gradient is bit for bit the same.  Until it runs, every
 tape and the derivative stacks are held; it drops each stack once its last
-reader has run, each experiment's residual tapes once their VJPs are
-added, and then each box tape, so a line-search trial that is rejected
-pays for its value only.
+reader has run.  Each tape's one VJP frees the tape's hidden layers as its
+reverse sweep passes them, writing sigma' over the activations of a
+residual tape, so a VJP holds at most one hidden layer more than its tape
+did when it started (mlp.Tape.param_vjp); backward then drops each
+experiment's residual tapes, with their batch and output rows, once their
+VJPs are added, and each box tape once its VJP has run.  So a line-search
+trial that is rejected pays for its value only.
 """
 
 from __future__ import annotations

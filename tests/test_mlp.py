@@ -224,21 +224,27 @@ class TestSecondOrderVjp:
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     def test_independent_of_tape_history(self, activation):
-        # the tape caches sigma' and sigma''; reading the input gradients
-        # first, or calling the VJP again, must not change a single bit
+        # an input-gradient read caches sigma'; without it a value-seeded
+        # VJP writes sigma' over the activations: not a single bit may
+        # differ between the two
         net = random_net([3, 6, 5, 1], 15, activation)
         rng = np.random.default_rng(16)
         Z = rng.uniform(-1, 1, (9, 3))
         val_seeds = rng.standard_normal(9)
-        grad_seeds = rng.standard_normal((9, 3))
-        fresh = mlp.Tape(net, Z).param_vjp(val_seeds, grad_seeds, True)
-        tape = mlp.Tape(net, Z)
-        tape.input_grads
-        after_read = tape.param_vjp(val_seeds, grad_seeds, True)
-        repeated = tape.param_vjp(val_seeds, grad_seeds, True)
-        for other in (after_read, repeated):
-            for a, b in zip(fresh, other):
+        for grad_seeds in (None, rng.standard_normal((9, 3))):
+            fresh, after_read = (tape.param_vjp(val_seeds, grad_seeds, True)
+                                 for tape in both_histories(net, Z))
+            for a, b in zip(fresh, after_read):
                 assert a.tobytes() == b.tobytes()
+
+
+def both_histories(net, Z):
+    """Two tapes of net over Z, each for one VJP: one as the forward pass
+    left it, whose value-seeded VJP writes sigma' over the activations, and
+    one whose input gradients were read, whose sigma' is cached."""
+    read = mlp.Tape(net, Z)
+    read.input_grads
+    return [mlp.Tape(net, Z), read]
 
 
 def reference_tape(net, Z, from_derivs=False):
@@ -398,15 +404,17 @@ class TestTapeMatchesReference:
                     seeds = (val_seeds if use_val else None,
                              grad_seeds if use_grad else None)
                     for want in (False, True):
-                        grad, bar_Z = tape.param_vjp(*seeds, want_input_grad=want)
                         *layers, expect_Z = vjp(*seeds, want)
                         expect = flat_reference(layers)
-                        assert grad.shape == expect.shape
-                        assert grad.tobytes() == expect.tobytes()
-                        if want:
-                            assert bar_Z.tobytes() == expect_Z.tobytes()
-                        else:
-                            assert bar_Z is None
+                        for tape in both_histories(net, Z):
+                            grad, bar_Z = tape.param_vjp(*seeds,
+                                                         want_input_grad=want)
+                            assert grad.shape == expect.shape
+                            assert grad.tobytes() == expect.tobytes()
+                            if want:
+                                assert bar_Z.tobytes() == expect_Z.tobytes()
+                            else:
+                                assert bar_Z is None
 
 
 class TestActivationOverPreActivation:
@@ -453,18 +461,26 @@ class TestActivationOverPreActivation:
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     def test_what_a_tape_holds(self, activation):
-        # after a forward pass, the input-gradient sweep and both kinds of
-        # VJP: the batch, one activation per hidden layer, the output row,
-        # sigma' per hidden layer and the sweep's results
+        # after a forward pass: the batch, one activation per hidden layer
+        # and the output row; the input-gradient sweep adds sigma' per
+        # hidden layer and its results; after either kind of VJP, on either
+        # history, only the parameters, the batch and the output row stay
         net = random_net([3, 6, 5, 1], 25, activation)
         rng = np.random.default_rng(26)
         Z = rng.uniform(-1.5, 1.5, (9, 3))
         tape = mlp.Tape(net, Z)
-        tape.input_grads
-        tape.param_vjp(rng.standard_normal(9), rng.standard_normal((9, 3)), True)
-        assert set(vars(tape)) == {"params", "A", "values", "_slopes", "_cs"}
+        assert set(vars(tape)) == {"params", "A", "values"}
         assert [a.shape for a in tape.A[1:]] == [(6, 9), (5, 9)]
+        tape.input_grads
+        assert set(vars(tape)) == {"params", "A", "values", "_slopes", "_cs"}
         assert [s.shape for s in tape._slopes] == [(6, 9), (5, 9)]
+        val_seeds = rng.standard_normal(9)
+        for grad_seeds in (None, rng.standard_normal((9, 3))):
+            for tape in both_histories(net, Z):
+                tape.param_vjp(val_seeds, grad_seeds, True)
+                held = {k for k, v in vars(tape).items() if v is not None}
+                assert held == {"params", "A", "values", "_spent"}
+                assert len(tape.A) == 1
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     @pytest.mark.parametrize("depth", [2, 3, 4])
@@ -480,13 +496,15 @@ class TestActivationOverPreActivation:
             tape = mlp.Tape(net, Z)
             assert tape.values.tobytes() == values.tobytes()
             assert tape.input_grads.tobytes() == input_grads.tobytes()
-            grad, bar_Z = tape.param_vjp(val_seeds, None, True)
             *layers, expect_Z = vjp(val_seeds, None, True)
-            assert grad.tobytes() == flat_reference(layers).tobytes()
-            assert bar_Z.tobytes() == expect_Z.tobytes()
-            grad, _ = tape.param_vjp(val_seeds, grad_seeds)
+            for tape in both_histories(net, Z):
+                grad, bar_Z = tape.param_vjp(val_seeds, None, True)
+                assert grad.tobytes() == flat_reference(layers).tobytes()
+                assert bar_Z.tobytes() == expect_Z.tobytes()
             *layers, _ = vjp(val_seeds, grad_seeds, False)
-            assert grad.tobytes() == flat_reference(layers).tobytes()
+            for tape in both_histories(net, Z):
+                grad, _ = tape.param_vjp(val_seeds, grad_seeds)
+                assert grad.tobytes() == flat_reference(layers).tobytes()
 
 
 def traced_peak(make):
@@ -496,6 +514,20 @@ def traced_peak(make):
     try:
         out = make()
         return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def traced_rise(build, run):
+    """Peak bytes tracemalloc saw while run(build()) ran, above what it
+    held when run started."""
+    tracemalloc.start()
+    try:
+        built = build()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(built)
+        return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
 
@@ -515,6 +547,20 @@ class TestTapeMemory:
             assert held == (2 * 24 + 1) * 4225 * 8
             mask = 24 * 4225 if kind == "leaky-relu" else 0
             assert peak <= held + mask + 64 * 1024, kind
+
+    def test_value_seeded_vjp_frees_each_layer_it_passes(self):
+        # the same tapes: the reverse sweep writes sigma' over the
+        # activation it has just read and drops it, so for every kind it
+        # holds at most one hidden layer above what the tape held when it
+        # started
+        rng = np.random.default_rng(28)
+        Z = rng.uniform(-1.0, 1.0, (4225, 2))
+        seeds = rng.standard_normal(4225)
+        for kind, want in itertools.product(mlp.ACTIVATION_KINDS, (False, True)):
+            net = init_params([2, 24, 24, 1], Activation(kind), 3)
+            rise = traced_rise(lambda: mlp.Tape(net, Z),
+                               lambda tape: tape.param_vjp(seeds, None, want))
+            assert rise <= 24 * 4225 * 8 + 64 * 1024, (kind, want)
 
 
 def assert_close_blockwise(got, expect, what):
@@ -548,18 +594,22 @@ class TestTapeMatchesRowMajorMaths:
                 for case, use_val, use_grad in SEED_CASES:
                     seeds = (val_seeds if use_val else None,
                              grad_seeds if use_grad else None)
-                    grad, bar_Z = tape.param_vjp(*seeds, want_input_grad=True)
                     bar_W, bar_b, expect_Z = vjp(*seeds, True)
-                    got_W, got_b = mlp._layer_views(grad, net._layout[1])
-                    for i in range(depth):
-                        assert_close_blockwise(got_W[i], bar_W[i], (case, "W", i))
-                        assert_close_blockwise(got_b[i], bar_b[i], (case, "b", i))
-                    assert_close_blockwise(bar_Z, expect_Z, (case, "bar_Z"))
+                    for tape in both_histories(net, Z):
+                        grad, bar_Z = tape.param_vjp(*seeds, want_input_grad=True)
+                        got_W, got_b = mlp._layer_views(grad, net._layout[1])
+                        for i in range(depth):
+                            assert_close_blockwise(got_W[i], bar_W[i],
+                                                   (case, "W", i))
+                            assert_close_blockwise(got_b[i], bar_b[i],
+                                                   (case, "b", i))
+                        assert_close_blockwise(bar_Z, expect_Z, (case, "bar_Z"))
 
 
 class TestBenchmarkContract:
-    """What the benchmark's tracer reads of a tape: the rows of A[0], the
-    shapes callers see and _cs as the sweep's done-flag."""
+    """What the benchmark's tracer reads of a tape: the rows of A[0], also
+    after the VJP, the shapes callers see and _cs as the sweep's
+    done-flag."""
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_shapes_and_sweep_flag(self, depth):
@@ -576,11 +626,14 @@ class TestBenchmarkContract:
         assert bar_Z.shape == (11, 4)
         # a value-seeded VJP takes no input-gradient sweep
         assert tape._cs is None
+        assert tape.A[0] is Z
+        tape = mlp.Tape(net, Z)
         assert tape.input_grads.shape == (11, 4)
         assert tape._cs is not None
         _, bar_Z = tape.param_vjp(rng.standard_normal(11),
                                   rng.standard_normal((11, 4)), True)
         assert bar_Z.shape == (11, 4)
+        assert tape.A[0] is Z
 
     def test_signatures(self):
         def names(f):
@@ -596,8 +649,55 @@ class TestBenchmarkContract:
         assert np.allclose(act.deriv2(z),
                            -2.0 * np.tanh(z) * (1.0 - np.tanh(z) ** 2))
         # sigma' and sigma'' are read off the activation, not z
-        assert names(Activation.slope) == ["self", "a"]
+        assert names(Activation.slope) == ["self", "a", "out"]
         assert names(Activation.curvature) == ["self", "a", "slope"]
+
+
+class TestOneVjpPerTape:
+    """A VJP consumes its tape: a second VJP, or an input-gradient read
+    that would have to run the sweep again, raises RuntimeError, as a
+    second backward pass of an objective evaluation does; the parameters,
+    the batch A[0] and the output row survive."""
+
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_second_vjp_raises(self, activation, depth):
+        net = random_net([3] + [6] * (depth - 1) + [1], 61, activation)
+        rng = np.random.default_rng(62)
+        Z = rng.uniform(-1, 1, (9, 3))
+        val_seeds, grad_seeds = rng.standard_normal(9), rng.standard_normal((9, 3))
+        for first, second in itertools.product((None, grad_seeds), repeat=2):
+            for tape in both_histories(net, Z):
+                tape.param_vjp(val_seeds, first)
+                with pytest.raises(RuntimeError, match="one VJP"):
+                    tape.param_vjp(val_seeds, second, True)
+
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_input_grads_after_vjp_raises(self, activation, depth):
+        net = random_net([3] + [6] * (depth - 1) + [1], 63, activation)
+        rng = np.random.default_rng(64)
+        Z = rng.uniform(-1, 1, (9, 3))
+        val_seeds, grad_seeds = rng.standard_normal(9), rng.standard_normal((9, 3))
+        for seeds in (None, grad_seeds):
+            for tape in both_histories(net, Z):
+                tape.param_vjp(val_seeds, seeds)
+                with pytest.raises(RuntimeError, match="input-gradient sweep"):
+                    tape.input_grads
+
+    @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
+    def test_batch_params_and_values_survive(self, activation):
+        net = random_net([3, 6, 5, 1], 65, activation)
+        rng = np.random.default_rng(66)
+        Z = rng.uniform(-1, 1, (9, 3))
+        val_seeds, grad_seeds = rng.standard_normal(9), rng.standard_normal((9, 3))
+        for seeds in (None, grad_seeds):
+            for tape in both_histories(net, Z):
+                values = tape.values.copy()
+                tape.param_vjp(val_seeds, seeds, True)
+                assert tape.A[0] is Z
+                assert tape.params is net
+                assert tape.values.tobytes() == values.tobytes()
 
 
 class TestNoCallerArrayMutated:
@@ -623,10 +723,9 @@ class TestNoCallerArrayMutated:
         grad_seeds = rng.standard_normal((9, 3))
         kept = [x.copy() for x in [Z, val_seeds, grad_seeds]
                 + net.weights + net.biases]
-        tape = mlp.Tape(net, Z)
-        tape.param_vjp(val_seeds, grad_seeds, True)
-        tape.param_vjp(val_seeds, None, True)
-        tape.param_vjp(val_seeds, grad_seeds)
+        mlp.Tape(net, Z).param_vjp(val_seeds, grad_seeds, True)
+        mlp.Tape(net, Z).param_vjp(val_seeds, None, True)
+        mlp.Tape(net, Z).param_vjp(val_seeds, grad_seeds)
         for x, y in zip([Z, val_seeds, grad_seeds] + net.weights + net.biases,
                         kept):
             assert x.tobytes() == y.tobytes()

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 import zlib
 from collections import Counter
@@ -52,14 +53,15 @@ def const_net(value, input_dim):
 
 
 def random_problem(seed, kind="none", kappa=0, L=2, N=1, op_kind="full",
-                   lam=1.5, mu=0.8, nu=0.03, q=2.0, r=2.0, rho=2.0, amp=0.6):
+                   lam=1.5, mu=0.8, nu=0.03, q=2.0, r=2.0, rho=2.0, amp=0.6,
+                   nx=9, nt=7, hidden=(5,)):
     rng = np.random.default_rng(seed)
-    grid = make_grid()
+    grid = make_grid(nx, nt)
     u = smooth_state(rng, grid, L, N, amp)
     slots = n_param_slots(kind)
     phi = 0.4 * rng.standard_normal((L, N, slots, grid.nx))
     D = 1 + N * (kappa + 1)
-    nets = [random_net([D, 5, 1], seed + 10 + n) for n in range(N)]
+    nets = [random_net([D, *hidden, 1], seed + 10 + n) for n in range(N)]
     ds = Dataset(op=MeasurementOp(op_kind, 2, grid),
                  y=smooth_state(rng, grid, L, N, amp),
                  u0=u[:, :, 0, :] + 0.05, g_lo=u[:, :, :, 0] - 0.02,
@@ -515,6 +517,24 @@ class TestEvaluate:
         assert alive_at_vjp == [[True] * 6] * 2 + [[False] * 2 + [True] * 4] * 2 \
             + [[False] * 4 + [True] * 2, [False] * 5 + [True]]
         assert [ref() is not None for ref in tapes] == [False] * 6
+
+    def test_backward_peak_stays_near_its_start(self):
+        # the study's widest scale (width 24, depth 3) on three experiments'
+        # 65 x 65 grids: each residual VJP frees its tape's hidden layers as
+        # its sweep passes them, so backward's traced peak rises at most
+        # 2 MiB above what the evaluation held when it started
+        problem, vars_ = random_problem(11, kind="convection", L=3, nx=65,
+                                        nt=65, hidden=(24, 24))
+        tracemalloc.start()
+        try:
+            _, backward = _evaluate_core(vars_, problem)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward()
+            rise = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert rise <= 2 * 1024 * 1024
 
     def test_closure_refuses_other_experiments(self):
         # a layout whose (L, N) is not the dataset's is refused when the
