@@ -38,23 +38,26 @@ over a, and curvature): tanh 1 - a*a and -2*a*sigma', softplus 1 - e^-a
 and sigma'(1 - sigma'), requ 2*sqrt(a) and 2*[a > 0], relu and leaky-relu
 their slope where a > 0 and 0.  So a forward pass holds the hidden
 activations and the output row and no pre-activation.  The input-gradient
-sweep adds sigma' of each hidden layer and its results cs.  The
-gradient-seeded VJP of the box terms, the one reader of the sweep's
-d_i = c_{i+1} * sigma'_i and of sigma'', forms each where it reads it.
+sweep runs from the output down: c_{L-1} = W_{L-1}^T, then for each
+hidden layer d_i = c_{i+1} * sigma'_i and c_i = W_i^T @ d_i.  It keeps
+only c_0, the input gradients, so between the passes a tape holds its
+activations, its output row and, once read, its input gradients.  The
+gradient-seeded VJP of the box terms, the one reader of sigma'', d_i and
+c_{i+1}, recomputes sigma', d_i and c_{i+1} from the activations, once and
+by the sweep's own operations, so its bits do not depend on whether the
+input gradients were read.  The recompute costs sigma' of each hidden
+layer and one W_i^T @ d_i per hidden layer below the last.
 Activation.deriv and deriv2 are slope and curvature of value(z).
 
 A tape serves one VJP, which consumes it: reverse mode reads a layer only
-until its sweep has passed it.  On a tape that has not run the
-input-gradient sweep, a value-seeded VJP (the residual and fit tapes)
-writes sigma' over the activation whose weight gradient it has just taken,
-multiplies it into the adjoint and drops it; after the sweep it drops each
-activation with its cached sigma'.  A gradient-seeded VJP drops each
-c_{i+1} once its first sweep has read it, and each activation, sigma' and
-seeded adjoint once the second sweep has.  So the reverse sweep holds at
-most one hidden layer more than the tape held when it started, and
-afterwards the tape keeps only params, values and the batch A[0]: a
-second VJP, or an input_grads read that would need the sweep again,
-raises RuntimeError.
+until its sweep has passed it.  A value-seeded VJP (the residual and fit
+tapes) writes sigma' over the activation whose weight gradient it has
+just taken, multiplies it into the adjoint and drops it, so it holds at
+most one hidden layer more than the tape held when it started.  A
+gradient-seeded VJP drops each d_i and c_{i+1} once its first sweep has
+read them, and each activation, sigma' and seeded adjoint once the second
+sweep has.  Afterwards the tape keeps only params, values and the batch
+A[0]: a second VJP, or an input_grads read, raises RuntimeError.
 
 The tape writes in place where the fresh-temporary form would allocate
 (b added into W @ A, sigma over its pre-activation, 1 - a*a in a*a's
@@ -285,14 +288,14 @@ class Tape:
     A[0] is the batch Z as passed, (B, n_0); every later array the tape
     holds is feature-major, (width, B).  The forward pass leaves A, with
     the activation A[i+1] of each hidden layer i written over its
-    pre-activation, and values, the output row.  input_grads, or a
-    gradient-seeded VJP, adds sigma' of each hidden layer and cs, the
-    input-gradient sweep's c_i = W_i^T d_i.  The VJP frees each hidden
-    layer as its reverse sweep passes it and leaves params, values and
-    A = [A[0]].
+    pre-activation, and values, the output row.  input_grads adds _cs, the
+    sweep's c_0 = W_0^T d_0, (n_0, B), and keeps nothing else of the
+    sweep.  A gradient-seeded VJP recomputes sigma', d_i and c_{i+1} from
+    the activations.  The VJP frees each hidden layer as its reverse sweep
+    passes it and leaves params, values and A = [A[0]].
     """
 
-    _cs = _slopes = None
+    _cs = None       # the input gradients, transposed, once the sweep has run
     _spent = False   # set by the one VJP, which consumes the hidden layers
 
     def __init__(self, params: MlpParams, Z: np.ndarray):
@@ -319,51 +322,65 @@ class Tape:
         self.A = A
         self.values = pre[0]
 
+    def _layers_down(self):
+        """The input-gradient sweep from the output down to d_0: for each
+        hidden layer i, from the last, yields sigma'_i, d_i = c_{i+1} *
+        sigma'_i and c_{i+1}, where c_i = W_i^T @ d_i.  c_{L-1} is
+        W_{L-1}^T itself: every column of W_{L-1}^T @ ones((1, B)) is
+        W_{L-1}'s one row, which broadcasting reads."""
+        weights, slope, A = self.params.weights, self.params.activation.slope, self.A
+        c = weights[-1].T
+        for i in range(len(weights) - 2, -1, -1):
+            s = slope(A[i + 1])
+            d = c * s
+            yield s, d, c
+            if i:
+                c = weights[i].T @ d
+
     def _input_grad_sweep(self):
         if self._cs is not None:
             return
         if self._spent:
             raise RuntimeError("the tape's VJP has freed the hidden layers "
                                "the input-gradient sweep reads")
-        weights, slope = self.params.weights, self.params.activation.slope
-        sp = self._slopes = [slope(a) for a in self.A[1:]]
-        L = len(weights)
-        cs = [None] * L
         d = np.ones((1, self.A[0].shape[0]))
-        for i in range(L - 1, -1, -1):
-            # every column of W_{L-1}^T @ ones((1, B)) is W_{L-1}'s one row,
-            # which broadcasting reads; only the input gradient needs all B
-            cs[i] = weights[i].T if 0 < i == L - 1 else weights[i].T @ d
-            if i > 0:
-                d = cs[i] * sp[i - 1]
-        self._cs = cs
+        for _, d, _ in self._layers_down():
+            pass
+        self._cs = self.params.weights[0].T @ d
 
     @property
     def input_grads(self) -> np.ndarray:
+        """The gradient of each output w.r.t. its input, (B, n_0): a view
+        of _cs, which the first read computes by the input-gradient sweep,
+        keeping nothing else of it."""
         self._input_grad_sweep()
-        return self._cs[0].T
+        return self._cs.T
 
     def _seed_sweep(self, grad_seeds, w_grads):
-        """The gradient seeds' sweep through the input-gradient computation:
-        writes its part of each weight gradient into w_grads, drops each
-        c_{i+1} once read and returns the adjoint it leaves on each hidden
-        layer's pre-activation."""
-        weights, act = self.params.weights, self.params.activation
-        sp, cs, L = self._slopes, self._cs, len(weights)
-        seeded = []
+        """The gradient seeds' sweep through the input-gradient computation,
+        on the bits the input-gradient sweep computes (_layers_down, run
+        once from the top): writes its part of each weight gradient into
+        w_grads, drops each d_i and c_{i+1} once read and returns sigma' and
+        the adjoint it leaves on each hidden layer's pre-activation, both
+        bottom-up."""
+        weights, curvature = self.params.weights, self.params.activation.curvature
+        layers = list(self._layers_down())
+        slopes, seeded = [], []
         bar_c = np.asarray(grad_seeds, dtype=float).T
-        for i in range(L):
-            # c_i = W_i^T @ d_i, with d_{L-1} = 1 and d_i = c_{i+1} * sigma'_i
-            d = cs[i + 1] * sp[i] if i < L - 1 else np.ones((1, bar_c.shape[1]))
+        for i in range(len(weights) - 1):
+            s, d, c = layers.pop()
             np.matmul(d, bar_c.T, out=w_grads[i])
-            if i < L - 1:
-                bar_d = weights[i] @ bar_c
-                bar_c = bar_d * sp[i]
-                bar_d *= cs[i + 1]
-                cs[i + 1] = None
-                bar_d *= act.curvature(self.A[i + 1], sp[i])
-                seeded.append(bar_d)
-        return seeded
+            del d
+            bar_d = weights[i] @ bar_c
+            bar_c = bar_d * s
+            bar_d *= c
+            del c
+            bar_d *= curvature(self.A[i + 1], s)
+            slopes.append(s)
+            seeded.append(bar_d)
+        # d_{L-1} = 1
+        np.matmul(np.ones((1, bar_c.shape[1])), bar_c.T, out=w_grads[-1])
+        return slopes, seeded
 
     def param_vjp(self, val_seeds, grad_seeds=None, want_input_grad=False):
         """Parameter gradient of sum_b [val_seeds_b * f(z_b)
@@ -377,25 +394,23 @@ class Tape:
         written into it and a later one by addition.
 
         The VJP consumes the tape: the reverse sweep frees each hidden layer
-        once it has passed it.  Where no input-gradient sweep left sigma',
-        it is written over the activation the weight gradient has just
-        read.  Afterwards the tape holds params, values and the batch A[0];
-        a second VJP, or an input_grads read the sweep has not already
-        answered, raises RuntimeError.
+        once it has passed it.  Gradient seeds recompute sigma' of every
+        hidden layer, once, for both sweeps; without them sigma' is written
+        over the activation the weight gradient has just read.  Afterwards
+        the tape holds params, values and the batch A[0]; a second VJP, or
+        an input_grads read, raises RuntimeError.
         """
         if self._spent:
             raise RuntimeError("a tape runs one VJP, which has consumed it")
-        if grad_seeds is not None:
-            self._input_grad_sweep()
         self._spent = True
+        self._cs = None
         weights, act, A = self.params.weights, self.params.activation, self.A
-        L, sp = len(weights), self._slopes
+        L = len(weights)
         grad = np.zeros(self.params._layout[0])
         w_grads, b_grads = _layer_views(grad, self.params._layout[1])
-        # the gradient-seed sweep's adjoint of each hidden layer
-        seeded = ([] if grad_seeds is None
-                  else self._seed_sweep(grad_seeds, w_grads))
-        self._slopes = self._cs = None
+        # sigma' and the gradient-seed sweep's adjoint of each hidden layer
+        sp, seeded = (([], []) if grad_seeds is None
+                      else self._seed_sweep(grad_seeds, w_grads))
 
         bar_P = np.asarray(val_seeds, dtype=float).reshape(1, -1)
         bar_Z = None
@@ -412,7 +427,7 @@ class Tape:
             if i > 0:
                 bar_P = (weights[i].T * bar_P if i == L - 1
                          else weights[i].T @ bar_P)
-                # sigma'_{i-1}: cached by the sweep, or written over A[i]
+                # sigma'_{i-1}: recomputed for the seeds, or written over A[i]
                 bar_P *= sp.pop() if sp else act.slope(A[i], out=A[i])
                 del A[i]
             elif want_input_grad:

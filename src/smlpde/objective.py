@@ -54,21 +54,26 @@ What depends only on the grid and the kind is built once per Problem:
 the residual quadrature's spatial weights.
 
 An evaluation is a forward pass and a deferred backward pass.  The forward
-pass builds the jets, checks the box, builds every tape, runs the box
-tapes' input-gradient sweeps (the gradient-sup value needs them) and
-computes every term of the breakdown, with the gradient mlp.param_norm
-returns alongside its value.  It hands back backward, a callable that runs
-everything that only feeds the gradient: the residual and data-fit
-weights, the d/dt, measurement and physics adjoints, the initial and
-boundary blocks, both kinds of parameter VJP, the chain rule into the
-jets, r0's gradient (r0_value returns it as its own deferred callable) and
-the box seeds.  backward performs the operations of a single pass in the
-same order, so the gradient is bit for bit the same.  Until it runs, every
-tape and the derivative stacks are held; it drops each stack once its last
-reader has run.  Each tape's one VJP frees the tape's hidden layers as its
-reverse sweep passes them, writing sigma' over the activations of a
-residual tape, so a VJP holds at most one hidden layer more than its tape
-did when it started (mlp.Tape.param_vjp); backward then drops each
+pass builds the jets and checks the box.  It then builds the box tapes,
+whose input-gradient sweeps (the gradient-sup value needs them) leave only
+the input gradients on each tape, and adds the box terms; only then does
+it build the residual tapes and compute the other terms, so no sweep's
+arrays coexist with the residual tapes.  It computes every term of the
+breakdown, with the gradient mlp.param_norm returns alongside its value.
+It hands back backward, a callable that runs everything that only feeds
+the gradient: the residual and data-fit weights, the d/dt, measurement and
+physics adjoints, the initial and boundary blocks, both kinds of parameter
+VJP, the chain rule into the jets, r0's gradient (r0_value returns it as
+its own deferred callable) and the box seeds.  backward performs the
+operations of a single pass in the same order, the residual VJPs, then
+r0's gradient, then the box VJPs, so the gradient is bit for bit the same.
+Until it runs, every tape's activations and output rows, the box tapes'
+input gradients and the derivative stacks are held; it drops each stack
+once its last reader has run.  Each tape's one VJP frees the tape's hidden
+layers as its reverse sweep passes them, writing sigma' over the
+activations of a residual tape, so a residual VJP holds at most one hidden
+layer more than its tape did when it started; a box tape's VJP recomputes
+its sweep from the activations (mlp.Tape.param_vjp).  backward drops each
 experiment's residual tapes, with their batch and output rows, once their
 VJPs are added, and each box tape once its VJP has run.  So a line-search
 trial that is rejected pays for its value only.
@@ -169,7 +174,8 @@ def build_box(dim: int, radius: float, points_per_axis: int = 33,
         samples = (2.0 * unit - 1.0) * radius
         weights = np.full(sample_budget, 1.0 / sample_budget)
     weights = weights / weights.sum()
-    samples = np.ascontiguousarray(samples)
+    # column-major: a tape's first layer reads the (dim, S) transpose
+    samples = np.asfortranarray(samples)
     samples.setflags(write=False)
     weights.setflags(write=False)
     return UBox(radius=radius, samples=samples, quad_weights=weights)
@@ -361,26 +367,7 @@ def _evaluate_core(vars_: Vars, problem: Problem):
     # --- forward: every term's value ---------------------------------------
     feats = jet_features(grid, kappa, u, du)
     _check_box(box, feats)
-    # one residual tape per (experiment, network), on all nt*nx nodes
-    tapes = [[mlp.Tape(net, feats[l]) for net in vars_.nets] for l in range(L)]
-    f = np.array([[tape.values for tape in row] for row in tapes])
-    resid = residual(grid, kind, u, phi, f.reshape(u.shape), ut=ut, du=du)
-    res_vals, res_s = _norm_pow(wt, problem.wx_res, resid, w.q)
-    ddiff = op.apply_array(u) - ds.y
-    data_vals, data_s = _norm_pow(wt, wx, ddiff, w.r)
-    diff0 = u[:, :, 0, :] - ds.u0
-    dlo = u[:, :, :, 0] - ds.g_lo
-    dhi = u[:, :, :, -1] - ds.g_hi
-    init_vals = np.sum(diff0**2 @ wx, axis=-1)
-    bdry_vals = np.sum((dlo**2 + dhi**2) @ wt, axis=-1)
-
     bd = ObjectiveBreakdown()
-    # each term adds its experiments' parts in order
-    bd.residual_term = sum(w.lam * v for v in res_vals.tolist())
-    bd.initial_term = sum(w.lam * v for v in init_vals.tolist())
-    bd.boundary_term = sum(w.lam * v for v in bdry_vals.tolist())
-    bd.data_term = sum(w.mu * v for v in data_vals.tolist())
-    bd.r0_term, r0_backward = r0_value(grid, kappa, u, phi, ut=ut, du=du)
 
     def box_terms(n, net):
         """Network n's power norm and smooth gradient sup over the box, added
@@ -400,7 +387,13 @@ def _evaluate_core(vars_: Vars, problem: Problem):
             val_seeds = box.volume * box.quad_weights * w.rho \
                 * np.abs(vals) ** (w.rho - 1.0) * np.sign(vals)
             rows = np.arange(gin.shape[0])
-            comp = np.argmax(mag, axis=1)
+            # the first component that attains each row's maximum, as
+            # np.argmax(mag, axis=1) finds it (backward runs only after a
+            # finite value, so mag is finite), by a sweep over mag's
+            # contiguous columns in place of argmax's loop over rows
+            comp = np.zeros(gin.shape[0], dtype=np.intp)
+            for k in range(gin.shape[1] - 1, -1, -1):
+                comp[mag[:, k] == gnorm] = k
             sgn = np.sign(gin[rows, comp])
             sgn[sgn == 0.0] = 1.0
             grad_seeds = np.zeros_like(gin)
@@ -410,7 +403,29 @@ def _evaluate_core(vars_: Vars, problem: Problem):
 
         return vjp
 
+    # the box terms first: each box tape's input-gradient sweep has run and
+    # left only its input gradients before any residual tape exists
     box_vjps = [box_terms(n, net) for n, net in enumerate(vars_.nets)]
+    # one residual tape per (experiment, network), on all nt*nx nodes
+    tapes = [[mlp.Tape(net, feats[l]) for net in vars_.nets] for l in range(L)]
+    f = np.array([[tape.values for tape in row] for row in tapes])
+    resid = residual(grid, kind, u, phi, f.reshape(u.shape), ut=ut, du=du)
+    res_vals, res_s = _norm_pow(wt, problem.wx_res, resid, w.q)
+    ddiff = op.apply_array(u) - ds.y
+    data_vals, data_s = _norm_pow(wt, wx, ddiff, w.r)
+    diff0 = u[:, :, 0, :] - ds.u0
+    dlo = u[:, :, :, 0] - ds.g_lo
+    dhi = u[:, :, :, -1] - ds.g_hi
+    init_vals = np.sum(diff0**2 @ wx, axis=-1)
+    bdry_vals = np.sum((dlo**2 + dhi**2) @ wt, axis=-1)
+
+    # each term adds its experiments' parts in order
+    bd.residual_term = sum(w.lam * v for v in res_vals.tolist())
+    bd.initial_term = sum(w.lam * v for v in init_vals.tolist())
+    bd.boundary_term = sum(w.lam * v for v in bdry_vals.tolist())
+    bd.data_term = sum(w.mu * v for v in data_vals.tolist())
+    bd.r0_term, r0_backward = r0_value(grid, kappa, u, phi, ut=ut, du=du)
+
     theta_norm, g_theta = mlp.param_norm(vars_.nets, w.param_norm_p)
     bd.theta_norm_term = w.nu * theta_norm
     bd.total = float(sum(bd.parts()))

@@ -703,6 +703,27 @@ class TestPinHeap:
         monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
         assert _pin_heap() is False
 
+    def test_study_without_a_c_library(self, tmp_path, monkeypatch):
+        # where no C library loads, the pin reports False and the study
+        # runs as it does pinned: its report and stops match byte for byte
+        def study_outputs(side):
+            cfg = tiny_config(tmp_path / side, m_max=2, iters=20)
+            cfg.sections["grid"].update(nx=9, nt=9)
+            run_convergence_study(cfg, echo=lambda *_: None)
+            return [(tmp_path / side / name).read_bytes()
+                    for name in ("report.csv", "stops.csv")]
+
+        normal = study_outputs("normal")
+
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
+        assert _pin_heap() is False
+        assert study_outputs("unpinned") == normal
+        with open(tmp_path / "unpinned" / "timings.json") as fh:
+            assert json.load(fh)["heap_pinned"] is False
+
 
 STUDYBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "studybench")

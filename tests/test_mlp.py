@@ -224,9 +224,9 @@ class TestSecondOrderVjp:
 
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     def test_independent_of_tape_history(self, activation):
-        # an input-gradient read caches sigma'; without it a value-seeded
-        # VJP writes sigma' over the activations: not a single bit may
-        # differ between the two
+        # an input-gradient read leaves the input gradients on the tape;
+        # the VJP recomputes or overwrites what else it reads from the
+        # activations: not a single bit may differ between the two
         net = random_net([3, 6, 5, 1], 15, activation)
         rng = np.random.default_rng(16)
         Z = rng.uniform(-1, 1, (9, 3))
@@ -240,10 +240,14 @@ class TestSecondOrderVjp:
 
 def both_histories(net, Z):
     """Two tapes of net over Z, each for one VJP: one as the forward pass
-    left it, whose value-seeded VJP writes sigma' over the activations, and
-    one whose input gradients were read, whose sigma' is cached."""
+    left it, and one whose input gradients were read, which holds them and
+    what the forward pass left, and nothing else of the sweep.  On either,
+    a value-seeded VJP writes sigma' over the activations and a
+    gradient-seeded one recomputes it."""
     read = mlp.Tape(net, Z)
     read.input_grads
+    assert set(vars(read)) == {"params", "A", "values", "_cs"}
+    assert len(read.A) == net.depth
     return [mlp.Tape(net, Z), read]
 
 
@@ -462,9 +466,11 @@ class TestActivationOverPreActivation:
     @pytest.mark.parametrize("activation", mlp.ACTIVATION_KINDS)
     def test_what_a_tape_holds(self, activation):
         # after a forward pass: the batch, one activation per hidden layer
-        # and the output row; the input-gradient sweep adds sigma' per
-        # hidden layer and its results; after either kind of VJP, on either
-        # history, only the parameters, the batch and the output row stay
+        # and the output row; the input-gradient sweep adds the input
+        # gradients and keeps nothing else; a gradient-seeded VJP
+        # recomputes sigma' and the sweep's results to the same bits as
+        # on a fresh tape; after either kind of VJP, on either history,
+        # only the parameters, the batch and the output row stay
         net = random_net([3, 6, 5, 1], 25, activation)
         rng = np.random.default_rng(26)
         Z = rng.uniform(-1.5, 1.5, (9, 3))
@@ -472,12 +478,17 @@ class TestActivationOverPreActivation:
         assert set(vars(tape)) == {"params", "A", "values"}
         assert [a.shape for a in tape.A[1:]] == [(6, 9), (5, 9)]
         tape.input_grads
-        assert set(vars(tape)) == {"params", "A", "values", "_slopes", "_cs"}
-        assert [s.shape for s in tape._slopes] == [(6, 9), (5, 9)]
+        assert set(vars(tape)) == {"params", "A", "values", "_cs"}
+        assert tape._cs.shape == (3, 9)
+        assert [a.shape for a in tape.A[1:]] == [(6, 9), (5, 9)]
         val_seeds = rng.standard_normal(9)
         for grad_seeds in (None, rng.standard_normal((9, 3))):
-            for tape in both_histories(net, Z):
-                tape.param_vjp(val_seeds, grad_seeds, True)
+            fresh, after_read = both_histories(net, Z)
+            expect = fresh.param_vjp(val_seeds, grad_seeds, True)
+            got = after_read.param_vjp(val_seeds, grad_seeds, True)
+            for a, b in zip(expect, got):
+                assert a.tobytes() == b.tobytes()
+            for tape in (fresh, after_read):
                 held = {k for k, v in vars(tape).items() if v is not None}
                 assert held == {"params", "A", "values", "_spent"}
                 assert len(tape.A) == 1

@@ -147,6 +147,9 @@ class TestUBox:
         a = build_box(3, 2.0, sample_budget=500)
         b = build_box(3, 2.0, sample_budget=500)
         assert np.array_equal(a.samples, b.samples)
+        # column-major, so a tape's first layer reads a contiguous batch
+        assert a.samples.flags.f_contiguous
+        assert build_box(2, 2.0).samples.flags.f_contiguous
 
     def test_halton_radical_inverse(self):
         # index i, written in base 2, 3, 5 and mirrored at the radix point
@@ -478,7 +481,8 @@ class TestEvaluate:
 
     def test_box_tapes_take_the_box_samples_themselves(self, monkeypatch):
         # the benchmark's tracer tells box tapes from residual tapes by the
-        # identity of their input batch, so no copy or view may come between
+        # identity of their input batch, so no copy or view may come
+        # between; the box tapes come first
         batches = []
         init = mlp.Tape.__init__
 
@@ -490,11 +494,12 @@ class TestEvaluate:
         problem, vars_ = random_problem(10, kind="convection", kappa=1, L=2, N=2)
         _evaluate_core(vars_, problem)
         assert [Z is problem.box.samples for Z in batches] == \
-            [False] * 4 + [True] * 2
+            [True] * 2 + [False] * 4
 
     def test_backward_frees_each_tape_after_its_vjp(self, monkeypatch):
         # every tape lives until the backward pass, which frees each
-        # experiment's tapes, then each box tape, once their VJP is added
+        # experiment's tapes, then each box tape, once their VJP is added;
+        # the two box tapes are made first and run their VJPs last
         tapes = []
         alive_at_vjp = []
         init, vjp = mlp.Tape.__init__, mlp.Tape.param_vjp
@@ -514,8 +519,9 @@ class TestEvaluate:
         assert [ref() is not None for ref in tapes] == [True] * 6
         backward()
         # experiment 0's two tapes, experiment 1's two, then the box tapes
-        assert alive_at_vjp == [[True] * 6] * 2 + [[False] * 2 + [True] * 4] * 2 \
-            + [[False] * 4 + [True] * 2, [False] * 5 + [True]]
+        assert alive_at_vjp == [[True] * 6] * 2 \
+            + [[True] * 2 + [False] * 2 + [True] * 2] * 2 \
+            + [[True] * 2 + [False] * 4, [False, True] + [False] * 4]
         assert [ref() is not None for ref in tapes] == [False] * 6
 
     def test_backward_peak_stays_near_its_start(self):
@@ -535,6 +541,35 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert rise <= 2 * 1024 * 1024
+
+    def test_forward_holds_activations_and_input_grads(self):
+        # burgers-k1's widest scale: width 24, depth 3, three experiments'
+        # 65 x 65 grids and the 3-D box of 4,096 samples.  After the forward
+        # pass the evaluation holds the residual and box tapes' activations
+        # and the box input gradients, and of the rest only its 1.25 MiB of
+        # smaller arrays: the jets (0.3 MB), six (L, N, nt, nx) stacks (ut,
+        # two space derivatives, f, resid, ddiff: 0.6 MB) and the box's rows
+        # (values, |input gradient|, its row maxima and softmax: 0.2 MB).
+        # The box tapes are swept before any residual tape exists, so the
+        # traced peak rises at most 0.5 MiB above what the pass ends with.
+        problem, vars_ = random_problem(12, kind="burgers1d", kappa=1, L=3,
+                                        nx=65, nt=65, hidden=(24, 24))
+        problem = replace(problem, box=build_box(3, problem.box.radius))
+        assert problem.box.samples.shape == (4096, 3)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            # the evaluation's backward pass keeps its tapes alive
+            evaluation = _evaluate_core(vars_, problem)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activations = 8 * 24 * 2 * (3 * 65 * 65 + 4096)
+        input_grads = 8 * 3 * 4096
+        slack = 1.25 * 1024 * 1024
+        assert held - start <= activations + input_grads + slack
+        assert peak - held <= 0.5 * 1024 * 1024
+        evaluation[1]()
 
     def test_closure_refuses_other_experiments(self):
         # a layout whose (L, N) is not the dataset's is refused when the
