@@ -24,6 +24,7 @@ parameter gradient is physics.physics_vjp's.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,6 +234,8 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
     Requires a tiny grid (<= ORACLE_MAX_NODES space-time nodes), full
     noiseless measurements, and kind `none` or `convection`.  The state
     part of the value is the objective's r0_value of the pinned state.
+    Convection starts L-BFGS-B from velocity fields of L * nx draws of
+    random.Random(tie_seed).gauss(0, 0.1), experiment by experiment.
     """
     grid = dataset.grid
     if grid.nt * grid.nx > ORACLE_MAX_NODES:
@@ -317,8 +320,9 @@ def limit_oracle(dataset: Dataset, kind: str, kappa: int = 0, rho: float = 2.0,
                 grid, kind, u, phi, seeds.reshape(u.shape))[1]
             return value, g_phi.reshape(-1)
 
-        rng = np.random.default_rng(tie_seed)
-        res = scipy_minimize(value_and_grad, 0.1 * rng.standard_normal(L * grid.nx),
+        rng = random.Random(tie_seed)
+        x0 = np.array([rng.gauss(0.0, 0.1) for _ in range(L * grid.nx)])
+        res = scipy_minimize(value_and_grad, x0,
                              jac=True, method="L-BFGS-B",
                              options={"maxiter": 50000, "gtol": 1e-12,
                                       "ftol": 0.0, "maxcor": 30})

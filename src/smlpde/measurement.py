@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,14 +105,16 @@ def operator_gap(op: MeasurementOp, corpus, r: float = 2.0) -> float:
 
 
 def add_noise(values: np.ndarray, level: float, seed: int) -> np.ndarray:
-    """i.i.d. Gaussian perturbation with std = level * max|values|."""
+    """i.i.d. Gaussian perturbation with std = level * max|values|: one
+    random.Random(seed).gauss(0, std) per entry, in row-major order."""
     if level < 0:
         raise ValueError("noise level must be >= 0")
     if level == 0:
         return values.copy()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     std = level * float(np.max(np.abs(values)))
-    return values + rng.normal(0.0, std, size=values.shape)
+    noise = np.array([rng.gauss(0.0, std) for _ in range(values.size)])
+    return values + noise.reshape(values.shape)
 
 
 @dataclass

@@ -103,6 +103,7 @@ The theoretical Lipschitz constant  L_sigma^{depth-1} * prod_l |W_l|_inf
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,13 +235,22 @@ class MlpParams:
         return len(self.weights)
 
 
+def _uniform(rng: random.Random, bound: float, n_rows: int,
+             n_cols: int) -> np.ndarray:
+    """(n_rows, n_cols) draws of rng.uniform(-bound, bound), row-major."""
+    return np.array([rng.uniform(-bound, bound)
+                     for _ in range(n_rows * n_cols)]).reshape(n_rows, n_cols)
+
+
 def init_params(layer_sizes, activation: Activation, seed: int) -> MlpParams:
-    """Uniform weights in +-1/sqrt(fan_in), zero biases, deterministic."""
-    rng = np.random.default_rng(seed)
+    """Uniform weights in +-1/sqrt(fan_in), zero biases, deterministic.
+
+    The weights are drawn from random.Random(seed), layer by layer from
+    the input, each matrix row-major."""
+    rng = random.Random(seed)
     ws, bs = [], []
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / math.sqrt(n_in)
-        ws.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
+        ws.append(_uniform(rng, 1.0 / math.sqrt(n_in), n_out, n_in))
         bs.append(np.zeros(n_out))
     return MlpParams(ws, bs, activation)
 
@@ -251,7 +261,9 @@ def grow_params(params: MlpParams, new_sizes, seed: int) -> MlpParams:
     Old units keep their weights.  New units receive random incoming
     weights (so they have nonzero gradients and can start training) but all
     weights OUT of a new unit are zero, which keeps the represented
-    function bit-identical at the handoff.
+    function bit-identical at the handoff.  The incoming weights are
+    uniform in +-1/sqrt(new fan_in), drawn from random.Random(seed) layer
+    by layer from the input, the new rows of each matrix row-major.
     """
     old_sizes = params.layer_sizes
     if len(new_sizes) != len(old_sizes):
@@ -260,19 +272,18 @@ def grow_params(params: MlpParams, new_sizes, seed: int) -> MlpParams:
         raise ValueError("growth must preserve input/output dimensions")
     if any(n < o for n, o in zip(new_sizes, old_sizes)):
         raise ValueError("growth cannot shrink a layer")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     ws, bs = [], []
     for li, (w, b) in enumerate(zip(params.weights, params.biases)):
         n_out_old, n_in_old = w.shape
         n_in_new = new_sizes[li]
         n_out_new = new_sizes[li + 1]
-        bound = 1.0 / math.sqrt(n_in_new)
         nw = np.zeros((n_out_new, n_in_new))
         nw[:n_out_old, :n_in_old] = w
         if n_out_new > n_out_old:
             # new units: random incoming weights, zero bias
-            nw[n_out_old:, :] = rng.uniform(-bound, bound,
-                                            size=(n_out_new - n_out_old, n_in_new))
+            nw[n_out_old:, :] = _uniform(rng, 1.0 / math.sqrt(n_in_new),
+                                         n_out_new - n_out_old, n_in_new)
         # columns feeding FROM new units of the previous layer stay zero
         nb = np.zeros(n_out_new)
         nb[:n_out_old] = b

@@ -127,3 +127,38 @@ def test_shared_method_names_are_listed_with_a_caller():
                  and isinstance(node.func, ast.Attribute)
                  and node.func.attr == ident]
         assert calls, f"{caller} does not call .{ident}()"
+
+
+def numpy_random_uses(trees):
+    """(module, line) of every `np.random` or `numpy.random` attribute and
+    every import of numpy.random in the package."""
+    uses = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr == "random" and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("np", "numpy")
+            elif isinstance(node, ast.Import):
+                hit = any(a.name.split(".")[:2] == ["numpy", "random"]
+                          for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".")
+                hit = parts[:2] == ["numpy", "random"] or parts == ["numpy"] \
+                    and any(a.name == "random" for a in node.names)
+            else:
+                continue
+            if hit:
+                uses.append((module, node.lineno))
+    return uses
+
+
+def test_no_module_names_numpy_random():
+    # seeded draws come from Python's random.Random: numpy.random would load
+    # eleven modules, secrets and OpenSSL's _hashlib into every process.
+    # test_objective's fresh-interpreter test sees the commands; this sees
+    # the code they do not run, such as the limit oracle
+    assert numpy_random_uses(_trees()) == []
+    probe = ast.parse("import numpy.random\nfrom numpy import random\n"
+                      "x = np.random.default_rng(0)\n")
+    assert numpy_random_uses({"probe": probe}) == [("probe", 1), ("probe", 2),
+                                                   ("probe", 3)]
