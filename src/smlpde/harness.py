@@ -72,11 +72,32 @@ reused, also by the next, wider scale: the study does not trim the heap
 between scales, since a trim left its peak resident size unchanged.
 This is glibc-only: where the C library has no mallopt the pin does
 nothing.  Merely importing this module leaves the allocator alone.
+
+Beside the heap pin, every entry point runs with numpy's ufunc buffer at
+_UFUNC_BUFSIZE = 256 elements, and gives the caller's size back when it
+returns or raises (_pin_ufunc_buffer).  At numpy 2.4's default of 8,192
+elements, an elementwise broadcast with a (w, 1) or (1, B) operand costs
+about three times more while two of its B-long rows fit into the buffer,
+probably because numpy then merges rows and copies the stride-0 operand
+into its buffer.  The tapes make such a broadcast in every bias add, in
+the last hidden layer's d = W_{L-1}^T * sigma' and in the output layer's
+W^T * bar_P, and the prefit's 1,536 rows, the box tapes' 1,089 and 4,096
+and the probe's 129 all sit below the 4,097 rows from which the default
+buffer stops merging.  On a 2-core Xeon, (w, 1) * (w, B) takes about
+95 us at (24, 4,096) with the default buffer and 30 us pinned, and 12 us
+against 4 us at (8, 1,536).  256 holds fewer than two rows of the
+smallest batch the program fixes itself, the probe's 129 fit points, and
+is a multiple of 16, as numpy requires.  The price is paid by buffered
+casts: the relu and leaky-relu slope, a bool -> float cast, takes 62 us at
+(24, 4,096) instead of 45 us.  Elementwise ufuncs give the same bits
+however numpy chunks them, so every output is unchanged.
+tools/ufunc_buffer.py prints these timings for the numpy installed.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import platform
 import sys
@@ -110,6 +131,9 @@ except ImportError:  # no resource module (Windows)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+# numpy's ufunc buffer, in elements, while an entry point runs: under two
+# rows of the probe's 129 fit points, and a multiple of 16 as numpy requires
+_UFUNC_BUFSIZE = 256
 
 
 def _libc(name: str):
@@ -130,6 +154,20 @@ def _pin_heap() -> bool:
     done = [mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
             mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)]
     return all(done)
+
+
+def _pin_ufunc_buffer(entry):
+    """entry, run with numpy's ufunc buffer at _UFUNC_BUFSIZE elements; the
+    caller's size is restored when it returns or raises (np.errstate does
+    not restore it on numpy 1.x)."""
+    @functools.wraps(entry)
+    def pinned(*args, **kwargs):
+        old = np.setbufsize(_UFUNC_BUFSIZE)
+        try:
+            return entry(*args, **kwargs)
+        finally:
+            np.setbufsize(old)
+    return pinned
 
 
 def _peak_rss_mb():
@@ -448,6 +486,7 @@ def _first_starts(cfg: ExperimentConfig, ref: _Reference, problem: Problem,
             for j in range(restarts)]
 
 
+@_pin_ufunc_buffer
 def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
     """The study over m = 1..m_max; returns its report rows (ScaleRow), one
     per scale, as report.csv holds them."""
@@ -550,12 +589,13 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
 
 def _write_timings(path, cfg, heap_pinned: bool, timings: dict) -> None:
     """Run manifest: the timings, the config text, the Python and numpy
-    versions and whether the heap was pinned.  No study or probe imports
-    scipy, so its version is not recorded."""
+    versions, whether the heap was pinned and the ufunc buffer in force.  No
+    study or probe imports scipy, so its version is not recorded."""
     write_json(path, {"config": format_config(cfg),
                       "versions": {"python": platform.python_version(),
                                    "numpy": np.__version__},
-                      "heap_pinned": heap_pinned, **timings})
+                      "heap_pinned": heap_pinned,
+                      "ufunc_bufsize": np.getbufsize(), **timings})
 
 
 def _write_schedule_check(cfg, report: list, path) -> None:
@@ -671,6 +711,7 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
     return fitted, sup_err, grad_fit, mlp.param_norm([fitted], 2.0)[0], calls
 
 
+@_pin_ufunc_buffer
 def approximation_probe(cfg: ExperimentConfig, echo=print):
     """Fit networks of increasing width, of the study's depth and
     activation, to a library function and record how the uniform error, the
@@ -720,6 +761,7 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
     return rows, beta_hat
 
 
+@_pin_ufunc_buffer
 def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     """Finite-difference audit of the assembled objective gradient at the
     point where the study's first minimization starts.

@@ -30,6 +30,13 @@ wide and batches hold up to a few thousand rows: with the batch on the
 last axis, every elementwise product, broadcast and bias sum runs its
 inner loop over B contiguous entries instead of over one short row B
 times, and each bias sum is numpy's pairwise sum of one contiguous row.
+A broadcast with a (width, 1) or (1, B) operand -- the bias add,
+d = W_{L-1}^T * sigma' below the output layer, and the output layer's
+W^T * bar_P -- keeps that B-long inner loop only while numpy's ufunc
+buffer holds fewer than two rows; otherwise numpy merges rows and copies
+the stride-0 operand into the buffer, about three times slower.  So the
+entry points pin the buffer at harness._UFUNC_BUFSIZE = 256 elements,
+below two rows of any batch from 129 rows up.
 
 Each activation has one formula for sigma (Activation.value_over, which
 writes it over the pre-activation), and sigma' and sigma'' are read off

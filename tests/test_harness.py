@@ -16,7 +16,7 @@ from smlpde import ground_truth, harness, mlp
 from smlpde.cli import main as cli_main
 from smlpde.config import (build_grid, build_gt_spec, default_config,
                            format_config)
-from smlpde.errors import DivergedError
+from smlpde.errors import ConfigError, DivergedError
 from smlpde.grid import Grid, jet_features, write_csv
 from smlpde.harness import (_lsq_closure, _pin_heap, _staged_minimize,
                             approximation_probe, fit_function_lsq,
@@ -85,6 +85,7 @@ class TestConvergenceStudySmall:
             manifest = json.load(fh)
         assert manifest["config"] == format_config(cfg)
         assert manifest["heap_pinned"] == _pin_heap()
+        assert manifest["ufunc_bufsize"] == harness._UFUNC_BUFSIZE
         assert manifest["versions"]["python"] == platform.python_version()
         assert manifest["versions"]["numpy"] == np.__version__
         assert [s["m"] for s in manifest["scales"]] == [1, 2]
@@ -623,6 +624,7 @@ class TestApproximationProbe:
         assert manifest["config"] == format_config(cfg)
         assert set(manifest["versions"]) == {"python", "numpy"}
         assert isinstance(manifest["heap_pinned"], bool)
+        assert manifest["ufunc_bufsize"] == harness._UFUNC_BUFSIZE
         assert [w["width"] for w in manifest["widths"]] == [4, 8]
         # each width's fit makes four minimize calls: three adaptive stages
         # and the Armijo polish
@@ -723,6 +725,76 @@ class TestPinHeap:
         assert study_outputs("unpinned") == normal
         with open(tmp_path / "unpinned" / "timings.json") as fh:
             assert json.load(fh)["heap_pinned"] is False
+
+
+class TestPinUfuncBuffer:
+    ENTRIES = (run_convergence_study, approximation_probe, gradcheck_from_config)
+
+    @staticmethod
+    def small_config(out_dir):
+        cfg = tiny_config(out_dir, m_max=1, iters=20)
+        cfg.sections["probe"].update(f_name="zero", widths=[4], train_iters=50)
+        return cfg
+
+    def test_outputs_match_numpy_default_buffer(self, tmp_path, monkeypatch):
+        # elementwise ufuncs give the same bits however numpy chunks them,
+        # so the pinned buffer and numpy's default write the same files
+        def outputs(side):
+            cfg = tiny_config(tmp_path / side, m_max=2, iters=20)
+            cfg.sections["probe"].update(widths=[4, 8], train_iters=100)
+            run_convergence_study(cfg, echo=lambda *_: None)
+            approximation_probe(cfg, echo=lambda *_: None)
+            names = ["report.csv", "stops.csv", "probe.csv"] + sorted(
+                p.name for p in (tmp_path / side).glob("trace_m*.csv"))
+            return {name: (tmp_path / side / name).read_bytes()
+                    for name in names}
+
+        pinned = outputs("pinned")
+        assert {"trace_m1.csv", "trace_m2.csv"} <= set(pinned)
+        monkeypatch.setattr(harness, "_UFUNC_BUFSIZE", np.getbufsize())
+        assert outputs("default") == pinned
+
+    def test_entry_points_pin_and_restore(self, tmp_path, monkeypatch):
+        # every entry point reaches harness.minimize through the prefit; the
+        # buffer reads the pinned size there and the caller's size after
+        seen = []
+
+        def recording(x0, fg, config):
+            seen.append(np.getbufsize())
+            return minimize(x0, fg, config)
+
+        monkeypatch.setattr(harness, "minimize", recording)
+        cfg = self.small_config(tmp_path / "run")
+        caller = np.setbufsize(1024)
+        try:
+            for entry in self.ENTRIES:
+                seen.clear()
+                entry(cfg, echo=lambda *_: None)
+                assert seen and set(seen) == {harness._UFUNC_BUFSIZE}, entry
+                assert np.getbufsize() == 1024, entry
+        finally:
+            np.setbufsize(caller)
+
+    def test_caller_buffer_restored_after_a_raise(self, tmp_path, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def failing(x0, fg, config):
+            raise Stop(f"bufsize {np.getbufsize()}")
+
+        monkeypatch.setattr(harness, "minimize", failing)
+        cfg = self.small_config(tmp_path / "run")
+        (tmp_path / "a_file").write_text("")
+        not_a_dir = self.small_config(tmp_path / "a_file")
+        caller = np.getbufsize()
+        for entry in self.ENTRIES:
+            with pytest.raises(Stop, match=f"bufsize {harness._UFUNC_BUFSIZE}"):
+                entry(cfg, echo=lambda *_: None)
+            assert np.getbufsize() == caller, entry
+        for entry in (run_convergence_study, approximation_probe):
+            with pytest.raises(ConfigError, match="cannot be created"):
+                entry(not_a_dir, echo=lambda *_: None)
+            assert np.getbufsize() == caller, entry
 
 
 STUDYBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
