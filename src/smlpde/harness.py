@@ -60,7 +60,9 @@ closure-call counts, stage times and failure counts over these two names,
 so a closure made or minimized by any other path would go uncounted.
 
 Every entry point (run_convergence_study, approximation_probe,
-gradcheck_from_config) first pins the C allocator's thresholds
+gradcheck_from_config) is wrapped by _entry_point, which pins two process
+settings and gives the caller's ufunc buffer back when the entry point
+returns or raises.  First, it fixes the C allocator's thresholds
 (_pin_heap).  Each closure call allocates and frees numpy temporaries of
 0.1-1 MB.  Under glibc's dynamic thresholds these blocks are mmapped, or
 trimmed off the top of the heap, and handed back to the kernel on free,
@@ -72,25 +74,23 @@ reused, also by the next, wider scale: the study does not trim the heap
 between scales, since a trim left its peak resident size unchanged.
 This is glibc-only: where the C library has no mallopt the pin does
 nothing.  Merely importing this module leaves the allocator alone.
-
-Beside the heap pin, every entry point runs with numpy's ufunc buffer at
-_UFUNC_BUFSIZE = 256 elements, and gives the caller's size back when it
-returns or raises (_pin_ufunc_buffer).  At numpy 2.4's default of 8,192
-elements, an elementwise broadcast with a (w, 1) or (1, B) operand costs
-about three times more while two of its B-long rows fit into the buffer,
-probably because numpy then merges rows and copies the stride-0 operand
-into its buffer.  The tapes make such a broadcast in every bias add, in
-the last hidden layer's d = W_{L-1}^T * sigma' and in the output layer's
-W^T * bar_P, and the prefit's 1,536 rows, the box tapes' 1,089 and 4,096
-and the probe's 129 all sit below the 4,097 rows from which the default
-buffer stops merging.  On a 2-core Xeon, (w, 1) * (w, B) takes about
-95 us at (24, 4,096) with the default buffer and 30 us pinned, and 12 us
-against 4 us at (8, 1,536).  256 holds fewer than two rows of the
-smallest batch the program fixes itself, the probe's 129 fit points, and
-is a multiple of 16, as numpy requires.  The price is paid by buffered
-casts: the relu and leaky-relu slope, a bool -> float cast, takes 62 us at
-(24, 4,096) instead of 45 us.  Elementwise ufuncs give the same bits
-however numpy chunks them, so every output is unchanged.
+Second, it sets numpy's ufunc buffer to _UFUNC_BUFSIZE = 256 elements.
+At numpy 2.4's default of 8,192 elements, an elementwise broadcast with a
+(w, 1) or (1, B) operand costs about three times more while two of its
+B-long rows fit into the buffer, probably because numpy then merges rows
+and copies the stride-0 operand into its buffer.  The tapes make such a
+broadcast in every bias add, in the last hidden layer's
+d = W_{L-1}^T * sigma' and in the output layer's W^T * bar_P, and the
+prefit's 1,536 rows, the box tapes' 1,089 and 4,096 and the probe's 129
+all sit below the 4,097 rows from which the default buffer stops merging.
+On a 2-core Xeon, (w, 1) * (w, B) takes about 95 us at (24, 4,096) with
+the default buffer and 30 us pinned, and 12 us against 4 us at
+(8, 1,536).  256 holds fewer than two rows of the smallest batch the
+program fixes itself, the probe's 129 fit points, and is a multiple of
+16, as numpy requires.  The price is paid by buffered casts: the relu and
+leaky-relu slope, a bool -> float cast, takes 62 us at (24, 4,096)
+instead of 45 us.  Elementwise ufuncs give the same bits however numpy
+chunks them, so every output is unchanged.
 tools/ufunc_buffer.py prints these timings for the numpy installed.
 """
 
@@ -136,32 +136,26 @@ _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 _UFUNC_BUFSIZE = 256
 
 
-def _libc(name: str):
-    """The C library's function `name`, or None where it has none."""
-    try:
-        return getattr(ctypes.CDLL(None), name)
-    except (AttributeError, OSError, TypeError):
-        return None
-
-
 def _pin_heap() -> bool:
     """Fix glibc's mmap and trim thresholds at their dynamic ceilings, so
     freed closure temporaries stay in the heap; True if both mallopt calls
     succeeded, False (changing nothing) where there is no mallopt."""
-    mallopt = _libc("mallopt")
-    if mallopt is None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
         return False
     done = [mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
             mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)]
     return all(done)
 
 
-def _pin_ufunc_buffer(entry):
-    """entry, run with numpy's ufunc buffer at _UFUNC_BUFSIZE elements; the
-    caller's size is restored when it returns or raises (np.errstate does
-    not restore it on numpy 1.x)."""
+def _entry_point(entry):
+    """entry, run with the heap pinned (_pin_heap) and numpy's ufunc buffer
+    at _UFUNC_BUFSIZE elements; the caller's buffer is restored when it
+    returns or raises (np.errstate does not restore it on numpy 1.x)."""
     @functools.wraps(entry)
     def pinned(*args, **kwargs):
+        _pin_heap()
         old = np.setbufsize(_UFUNC_BUFSIZE)
         try:
             return entry(*args, **kwargs)
@@ -207,11 +201,8 @@ def init_state_from_data(ds) -> np.ndarray:
     grid = ds.grid
     if ds.op.kind == "subsample":
         keep = np.flatnonzero(np.diag(ds.op.matrix))
-        for l in range(u.shape[0]):
-            for n in range(u.shape[1]):
-                for it in range(grid.nt):
-                    u[l, n, it] = np.interp(grid.x, grid.x[keep],
-                                            u[l, n, it, keep])
+        for row in u.reshape(-1, grid.nx):
+            row[:] = np.interp(grid.x, grid.x[keep], row[keep])
     sm = u.copy()
     sm[..., 1:-1] = 0.25 * u[..., :-2] + 0.5 * u[..., 1:-1] + 0.25 * u[..., 2:]
     return sm
@@ -478,7 +469,7 @@ def _first_starts(cfg: ExperimentConfig, ref: _Reference, problem: Problem,
     Z, ys = prefit_rows(grid, ref.spec.kappa, kind, u_init, phi_init)
     activation = mlp.Activation(cfg["network"]["activation"])
     seed = cfg["network"]["init_seed"]
-    return [Vars(u_init.copy(), phi_init.copy(),
+    return [Vars(u_init, phi_init,
                  [prefit_net_to_residual(
                      mlp.init_params(sizes, activation, seed + 101 * j + n),
                      Z, y)
@@ -486,11 +477,10 @@ def _first_starts(cfg: ExperimentConfig, ref: _Reference, problem: Problem,
             for j in range(restarts)]
 
 
-@_pin_ufunc_buffer
+@_entry_point
 def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
     """The study over m = 1..m_max; returns its report rows (ScaleRow), one
     per scale, as report.csv holds them."""
-    heap_pinned = _pin_heap()
     t_start = time.perf_counter()
     ocfg = cfg["optimizer"]
     out_dir = _output_dir(cfg)
@@ -525,7 +515,7 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
             nets = [mlp.grow_params(prev_vars.nets[n], sizes,
                                     cfg["network"]["init_seed"] + 977 * m + n)
                     for n in range(N)]
-            candidates = [Vars(prev_vars.u.copy(), prev_vars.phi.copy(), nets)]
+            candidates = [Vars(prev_vars.u, prev_vars.phi, nets)]
 
         best = None   # (result, layout, stop row) of the best start
         status = "ok"
@@ -581,20 +571,22 @@ def run_convergence_study(cfg: ExperimentConfig, echo=print) -> list:
     _write_schedule_check(cfg, report, os.path.join(out_dir, "schedule_check.csv"))
     _write_error_chart(report, os.path.join(out_dir, "f_error.svg"))
     _write_final_vars(grid, prev_vars, out_dir)
-    _write_timings(os.path.join(out_dir, "timings.json"), cfg, heap_pinned,
+    _write_timings(os.path.join(out_dir, "timings.json"), cfg,
                    {"setup_s": setup_s, "wall_s": time.perf_counter() - t_start,
                     "setup_peak_rss_mb": setup_peak, "scales": scales})
     return report
 
 
-def _write_timings(path, cfg, heap_pinned: bool, timings: dict) -> None:
+def _write_timings(path, cfg, timings: dict) -> None:
     """Run manifest: the timings, the config text, the Python and numpy
-    versions, whether the heap was pinned and the ufunc buffer in force.  No
-    study or probe imports scipy, so its version is not recorded."""
+    versions, whether the heap is pinned (_pin_heap again: it re-applies the
+    thresholds _entry_point set and reports whether they hold) and the
+    ufunc buffer in force.  No study or probe imports scipy, so its version
+    is not recorded."""
     write_json(path, {"config": format_config(cfg),
                       "versions": {"python": platform.python_version(),
                                    "numpy": np.__version__},
-                      "heap_pinned": heap_pinned,
+                      "heap_pinned": _pin_heap(),
                       "ufunc_bufsize": np.getbufsize(), **timings})
 
 
@@ -711,12 +703,11 @@ def fit_function_lsq(f_name: str, lo: float, hi: float, width: int, depth: int,
     return fitted, sup_err, grad_fit, mlp.param_norm([fitted], 2.0)[0], calls
 
 
-@_pin_ufunc_buffer
+@_entry_point
 def approximation_probe(cfg: ExperimentConfig, echo=print):
     """Fit networks of increasing width, of the study's depth and
     activation, to a library function and record how the uniform error, the
     gradient sup-norm, and the parameter norm scale."""
-    heap_pinned = _pin_heap()
     t_start = time.perf_counter()
     p, net = cfg["probe"], cfg["network"]
     out_dir = _output_dir(cfg)
@@ -756,12 +747,12 @@ def approximation_probe(cfg: ExperimentConfig, echo=print):
     write_csv(os.path.join(out_dir, "probe_summary.csv"), ("beta_hat",),
               [(beta_hat,)])
     echo(f"fitted approximation-rate slope beta_hat = {beta_hat:.4g}")
-    _write_timings(os.path.join(out_dir, "probe_timings.json"), cfg, heap_pinned,
+    _write_timings(os.path.join(out_dir, "probe_timings.json"), cfg,
                    {"wall_s": time.perf_counter() - t_start, "widths": widths})
     return rows, beta_hat
 
 
-@_pin_ufunc_buffer
+@_entry_point
 def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     """Finite-difference audit of the assembled objective gradient at the
     point where the study's first minimization starts.
@@ -771,7 +762,6 @@ def gradcheck_from_config(cfg: ExperimentConfig, echo=print) -> float:
     data (_scale) and the first of the scale-1 starts (_first_starts), its
     states from the data, its parameter fields from the ridge estimate and
     its networks seeded init_seed + n and prefitted.  No file is written."""
-    _pin_heap()
     ref = _reference(cfg)
     problem = _scale(cfg, ref, 1)
     vars0 = _first_starts(cfg, ref, problem,

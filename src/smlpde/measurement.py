@@ -153,8 +153,8 @@ class Dataset:
 
 
 def save_dataset(ds: Dataset, out_dir) -> None:
-    """Per-experiment CSV files `y_l{l}_m{m}.csv` plus a JSON manifest."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Per-experiment CSV files `y_l{l}_m{m}.csv` plus a JSON manifest, in
+    the existing directory out_dir."""
     m = ds.op.m
     L, N = ds.y.shape[:2]
     for l in range(L):

@@ -518,13 +518,13 @@ class VarLayout:
     def unpack(self, x: np.ndarray) -> Vars:
         if x.size != self.size:
             raise ValueError("flat vector length mismatch")
-        u = x[:self.u_size].reshape(self.u_shape).copy()
+        u = x[:self.u_size].reshape(self.u_shape)
         pos = self.u_size
-        phi = x[pos:pos + self.phi_size].reshape(self.phi_shape).copy()
+        phi = x[pos:pos + self.phi_size].reshape(self.phi_shape)
         pos += self.phi_size
         nets = []
         for tmpl, size in zip(self.net_templates, self.net_sizes):
-            nets.append(mlp.unflatten_params(x[pos:pos + size].copy(), tmpl))
+            nets.append(mlp.unflatten_params(x[pos:pos + size], tmpl))
             pos += size
         return Vars(u, phi, nets)
 

@@ -756,13 +756,20 @@ class TestPinUfuncBuffer:
 
     def test_entry_points_pin_and_restore(self, tmp_path, monkeypatch):
         # every entry point reaches harness.minimize through the prefit; the
-        # buffer reads the pinned size there and the caller's size after
+        # heap is pinned before it, the buffer reads the pinned size there
+        # and the caller's size after
         seen = []
+        pin_heap = harness._pin_heap
+
+        def recording_pin():
+            seen.append("pin_heap")
+            return pin_heap()
 
         def recording(x0, fg, config):
             seen.append(np.getbufsize())
             return minimize(x0, fg, config)
 
+        monkeypatch.setattr(harness, "_pin_heap", recording_pin)
         monkeypatch.setattr(harness, "minimize", recording)
         cfg = self.small_config(tmp_path / "run")
         caller = np.setbufsize(1024)
@@ -770,7 +777,9 @@ class TestPinUfuncBuffer:
             for entry in self.ENTRIES:
                 seen.clear()
                 entry(cfg, echo=lambda *_: None)
-                assert seen and set(seen) == {harness._UFUNC_BUFSIZE}, entry
+                assert seen[0] == "pin_heap", entry
+                bufsizes = [s for s in seen if s != "pin_heap"]
+                assert bufsizes and set(bufsizes) == {harness._UFUNC_BUFSIZE}, entry
                 assert np.getbufsize() == 1024, entry
         finally:
             np.setbufsize(caller)

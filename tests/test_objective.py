@@ -656,6 +656,19 @@ class TestGradient:
         with pytest.raises(RuntimeError):
             deferred()
 
+    def test_closure_leaves_its_point_untouched(self):
+        # VarLayout.unpack hands out views of x, and the optimizer keeps x as
+        # an iterate: neither the value nor the backward pass writes into it
+        problem, vars_ = random_problem(43, kind="burgers1d", kappa=1, N=2,
+                                        op_kind="subsample")
+        layout = VarLayout(vars_)
+        x = layout.pack(vars_)
+        kept = x.copy()
+        x.flags.writeable = False
+        fg = make_closure(problem, layout)
+        fg(x)[1]()
+        assert x.tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("kind,kappa,op_kind,N", [
         ("none", 0, "full", 1),
         ("convection", 1, "subsample", 1),

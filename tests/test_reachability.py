@@ -4,7 +4,8 @@ A public module-level function or class, or a public method, that nothing
 in src/smlpde references outside its own definition is reached only by
 tests, and is deleted rather than kept.  ALLOWED names the exceptions, each
 with the reason it stays.  A reference is any name or attribute with the
-same identifier; the re-exports in __init__.py do not count.
+same identifier.  __init__.py re-exports nothing, so it holds no reference
+and binds no name but __version__.
 
 Matching bare identifiers cannot tell two methods of one name apart, nor a
 method from the numpy array method it shares a name with: an unused
@@ -91,6 +92,14 @@ def unreferenced_names():
 
 def test_every_public_name_is_reached_or_allowed():
     assert unreferenced_names() == set(ALLOWED)
+
+
+def test_package_binds_only_its_version():
+    # every caller imports a module (from smlpde import harness); a
+    # re-export would be a second name for a definition that nothing reads
+    body = ast.parse((SRC / "__init__.py").read_text()).body
+    assert [type(node) for node in body] == [ast.Expr, ast.Assign]
+    assert [target.id for target in body[1].targets] == ["__version__"]
 
 
 def shared_methods(trees):
