@@ -67,6 +67,8 @@ def profile_array(spec: str, grid: Grid) -> np.ndarray:
     """
     name, _, param = spec.partition(":")
     a = float(param) if param else 1.0
+    if not math.isfinite(a):
+        raise ValueError(f"profile parameter must be finite, got {param!r}")
     xhat = (grid.x - grid.x_lo) / (grid.x_hi - grid.x_lo)
     if name == "constant":
         return np.full(grid.nx, a)
@@ -95,6 +97,9 @@ class GroundTruthSpec:
     def __post_init__(self):
         if self.L < 1:
             raise ValueError("u0_profiles must name at least one experiment")
+        if not 0 <= self.kappa <= 2:
+            raise ValueError("kappa must be 0, 1 or 2 (stencils go up to "
+                             "order 2)")
         slots = n_param_slots(self.kind)
         counts = [len(profiles) for profiles in self.phi_profiles]
         counts += [0] * (slots - len(counts))  # a slot given no list
@@ -185,13 +190,16 @@ def make_dataset(u_true: np.ndarray, op: MeasurementOp,
     op's grid, whose initial and boundary values the dataset carries
     exactly.
 
-    Noise is added after measuring; for a subsampling operator the noisy
-    field is masked again so that dropped nodes carry no data at all.
+    Noise is added after measuring, equation n of experiment l drawn from
+    seed + N*l + n; for a subsampling operator the noisy field is masked
+    again so that dropped nodes carry no data at all.
     """
     y = np.zeros_like(u_true)
-    for l in range(u_true.shape[0]):
-        for n in range(u_true.shape[1]):
-            vals = add_noise(op.apply_array(u_true[l, n]), noise_level, seed + l)
+    L, N = u_true.shape[:2]
+    for l in range(L):
+        for n in range(N):
+            vals = add_noise(op.apply_array(u_true[l, n]), noise_level,
+                             seed + N * l + n)
             if op.kind == "subsample":
                 vals = op.apply_array(vals)
             y[l, n] = vals

@@ -636,11 +636,9 @@ def _write_final_vars(grid: Grid, vars_, out_dir) -> None:
             suffix = f"_n{n + 1}" if N > 1 else ""
             write_field_csv(grid, vars_.u[l, n],
                             os.path.join(out_dir, f"u_final_l{l + 1}{suffix}.csv"))
-    slots = vars_.phi.shape[2]
-    for l in range(L):
-        for n in range(N):
-            for s in range(slots):
-                path = os.path.join(out_dir, f"phi_final_l{l + 1}_s{s + 1}.csv")
+            for s in range(vars_.phi.shape[2]):
+                path = os.path.join(out_dir,
+                                    f"phi_final_l{l + 1}{suffix}_s{s + 1}.csv")
                 write_csv(path, ("x", "value"), zip(grid.x, vars_.phi[l, n, s]))
     for n, net in enumerate(vars_.nets):
         mlp.write_params_csv(net,

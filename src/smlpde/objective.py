@@ -113,7 +113,7 @@ class Weights:
             raise ValueError("term weights must be nonnegative")
         if self.q < 2 or self.r < 2 or not 2.0 <= self.rho < math.inf:
             raise ValueError("exponents q, r, rho must be >= 2, rho finite")
-        if self.param_norm_p < 1:
+        if not self.param_norm_p >= 1:
             raise ValueError("param_norm_p must be >= 1 or inf")
         if self.tau <= 0:
             raise ValueError("smooth-max temperature must be positive")

@@ -53,6 +53,25 @@ class TestStrictness:
             parse_config_text("[grid]\nnx = sixty-five\n")
         assert "line 2" in str(info.value)
 
+    @pytest.mark.parametrize("text,line,section,key", [
+        ("[grid]\nnx = sixty-five\n", 2, "grid", "nx"),
+        ("[grid]\nnx = 33\nt_end = inf\n", 3, "grid", "t_end"),
+        ("[network]\nwidth0 = 8\n\n# one layer\ndepth = 1\n", 5, "network",
+         "depth"),
+        ("[weights]\nq = 3.0\nbox_margin = 1.0\n", 3, "weights", "box_margin"),
+        ("[grid]\nnx = 33\n[schedule]\nlambda0 = 0.0\n", 4, "schedule",
+         "lambda0"),
+        ("[probe]\ninterval_lo = -1.0\nwidths = 8, 4\n", 3, "probe", "widths"),
+    ], ids=["malformed_int", "nonfinite_float", "below_at_least",
+            "box_margin_below_min", "nonpositive_schedule",
+            "decreasing_widths"])
+    def test_one_key_rule_names_line_section_key(self, text, line, section,
+                                                 key):
+        # a key's type and range are checked at its own line
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value).startswith(f"line {line}: [{section}] {key} = ")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError):
             parse_config_text("[grid]\nnx = 5\nnx = 7\n")

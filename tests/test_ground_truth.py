@@ -6,7 +6,7 @@ from smlpde.grid import Grid, jet_features
 from smlpde.ground_truth import (GroundTruthSpec, _oracle_pairs, f_true,
                                  limit_oracle, make_dataset, profile_array,
                                  simulate)
-from smlpde.measurement import Dataset, MeasurementOp
+from smlpde.measurement import Dataset, MeasurementOp, add_noise
 from smlpde.objective import (Problem, Vars, Weights, _evaluate_core,
                               derive_ubox, r0_value, smooth_max)
 from smlpde import mlp
@@ -41,6 +41,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             GroundTruthSpec(kind="convection", f_name="zero",
                             phi_profiles=[phi1], u0_profiles=u0)
+
+    def test_kappa_out_of_range_rejected(self):
+        # the stencils go up to order 2
+        with pytest.raises(ValueError):
+            GroundTruthSpec(kind="none", f_name="zero", kappa=3,
+                            u0_profiles=["sine:1.0"])
 
 
 class TestSimulate:
@@ -134,6 +140,21 @@ class TestMakeDataset:
             for b in range(a + 1, 3):
                 assert np.max(np.abs(u[a] - u[b])) > 1e-3
 
+    def test_equations_draw_their_own_noise(self):
+        # equation n of experiment l draws from seed + N*l + n, so the two
+        # equations of one truth get different noise; at N = 1 that is seed + l
+        grid = make_grid(nx=9, nt=5)
+        op = MeasurementOp("full", 1, grid)
+        for N in (1, 2):
+            u = np.ones((2, N, grid.nt, grid.nx))
+            ds = make_dataset(u, op, 0.1, 7)
+            for l in range(2):
+                for n in range(N):
+                    expect = add_noise(op.apply_array(u[l, n]), 0.1,
+                                       7 + N * l + n)
+                    assert np.array_equal(ds.y[l, n], expect)
+        assert not np.array_equal(ds.y[0, 0], ds.y[0, 1])
+
     def test_subsample_noise_masked(self):
         grid = make_grid()
         spec = GroundTruthSpec(kind="none", f_name="zero", kappa=0,
@@ -196,6 +217,10 @@ class TestProfiles:
     def test_unknown_profile(self):
         with pytest.raises(ValueError):
             profile_array("wavelet:1.0", make_grid())
+
+    def test_nonfinite_parameter_rejected(self):
+        with pytest.raises(ValueError):
+            profile_array("constant:inf", make_grid())
 
 
 class TestLimitOracle:

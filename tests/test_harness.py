@@ -227,6 +227,24 @@ class TestConvergenceStudySmall:
                 assert a == b, name
 
 
+class TestFinalVars:
+    def test_system_equations_keep_their_own_phi_files(self, tmp_path):
+        # with N > 1 each equation's parameter field gets the _n<n> suffix
+        grid = Grid(nx=5, nt=3, x_lo=0.0, x_hi=1.0, t_end=0.5)
+        u = np.zeros((2, 2, grid.nt, grid.nx))
+        phi = np.arange(2 * 2 * grid.nx, dtype=float).reshape(2, 2, 1,
+                                                              grid.nx) / 7
+        harness._write_final_vars(
+            grid, types.SimpleNamespace(u=u, phi=phi, nets=[]), tmp_path)
+        for l in range(2):
+            for n in range(2):
+                path = tmp_path / f"phi_final_l{l + 1}_n{n + 1}_s1.csv"
+                with open(path, newline="") as fh:
+                    rows = list(csv.reader(fh))[1:]
+                assert [float(v) for _, v in rows] == phi[l, n, 0].tolist()
+        assert not (tmp_path / "phi_final_l1_s1.csv").exists()
+
+
 class TestCsvFormat:
     def test_every_table_shares_one_format(self, tmp_path):
         # a study and a probe share the output directory; every table ends

@@ -714,6 +714,11 @@ class TestGradient:
         with pytest.raises(ValueError):
             Weights(**{exponent: 1.5})
 
+    def test_nan_param_norm_p_rejected(self):
+        # NaN fails every comparison, so only `not p >= 1` refuses it
+        with pytest.raises(ValueError):
+            Weights(param_norm_p=math.nan)
+
     def test_higher_exponents_gradient(self):
         problem, vars_ = random_problem(13, q=3.0, r=4.0, rho=3.0)
         layout = VarLayout(vars_)

@@ -6,7 +6,8 @@ sys.settrace, its outputs in a temporary directory:
   * print-default-config,
   * run, probe and gradcheck on a 9 x 9 grid, over configs that between
     them name every physics kind, measurement family and activation, kappa
-    0 to 2, q, r and rho other than 2, and param_norm_p 1 and inf,
+    0 to 2, q, r and rho other than 2, param_norm_p 1 and inf, and a
+    schedule weight other than its default,
   * run on invalid configs, each of which must exit 2.
 
 It then prints every statement of the package that no command executed,
@@ -50,7 +51,7 @@ VALID = [
      "measurement": {"family": "subsample"},
      "network": {"activation": "softplus"},
      "weights": {"r": 3.0, "param_norm_p": "inf"},
-     "schedule": {"beta_hat": 0.5}},
+     "schedule": {"beta_hat": 0.5, "lambda0": 2.0}},
     {"ground_truth": {"kind": "diffusion_reaction", "kappa": 2,
                       "f_true": "identity",
                       "phi1_profiles": "linear:0.1, sinusoidal:0.1, "
@@ -83,6 +84,7 @@ INVALID = [
     "[grid]\nnx = 9\nnx = 9\n",
     "[grid]\nnx = nine\n",
     "[weights]\nq = nan\n",
+    "[weights]\nparam_norm_p = nan\n",
     "[grid]\nnx = 4\n",
     "[ground_truth]\nkind = advection\n",
     "[ground_truth]\nkappa = 3\n",
